@@ -7,7 +7,6 @@ colorings, and brute-force oracles that cross-validate every formula.
 
 from .asym import (
     GroupOrderBound,
-    a_root_excluding,
     a_values,
     asym_rooted,
     asym_unrooted,
@@ -25,7 +24,7 @@ from .autom import (
 )
 from .canon import (
     CanonCode,
-    SimilarityPartition,
+    TreeAnalysis,
     TwinClass,
     canon_code,
     child_classes,

@@ -15,70 +15,64 @@ product of the two rooted groups). Everything is exact integer math.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from weakref import WeakKeyDictionary
 
-from .autom import aut_order
-from .canon import child_classes, root_code_excluding, subtree_codes
-from .trees import RootedTree, Tree, VertexCenter, center, root_at
-
-_a_cache: "WeakKeyDictionary[RootedTree, tuple[int, ...]]" = WeakKeyDictionary()
+from .autom import aut_order_of
+from .canon import TreeAnalysis
+from .trees import RootedTree, Tree
 
 
-def a_values(rt: RootedTree) -> tuple[int, ...]:
-    """a(T^x, x) for every vertex x, memoized on subtree codes."""
-    cached = _a_cache.get(rt)
-    if cached is not None:
-        return cached
-    codes = subtree_codes(rt)
-    vals = [0] * rt.tree.n
-    memo: dict[bytes, int] = {}
-    for v in reversed(rt.bfs_order):
-        code = codes[v]
-        known = memo.get(code)
-        if known is not None:
-            vals[v] = known
-            continue
-        acc = 2
-        for cls in child_classes(rt, v):
-            acc *= comb(vals[cls.rep], cls.multiplicity)
-            if acc == 0:
-                break
-        vals[v] = acc
-        memo[code] = acc
-    result = tuple(vals)
-    _a_cache[rt] = result
-    return result
-
-
-def asym_rooted(rt: RootedTree) -> int:
-    """a(T,w): inequivalent distinguishing sets under the root stabilizer."""
-    return a_values(rt)[rt.root]
-
-
-def a_root_excluding(rt: RootedTree, skip: int) -> int:
-    """a of the root's half when the branch through ``skip`` is removed."""
-    vals = a_values(rt)
+def _a_product(a: list[int], pairs) -> int:
+    """2 * prod C(a(k), mu) over (class k, multiplicity mu) pairs."""
     acc = 2
-    for cls in child_classes(rt, rt.root, skip=skip):
-        acc *= comb(vals[cls.rep], cls.multiplicity)
+    for k, mu in pairs:
+        acc *= comb(a[k], mu)
         if acc == 0:
             break
     return acc
 
 
+def a_by_class(an: TreeAnalysis) -> list[int]:
+    """a(T^x, x) of every class, in one pass over the class table."""
+    a: list[int] = []
+    for sig in an.sigs:
+        a.append(_a_product(a, sig))
+    return a
+
+
+def asym_of(an: TreeAnalysis, a: list[int]) -> int:
+    """a of the analysed tree: a(T,w) for one root, a(T) for two halves."""
+    if len(an.roots) == 1:
+        return a[an.ids[an.roots[0]]]
+    a_u, a_v = (a[an.ids[r]] for r in an.roots)
+    return comb(a_u, 2) if an.iso_halves else a_u * a_v
+
+
+def a_at_root(an: TreeAnalysis, a: list[int], w: int) -> int:
+    """a(T,w) of the whole tree at a root w of the analysis (the other half is one more child)."""
+    kids = [an.ids[x] for x in an.children[w]] + [an.ids[r] for r in an.roots if r != w]
+    return _a_product(a, Counter(kids).items())
+
+
+def a_values(rt: RootedTree) -> tuple[int, ...]:
+    """a(T^x, x) for every vertex x."""
+    an = TreeAnalysis.of(rt)
+    a = a_by_class(an)
+    return tuple(a[c] for c in an.ids)
+
+
+def asym_rooted(rt: RootedTree) -> int:
+    """a(T,w): inequivalent distinguishing sets under the root stabilizer."""
+    an = TreeAnalysis.of(rt)
+    return asym_of(an, a_by_class(an))
+
+
 def asym_unrooted(t: Tree) -> int:
     """a(T): inequivalent distinguishing sets under the full group."""
-    c = center(t)
-    if isinstance(c, VertexCenter):
-        return asym_rooted(root_at(t, c.vertex))
-    rt = root_at(t, c.u)
-    a_u = a_root_excluding(rt, c.v)
-    a_v = a_values(rt)[c.v]
-    if root_code_excluding(rt, c.v) == subtree_codes(rt)[c.v]:
-        return comb(a_u, 2)
-    return a_u * a_v
+    an = TreeAnalysis.at_center(t)
+    return asym_of(an, a_by_class(an))
 
 
 def is_2_distinguishable(t: Tree) -> bool:
@@ -93,12 +87,16 @@ class GroupOrderBound:
     product: int
     bound: int
 
+    @staticmethod
+    def of(n: int, aut: int, a: int) -> "GroupOrderBound":
+        if a == 0:
+            raise ValueError("tree is not 2-distinguishable; the bound does not apply")
+        product = aut * a
+        bound = 1 << n
+        return GroupOrderBound(product <= bound, product, bound)
+
 
 def group_order_bound_check(t: Tree) -> GroupOrderBound:
     """Check |Aut(T)| * a(T) <= 2^n; requires a 2-distinguishable tree."""
-    a = asym_unrooted(t)
-    if a == 0:
-        raise ValueError("tree is not 2-distinguishable; the bound does not apply")
-    product = aut_order(t) * a
-    bound = 1 << t.n
-    return GroupOrderBound(product <= bound, product, bound)
+    an = TreeAnalysis.at_center(t)
+    return GroupOrderBound.of(t.n, aut_order_of(an), asym_of(an, a_by_class(an)))

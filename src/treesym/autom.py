@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .canon import child_classes, root_code_excluding, subtree_codes
-from .trees import EdgeCenter, RootedTree, Tree, VertexCenter, center, root_at
+from .canon import TreeAnalysis
+from .trees import RootedTree, Tree, root_at
 
 
 @dataclass(frozen=True)
@@ -53,91 +53,59 @@ class Motion:
 
 ASYMMETRIC = Motion(None)
 
-_aut_cache = {}
+
+def aut_by_class(an: TreeAnalysis) -> list[int]:
+    """|Aut| of every class's rooted subtree by the twin-class product: prod mu! * |Aut(rep)|^mu."""
+    vals: list[int] = []
+    for sig in an.sigs:
+        acc = 1
+        for k, mu in sig:
+            acc *= factorial(mu) * vals[k] ** mu
+        vals.append(acc)
+    return vals
+
+
+def aut_order_of(an: TreeAnalysis) -> int:
+    """|Aut| of the analysed tree: both halves' groups, doubled by a half swap."""
+    vals = aut_by_class(an)
+    order = 1
+    for r in an.roots:
+        order *= vals[an.ids[r]]
+    return 2 * order if an.iso_halves else order
 
 
 def aut_order_rooted(rt: RootedTree) -> int:
     """|Aut(T,w)| by the twin-class product: prod mu! * |Aut(rep)|^mu."""
-    return _aut_values(rt)[rt.root]
-
-
-def _aut_values(rt: RootedTree) -> list[int]:
-    codes = subtree_codes(rt)
-    vals = [1] * rt.tree.n
-    memo: dict[bytes, int] = {}
-    for v in reversed(rt.bfs_order):
-        code = codes[v]
-        known = memo.get(code)
-        if known is not None:
-            vals[v] = known
-            continue
-        acc = 1
-        for cls in child_classes(rt, v):
-            mu = cls.multiplicity
-            acc *= factorial(mu) * vals[cls.rep] ** mu
-        vals[v] = acc
-        memo[code] = acc
-    return vals
-
-
-def _aut_root_excluding(rt: RootedTree, skip: int, vals) -> int:
-    acc = 1
-    for cls in child_classes(rt, rt.root, skip=skip):
-        mu = cls.multiplicity
-        acc *= factorial(mu) * vals[cls.rep] ** mu
-    return acc
+    an = TreeAnalysis.of(rt)
+    return aut_by_class(an)[an.ids[rt.root]]
 
 
 def aut_order(t: Tree) -> int:
     """Exact |Aut(T)| for the unrooted tree."""
-    c = center(t)
-    if isinstance(c, VertexCenter):
-        return aut_order_rooted(root_at(t, c.vertex))
-    rt = root_at(t, c.u)
-    vals = _aut_values(rt)
-    a_u = _aut_root_excluding(rt, c.v, vals)
-    a_v = vals[c.v]
-    order = a_u * a_v
-    if root_code_excluding(rt, c.v) == subtree_codes(rt)[c.v]:
-        order *= 2
-    return order
+    return aut_order_of(TreeAnalysis.at_center(t))
 
 
-def motion(t: Tree) -> Motion:
-    """Motion from the twin structure at the center.
+def motion_of(an: TreeAnalysis) -> Motion:
+    """Motion from the twin structure of a center analysis.
 
     Every non-identity automorphism either fixes the center pointwise, in
     which case it moves at least 2 * |T^x| vertices for some twin pair at x
     (and the bare twin swap achieves exactly that), or it swaps the two
     halves of an edge center, moving all n vertices. The minimum over these
-    candidates is therefore the motion; the oracle suite cross-checks this
-    closed form exhaustively.
+    candidates is therefore the motion, and with no candidate the group is
+    trivial; the oracle suite cross-checks this closed form exhaustively.
     """
-    if aut_order(t) == 1:
-        return ASYMMETRIC
-    c = center(t)
-    if isinstance(c, VertexCenter):
-        rt = root_at(t, c.vertex)
-        skip = None
-    else:
-        rt = root_at(t, c.u)
-        skip = c.v
-    best: int | None = None
-    for y in rt.bfs_order:
-        for cls in child_classes(rt, y, skip=skip if y == rt.root else None):
-            if cls.multiplicity >= 2:
-                size = rt.subtree_size[cls.rep]
-                if best is None or size < best:
-                    best = size
-    candidates = []
-    if best is not None:
-        candidates.append(2 * best)
-    if isinstance(c, EdgeCenter):
-        if root_code_excluding(rt, c.v) == subtree_codes(rt)[c.v]:
-            candidates.append(t.n)
-    if not candidates:
-        raise AssertionError("non-trivial automorphism group without a motion candidate")
-    return Motion(min(candidates))
+    # a child class first occurs below the root, where rt's subtree sizes are the halves' sizes
+    size = an.rt.subtree_size
+    candidates = [2 * size[an.reps[k]] for sig in an.sigs for k, mu in sig if mu >= 2]
+    if an.iso_halves:
+        candidates.append(an.rt.tree.n)
+    return Motion(min(candidates)) if candidates else ASYMMETRIC
+
+
+def motion(t: Tree) -> Motion:
+    """Motion m(T): the fewest vertices a non-identity automorphism moves."""
+    return motion_of(TreeAnalysis.at_center(t))
 
 
 class AutomorphismLimitExceeded(RuntimeError):

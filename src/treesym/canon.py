@@ -1,29 +1,30 @@
-"""Canonical parenthesis codes for rooted subtrees, twin classes, isomorphism.
+"""Integer class ids for rooted subtrees, twin classes, and bytes encoders.
 
-A rooted subtree's code is the classic balanced-parenthesis string: a leaf is
+:class:`TreeAnalysis` interns one integer class id per vertex from the
+sorted tuple of its children's ids (Aho, Hopcroft and Ullman 1974, §3.2), so
+equal ids mean isomorphic rooted subtrees and siblings with equal ids are
+exactly the twins. Ids are assigned bottom-up in order of first appearance,
+and every vertex's twin classes are ordered by class id. That order is the
+same at any two twins, which is what lets the unranking decode one digit the
+same way on both.
+
+The bytes encoders keep the classic balanced-parenthesis code: a leaf is
 ``()`` and an internal vertex wraps the lexicographically sorted codes of its
-children. Equal codes mean isomorphic rooted trees, so sibling grouping by
-code is exactly the twin (similarity-class) partition. Codes are interned per
-tree so equal codes within one analysis share a single bytes object.
+children. Codes are interned per call so equal codes share one bytes object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
+from itertools import groupby
 
 from .trees import Coloring, RootedTree, Tree, VertexCenter, center, root_at
 
 CanonCode = bytes
 
-_code_cache: "WeakKeyDictionary[RootedTree, tuple[bytes, ...]]" = WeakKeyDictionary()
-
 
 def subtree_codes(rt: RootedTree) -> tuple[bytes, ...]:
     """Code of (T^x, x) for every vertex x; the root entry codes the whole tree."""
-    cached = _code_cache.get(rt)
-    if cached is not None:
-        return cached
     codes: list[bytes] = [b""] * rt.tree.n
     interned: dict[bytes, bytes] = {}
     for v in reversed(rt.bfs_order):
@@ -33,24 +34,11 @@ def subtree_codes(rt: RootedTree) -> tuple[bytes, ...]:
         else:
             raw = b"(" + b"".join(sorted(codes[c] for c in kids)) + b")"
         codes[v] = interned.setdefault(raw, raw)
-    result = tuple(codes)
-    _code_cache[rt] = result
-    return result
+    return tuple(codes)
 
 
 def canon_code(rt: RootedTree, x: int) -> CanonCode:
     return subtree_codes(rt)[x]
-
-
-def root_code_excluding(rt: RootedTree, skip_child: int) -> CanonCode:
-    """Code of the root's subtree with one child branch removed.
-
-    Used for the two halves of an edge-centered tree: rooting at u, the
-    u-half is the root minus the branch through v.
-    """
-    codes = subtree_codes(rt)
-    kids = [c for c in rt.children[rt.root] if c != skip_child]
-    return b"(" + b"".join(sorted(codes[c] for c in kids)) + b")"
 
 
 @dataclass(frozen=True)
@@ -65,34 +53,93 @@ class TwinClass:
         return len(self.members)
 
 
-def child_classes(rt: RootedTree, y: int, skip: int | None = None) -> tuple[TwinClass, ...]:
-    """Children of y grouped by subtree code, ordered by representative id."""
-    codes = subtree_codes(rt)
-    groups: dict[bytes, list[int]] = {}
-    for c in rt.children[y]:
-        if c == skip:
-            continue
-        groups.setdefault(codes[c], []).append(c)
-    classes = [TwinClass(members[0], tuple(members)) for members in groups.values()]
-    classes.sort(key=lambda cl: cl.rep)
-    return tuple(classes)
+@dataclass(frozen=True, eq=False)
+class TreeAnalysis:
+    """The twin-class table of one rooting, built once and shared by every view.
 
+    ``roots`` is ``(w,)`` for a tree rooted at w, or ``(u, v)`` when the
+    rooting at u is cut at its child v: then the analysis holds two halves,
+    ``children[u]`` leaves v out and ``ids[u]`` is the class of u's own half.
+    An edge-centered tree is analysed that way, so its halves are isomorphic
+    iff ``ids[u] == ids[v]``.
 
-@dataclass(frozen=True)
-class SimilarityPartition:
-    """Twin classes for every vertex that has children."""
+    ``children[x]`` is sorted by (class id, vertex id). ``sigs[c]`` lists the
+    twin classes of any vertex of class c as (child class, multiplicity)
+    pairs in ascending class order, so the children of x split into runs of
+    those lengths. ``reps[c]`` is the first vertex (bottom-up) of class c.
+    """
 
-    by_vertex: dict[int, tuple[TwinClass, ...]]
+    rt: RootedTree
+    roots: tuple[int, ...]
+    children: tuple[tuple[int, ...], ...]
+    ids: tuple[int, ...]
+    sigs: tuple[tuple[tuple[int, int], ...], ...]
+    reps: tuple[int, ...]
+
+    @staticmethod
+    def of(rt: RootedTree, cut: int | None = None) -> "TreeAnalysis":
+        """Analyse ``rt``; with ``cut``, a child of the root, split off its branch."""
+        children = list(rt.children)
+        roots = (rt.root,)
+        if cut is not None:
+            children[rt.root] = tuple(c for c in children[rt.root] if c != cut)
+            roots = (rt.root, cut)
+        ids = [0] * rt.tree.n
+        index: dict[tuple[int, ...], int] = {}
+        sigs: list[tuple[tuple[int, int], ...]] = []
+        reps: list[int] = []
+        cls = ids.__getitem__
+        for x in reversed(rt.bfs_order):
+            kids = children[x]
+            if len(kids) > 1:
+                kids = children[x] = tuple(sorted(kids, key=cls))
+            key = tuple(map(cls, kids))
+            cid = index.get(key)
+            if cid is None:
+                cid = index[key] = len(sigs)
+                sigs.append(tuple((k, len(list(run))) for k, run in groupby(key)))
+                reps.append(x)
+            ids[x] = cid
+        return TreeAnalysis(rt, roots, tuple(children), tuple(ids), tuple(sigs), tuple(reps))
+
+    @staticmethod
+    def at_center(t: Tree) -> "TreeAnalysis":
+        """Rooted at the vertex center, or at ``c.u`` cut at ``c.v`` for an edge center."""
+        c = center(t)
+        if isinstance(c, VertexCenter):
+            return TreeAnalysis.of(root_at(t, c.vertex))
+        return TreeAnalysis.of(root_at(t, c.u), cut=c.v)
+
+    @property
+    def iso_halves(self) -> bool:
+        """Two isomorphic halves, which a half swap exchanges."""
+        return len(self.roots) == 2 and self.ids[self.roots[0]] == self.ids[self.roots[1]]
 
     def classes_at(self, y: int) -> tuple[TwinClass, ...]:
-        return self.by_vertex.get(y, ())
+        """Children of y grouped into twin classes, ordered by class id."""
+        kids = self.children[y]
+        out = []
+        pos = 0
+        for _, mu in self.sigs[self.ids[y]]:
+            members = kids[pos : pos + mu]
+            out.append(TwinClass(members[0], members))
+            pos += mu
+        return tuple(out)
+
+    @property
+    def by_vertex(self) -> dict[int, tuple[TwinClass, ...]]:
+        """Twin classes of every vertex that has children."""
+        return {y: self.classes_at(y) for y in self.rt.bfs_order if self.children[y]}
 
 
-def twin_classes(rt: RootedTree) -> SimilarityPartition:
-    by_vertex = {
-        y: child_classes(rt, y) for y in rt.bfs_order if rt.children[y]
-    }
-    return SimilarityPartition(by_vertex)
+def child_classes(rt: RootedTree, y: int) -> tuple[TwinClass, ...]:
+    """Children of y grouped by subtree class, ordered by class id."""
+    return TreeAnalysis.of(rt).classes_at(y)
+
+
+def twin_classes(rt: RootedTree) -> TreeAnalysis:
+    """The twin-class table of ``rt``; ``by_vertex`` and ``classes_at`` view it per vertex."""
+    return TreeAnalysis.of(rt)
 
 
 def unrooted_code(t: Tree) -> CanonCode:
@@ -125,13 +172,6 @@ def colored_subtree_codes(rt: RootedTree, coloring: Coloring) -> tuple[bytes, ..
         else:
             codes[v] = b"(" + col + b"".join(sorted(codes[c] for c in kids)) + b")"
     return tuple(codes)
-
-
-def colored_root_code_excluding(rt: RootedTree, coloring: Coloring, skip_child: int) -> bytes:
-    codes = colored_subtree_codes(rt, coloring)
-    col = b"1" if coloring.is_black(rt.root) else b"0"
-    kids = [c for c in rt.children[rt.root] if c != skip_child]
-    return b"(" + col + b"".join(sorted(codes[c] for c in kids)) + b")"
 
 
 def colored_unrooted_code(t: Tree, coloring: Coloring) -> bytes:

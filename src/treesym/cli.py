@@ -12,22 +12,14 @@ import argparse
 import json
 import sys
 
-from .asym import asym_rooted, asym_unrooted, group_order_bound_check
-from .autom import aut_order, motion
-from .coloring import to_dot, unrank_distinguishing, unrank_unrooted, verify_distinguishing
+from .asym import GroupOrderBound, a_by_class, asym_of, asym_rooted
+from .autom import aut_order_of, motion_of
+from .canon import TreeAnalysis
+from .coloring import to_dot, unrank_of, verify_distinguishing
 from .corpus import CorpusSpec, conjecture_check, generate, run_theorem_suite
 from .oracle import brute_asym
 from .treelike import extract_forest, is_treelike, parse_graph_edge_list, treelike_distinguish
-from .trees import (
-    Coloring,
-    EdgeListParseError,
-    Tree,
-    VertexCenter,
-    center,
-    parse_edge_list,
-    root_at,
-    serialize_edge_list,
-)
+from .trees import Coloring, EdgeListParseError, Tree, parse_edge_list, root_at, serialize_edge_list
 
 SCHEMA = 1
 
@@ -43,23 +35,24 @@ def _load_tree(path: str) -> Tree:
     return parse_edge_list(_read_input(path))
 
 
-def _center_json(t: Tree):
-    c = center(t)
-    if isinstance(c, VertexCenter):
-        return {"kind": "vertex", "vertex": c.vertex}
-    return {"kind": "edge", "u": c.u, "v": c.v}
+def _center_json(an: TreeAnalysis):
+    if len(an.roots) == 1:
+        return {"kind": "vertex", "vertex": an.roots[0]}
+    u, v = an.roots
+    return {"kind": "edge", "u": u, "v": v}
 
 
 def cmd_analyze(args) -> int:
     t = _load_tree(args.file)
-    mot = motion(t)
-    aut = aut_order(t)
-    a = asym_unrooted(t)
+    an = TreeAnalysis.at_center(t)
+    mot = motion_of(an)
+    aut = aut_order_of(an)
+    a = asym_of(an, a_by_class(an))
     report = {
         "schema": SCHEMA,
         "n": t.n,
         "delta": t.delta,
-        "center": _center_json(t),
+        "center": _center_json(an),
         "motion": mot.to_json(),
         "aut_order": str(aut),
         "a": str(a),
@@ -67,7 +60,7 @@ def cmd_analyze(args) -> int:
         "group_order_bound": None,
     }
     if a > 0:
-        chk = group_order_bound_check(t)
+        chk = GroupOrderBound.of(t.n, aut, a)
         report["group_order_bound"] = {"holds": chk.holds, "product": str(chk.product), "bound": str(chk.bound)}
     if mot.is_asymmetric:
         report["motion_note"] = "asymmetric: exceeds every finite threshold by convention"
@@ -105,12 +98,11 @@ def cmd_color(args) -> int:
     if args.root is not None:
         if not (0 <= args.root < t.n):
             raise EdgeListParseError(f"root {args.root} out of range 0..{t.n - 1}")
-        rt = root_at(t, args.root)
-        total = asym_rooted(rt)
-        unrank = lambda k: unrank_distinguishing(rt, k)
+        an = TreeAnalysis.of(root_at(t, args.root))
     else:
-        total = asym_unrooted(t)
-        unrank = lambda k: unrank_unrooted(t, k)
+        an = TreeAnalysis.at_center(t)
+    a = a_by_class(an)
+    total = asym_of(an, a)
     if total == 0:
         print("tree is not 2-distinguishable", file=sys.stderr)
         return 3
@@ -119,7 +111,7 @@ def cmd_color(args) -> int:
         print(f"index out of range [0, {total})", file=sys.stderr)
         return 3
     for k in indices:
-        coloring = unrank(k)
+        coloring = unrank_of(an, a, k)
         if args.dot:
             sys.stdout.write(to_dot(t, coloring))
         else:

@@ -5,9 +5,14 @@ as an explicit bijection: one low-order bit picks the root color (0 = black),
 then each similarity class consumes one mixed-radix digit that is decoded in
 the combinatorial number system (colexicographic) into an unordered set of
 mu distinct sub-coloring classes, handed to the twins in ascending vertex-id
-order. Verification is collision detection on color-refined canonical codes:
-a color-preserving non-identity automorphism exists iff two twins somewhere
-share a colored code, or an edge-center half swap preserves colored codes.
+order. The classes at a vertex consume their digits in class-id order (see
+:mod:`treesym.canon`), which is the same order at any two twins, so twins
+given different sub-indices always decode to inequivalent colorings.
+
+Verification interns a colored class id per vertex from its color and its
+children's colored ids: a color-preserving non-identity automorphism exists
+iff two twins somewhere share a colored id, or the two halves of an edge
+center do.
 """
 
 from __future__ import annotations
@@ -15,15 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .asym import a_root_excluding, a_values, asym_unrooted
-from .canon import (
-    child_classes,
-    colored_root_code_excluding,
-    colored_subtree_codes,
-    root_code_excluding,
-    subtree_codes,
-)
-from .trees import Coloring, RootedTree, Tree, VertexCenter, center, root_at
+from .asym import a_by_class, asym_of
+from .canon import TreeAnalysis
+from .trees import Coloring, RootedTree, Tree, root_at
 
 
 def combinadic_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
@@ -52,87 +51,118 @@ def combinadic_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _unrank_into(rt: RootedTree, x: int, index: int, colors: list[int | None], skip: int | None = None):
-    """Write the index-th inequivalent distinguishing coloring of (T^x, x).
+def _unrank_into(an: TreeAnalysis, a: list[int], x: int, index: int, colors: list[int | None]):
+    """Write the index-th inequivalent distinguishing coloring of x's branch.
 
-    ``skip`` removes one child branch of x (used for edge-center halves).
     Iterative so deep chains cannot hit the recursion limit.
     """
-    vals = a_values(rt)
-    stack: list[tuple[int, int, int | None]] = [(x, index, skip)]
+    stack = [(x, index)]
     while stack:
-        v, k, skp = stack.pop()
-        bit = k & 1
+        v, k = stack.pop()
+        colors[v] = 0 if k & 1 else 1
         k >>= 1
-        colors[v] = 0 if bit else 1
-        for cls in child_classes(rt, v, skip=skp):
-            cap = comb(vals[cls.rep], cls.multiplicity)
+        kids = an.children[v]
+        pos = 0
+        for c, mu in an.sigs[an.ids[v]]:
+            cap = comb(a[c], mu)
             digit = k % cap
             k //= cap
-            chosen = combinadic_unrank(digit, vals[cls.rep], cls.multiplicity)
-            for member, sub in zip(cls.members, chosen):
-                stack.append((member, sub, None))
+            chosen = combinadic_unrank(digit, a[c], mu)
+            stack.extend(zip(kids[pos : pos + mu], chosen))
+            pos += mu
         if k:
             raise AssertionError("index not fully consumed")
 
 
-def unrank_distinguishing(rt: RootedTree, index: int) -> Coloring:
-    """The index-th of the a(T,w) coloring classes, one concrete coloring each."""
-    total = a_values(rt)[rt.root]
+def _to_coloring(colors: list[int | None]) -> Coloring:
+    if None in colors:
+        raise AssertionError("coloring left a vertex uncolored")
+    return Coloring.from_black(len(colors), (v for v, c in enumerate(colors) if c))
+
+
+def unrank_of(an: TreeAnalysis, a: list[int], index: int) -> Coloring:
+    """The index-th of the asym_of(an, a) coloring classes of the analysed tree."""
+    total = asym_of(an, a)
     if not (0 <= index < total):
         raise IndexError(f"index {index} out of range [0, {total})")
-    colors: list[int | None] = [None] * rt.tree.n
-    _unrank_into(rt, rt.root, index, colors)
-    assert all(c is not None for c in colors)
-    return Coloring.from_black(rt.tree.n, (v for v, c in enumerate(colors) if c))
+    colors: list[int | None] = [None] * an.rt.tree.n
+    if len(an.roots) == 1:
+        _unrank_into(an, a, an.roots[0], index, colors)
+        return _to_coloring(colors)
+    u, v = an.roots
+    a_u = a[an.ids[u]]
+    if an.iso_halves:
+        s_u, s_v = combinadic_unrank(index, a_u, 2)
+    else:
+        s_u, s_v = index % a_u, index // a_u
+    _unrank_into(an, a, u, s_u, colors)
+    _unrank_into(an, a, v, s_v, colors)
+    return _to_coloring(colors)
+
+
+def unrank_distinguishing(rt: RootedTree, index: int) -> Coloring:
+    """The index-th of the a(T,w) coloring classes, one concrete coloring each."""
+    an = TreeAnalysis.of(rt)
+    return unrank_of(an, a_by_class(an), index)
 
 
 def unrank_unrooted(t: Tree, index: int) -> Coloring:
     """Unranking adapted to the center kind, bijective onto the a(T) classes."""
-    c = center(t)
-    if isinstance(c, VertexCenter):
-        return unrank_distinguishing(root_at(t, c.vertex), index)
-    rt = root_at(t, c.u)
-    a_u = a_root_excluding(rt, c.v)
-    a_v = a_values(rt)[c.v]
-    iso = root_code_excluding(rt, c.v) == subtree_codes(rt)[c.v]
-    total = comb(a_u, 2) if iso else a_u * a_v
-    if not (0 <= index < total):
-        raise IndexError(f"index {index} out of range [0, {total})")
-    if iso:
-        s_u, s_v = combinadic_unrank(index, a_u, 2)
-    else:
-        s_u, s_v = index % a_u, index // a_u
-    colors: list[int | None] = [None] * t.n
-    _unrank_into(rt, c.u, s_u, colors, skip=c.v)
-    _unrank_into(rt, c.v, s_v, colors)
-    assert all(col is not None for col in colors)
-    return Coloring.from_black(t.n, (v for v, col in enumerate(colors) if col))
+    an = TreeAnalysis.at_center(t)
+    return unrank_of(an, a_by_class(an), index)
+
+
+def construct_of(an: TreeAnalysis, a: list[int]) -> Coloring | None:
+    """The index-0 coloring of a center analysis, verified, or None when a(T) = 0."""
+    if asym_of(an, a) == 0:
+        return None
+    coloring = unrank_of(an, a, 0)
+    if not distinguishes(an, coloring):
+        raise AssertionError("constructed coloring is not distinguishing")
+    return coloring
 
 
 def construct_distinguishing(t: Tree) -> Coloring | None:
     """A verified distinguishing coloring when one exists (index-0 unranking)."""
-    if asym_unrooted(t) == 0:
-        return None
-    coloring = unrank_unrooted(t, 0)
-    assert verify_distinguishing(t, coloring)
-    return coloring
+    an = TreeAnalysis.at_center(t)
+    return construct_of(an, a_by_class(an))
 
 
-def _twin_collision(rt: RootedTree, coloring: Coloring, skip_at_root: int | None = None) -> bool:
-    colored = colored_subtree_codes(rt, coloring)
-    for y in rt.bfs_order:
-        skip = skip_at_root if y == rt.root else None
-        for cls in child_classes(rt, y, skip=skip):
-            if cls.multiplicity < 2:
-                continue
-            seen = set()
-            for m in cls.members:
-                code = colored[m]
-                if code in seen:
-                    return True
-                seen.add(code)
-    return False
+def _colored_ids(an: TreeAnalysis, colors, top: int, table: dict) -> tuple[dict[int, int], bool]:
+    """Colored class id of every vertex in the branch at ``top``, and whether twins collide.
+
+    An id is interned in ``table`` from the vertex's color and its children's
+    sorted ids, so ids drawn from one table are equal iff a color-preserving
+    isomorphism maps one branch onto the other. Twins collide when two
+    children of one vertex get equal ids.
+    """
+    order = [top]
+    for v in order:
+        order.extend(an.children[v])
+    ids: dict[int, int] = {}
+    collide = False
+    for v in reversed(order):
+        kids = sorted(ids[c] for c in an.children[v])
+        if len(kids) > 1 and len(set(kids)) < len(kids):
+            collide = True
+        ids[v] = table.setdefault((colors[v], *kids), len(table))
+    return ids, collide
+
+
+def distinguishes(an: TreeAnalysis, coloring: Coloring) -> bool:
+    """True iff no non-identity automorphism of the analysed rooting preserves the colors.
+
+    With two halves the automorphisms include the half swap.
+    """
+    colors = coloring.bits()
+    table: dict = {}
+    top_ids = []
+    for r in an.roots:
+        ids, collide = _colored_ids(an, colors, r, table)
+        if collide:
+            return False
+        top_ids.append(ids[r])
+    return len(set(top_ids)) == len(top_ids)
 
 
 def verify_distinguishing(t: Tree, coloring: Coloring, pinned: int | None = None) -> bool:
@@ -140,19 +170,10 @@ def verify_distinguishing(t: Tree, coloring: Coloring, pinned: int | None = None
     if coloring.n != t.n:
         raise ValueError("coloring length does not match tree")
     if pinned is not None:
-        return not _twin_collision(root_at(t, pinned), coloring)
-    c = center(t)
-    if isinstance(c, VertexCenter):
-        return not _twin_collision(root_at(t, c.vertex), coloring)
-    rt = root_at(t, c.u)
-    if _twin_collision(rt, coloring, skip_at_root=c.v):
-        return False
-    if root_code_excluding(rt, c.v) == subtree_codes(rt)[c.v]:
-        colored_u = colored_root_code_excluding(rt, coloring, c.v)
-        colored_v = colored_subtree_codes(rt, coloring)[c.v]
-        if colored_u == colored_v:
-            return False
-    return True
+        an = TreeAnalysis.of(root_at(t, pinned))
+    else:
+        an = TreeAnalysis.at_center(t)
+    return distinguishes(an, coloring)
 
 
 @dataclass(frozen=True)
@@ -242,81 +263,48 @@ def extend_ray_coloring(tr: OneEndedTruncation, ray_colors) -> Coloring:
 
     for i in range(1, len(ray)):
         v_i = ray[i]
-        rt = root_at(tree, v_i)
-        vals = a_values(rt)
-        skip = ray[i + 1] if i + 1 < len(ray) else None
+        an = TreeAnalysis.of(root_at(tree, v_i), cut=ray[i + 1] if i + 1 < len(ray) else None)
+        a = a_by_class(an)
         back = ray[i - 1]
-        colored_now: tuple[bytes, ...] | None = None
-        for cls in child_classes(rt, v_i, skip=skip):
+        for cls in an.classes_at(v_i):
+            avail = a[an.ids[cls.rep]]
             if back in cls.members:
                 others = [m for m in cls.members if m != back]
                 if not others:
                     continue
-                need = cls.multiplicity
-                avail = vals[cls.rep]
-                if avail < need:
-                    raise LobeAssignmentError(v_i, cls.rep, need, avail)
-                if colored_now is None:
-                    colored_now = _partial_colored_codes(rt, colors)
-                back_code = colored_now[back]
+                if avail < cls.multiplicity:
+                    raise LobeAssignmentError(v_i, cls.rep, cls.multiplicity, avail)
+                table: dict = {}
+                back_id = _colored_ids(an, colors, back, table)[0][back]
                 next_index = 0
                 for m in others:
                     while True:
-                        _unrank_into(rt, m, next_index, colors)
+                        _unrank_into(an, a, m, next_index, colors)
                         next_index += 1
-                        if _branch_colored_code(rt, colors, m) != back_code:
+                        if _colored_ids(an, colors, m, table)[0][m] != back_id:
                             break
             else:
-                if vals[cls.rep] < cls.multiplicity:
-                    raise LobeAssignmentError(v_i, cls.rep, cls.multiplicity, vals[cls.rep])
-                if cls.multiplicity == 1 and vals[cls.rep] == 1 << rt.subtree_size[cls.rep]:
+                if avail < cls.multiplicity:
+                    raise LobeAssignmentError(v_i, cls.rep, cls.multiplicity, avail)
+                if cls.multiplicity == 1 and avail == 1 << an.rt.subtree_size[cls.rep]:
                     # asymmetric lone branch: any coloring works; all-white for determinism
-                    _whiten_branch(rt, cls.rep, colors)
+                    _whiten_branch(an, cls.rep, colors)
                     continue
                 for j, m in enumerate(cls.members):
-                    _unrank_into(rt, m, j, colors)
+                    _unrank_into(an, a, m, j, colors)
 
-    assert all(c is not None for c in colors)
-    result = Coloring.from_black(tree.n, (v for v, c in enumerate(colors) if c))
-    assert verify_distinguishing(tree, result, pinned=ray[-1])
+    result = _to_coloring(colors)
+    if not verify_distinguishing(tree, result, pinned=ray[-1]):
+        raise AssertionError("extended coloring is not distinguishing")
     return result
 
 
-def _whiten_branch(rt: RootedTree, x: int, colors):
+def _whiten_branch(an: TreeAnalysis, x: int, colors):
     stack = [x]
     while stack:
         v = stack.pop()
         colors[v] = 0
-        stack.extend(rt.children[v])
-
-
-def _partial_colored_codes(rt: RootedTree, colors) -> tuple[bytes, ...]:
-    """Colored codes over the already-colored region; uncolored vertices get a wildcard.
-
-    Only queried for fully colored branches, where no wildcard can appear.
-    """
-    codes: list[bytes] = [b""] * rt.tree.n
-    for v in reversed(rt.bfs_order):
-        col = b"?" if colors[v] is None else (b"1" if colors[v] else b"0")
-        kids = rt.children[v]
-        codes[v] = b"(" + col + b"".join(sorted(codes[c] for c in kids)) + b")"
-    return tuple(codes)
-
-
-def _branch_colored_code(rt: RootedTree, colors, x: int) -> bytes:
-    """Colored code of the (fully colored) branch rooted at x."""
-    out: dict[int, bytes] = {}
-    stack = [(x, False)]
-    while stack:
-        v, expanded = stack.pop()
-        if expanded:
-            col = b"1" if colors[v] else b"0"
-            out[v] = b"(" + col + b"".join(sorted(out[c] for c in rt.children[v])) + b")"
-        else:
-            stack.append((v, True))
-            for c in rt.children[v]:
-                stack.append((c, False))
-    return out[x]
+        stack.extend(an.children[v])
 
 
 def to_dot(t: Tree, coloring: Coloring | None = None) -> str:

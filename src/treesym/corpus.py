@@ -8,16 +8,11 @@ from typing import Iterable, Iterator
 
 import networkx as nx
 
-from .asym import a_values, asym_unrooted, group_order_bound_check
-from .autom import aut_order, motion
-from .canon import child_classes
-from .coloring import (
-    OneEndedTruncation,
-    construct_distinguishing,
-    one_ended_truncation,
-    verify_distinguishing,
-)
-from .trees import Tree, VertexCenter, center, root_at, serialize_edge_list
+from .asym import GroupOrderBound, a_at_root, a_by_class, asym_of, asym_unrooted
+from .autom import aut_order_of, motion, motion_of
+from .canon import TreeAnalysis
+from .coloring import OneEndedTruncation, construct_of, distinguishes, one_ended_truncation
+from .trees import Tree, root_at, serialize_edge_list
 
 ALL_TREES_MAX = 12
 
@@ -245,9 +240,11 @@ def run_theorem_suite(trees: Iterable[Tree]) -> SuiteReport:
     """
     report = SuiteReport()
     for t in trees:
-        mot = motion(t)
-        aut = aut_order(t)
-        a = asym_unrooted(t)
+        an = TreeAnalysis.at_center(t)
+        a_cls = a_by_class(an)
+        mot = motion_of(an)
+        aut = aut_order_of(an)
+        a = asym_of(an, a_cls)
         checks: list[tuple[str, str]] = []
 
         def record(name: str, passed: bool):
@@ -255,42 +252,35 @@ def run_theorem_suite(trees: Iterable[Tree]) -> SuiteReport:
             if not passed:
                 report.counterexamples.append({"check": name, "tree": serialize_edge_list(t)})
 
+        def check_construct():
+            coloring = construct_of(an, a_cls)
+            record("construct-verifies", coloring is not None and distinguishes(an, coloring))
+
         if mot.is_asymmetric:
             hypothesis = "vacuous-asymmetric"
             record("asymmetric-a-equals-2^n", a == 1 << t.n)
-            _check_construct(t, record)
+            check_construct()
         else:
             m = mot.moved
             threshold = 1 << (m // 2)
             if t.delta <= threshold:
                 hypothesis = "met"
                 record("two-distinguishable", a > 0)
-                _check_construct(t, record)
-                c = center(t)
-                roots = [c.vertex] if isinstance(c, VertexCenter) else [c.u, c.v]
-                for w in roots:
+                check_construct()
+                for w in an.roots:
                     if t.degree(w) < threshold:
-                        a_w = a_values(root_at(t, w))[w]
-                        record("rooted-lower-bound", a_w >= 2 * threshold)
+                        record("rooted-lower-bound", a_at_root(an, a_cls, w) >= 2 * threshold)
             else:
                 hypothesis = "not-met"
                 checks.append(("two-distinguishable", "skip"))
         if a > 0:
-            record("group-order-bound", group_order_bound_check(t).holds)
+            record("group-order-bound", GroupOrderBound.of(t.n, aut, a).holds)
             if aut == 1:
                 record("group-order-bound-equality", aut * a == 1 << t.n)
         report.records.append(
             TreeRecord(t.n, t.delta, mot.to_json(), aut, a, hypothesis, tuple(checks))
         )
     return report
-
-
-def _check_construct(t: Tree, record):
-    coloring = construct_distinguishing(t)
-    record(
-        "construct-verifies",
-        coloring is not None and verify_distinguishing(t, coloring),
-    )
 
 
 @dataclass(frozen=True)
@@ -320,11 +310,14 @@ class ConjectureReport:
 def conjecture_check(t: Tree) -> ConjectureReport:
     violation = None
     for w in range(t.n):
-        rt = root_at(t, w)
-        vals = a_values(rt)
-        for cls in child_classes(rt, w):
-            if cls.multiplicity > vals[cls.rep]:
-                violation = (w, cls.rep, cls.multiplicity, vals[cls.rep])
+        an = TreeAnalysis.of(root_at(t, w))
+        a = a_by_class(an)
+        mu = dict(an.sigs[an.ids[w]])
+        # the first violating child in id order is its class's smallest member
+        for x in an.rt.children[w]:
+            k = an.ids[x]
+            if mu[k] > a[k]:
+                violation = (w, x, mu[k], a[k])
                 break
         if violation:
             break

@@ -195,51 +195,14 @@ def brute_graph_aut(
 def exists_automorphism(adj, pinned: int | None = None, forced: dict[int, int] | None = None) -> bool:
     """Feasibility query: is there any automorphism honoring pins and forces?
 
-    Same search as brute_graph_aut but stops at the first solution, which
-    keeps child-orbit checks cheap even for very symmetric inputs.
+    A first-solution query over brute_graph_aut: a limit of 0 stops its
+    search at the first automorphism found.
     """
-    n = len(adj)
-    adjsets = [set(a) for a in adj]
-    deg = [len(a) for a in adj]
-    start = pinned if pinned is not None else 0
-    order, par = _bfs_order(adj, start)
-    if len(order) != n:
-        raise ValueError("graph must be connected")
-    forced = dict(forced or {})
-    if pinned is not None:
-        forced[pinned] = pinned
-
-    mapping = [-1] * n
-    used = [False] * n
-
-    def rec(k: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        pool = range(n) if k == 0 else adj[mapping[par[v]]]
-        want = forced.get(v)
-        for y in pool:
-            if used[y] or deg[y] != deg[v]:
-                continue
-            if want is not None and want != y:
-                continue
-            ok = True
-            for z in adj[v]:
-                mz = mapping[z]
-                if mz >= 0 and mz not in adjsets[y]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = y
-            used[y] = True
-            if rec(k + 1):
-                return True
-            used[y] = False
-            mapping[v] = -1
-        return False
-
-    return rec(0)
+    try:
+        brute_graph_aut(adj, pinned=pinned, limit=0, forced=forced)
+    except AutomorphismLimitExceeded:
+        return True
+    return False
 
 
 def _bfs_order(adj, start: int):

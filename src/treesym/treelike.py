@@ -56,6 +56,9 @@ class RootedGraph:
 def parse_graph_edge_list(text: str, root: int = 0) -> RootedGraph:
     """Same wire format as trees, with the cycle check relaxed (graphs allowed)."""
     n, rows = read_edge_lines(text)
+    # Checked before anything is sized by n, so a huge header fails fast.
+    if len(rows) < n - 1:
+        raise EdgeListParseError("graph is disconnected")
     g = RootedGraph.from_edges(n, [(u, v) for _, u, v in rows], root)
     dist, reach = _bfs_dist(g.adj, root)
     if len(reach) != n:

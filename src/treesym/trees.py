@@ -135,11 +135,15 @@ def parse_edge_list(text: str) -> Tree:
     """Parse "n" followed by one "u v" edge per line into a validated Tree.
 
     Tolerates blank lines and CRLF. Errors carry line numbers: duplicate
-    edges, out-of-range ids, cycles (reported at the closing edge), and a
-    final edge-count check.
+    edges, out-of-range ids and cycles (reported at the closing edge);
+    too few edges are rejected first.
     """
     n, rows = read_edge_lines(text)
-    # Union-find so a cycle is reported at the line that closes it.
+    # Checked before anything is sized by n, so a huge header fails fast.
+    if len(rows) < n - 1:
+        raise EdgeListParseError(f"edge count {len(rows)} != n-1 = {n - 1}")
+    # Union-find so a cycle is reported at the line that closes it. More than
+    # n-1 edges always close one, and n-1 acyclic edges span the vertices.
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -155,11 +159,6 @@ def parse_edge_list(text: str) -> Tree:
             raise EdgeListParseError(f"cycle detected at edge ({u}, {v})", line_no)
         parent[ru] = rv
         edges.append((u, v))
-    if len(edges) != n - 1:
-        raise EdgeListParseError(f"edge count {len(edges)} != n-1 = {n - 1}")
-    roots = {find(x) for x in range(n)}
-    if len(roots) > 1:
-        raise EdgeListParseError("graph is disconnected")
     return Tree.from_edges(n, edges)
 
 
@@ -217,8 +216,7 @@ class RootedTree:
 
     ``children`` lists are in ascending id order; canonical ordering is the
     canon module's job. ``bfs_order`` starts at the root, so its reverse is
-    a valid bottom-up evaluation order. Identity-based equality so canonical
-    caches can key on instances.
+    a valid bottom-up evaluation order. Equality and hashing are by identity.
     """
 
     tree: Tree

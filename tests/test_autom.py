@@ -121,8 +121,12 @@ def test_motion_even_and_half_swap_bound(t):
         assert m.moved <= t.n
     c = center(t)
     if isinstance(c, EdgeCenter):
-        from treesym.canon import root_code_excluding, subtree_codes
+        from treesym.canon import TreeAnalysis, subtree_codes
 
-        rt = root_at(t, c.u)
-        if root_code_excluding(rt, c.v) == subtree_codes(rt)[c.v]:
+        # rooted at v, u's subtree is exactly the u-half, and the other way round
+        half_u = subtree_codes(root_at(t, c.v))[c.u]
+        half_v = subtree_codes(root_at(t, c.u))[c.v]
+        iso = TreeAnalysis.at_center(t).iso_halves
+        assert iso == (half_u == half_v)
+        if iso:
             assert motion(t) <= Motion(t.n)

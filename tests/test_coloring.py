@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,18 +12,22 @@ from treesym import (
     LobeAssignmentError,
     Tree,
     asym_rooted,
+    asym_unrooted,
     brute_asym,
     combinadic_unrank,
     construct_distinguishing,
     enumerate_automorphisms,
     extend_ray_coloring,
     one_ended_truncation,
+    relabel,
     root_at,
     to_dot,
     unrank_distinguishing,
     unrank_unrooted,
     verify_distinguishing,
 )
+from treesym.canon import colored_subtree_codes, colored_unrooted_code
+
 from .conftest import path, random_trees, trees_up_to
 
 
@@ -62,8 +70,6 @@ def test_unrank_p3_center(p3):
 
 
 def test_unrank_pairwise_inequivalent_small():
-    from treesym.canon import colored_subtree_codes
-
     for t in trees_up_to(7):
         for w in range(t.n):
             rt = root_at(t, w)
@@ -75,6 +81,35 @@ def test_unrank_pairwise_inequivalent_small():
                 # colored code rooted at w: the invariant of the pinned group
                 seen.add(colored_subtree_codes(rt, c)[w])
             assert len(seen) == a
+
+
+def test_unrank_twins_order_classes_alike():
+    # twins 1 and 5 each have a leaf and a hanging 2-path, in opposite id order
+    t = Tree.from_edges(9, [(0, 1), (0, 5), (1, 2), (1, 3), (3, 4), (5, 6), (6, 7), (5, 8)])
+    rt = root_at(t, 0)
+    assert asym_rooted(rt) == 240
+    colorings = [unrank_distinguishing(rt, k) for k in range(240)]
+    assert all(verify_distinguishing(t, c, pinned=0) for c in colorings)
+    assert len({colored_subtree_codes(rt, c)[0] for c in colorings}) == 240
+
+
+def test_unrank_bijective_on_relabeled_trees():
+    # seeded relabelings put twins' child classes in different vertex-id orders
+    rng = random.Random(4)
+    for base in trees_up_to(9):
+        perm = list(range(base.n))
+        rng.shuffle(perm)
+        t = relabel(base, perm)
+        for w in range(t.n):
+            rt = root_at(t, w)
+            a = asym_rooted(rt)
+            colorings = [unrank_distinguishing(rt, k) for k in range(a)]
+            assert all(verify_distinguishing(t, c, pinned=w) for c in colorings)
+            assert len({colored_subtree_codes(rt, c)[w] for c in colorings}) == a
+        a = asym_unrooted(t)
+        colorings = [unrank_unrooted(t, k) for k in range(a)]
+        assert all(verify_distinguishing(t, c) for c in colorings)
+        assert len({colored_unrooted_code(t, c) for c in colorings}) == a
 
 
 def test_unrank_meets_every_orbit_small():
@@ -163,13 +198,28 @@ def test_construct_examples(p4, k13, asym7):
 
 
 def test_construct_presence_matches_a():
-    from treesym import asym_unrooted
-
     for t in trees_up_to(8):
         c = construct_distinguishing(t)
         assert (c is not None) == (asym_unrooted(t) > 0)
         if c is not None:
             assert verify_distinguishing(t, c)
+
+
+def test_construct_raises_under_optimize():
+    # python -O strips assert statements; the verification guard must survive it
+    script = (
+        "import treesym.coloring as m\n"
+        "m.verify_distinguishing = m.distinguishes = lambda *args, **kwargs: False\n"
+        "try:\n"
+        "    m.construct_distinguishing(m.Tree.from_edges(4, [(0, 1), (1, 2), (2, 3)]))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_truncation_validation(p4):
@@ -215,8 +265,6 @@ def test_extend_twin_lobes_get_inequivalent_colorings():
     ext = extend_ray_coloring(tr, (False, False, False, False))
     assert verify_distinguishing(t, ext, pinned=3)
     rt = root_at(t, 2)
-    from treesym.canon import colored_subtree_codes
-
     colored = colored_subtree_codes(rt, ext)
     assert colored[4] != colored[6]
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -9,12 +11,26 @@ from treesym import (
     VertexCenter,
     center,
     parse_edge_list,
+    parse_graph_edge_list,
     relabel,
     root_at,
     serialize_edge_list,
 )
 
 from .conftest import path, random_trees, trees_with_permutation
+
+
+@pytest.mark.parametrize("parse", [parse_edge_list, parse_graph_edge_list])
+def test_huge_header_fails_before_allocating(parse):
+    # a one-line header must not size anything by n before the edges are counted
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            parse("1000000\n0 1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_parse_k2():
