@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .autom import aut_order_of
-from .canon import TreeAnalysis
+from .canon import Rerooting, TreeAnalysis
 from .trees import RootedTree, Tree
 
 
@@ -34,7 +34,7 @@ def _a_product(a: list[int], pairs) -> int:
     return acc
 
 
-def a_by_class(an: TreeAnalysis) -> list[int]:
+def a_by_class(an: TreeAnalysis | Rerooting) -> list[int]:
     """a(T^x, x) of every class, in one pass over the class table."""
     a: list[int] = []
     for sig in an.sigs:
@@ -54,6 +54,12 @@ def a_at_root(an: TreeAnalysis, a: list[int], w: int) -> int:
     """a(T,w) of the whole tree at a root w of the analysis (the other half is one more child)."""
     kids = [an.ids[x] for x in an.children[w]] + [an.ids[r] for r in an.roots if r != w]
     return _a_product(a, Counter(kids).items())
+
+
+def a_at_every_root(rr: Rerooting) -> list[int]:
+    """a(T,w) for every vertex w, from the branch classes at w."""
+    a = a_by_class(rr)
+    return [_a_product(a, Counter(rr.branches(w)).items()) for w in range(len(rr.up))]
 
 
 def a_values(rt: RootedTree) -> tuple[int, ...]:

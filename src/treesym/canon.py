@@ -15,6 +15,7 @@ children. Codes are interned per call so equal codes share one bytes object.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -97,7 +98,7 @@ class TreeAnalysis:
             cid = index.get(key)
             if cid is None:
                 cid = index[key] = len(sigs)
-                sigs.append(tuple((k, len(list(run))) for k, run in groupby(key)))
+                sigs.append(_runs(key))
                 reps.append(x)
             ids[x] = cid
         return TreeAnalysis(rt, roots, tuple(children), tuple(ids), tuple(sigs), tuple(reps))
@@ -132,6 +133,52 @@ class TreeAnalysis:
         return {y: self.classes_at(y) for y in self.rt.bfs_order if self.children[y]}
 
 
+def _runs(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(class, multiplicity) pairs of a sorted key."""
+    return tuple((k, len(list(run))) for k, run in groupby(key))
+
+
+@dataclass(frozen=True, eq=False)
+class Rerooting:
+    """The branch classes at every vertex, from one rooting (``down``, at 0) and one top-down pass.
+
+    ``up[x]`` is the class of the branch at x's parent away from x (-1 at the root). Up classes
+    share the down id space and intern key, so equal ids mean isomorphic branches, and ``sigs``
+    (the down table, then the up classes) refers only to smaller ids.
+    """
+
+    down: TreeAnalysis
+    up: tuple[int, ...]
+    sigs: tuple[tuple[tuple[int, int], ...], ...]
+
+    @staticmethod
+    def of(t: Tree) -> "Rerooting":
+        down = TreeAnalysis.of(root_at(t, 0))
+        ids = down.ids
+        sigs = list(down.sigs)
+        index = {tuple(k for k, mu in sig for _ in range(mu)): c for c, sig in enumerate(sigs)}
+        up = [-1] * t.n
+        for p in down.rt.bfs_order:
+            around = [ids[x] for x in down.children[p]]
+            if up[p] >= 0:
+                insort(around, up[p])
+            # one key per distinct child class: the branches at p minus one of that class
+            for k, run in groupby(down.children[p], key=ids.__getitem__):
+                i = bisect_left(around, k)
+                key = tuple(around[:i] + around[i + 1 :])
+                cid = index.setdefault(key, len(sigs))
+                if cid == len(sigs):
+                    sigs.append(_runs(key))
+                for x in run:
+                    up[x] = cid
+        return Rerooting(down, tuple(up), tuple(sigs))
+
+    def branches(self, w: int) -> list[int]:
+        """Class of the branch at w through each neighbor, in ``adj[w]`` order."""
+        p = self.down.rt.parent[w]
+        return [self.up[w] if y == p else self.down.ids[y] for y in self.down.rt.tree.adj[w]]
+
+
 def child_classes(rt: RootedTree, y: int) -> tuple[TwinClass, ...]:
     """Children of y grouped by subtree class, ordered by class id."""
     return TreeAnalysis.of(rt).classes_at(y)
@@ -142,15 +189,15 @@ def twin_classes(rt: RootedTree) -> TreeAnalysis:
     return TreeAnalysis.of(rt)
 
 
-def unrooted_code(t: Tree) -> CanonCode:
-    """Canonical code of the unrooted isomorphism type (rooted at the center)."""
+def _center_ends(t: Tree) -> tuple[int, ...]:
+    """The vertex center, or both ends of the edge center."""
     c = center(t)
-    if isinstance(c, VertexCenter):
-        rt = root_at(t, c.vertex)
-        return subtree_codes(rt)[c.vertex]
-    cu = subtree_codes(root_at(t, c.u))[c.u]
-    cv = subtree_codes(root_at(t, c.v))[c.v]
-    return min(cu, cv)
+    return (c.vertex,) if isinstance(c, VertexCenter) else (c.u, c.v)
+
+
+def unrooted_code(t: Tree) -> CanonCode:
+    """Canonical code of the unrooted isomorphism type: the least code rooted at a center end."""
+    return min(subtree_codes(root_at(t, w))[w] for w in _center_ends(t))
 
 
 def is_isomorphic(t1: Tree, t2: Tree) -> bool:
@@ -176,10 +223,4 @@ def colored_subtree_codes(rt: RootedTree, coloring: Coloring) -> tuple[bytes, ..
 
 def colored_unrooted_code(t: Tree, coloring: Coloring) -> bytes:
     """Canonical form of a colored tree; equal iff a color-preserving isomorphism exists."""
-    c = center(t)
-    if isinstance(c, VertexCenter):
-        rt = root_at(t, c.vertex)
-        return colored_subtree_codes(rt, coloring)[c.vertex]
-    cu = colored_subtree_codes(root_at(t, c.u), coloring)[c.u]
-    cv = colored_subtree_codes(root_at(t, c.v), coloring)[c.v]
-    return min(cu, cv)
+    return min(colored_subtree_codes(root_at(t, w), coloring)[w] for w in _center_ends(t))

@@ -12,9 +12,9 @@ import argparse
 import json
 import sys
 
-from .asym import GroupOrderBound, a_by_class, asym_of, asym_rooted
+from .asym import GroupOrderBound, a_at_every_root, a_by_class, asym_of, asym_rooted
 from .autom import aut_order_of, motion_of
-from .canon import TreeAnalysis
+from .canon import Rerooting, TreeAnalysis
 from .coloring import to_dot, unrank_of, verify_distinguishing
 from .corpus import CorpusSpec, conjecture_check, generate, run_theorem_suite
 from .oracle import brute_asym
@@ -64,15 +64,15 @@ def cmd_analyze(args) -> int:
         report["group_order_bound"] = {"holds": chk.holds, "product": str(chk.product), "bound": str(chk.bound)}
     if mot.is_asymmetric:
         report["motion_note"] = "asymmetric: exceeds every finite threshold by convention"
-    roots = []
+    roots = {}
     if args.all_roots:
-        roots = list(range(t.n))
+        roots = dict(enumerate(a_at_every_root(Rerooting.of(t))))
     elif args.root is not None:
         if not (0 <= args.root < t.n):
             raise EdgeListParseError(f"root {args.root} out of range 0..{t.n - 1}")
-        roots = [args.root]
+        roots = {args.root: asym_rooted(root_at(t, args.root))}
     if roots:
-        report["roots"] = {str(w): str(asym_rooted(root_at(t, w))) for w in roots}
+        report["roots"] = {str(w): str(a_w) for w, a_w in roots.items()}
     if args.json:
         print(json.dumps(report, indent=2))
         return 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -10,9 +11,9 @@ import networkx as nx
 
 from .asym import GroupOrderBound, a_at_root, a_by_class, asym_of, asym_unrooted
 from .autom import aut_order_of, motion, motion_of
-from .canon import TreeAnalysis
+from .canon import Rerooting, TreeAnalysis
 from .coloring import OneEndedTruncation, construct_of, distinguishes, one_ended_truncation
-from .trees import Tree, root_at, serialize_edge_list
+from .trees import Tree, serialize_edge_list
 
 ALL_TREES_MAX = 12
 
@@ -308,17 +309,13 @@ class ConjectureReport:
 
 
 def conjecture_check(t: Tree) -> ConjectureReport:
+    rr = Rerooting.of(t)
+    a = a_by_class(rr)
     violation = None
     for w in range(t.n):
-        an = TreeAnalysis.of(root_at(t, w))
-        a = a_by_class(an)
-        mu = dict(an.sigs[an.ids[w]])
-        # the first violating child in id order is its class's smallest member
-        for x in an.rt.children[w]:
-            k = an.ids[x]
-            if mu[k] > a[k]:
-                violation = (w, x, mu[k], a[k])
-                break
+        ks = rr.branches(w)
+        mu = Counter(ks)
+        violation = next(((w, x, mu[k], a[k]) for x, k in zip(t.adj[w], ks) if mu[k] > a[k]), None)
         if violation:
             break
     local_ok = violation is None

@@ -175,6 +175,13 @@ def test_treelike_c4(tree_file, capsys):
     assert data["coloring"] is None
 
 
+def test_treelike_disconnected_exits_2(tree_file, capsys):
+    code, out, err = run(capsys, "treelike", tree_file("5\n0 1\n1 2\n2 0\n3 4\n"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: graph is disconnected\n"
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -279,6 +280,52 @@ def test_extend_failure_certificate():
     err = exc.value
     assert err.needed > err.available
     assert err.ray_vertex == 1
+
+
+# Twin-class digit order depends on the rooting: class ids are numbered by
+# first appearance bottom-up. These two tests pin the ray extension's output,
+# so rooting once at v_D instead of once per ray vertex cannot pass unnoticed.
+RAY27_EDGES = (
+    "0-1 1-2 2-3 1-4 4-5 4-6 6-7 5-8 6-9 1-10 10-11 10-12 12-13 11-14 12-15 "
+    "1-16 16-17 16-18 18-19 17-20 18-21 3-22 22-23 22-24 24-25 25-26"
+)
+
+
+def test_extend_output_pinned_on_twin_lobes():
+    t = Tree.from_edges(27, [tuple(map(int, e.split("-"))) for e in RAY27_EDGES.split()])
+    ext = extend_ray_coloring(one_ended_truncation(t, (0, 1, 2, 3)), (True, False, False, False))
+    # a single rooting at v_D gives ...011011... here: vertex 17 black, 18 white
+    assert ext.bits() == "100011111001111010111000000"
+
+
+def twin_lobe_truncation(rng: random.Random):
+    """A ray whose lobes each hold 1-3 twin copies of one random rooted tree (<= 6 vertices)."""
+    ray_len = rng.randint(4, 12)
+    edges = [(i, i + 1) for i in range(ray_len - 1)]
+    nxt = ray_len
+    for i in range(1, ray_len):
+        if rng.random() < 0.25:
+            continue
+        size = rng.randint(1, 6)
+        parents = [rng.randrange(j) for j in range(1, size)]
+        for _ in range(rng.randint(1, 3)):
+            edges.append((i, nxt))
+            edges.extend((nxt + p, nxt + j) for j, p in enumerate(parents, 1))
+            nxt += size
+    colors = tuple(rng.random() < 0.5 for _ in range(ray_len))
+    return one_ended_truncation(Tree.from_edges(nxt, edges), range(ray_len)), colors
+
+
+def test_extend_outputs_digest_on_twin_lobes():
+    lines = []
+    for seed in range(200):
+        tr, colors = twin_lobe_truncation(random.Random(seed))
+        try:
+            lines.append(extend_ray_coloring(tr, colors).bits())
+        except LobeAssignmentError as exc:
+            lines.append(f"LobeAssignmentError: {exc}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b36596f0d37c9f086cd8634a9f62fd80473310dcb59d59f374d72f3cd03db3aa"
 
 
 def test_to_dot(k2):

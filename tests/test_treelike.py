@@ -35,6 +35,12 @@ def test_parse_graph_allows_cycles():
         parse_graph_edge_list("4\n0 1\n2 3\n")  # disconnected
 
 
+def test_parse_graph_disconnected_with_enough_edges():
+    # a triangle plus a separate edge: n - 1 edges, still two components
+    with pytest.raises(ValueError, match="graph is disconnected"):
+        parse_graph_edge_list("5\n0 1\n1 2\n2 0\n3 4\n")
+
+
 def test_path_rooted_at_end_is_not_treelike():
     t = path(5)
     g = RootedGraph(t.n, t.adj, 0)
