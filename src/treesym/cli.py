@@ -269,6 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # |Aut| and a(T) outgrow Python's 4,300-digit int -> str limit (3.10.7+);
+    # the edge-list reader keeps its own digit cap for input.
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (EdgeListParseError, ValueError, OSError) as exc:
@@ -277,6 +282,9 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ center do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
 from .asym import a_by_class, asym_of
 from .canon import TreeAnalysis
@@ -28,11 +28,20 @@ from .trees import Coloring, RootedTree, Tree, root_at
 def combinadic_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
     """rank -> the rank-th k-subset of {0..universe-1} in colexicographic order.
 
-    Decodes rank = sum C(c_i, i) with c_1 < ... < c_k by binary search per
-    element, so huge universes (a-values reach 2^n) cost O(k log universe).
+    Decodes rank = sum C(c_i, i) with c_1 < ... < c_k. The two sizes that
+    unranking meets most take closed forms: for k = 1 the subset is (rank,),
+    and for k = 2 the top element is the largest c with c(c-1)/2 <= rank,
+    c = (1 + isqrt(8 rank + 1)) // 2, and the rest is a k = 1 digit. Larger
+    k binary-search each element, so huge universes (a-values reach 2^n)
+    cost O(k log universe) ``comb`` calls.
     """
     if k < 0 or universe < 0 or rank < 0 or rank >= comb(universe, k):
         raise ValueError(f"rank {rank} out of range for C({universe}, {k})")
+    if k == 1:
+        return (rank,)
+    if k == 2:
+        c = (1 + isqrt(8 * rank + 1)) // 2
+        return (rank - c * (c - 1) // 2, c)
     out = []
     hi = universe - 1
     for i in range(k, 0, -1):

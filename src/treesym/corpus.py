@@ -33,7 +33,13 @@ class CorpusSpec:
 
 
 def tree_from_pruefer(n: int, seq) -> Tree:
-    """Decode a Pruefer sequence over 0..n-1 (length n-2) into a labeled tree."""
+    """Decode a Pruefer sequence over 0..n-1 (length n-2) into a labeled tree.
+
+    Linear pointer decoder: ``ptr`` scans upward, once in all, for the next
+    unused leaf. A vertex that the current entry turns into a leaf is the
+    smallest leaf exactly when it lies below ``ptr``, so it goes next
+    without a scan. The edge list is the same as the rescan decoder's.
+    """
     if n == 1:
         return Tree.from_edges(1, [])
     if n == 2:
@@ -44,16 +50,20 @@ def tree_from_pruefer(n: int, seq) -> Tree:
     deg = [1] * n
     for a in seq:
         deg[a] += 1
+    ptr = deg.index(1)
+    leaf = ptr
     edges = []
     for a in seq:
-        for j in range(n):
-            if deg[j] == 1:
-                edges.append((a, j))
-                deg[a] -= 1
-                deg[j] -= 1
-                break
-    u, v = (j for j in range(n) if deg[j] == 1)
-    edges.append((u, v))
+        edges.append((a, leaf))
+        deg[a] -= 1
+        if deg[a] == 1 and a < ptr:
+            leaf = a
+        else:
+            ptr += 1
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append((leaf, n - 1))
     return Tree.from_edges(n, edges)
 
 

@@ -84,6 +84,18 @@ def _connected(adj) -> bool:
     return count == n
 
 
+# Python's default int <-> str digit limit. ``cli.main`` lifts that limit so
+# it can print huge |Aut| and a(T); input keeps it, because decoding a long
+# decimal string is quadratic in its length.
+_MAX_INPUT_DIGITS = 4300
+
+
+def _parse_int(token: str) -> int:
+    if len(token) > _MAX_INPUT_DIGITS:
+        raise ValueError(f"integer longer than {_MAX_INPUT_DIGITS} characters")
+    return int(token)
+
+
 def read_edge_lines(text: str):
     """Shared reader for edge-list text: returns (n, [(line_no, u, v), ...]).
 
@@ -97,7 +109,7 @@ def read_edge_lines(text: str):
         if raw.strip() == "":
             continue
         try:
-            n = int(raw.strip())
+            n = _parse_int(raw.strip())
         except ValueError:
             raise EdgeListParseError(f"expected vertex count, got {raw.strip()!r}", i + 1)
         header_idx = i
@@ -116,7 +128,7 @@ def read_edge_lines(text: str):
         if len(parts) != 2:
             raise EdgeListParseError(f"expected 'u v', got {raw!r}", i + 1)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _parse_int(parts[0]), _parse_int(parts[1])
         except ValueError:
             raise EdgeListParseError(f"non-integer vertex id in {raw!r}", i + 1)
         if not (0 <= u < n and 0 <= v < n):

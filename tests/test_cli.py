@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import pytest
 
@@ -71,6 +73,38 @@ def test_parse_error_exit_2(tree_file, capsys):
     assert code == 2
     assert "duplicate edge" in err
     assert "line 3" in err
+
+
+def int_str_limit():
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else None
+
+
+def test_analyze_star_with_huge_aut(tree_file, capsys):
+    # |Aut| = 11999! has 43,741 digits, past Python's default int -> str limit
+    n = 12000
+    limit = int_str_limit()
+    text = f"{n}\n" + "".join(f"0 {v}\n" for v in range(1, n))
+    code, out, err = run(capsys, "analyze", tree_file(text), "--json")
+    assert (code, err) == (0, "")
+    assert int_str_limit() == limit
+    aut_order = json.loads(out)["aut_order"]
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert aut_order == str(math.factorial(n - 1))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "text", ["9" * 5000 + "\n0 1\n", "3\n0 1\n1 " + "2" * 5000 + "\n"], ids=["header", "edge"]
+)
+def test_overlong_integers_in_input_still_rejected(tree_file, capsys, text):
+    code, out, err = run(capsys, "analyze", tree_file(text))
+    assert (code, out) == (2, "")
+    assert "expected vertex count" in err or "non-integer vertex id" in err
 
 
 def test_color_k2_index0(tree_file, capsys):

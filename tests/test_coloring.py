@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,66 @@ def test_combinadic_huge_universe():
     picked = combinadic_unrank(12345678901234567890, universe, 3)
     assert len(picked) == 3 and len(set(picked)) == 3
     assert all(0 <= x < universe for x in picked)
+
+
+def reference_combinadic_unrank(rank, universe, k):
+    """The binary-search decoder for every k, kept as the reference."""
+    if k < 0 or universe < 0 or rank < 0 or rank >= comb(universe, k):
+        raise ValueError(f"rank {rank} out of range for C({universe}, {k})")
+    out = []
+    hi = universe - 1
+    for i in range(k, 0, -1):
+        lo = i - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if comb(mid, i) <= rank:
+                lo = mid
+            else:
+                hi = mid - 1
+        out.append(lo)
+        rank -= comb(lo, i)
+        hi = lo - 1
+    out.reverse()
+    return tuple(out)
+
+
+def test_combinadic_k2_every_rank_matches_reference():
+    for universe in range(61):
+        for rank in range(comb(universe, 2)):
+            assert combinadic_unrank(rank, universe, 2) == reference_combinadic_unrank(rank, universe, 2)
+
+
+def test_combinadic_seeded_ranks_match_reference():
+    rng = random.Random(11)
+    for k in (1, 2, 3):
+        universes = [k, k + 1, 60, 1 << 64, 1 << 3000]
+        universes += [rng.randint(k, 1 << rng.randint(2, 3000)) for _ in range(10)]
+        for universe in universes:
+            total = comb(universe, k)
+            for rank in {0, total - 1, rng.randrange(total)}:
+                assert combinadic_unrank(rank, universe, k) == reference_combinadic_unrank(rank, universe, k)
+            for bad in (total, total + 1, -1):
+                with pytest.raises(ValueError):
+                    combinadic_unrank(bad, universe, k)
+
+
+def test_unrank_path_comb_calls_linear(monkeypatch):
+    # the closed forms make two comb calls per vertex on a path (one digit
+    # capacity, one range check); binary search made hundreds
+    t = path(2000)
+    a = asym_unrooted(t)
+    calls = 0
+
+    def counting_comb(n, k):
+        nonlocal calls
+        calls += 1
+        return comb(n, k)
+
+    monkeypatch.setattr("treesym.coloring.comb", counting_comb)
+    c = unrank_unrooted(t, a - 1)
+    assert calls <= 4 * t.n
+    monkeypatch.undo()
+    assert verify_distinguishing(t, c)
 
 
 def test_unrank_k1(k1):

@@ -5,6 +5,7 @@ import pytest
 from treesym import (
     CorpusSpec,
     Motion,
+    Tree,
     asym_unrooted,
     conjecture_check,
     extend_ray_coloring,
@@ -60,6 +61,57 @@ def test_all_trees_cap():
 def test_pruefer_decode_golden():
     t = tree_from_pruefer(5, [0, 0, 1])
     assert sorted(t.edges()) == [(0, 1), (0, 2), (0, 3), (1, 4)]
+
+
+def reference_pruefer_edges(n, seq):
+    """The quadratic decoder (rescan for the smallest leaf), kept as the reference."""
+    if n == 1:
+        return []
+    if n == 2:
+        return [(0, 1)]
+    deg = [1] * n
+    for a in seq:
+        deg[a] += 1
+    edges = []
+    for a in seq:
+        for j in range(n):
+            if deg[j] == 1:
+                edges.append((a, j))
+                deg[a] -= 1
+                deg[j] -= 1
+                break
+    u, v = (j for j in range(n) if deg[j] == 1)
+    edges.append((u, v))
+    return edges
+
+
+def decoded_edges(monkeypatch, n, seq):
+    """The edge list tree_from_pruefer hands to Tree.from_edges, in order."""
+    seen = []
+    build = Tree.from_edges
+    monkeypatch.setattr(Tree, "from_edges", lambda n, edges: seen.append(list(edges)) or build(n, edges))
+    try:
+        tree_from_pruefer(n, seq)
+    finally:
+        monkeypatch.undo()
+    return seen[0]
+
+
+def test_pruefer_decoder_matches_reference(monkeypatch):
+    rng = random.Random(17)
+    cases = [(1, []), (2, []), (3, [0]), (3, [2])]
+    cases += [(n, [c] * (n - 2)) for n in (3, 4, 10, 60) for c in (0, n // 2, n - 1)]
+    for _ in range(3000):
+        n = rng.randint(3, 60)
+        cases.append((n, [rng.randrange(n) for _ in range(n - 2)]))
+    for n, seq in cases:
+        assert decoded_edges(monkeypatch, n, seq) == reference_pruefer_edges(n, seq)
+
+
+@pytest.mark.parametrize("n, seq", [(4, [0]), (4, [0, 1, 2]), (4, [0, 4]), (4, [-1, 0]), (0, []), (-1, [])])
+def test_pruefer_rejects_invalid(n, seq):
+    with pytest.raises(ValueError):
+        tree_from_pruefer(n, seq)
 
 
 def test_random_tree_deterministic():
