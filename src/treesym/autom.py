@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .canon import TreeAnalysis
-from .trees import RootedTree, Tree, root_at
+from .trees import RootedTree, Tree, _bfs
 
 
 @dataclass(frozen=True)
@@ -116,62 +116,71 @@ class AutomorphismLimitExceeded(RuntimeError):
         super().__init__(f"automorphism count exceeds limit {limit}")
 
 
-def enumerate_automorphisms(t: Tree, limit: int | None = None, pinned: int | None = None):
-    """Yield every automorphism of T exactly once as an image tuple.
+def _automorphisms(adj, limit: int | None = None, pinned: int | None = None, forced=None):
+    """Yield every automorphism of a connected simple graph exactly once as an image tuple.
 
-    Backtracks over a BFS vertex order; a candidate image must match the
-    current vertex's degree and be adjacent to the image of its BFS parent,
-    which for trees checks each edge exactly once. With ``pinned`` only
-    automorphisms fixing that vertex are produced. Raises
-    AutomorphismLimitExceeded before yielding past ``limit``.
+    Backtracks over a BFS vertex order from ``pinned`` (else 0). A candidate
+    image is unused, has the vertex's degree, is adjacent to the image of its
+    BFS parent, honours ``forced`` (vertex -> image) and is adjacent to the
+    images of the vertex's other earlier neighbours; a tree has none, so it
+    checks each edge exactly once. ``pinned`` forces that vertex to itself.
+    Raises AutomorphismLimitExceeded before yielding past ``limit``.
     """
-    n = t.n
-    adj = t.adj
+    n = len(adj)
+    if pinned is not None and not (0 <= pinned < n):
+        raise ValueError(f"root {pinned} out of range 0..{n - 1}")
+    order, par = _bfs(adj, pinned if pinned is not None else 0)
+    if len(order) != n:
+        raise ValueError("graph must be connected")
+    want = dict(forced or {})
+    if pinned is not None:
+        want[pinned] = pinned
     deg = [len(a) for a in adj]
-    start = pinned if pinned is not None else 0
-    rt = root_at(t, start)
-    order = rt.bfs_order
-    par = rt.parent
-
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+    back = [[z for z in adj[v] if pos[z] < pos[v] and z != par[v]] for v in range(n)]
+    adjsets = [set(a) for a in adj] if any(back) else None
     mapping = [-1] * n
     used = [False] * n
-    if pinned is not None:
-        first = [pinned]
-    else:
-        first = [v for v in range(n) if deg[v] == deg[start]]
 
-    def candidates(k: int):
+    def candidates(k: int) -> list[int]:
         v = order[k]
-        if k == 0:
-            return first
-        img_parent = mapping[par[v]]
+        pool = range(n) if k == 0 else adj[mapping[par[v]]]
         dv = deg[v]
-        return [y for y in adj[img_parent] if not used[y] and deg[y] == dv]
+        out = [y for y in pool if not used[y] and deg[y] == dv]
+        if v in want:
+            out = [y for y in out if y == want[v]]
+        if back[v]:
+            out = [y for y in out if all(mapping[z] in adjsets[y] for z in back[v])]
+        return out
 
     count = 0
-    stack = [(0, iter(candidates(0)))]
+    stack = [iter(candidates(0))]
     while stack:
-        k, it = stack[-1]
+        k = len(stack) - 1
         v = order[k]
-        advanced = False
-        for y in it:
+        for y in stack[-1]:
             mapping[v] = y
-            used[y] = True
             if k + 1 == n:
                 count += 1
                 if limit is not None and count > limit:
                     raise AutomorphismLimitExceeded(limit)
                 yield tuple(mapping)
-                used[y] = False
-                mapping[v] = -1
                 continue
-            stack.append((k + 1, iter(candidates(k + 1))))
-            advanced = True
+            used[y] = True
+            stack.append(iter(candidates(k + 1)))
             break
-        if not advanced:
+        else:
             stack.pop()
-            if stack:
-                pk, _ = stack[-1]
-                pv = order[pk]
-                used[mapping[pv]] = False
-                mapping[pv] = -1
+            if k:
+                used[mapping[order[k - 1]]] = False
+
+
+def enumerate_automorphisms(t: Tree, limit: int | None = None, pinned: int | None = None):
+    """Yield every automorphism of T exactly once as an image tuple.
+
+    With ``pinned`` only automorphisms fixing that vertex are produced.
+    Raises AutomorphismLimitExceeded before yielding past ``limit``.
+    """
+    yield from _automorphisms(t.adj, limit=limit, pinned=pinned)

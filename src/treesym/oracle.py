@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autom import ASYMMETRIC, AutomorphismLimitExceeded, Motion, enumerate_automorphisms
+from .autom import ASYMMETRIC, AutomorphismLimitExceeded, Motion, _automorphisms, enumerate_automorphisms
 from .trees import Tree
 
 MAX_ORACLE_VERTICES = 16
@@ -139,85 +139,24 @@ def brute_graph_aut(
 ) -> list[tuple[int, ...]]:
     """All adjacency-preserving permutations of a connected simple graph.
 
-    Plain degree-pruned backtracking over a BFS vertex order; every mapped
-    neighbor of the current vertex is checked against the candidate image.
-    ``forced`` optionally pre-pins images of individual vertices.
+    The degree-pruned backtracking behind ``enumerate_automorphisms``, which
+    also checks every mapped neighbor of the current vertex against the
+    candidate image. ``forced`` optionally pre-pins images of individual
+    vertices.
     """
-    n = len(adj)
-    if n > 12:
-        raise OracleSizeError(f"n = {n} exceeds graph automorphism cap 12")
-    adjsets = [set(a) for a in adj]
-    deg = [len(a) for a in adj]
-    start = pinned if pinned is not None else 0
-    order, par = _bfs_order(adj, start)
-    if len(order) != n:
-        raise ValueError("graph must be connected")
-    forced = dict(forced or {})
-    if pinned is not None:
-        forced[pinned] = pinned
-
-    mapping = [-1] * n
-    used = [False] * n
-    out: list[tuple[int, ...]] = []
-
-    def consistent(v: int, y: int) -> bool:
-        if deg[y] != deg[v]:
-            return False
-        want = forced.get(v)
-        if want is not None and want != y:
-            return False
-        for z in adj[v]:
-            mz = mapping[z]
-            if mz >= 0 and mz not in adjsets[y]:
-                return False
-        return True
-
-    def rec(k: int):
-        if k == n:
-            out.append(tuple(mapping))
-            if len(out) > limit:
-                raise AutomorphismLimitExceeded(limit)
-            return
-        v = order[k]
-        pool = range(n) if k == 0 else adj[mapping[par[v]]]
-        for y in pool:
-            if not used[y] and consistent(v, y):
-                mapping[v] = y
-                used[y] = True
-                rec(k + 1)
-                used[y] = False
-                mapping[v] = -1
-
-    rec(0)
-    return out
+    return list(_graph_search(adj, pinned, limit, forced))
 
 
 def exists_automorphism(adj, pinned: int | None = None, forced: dict[int, int] | None = None) -> bool:
     """Feasibility query: is there any automorphism honoring pins and forces?
 
-    A first-solution query over brute_graph_aut: a limit of 0 stops its
-    search at the first automorphism found.
+    Stops the search of brute_graph_aut at the first automorphism found.
     """
-    try:
-        brute_graph_aut(adj, pinned=pinned, limit=0, forced=forced)
-    except AutomorphismLimitExceeded:
-        return True
-    return False
+    return next(_graph_search(adj, pinned, None, forced), None) is not None
 
 
-def _bfs_order(adj, start: int):
-    n = len(adj)
-    order = [start]
-    par = [-1] * n
-    seen = [False] * n
-    seen[start] = True
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                par[v] = u
-                order.append(v)
-    return order, par
+def _graph_search(adj, pinned, limit, forced):
+    """The shared automorphism backtracker, behind the oracle's n <= 12 graph cap."""
+    if len(adj) > 12:
+        raise OracleSizeError(f"n = {len(adj)} exceeds graph automorphism cap 12")
+    return _automorphisms(adj, limit=limit, pinned=pinned, forced=forced)

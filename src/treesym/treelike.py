@@ -11,13 +11,12 @@ verified, never assumed.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .canon import colored_unrooted_code, unrooted_code
 from .coloring import verify_distinguishing
 from .oracle import brute_graph_aut
-from .trees import Coloring, EdgeListParseError, Tree, read_edge_lines
+from .trees import Coloring, EdgeListParseError, Tree, _adjacency, _bfs, read_edge_lines
 
 
 @dataclass(frozen=True)
@@ -34,23 +33,10 @@ class RootedGraph:
             raise ValueError("vertex count must be at least 1")
         if not (0 <= root < n):
             raise ValueError(f"root {root} out of range 0..{n - 1}")
-        seen: set[tuple[int, int]] = set()
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex id out of range in edge ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        g = RootedGraph(n, tuple(tuple(sorted(a)) for a in nbrs), root)
-        if n > 1 and len(_bfs_dist(g.adj, root)[1]) != n:
+        adj = _adjacency(n, edges)
+        if len(_bfs(adj, root)[0]) != n:
             raise ValueError("graph is disconnected")
-        return g
+        return RootedGraph(n, adj, root)
 
 
 def parse_graph_edge_list(text: str, root: int = 0) -> RootedGraph:
@@ -62,20 +48,13 @@ def parse_graph_edge_list(text: str, root: int = 0) -> RootedGraph:
     return RootedGraph.from_edges(n, [(u, v) for _, u, v in rows], root)
 
 
-def _bfs_dist(adj, start: int):
-    n = len(adj)
-    dist = [-1] * n
-    dist[start] = 0
-    order = [start]
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                order.append(v)
-                queue.append(v)
-    return dist, order
+def _preds(g: RootedGraph) -> list[list[int]]:
+    """preds[x]: x's neighbors one step nearer the root, i.e. its parents in the BFS DAG."""
+    order, parent = _bfs(g.adj, g.root)
+    dist = [0] * g.n
+    for v in order[1:]:
+        dist[v] = dist[parent[v]] + 1
+    return [[y for y in g.adj[x] if dist[y] == dist[x] - 1] for x in range(g.n)]
 
 
 @dataclass(frozen=True)
@@ -94,16 +73,11 @@ def is_treelike(g: RootedGraph) -> TreelikeReport:
     test; any depth-1 neighbor witnesses it, since the root is its unique
     predecessor.
     """
-    dist, _ = _bfs_dist(g.adj, g.root)
-    pred_count = [0] * g.n
-    for x in range(g.n):
-        for y in g.adj[x]:
-            if dist[y] == dist[x] - 1:
-                pred_count[x] += 1
+    preds = _preds(g)
     witnesses: list[int | None] = [None] * g.n
     for y in range(g.n):
         for x in g.adj[y]:
-            if dist[x] == dist[y] + 1 and pred_count[x] == 1:
+            if preds[x] == [y]:
                 witnesses[y] = x
                 break
     return TreelikeReport(all(w is not None for w in witnesses), tuple(witnesses))
@@ -119,12 +93,7 @@ class ForestExtraction:
 
 def extract_forest(g: RootedGraph) -> ForestExtraction:
     """Edges yx with y on all shortest x-to-root paths; verified acyclic and spanning."""
-    dist, _ = _bfs_dist(g.adj, g.root)
-    preds: list[list[int]] = [[] for _ in range(g.n)]
-    for x in range(g.n):
-        for y in g.adj[x]:
-            if dist[y] == dist[x] - 1:
-                preds[x].append(y)
+    preds = _preds(g)
     edges = []
     nbrs: list[list[int]] = [[] for _ in range(g.n)]
     for x in range(g.n):

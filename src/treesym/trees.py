@@ -35,23 +35,10 @@ class Tree:
         edges = list(edges)
         if len(edges) != n - 1:
             raise ValueError(f"edge count {len(edges)} != n-1 = {n - 1}")
-        seen: set[tuple[int, int]] = set()
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex id out of range in edge ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        tree = Tree(n, tuple(tuple(sorted(a)) for a in nbrs))
-        if n > 1 and not _connected(tree.adj):
+        adj = _adjacency(n, edges)
+        if len(_bfs(adj, 0)[0]) != n:
             raise ValueError("edges do not form a connected tree")
-        return tree
+        return Tree(n, adj)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -68,20 +55,45 @@ class Tree:
                     yield (u, v)
 
 
-def _connected(adj) -> bool:
-    n = len(adj)
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
+def _check_edge(n: int, u: int, v: int, seen: set[tuple[int, int]]) -> None:
+    """Reject an id outside 0..n-1, a self-loop or an edge already in ``seen``; else record it."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"vertex id out of range 0..{n - 1} in edge ({u}, {v})")
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    key = (u, v) if u < v else (v, u)
+    if key in seen:
+        raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
+    seen.add(key)
+
+
+def _adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Sorted, symmetric adjacency lists of a simple graph, each edge checked."""
+    seen: set[tuple[int, int]] = set()
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        _check_edge(n, u, v, seen)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(tuple(sorted(a)) for a in nbrs)
+
+
+def _bfs(adj, start: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from ``start`` (neighbours in adjacency order) and BFS parents.
+
+    ``parent[v]`` is -1 for ``start`` and for every vertex it does not reach.
+    """
+    parent = [-1] * len(adj)
+    seen = [False] * len(adj)
+    seen[start] = True
+    order = [start]
+    for u in order:
         for v in adj[u]:
             if not seen[v]:
                 seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == n
+                parent[v] = u
+                order.append(v)
+    return order, parent
 
 
 # Python's default int <-> str digit limit. ``cli.main`` lifts that limit so
@@ -94,6 +106,16 @@ def _parse_int(token: str) -> int:
     if len(token) > _MAX_INPUT_DIGITS:
         raise ValueError(f"integer longer than {_MAX_INPUT_DIGITS} characters")
     return int(token)
+
+
+# Error messages quote at most this many characters of the offending line.
+_ECHO_CHARS = 40
+
+
+def _echo(line: str) -> str:
+    if len(line) <= _ECHO_CHARS:
+        return repr(line)
+    return f"{line[:_ECHO_CHARS]!r}... (cut, {len(line)} characters)"
 
 
 def read_edge_lines(text: str):
@@ -111,7 +133,7 @@ def read_edge_lines(text: str):
         try:
             n = _parse_int(raw.strip())
         except ValueError:
-            raise EdgeListParseError(f"expected vertex count, got {raw.strip()!r}", i + 1)
+            raise EdgeListParseError(f"expected vertex count, got {_echo(raw.strip())}", i + 1)
         header_idx = i
         break
     if n is None:
@@ -126,19 +148,15 @@ def read_edge_lines(text: str):
             continue
         parts = raw.split()
         if len(parts) != 2:
-            raise EdgeListParseError(f"expected 'u v', got {raw!r}", i + 1)
+            raise EdgeListParseError(f"expected 'u v', got {_echo(raw)}", i + 1)
         try:
             u, v = _parse_int(parts[0]), _parse_int(parts[1])
         except ValueError:
-            raise EdgeListParseError(f"non-integer vertex id in {raw!r}", i + 1)
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListParseError(f"vertex id out of range 0..{n - 1} in edge ({u}, {v})", i + 1)
-        if u == v:
-            raise EdgeListParseError(f"self-loop at vertex {u}", i + 1)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise EdgeListParseError(f"duplicate edge ({key[0]}, {key[1]})", i + 1)
-        seen.add(key)
+            raise EdgeListParseError(f"non-integer vertex id in {_echo(raw)}", i + 1)
+        try:
+            _check_edge(n, u, v, seen)
+        except ValueError as exc:
+            raise EdgeListParseError(str(exc), i + 1) from None
         out.append((i + 1, u, v))
     return n, out
 

@@ -107,6 +107,24 @@ def test_overlong_integers_in_input_still_rejected(tree_file, capsys, text):
     assert "expected vertex count" in err or "non-integer vertex id" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["x" * 10**6 + "\n0 1\n", "3\n0 1\n" + "y" * 10**6 + "\n", "3\n0 1\n1 " + "z" * 10**6 + "\n"],
+    ids=["header", "edge", "vertex-id"],
+)
+def test_overlong_bad_line_echo_is_cut(tree_file, capsys, text):
+    code, out, err = run(capsys, "analyze", tree_file(text))
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 200
+    assert "(cut, 1000000 characters)" in err or "(cut, 1000002 characters)" in err
+
+
+def test_bad_line_at_echo_cap_is_quoted_whole(tree_file, capsys):
+    line = "1 " + "z" * 38
+    code, _, err = run(capsys, "analyze", tree_file("3\n0 1\n" + line + "\n"))
+    assert (code, err) == (2, f"error: line 3: non-integer vertex id in {line!r}\n")
+
+
 def test_color_k2_index0(tree_file, capsys):
     code, out, _ = run(capsys, "color", tree_file(K2), "--index", "0")
     assert code == 0

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from treesym import (
+    AutomorphismLimitExceeded,
     Motion,
     OracleSizeError,
     Tree,
@@ -9,6 +12,7 @@ from treesym import (
     brute_motion,
     enumerate_automorphisms,
     exists_automorphism,
+    root_at,
 )
 from treesym.oracle import OrbitReport
 
@@ -92,3 +96,199 @@ def test_graph_aut_size_cap():
     adj = [[j for j in range(13) if j != i] for i in range(13)]
     with pytest.raises(OracleSizeError):
         brute_graph_aut(adj)
+
+
+# -- the two searches that the shared backtracker replaced, kept as references --
+
+
+def reference_enumerate_automorphisms(t: Tree, limit=None, pinned=None):
+    n = t.n
+    adj = t.adj
+    deg = [len(a) for a in adj]
+    start = pinned if pinned is not None else 0
+    rt = root_at(t, start)
+    order = rt.bfs_order
+    par = rt.parent
+
+    mapping = [-1] * n
+    used = [False] * n
+    if pinned is not None:
+        first = [pinned]
+    else:
+        first = [v for v in range(n) if deg[v] == deg[start]]
+
+    def candidates(k):
+        v = order[k]
+        if k == 0:
+            return first
+        img_parent = mapping[par[v]]
+        dv = deg[v]
+        return [y for y in adj[img_parent] if not used[y] and deg[y] == dv]
+
+    count = 0
+    stack = [(0, iter(candidates(0)))]
+    while stack:
+        k, it = stack[-1]
+        v = order[k]
+        advanced = False
+        for y in it:
+            mapping[v] = y
+            used[y] = True
+            if k + 1 == n:
+                count += 1
+                if limit is not None and count > limit:
+                    raise AutomorphismLimitExceeded(limit)
+                yield tuple(mapping)
+                used[y] = False
+                mapping[v] = -1
+                continue
+            stack.append((k + 1, iter(candidates(k + 1))))
+            advanced = True
+            break
+        if not advanced:
+            stack.pop()
+            if stack:
+                pk, _ = stack[-1]
+                pv = order[pk]
+                used[mapping[pv]] = False
+                mapping[pv] = -1
+
+
+def reference_brute_graph_aut(adj, pinned=None, limit=500_000, forced=None):
+    n = len(adj)
+    if n > 12:
+        raise OracleSizeError(f"n = {n} exceeds graph automorphism cap 12")
+    adjsets = [set(a) for a in adj]
+    deg = [len(a) for a in adj]
+    start = pinned if pinned is not None else 0
+    order, par = [start], [-1] * n
+    seen = [False] * n
+    seen[start] = True
+    for u in order:
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                par[v] = u
+                order.append(v)
+    if len(order) != n:
+        raise ValueError("graph must be connected")
+    forced = dict(forced or {})
+    if pinned is not None:
+        forced[pinned] = pinned
+
+    mapping = [-1] * n
+    used = [False] * n
+    out = []
+
+    def consistent(v, y):
+        if deg[y] != deg[v]:
+            return False
+        want = forced.get(v)
+        if want is not None and want != y:
+            return False
+        for z in adj[v]:
+            mz = mapping[z]
+            if mz >= 0 and mz not in adjsets[y]:
+                return False
+        return True
+
+    def rec(k):
+        if k == n:
+            out.append(tuple(mapping))
+            if len(out) > limit:
+                raise AutomorphismLimitExceeded(limit)
+            return
+        v = order[k]
+        pool = range(n) if k == 0 else adj[mapping[par[v]]]
+        for y in pool:
+            if not used[y] and consistent(v, y):
+                mapping[v] = y
+                used[y] = True
+                rec(k + 1)
+                used[y] = False
+                mapping[v] = -1
+
+    rec(0)
+    return out
+
+
+def outcome(search, *args, **kwargs):
+    """The ordered result of a search, or the type and message of what it raised."""
+    try:
+        return list(search(*args, **kwargs))
+    except (AutomorphismLimitExceeded, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def seeded_graphs(count: int, seed: int):
+    """Random connected graphs, n <= 12: a random tree plus 0-4 chords."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        for _ in range(rng.randint(0, 4)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        adj = [[] for _ in range(n)]
+        for u, v in sorted(edges, key=lambda e: rng.random()):
+            adj[u].append(v)
+            adj[v].append(u)
+        yield rng, adj
+
+
+def test_backtracker_matches_references_on_all_trees_in_order():
+    for t in trees_up_to(9):
+        for pinned in [None, *range(t.n)]:
+            ref = list(reference_enumerate_automorphisms(t, pinned=pinned))
+            assert list(enumerate_automorphisms(t, pinned=pinned)) == ref
+            assert brute_graph_aut(t.adj, pinned=pinned) == reference_brute_graph_aut(t.adj, pinned=pinned)
+
+
+def test_backtracker_matches_reference_on_seeded_graphs_in_order():
+    forced_maps = 0
+    for rng, adj in seeded_graphs(400, seed=20261018):
+        n = len(adj)
+        # a limit keeps stars and other huge groups small; both sides must then raise alike
+        ref = outcome(reference_brute_graph_aut, adj, limit=5000)
+        assert outcome(brute_graph_aut, adj, limit=5000) == ref
+        for _ in range(3):
+            pinned = rng.choice([None, rng.randrange(n)])
+            if isinstance(ref, list) and len(ref) > 1 and rng.random() < 0.5:
+                sigma = rng.choice(ref)  # forced images some automorphism honours
+                forced = {v: sigma[v] for v in rng.sample(range(n), rng.randint(1, min(3, n)))}
+            else:
+                forced = {rng.randrange(n): rng.randrange(n) for _ in range(rng.randint(0, 2))}
+            forced_maps += bool(forced)
+            kwargs = dict(pinned=pinned, forced=forced, limit=5000)
+            want = outcome(reference_brute_graph_aut, adj, **kwargs)
+            assert outcome(brute_graph_aut, adj, **kwargs) == want
+            if isinstance(want, list):
+                assert exists_automorphism(adj, pinned=pinned, forced=forced) == bool(want)
+    assert forced_maps >= 300
+
+
+def test_backtracker_limit_rules():
+    square = [[1, 3], [0, 2], [1, 3], [2, 0]]
+    for rng, adj in [(None, square), *seeded_graphs(60, seed=7)]:
+        auts = outcome(reference_brute_graph_aut, adj, limit=5000)
+        if not isinstance(auts, list):
+            continue
+        for limit in (0, len(auts) - 1):
+            with pytest.raises(AutomorphismLimitExceeded):
+                brute_graph_aut(adj, limit=limit)
+        assert brute_graph_aut(adj, limit=len(auts)) == auts
+    for t in trees_up_to(7):
+        auts = list(reference_enumerate_automorphisms(t))
+        for limit in (0, len(auts) - 1):
+            with pytest.raises(AutomorphismLimitExceeded):
+                list(enumerate_automorphisms(t, limit=limit))
+        assert list(enumerate_automorphisms(t, limit=len(auts))) == auts
+
+
+def test_exists_automorphism_cap_and_connectivity():
+    k13 = [[j for j in range(13) if j != i] for i in range(13)]
+    with pytest.raises(OracleSizeError):
+        exists_automorphism(k13)
+    with pytest.raises(ValueError, match="graph must be connected"):
+        exists_automorphism([[1], [0], [3], [2]])
