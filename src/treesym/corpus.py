@@ -7,8 +7,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 from .asym import GroupOrderBound, a_at_root, a_by_class, asym_of, asym_unrooted
 from .autom import aut_order_of, motion, motion_of
 from .canon import Rerooting, TreeAnalysis
@@ -42,8 +40,6 @@ def tree_from_pruefer(n: int, seq) -> Tree:
     """
     if n == 1:
         return Tree.from_edges(1, [])
-    if n == 2:
-        return Tree.from_edges(2, [(0, 1)])
     seq = list(seq)
     if len(seq) != n - 2 or any(not 0 <= a < n for a in seq):
         raise ValueError("sequence must have length n-2 with entries in 0..n-1")
@@ -68,39 +64,90 @@ def tree_from_pruefer(n: int, seq) -> Tree:
 
 
 def random_tree(rng: random.Random, n: int) -> Tree:
-    if n <= 2:
-        return tree_from_pruefer(n, [])
     return tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
 
 
 def all_trees(n: int) -> Iterator[Tree]:
-    """Every non-isomorphic free tree of order n, exactly once."""
+    """Every non-isomorphic free tree of order n, exactly once.
+
+    Wright, Richmond, Odlyzko and McKay, "Constant time generation of free
+    trees" (SIAM J. Comput. 1986): walk the rooted level sequences in
+    Beyer-Hedetniemi order from the path rooted at its center, and jump
+    over those that are not the canonical rooting of a free tree.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > ALL_TREES_MAX:
         raise ValueError(f"exhaustive enumeration capped at n = {ALL_TREES_MAX}")
-    if n == 1:
-        yield Tree.from_edges(1, [])
-        return
-    for g in nx.nonisomorphic_trees(n):
-        yield Tree.from_edges(n, list(g.edges()))
+    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while seq is not None:
+        seq = _free_tree_jump(seq)
+        yield Tree.from_edges(n, _level_edges(seq))
+        seq = _next_level_sequence(seq)
+
+
+def _next_level_sequence(seq: list[int], p: int | None = None) -> list[int] | None:
+    """Beyer-Hedetniemi successor of a rooted level sequence, None after the last.
+
+    ``p`` is the position to lower; by default the last one deeper than level 1.
+    From ``p`` on, the sequence repeats the block that starts at p's parent q.
+    """
+    if p is None:
+        p = len(seq) - 1
+        while seq[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    out = seq[:p]
+    for i in range(p, len(seq)):
+        out.append(out[i - p + q])
+    return out
+
+
+def _split(seq: list[int]) -> tuple[list[int], list[int]]:
+    """The root's first subtree (levels shifted up by one) and the tree without it."""
+    m = next((i for i in range(2, len(seq)) if seq[i] == 1), len(seq))
+    return [x - 1 for x in seq[1:m]], [0] + seq[m:]
+
+
+def _free_tree_jump(seq: list[int]) -> list[int]:
+    """``seq`` if it roots a free tree canonically, else the next sequence that does.
+
+    Canonical: the first subtree is lower than the rest of the tree, or as
+    high with no more vertices and, at equal size, not lexicographically later.
+    """
+    left, rest = _split(seq)
+    lh, rh = max(left, default=0), max(rest)  # left is empty only for n = 1
+    if rh > lh or (rh == lh and (len(left), left) <= (len(rest), rest)):
+        return seq
+    p = len(left)
+    out = _next_level_sequence(seq, p)
+    if seq[p] > 2:
+        h = max(_split(out)[0])
+        out[-(h + 1) :] = range(1, h + 2)
+    return out
+
+
+def _level_edges(seq: list[int]) -> list[tuple[int, int]]:
+    """Edges of a level sequence: vertex i's parent is the last earlier vertex one level up."""
+    last = [0] * len(seq)
+    edges = []
+    for i, level in enumerate(seq):
+        if level:
+            edges.append((last[level - 1], i))
+        last[level] = i
+    return edges
 
 
 def lobed_extremal(m: int) -> Tree:
     """Root with 2^(m/2) hanging paths of order m/2: motion m, max degree 2^(m/2), a = 2."""
     if m < 2 or m % 2 != 0:
         raise ValueError("m must be an even integer >= 2")
-    lobes = 1 << (m // 2)
-    path_len = m // 2
-    edges = []
-    nxt = 1
-    for _ in range(lobes):
-        prev = 0
-        for _ in range(path_len):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return Tree.from_edges(nxt, edges)
+    half = m // 2
+    return spider(1 + half * (1 << half), 1 << half)
 
 
 def kary_tree(n: int, arity: int) -> Tree:

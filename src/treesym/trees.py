@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -58,12 +57,12 @@ class Tree:
 def _check_edge(n: int, u: int, v: int, seen: set[tuple[int, int]]) -> None:
     """Reject an id outside 0..n-1, a self-loop or an edge already in ``seen``; else record it."""
     if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"vertex id out of range 0..{n - 1} in edge ({u}, {v})")
+        raise ValueError(f"vertex id out of range 0..{_cut(n - 1)} in edge ({_cut(u)}, {_cut(v)})")
     if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
+        raise ValueError(f"self-loop at vertex {_cut(u)}")
     key = (u, v) if u < v else (v, u)
     if key in seen:
-        raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
+        raise ValueError(f"duplicate edge ({_cut(key[0])}, {_cut(key[1])})")
     seen.add(key)
 
 
@@ -108,14 +107,15 @@ def _parse_int(token: str) -> int:
     return int(token)
 
 
-# Error messages quote at most this many characters of the offending line.
+# Error messages quote at most this many characters of an offending line or number.
 _ECHO_CHARS = 40
 
 
-def _echo(line: str) -> str:
-    if len(line) <= _ECHO_CHARS:
-        return repr(line)
-    return f"{line[:_ECHO_CHARS]!r}... (cut, {len(line)} characters)"
+def _cut(x, show=str) -> str:
+    text = str(x)
+    if len(text) <= _ECHO_CHARS:
+        return show(text)
+    return f"{show(text[:_ECHO_CHARS])}... (cut, {len(text)} characters)"
 
 
 def read_edge_lines(text: str):
@@ -133,7 +133,7 @@ def read_edge_lines(text: str):
         try:
             n = _parse_int(raw.strip())
         except ValueError:
-            raise EdgeListParseError(f"expected vertex count, got {_echo(raw.strip())}", i + 1)
+            raise EdgeListParseError(f"expected vertex count, got {_cut(raw.strip(), repr)}", i + 1)
         header_idx = i
         break
     if n is None:
@@ -148,11 +148,11 @@ def read_edge_lines(text: str):
             continue
         parts = raw.split()
         if len(parts) != 2:
-            raise EdgeListParseError(f"expected 'u v', got {_echo(raw)}", i + 1)
+            raise EdgeListParseError(f"expected 'u v', got {_cut(raw, repr)}", i + 1)
         try:
             u, v = _parse_int(parts[0]), _parse_int(parts[1])
         except ValueError:
-            raise EdgeListParseError(f"non-integer vertex id in {_echo(raw)}", i + 1)
+            raise EdgeListParseError(f"non-integer vertex id in {_cut(raw, repr)}", i + 1)
         try:
             _check_edge(n, u, v, seen)
         except ValueError as exc:
@@ -260,26 +260,12 @@ class RootedTree:
 def root_at(t: Tree, w: int) -> RootedTree:
     if not (0 <= w < t.n):
         raise ValueError(f"root {w} out of range 0..{t.n - 1}")
-    n = t.n
-    parent: list[int | None] = [None] * n
-    children: list[tuple[int, ...]] = [()] * n
-    order = []
-    queue = deque([w])
-    seen = [False] * n
-    seen[w] = True
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        kids = tuple(v for v in t.adj[u] if not seen[v])
-        children[u] = kids
-        for v in kids:
-            seen[v] = True
-            parent[v] = u
-            queue.append(v)
-    size = [1] * n
-    for u in reversed(order):
-        for v in children[u]:
-            size[u] += size[v]
+    order, parent = _bfs(t.adj, w)
+    children = [tuple(v for v in a if parent[v] == u) for u, a in enumerate(t.adj)]
+    size = [1] * t.n
+    for v in order[:0:-1]:
+        size[parent[v]] += size[v]
+    parent[w] = None
     return RootedTree(t, w, tuple(parent), tuple(children), tuple(size), tuple(order))
 
 

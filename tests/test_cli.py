@@ -119,6 +119,18 @@ def test_overlong_bad_line_echo_is_cut(tree_file, capsys, text):
     assert "(cut, 1000000 characters)" in err or "(cut, 1000002 characters)" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["3\n0 1\n0 " + "9" * 4300 + "\n", "3\n0 1\n" + "9" * 4300 + " 0\n", "9" * 4300 + "\n0 -1\n"],
+    ids=["second-id", "first-id", "header"],
+)
+def test_long_number_in_range_error_is_cut(tree_file, capsys, text):
+    code, out, err = run(capsys, "analyze", tree_file(text))
+    assert (code, out) == (2, "")
+    assert "vertex id out of range" in err and "... (cut, 4300 characters)" in err
+    assert len(err.encode()) < 200
+
+
 def test_bad_line_at_echo_cap_is_quoted_whole(tree_file, capsys):
     line = "1 " + "z" * 38
     code, _, err = run(capsys, "analyze", tree_file("3\n0 1\n" + line + "\n"))

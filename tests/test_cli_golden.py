@@ -4,7 +4,10 @@ The digests were recorded from the bytes-code implementation that preceded
 the integer class-id analysis, so any change in what a command prints or
 returns shows up as a mismatch for the input it ran on. ``color --index k``
 with k > 0 is left out on purpose: which coloring class index k names
-depends on the order in which twin classes consume their digits.
+depends on the order in which twin classes consume their digits. The
+``all-trees{k}`` digests pin the free-tree enumeration (which trees, in
+which order, with which labels); they were recorded from networkx's
+``nonisomorphic_trees``, which the in-repo generator replaced.
 """
 
 import contextlib
@@ -81,6 +84,8 @@ def cases() -> dict[str, list[tuple[str, list[str]]]]:
     for k in range(1, 9):
         out[f"corpus{k}"] = [("", ["corpus", "--all-trees", str(k), "--check", "--json"])]
     out["corpus-prufer"] = [("", ["corpus", "--random-prufer", "30", "--count", "20", "--seed", "7", "--check", "--json"])]
+    for k in range(1, 13):
+        out[f"all-trees{k}"] = [("", ["corpus", "--all-trees", str(k)])]
     return out
 
 
@@ -101,6 +106,18 @@ def digest(commands: list[tuple[str, list[str]]]) -> str:
 
 
 GOLDEN = {
+    "all-trees1": "0eb5f68e8620720c3976716d8e19bac419f09f8829750e99b71029ed7bc515cd",
+    "all-trees2": "e07638a0033f0352f0722ac90f1b49ba0927bd8e02da557ba9df09a457c56ab8",
+    "all-trees3": "5bf62cc36401a611e8e73827d216ab4a70f51e38afb36ce7ed11412043743e3c",
+    "all-trees4": "3c22f3d1cc3166e5e5619b2d6eea6ce156618ab68d4be1b8ad1d6b813f98e4f9",
+    "all-trees5": "1feb9eec32efc51000576a6fd79a084990725830acd0c5a0c18009d407495207",
+    "all-trees6": "09a5faad9ae95b5b3cd248342ae44bb599f81d9e91a39c32a5af67e83165b819",
+    "all-trees7": "8771481ea4e69404b8a737e0f0cb4e178513d49cf8e45bf6157cb94455e00f2c",
+    "all-trees8": "94e73c6577d73e428708078d30bb952f7feadcd9adce3c9b46b78fe73d915565",
+    "all-trees9": "9ef209de3a29af51a05a1f9510c4f4bd79fc22524b4262dab81ae8a769b3fed1",
+    "all-trees10": "249d8926b3c5c60ef84d88c50a9a4f8b7b43a34b4173ebfa98ec3baa56d61642",
+    "all-trees11": "67e9c68f073ed76b921cd07b69358e6b82114f452239ee9824cddbf3995119c2",
+    "all-trees12": "9ac46e736e48c244dd56e872a79a9408d57fbd6cc318c5b74734553bb252af82",
     "asym7": "1c76ef7c796907860e1d360f675e3103702c96c63790fc2f11176b74a669f105",
     "corpus-prufer": "8677f8080a5dcf26f00aec860f4166f18310d2803078b3ff770c71745c69aeaf",
     "corpus1": "0d4e24823edc1dcc09a9d7a179eefbb21ff1db874c6448c85ff7a7c36405f96e",

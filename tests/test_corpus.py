@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +30,7 @@ from treesym.corpus import all_trees, caterpillar, random_tree
 
 from .conftest import trees_up_to
 
-EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
 
 
 def test_all_trees_counts():
@@ -51,6 +55,24 @@ def test_all_trees_complete_vs_pruefer_dedup():
             seqs = [[(i // n**j) % n for j in range(n - 2)] for i in range(n ** (n - 2))]
         codes = {unrooted_code(tree_from_pruefer(n, s)) for s in seqs}
         assert codes == {unrooted_code(t) for t in all_trees(n)}
+
+
+def test_all_trees_distinct_up_to_cap():
+    for n in range(9, 13):
+        assert len({unrooted_code(t) for t in all_trees(n)}) == EXPECTED_COUNTS[n]
+
+
+def test_import_loads_only_the_standard_library():
+    # A fresh interpreter, so modules other tests imported do not count.
+    probe = (
+        "import sys; before = set(sys.modules); import treesym; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print('networkx' in sys.modules, sorted(new - set(sys.stdlib_module_names) - {'treesym'}))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False []\n"), proc.stderr
 
 
 def test_all_trees_cap():
@@ -123,6 +145,14 @@ def test_random_tree_deterministic():
     assert serialize_edge_list(random_tree(random.Random(0), 7)) == (
         "7\n0 3\n0 6\n1 6\n2 3\n3 5\n4 6\n"
     )
+
+
+def test_random_tree_small_orders_draw_nothing():
+    for n, edges in ((1, []), (2, [(0, 1)])):
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert random_tree(rng, n) == Tree.from_edges(n, edges)
+        assert rng.getstate() == state
 
 
 def test_generate_validates():

@@ -1,4 +1,6 @@
+import random
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given
@@ -9,12 +11,14 @@ from treesym import (
     EdgeListParseError,
     Tree,
     VertexCenter,
+    all_trees,
     center,
     parse_edge_list,
     parse_graph_edge_list,
     relabel,
     root_at,
     serialize_edge_list,
+    tree_from_pruefer,
 )
 
 from .conftest import path, random_trees, trees_with_permutation
@@ -121,6 +125,50 @@ def test_root_at_examples(p3, p4, k1):
 
     rt = root_at(p4, 0)
     assert rt.subtree_size == (4, 3, 2, 1)
+
+
+def reference_root_at(t, w):
+    """The queue-based rooting that ``root_at`` replaced: (parent, children, subtree_size, bfs_order)."""
+    parent = [None] * t.n
+    children = [()] * t.n
+    order = []
+    queue = deque([w])
+    seen = [False] * t.n
+    seen[w] = True
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        kids = tuple(v for v in t.adj[u] if not seen[v])
+        children[u] = kids
+        for v in kids:
+            seen[v] = True
+            parent[v] = u
+            queue.append(v)
+    size = [1] * t.n
+    for u in reversed(order):
+        for v in children[u]:
+            size[u] += size[v]
+    return tuple(parent), tuple(children), tuple(size), tuple(order)
+
+
+def rooted_fields(t, w):
+    rt = root_at(t, w)
+    assert (rt.tree, rt.root) == (t, w)
+    return rt.parent, rt.children, rt.subtree_size, rt.bfs_order
+
+
+def test_root_at_matches_reference():
+    # bfs_order and the children order fix class ids and hence unranking
+    for n in range(1, 10):
+        for t in all_trees(n):
+            for w in range(n):
+                assert rooted_fields(t, w) == reference_root_at(t, w)
+    rng = random.Random(31)
+    for n in (3, 10, 100, 500, 2000):
+        for _ in range(3):
+            t = tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
+            for w in {0, n - 1, rng.randrange(n)}:
+                assert rooted_fields(t, w) == reference_root_at(t, w)
 
 
 def test_root_out_of_range(p3):
