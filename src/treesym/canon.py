@@ -86,21 +86,22 @@ class TreeAnalysis:
             children[rt.root] = tuple(c for c in children[rt.root] if c != cut)
             roots = (rt.root, cut)
         ids = [0] * rt.tree.n
-        index: dict[tuple[int, ...], int] = {}
-        sigs: list[tuple[tuple[int, int], ...]] = []
-        reps: list[int] = []
-        cls = ids.__getitem__
+        index: dict[tuple[int, ...], int] = {(): 0}
+        sigs: list[tuple[tuple[int, int], ...]] = [()]
+        reps = [rt.bfs_order[-1]]  # the last vertex in BFS order is a leaf, so leaves are class 0
         for x in reversed(rt.bfs_order):
             kids = children[x]
             if len(kids) > 1:
-                kids = children[x] = tuple(sorted(kids, key=cls))
-            key = tuple(map(cls, kids))
-            cid = index.get(key)
-            if cid is None:
-                cid = index[key] = len(sigs)
+                kids = children[x] = tuple(sorted(kids, key=ids.__getitem__))
+                key = tuple(map(ids.__getitem__, kids))
+            elif kids:
+                key = (ids[kids[0]],)
+            else:
+                continue
+            cid = ids[x] = index.setdefault(key, len(sigs))
+            if cid == len(sigs):  # a new class
                 sigs.append(_runs(key))
                 reps.append(x)
-            ids[x] = cid
         return TreeAnalysis(rt, roots, tuple(children), tuple(ids), tuple(sigs), tuple(reps))
 
     @staticmethod
@@ -134,7 +135,11 @@ class TreeAnalysis:
 
 
 def _runs(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """(class, multiplicity) pairs of a sorted key."""
+    """(class, multiplicity) pairs of a sorted key in one pass; one id, or two different ids, directly."""
+    if len(key) == 1:
+        return ((key[0], 1),)
+    if len(key) == 2 and key[0] != key[1]:
+        return ((key[0], 1), (key[1], 1))
     return tuple((k, len(list(run))) for k, run in groupby(key))
 
 

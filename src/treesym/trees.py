@@ -260,12 +260,22 @@ class RootedTree:
 def root_at(t: Tree, w: int) -> RootedTree:
     if not (0 <= w < t.n):
         raise ValueError(f"root {w} out of range 0..{t.n - 1}")
-    order, parent = _bfs(t.adj, w)
-    children = [tuple(v for v in a if parent[v] == u) for u, a in enumerate(t.adj)]
+    parent = [None] * t.n
+    children = [()] * t.n
+    order = [w]
+    for u in order:
+        kids = t.adj[u]
+        if len(kids) == 1 and u != w:  # a leaf
+            continue
+        j = kids.index(parent[u]) if u != w else len(kids)
+        kids = kids[:j] + kids[j + 1 :]  # adj[u] without the parent: ascending, as adj is sorted
+        children[u] = kids
+        for v in kids:
+            parent[v] = u
+        order += kids
     size = [1] * t.n
     for v in order[:0:-1]:
         size[parent[v]] += size[v]
-    parent[w] = None
     return RootedTree(t, w, tuple(parent), tuple(children), tuple(size), tuple(order))
 
 

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import strategies as st
 
-from treesym import Tree, all_trees, tree_from_pruefer
+from treesym import Tree, all_trees, kary_tree, relabel, spider, tree_from_pruefer
 
 # named fixtures for the small trees every module's examples use
 
@@ -56,6 +58,28 @@ def asym7():
 
 def path(n: int) -> Tree:
     return Tree.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star(n: int) -> Tree:
+    return Tree.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def relabeled_families(seed: int, sizes) -> list[Tree]:
+    """A path, star, 3-leg spider, binary tree and Prüfer tree of each size (at least 4), randomly relabeled."""
+    rng = random.Random(seed)
+    out = []
+    for n in sizes:
+        pruefer = tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
+        for t in (path(n), star(n), spider(n, 3), kary_tree(n, 2), pruefer):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            out.append(relabel(t, perm))
+    return out
+
+
+def sample_roots(t: Tree, rng: random.Random) -> set[int]:
+    """Both end ids, a vertex of maximum degree and one random vertex."""
+    return {0, t.n - 1, max(range(t.n), key=t.degree), rng.randrange(t.n)}
 
 
 _CORPUS_CACHE: dict[int, list[Tree]] = {}

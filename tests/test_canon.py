@@ -1,5 +1,8 @@
-from itertools import permutations
+import random
+import tracemalloc
+from itertools import groupby, permutations
 
+import pytest
 from hypothesis import given
 
 from treesym import (
@@ -12,9 +15,19 @@ from treesym import (
     subtree_codes,
     twin_classes,
 )
+from treesym.asym import a_at_every_root, asym_rooted
+from treesym.canon import Rerooting, TreeAnalysis
 from treesym.oracle import exists_automorphism
 
-from .conftest import random_trees, trees_up_to, trees_with_permutation
+from .conftest import (
+    path,
+    random_trees,
+    relabeled_families,
+    sample_roots,
+    star,
+    trees_up_to,
+    trees_with_permutation,
+)
 
 
 def brute_isomorphic(t1: Tree, t2: Tree) -> bool:
@@ -147,3 +160,108 @@ def test_twin_classes_are_child_orbits():
             for i, a in enumerate(reps):
                 for b in reps[i + 1 :]:
                     assert not exists_automorphism(t.adj, pinned=y, forced={a: b})
+
+
+def reference_analysis(rt, cut=None):
+    """The ``TreeAnalysis.of`` that sorted and mapped every key and grouped runs with ``groupby``.
+
+    Returns (roots, children, ids, sigs, reps).
+    """
+    children = list(rt.children)
+    roots = (rt.root,)
+    if cut is not None:
+        children[rt.root] = tuple(c for c in children[rt.root] if c != cut)
+        roots = (rt.root, cut)
+    ids = [0] * rt.tree.n
+    index = {}
+    sigs = []
+    reps = []
+    cls = ids.__getitem__
+    for x in reversed(rt.bfs_order):
+        kids = children[x]
+        if len(kids) > 1:
+            kids = children[x] = tuple(sorted(kids, key=cls))
+        key = tuple(map(cls, kids))
+        cid = index.get(key)
+        if cid is None:
+            cid = index[key] = len(sigs)
+            sigs.append(tuple((k, len(list(run))) for k, run in groupby(key)))
+            reps.append(x)
+        ids[x] = cid
+    return roots, tuple(children), tuple(ids), tuple(sigs), tuple(reps)
+
+
+def analysis_fields(rt, cut=None):
+    an = TreeAnalysis.of(rt, cut)
+    assert an.rt is rt
+    return an.roots, an.children, an.ids, an.sigs, an.reps
+
+
+def test_analysis_matches_reference_all_small_trees():
+    # the ids, and the children order within a class, fix the unranking
+    for t in trees_up_to(10):
+        for w in range(t.n):
+            rt = root_at(t, w)
+            for cut in (None, *rt.children[w]):
+                assert analysis_fields(rt, cut) == reference_analysis(rt, cut)
+
+
+def test_analysis_matches_reference_relabeled_families():
+    rng = random.Random(41)
+    for t in relabeled_families(43, (4, 10, 100, 500, 2000)):
+        for w in sample_roots(t, rng):
+            rt = root_at(t, w)
+            for cut in (None, rt.children[w][0], rt.children[w][-1]):
+                assert analysis_fields(rt, cut) == reference_analysis(rt, cut)
+
+
+def rooted_types(max_n):
+    """One rooted tree per isomorphism type with at most max_n vertices, as (tree, root)."""
+    seen = {}
+    for t in trees_up_to(max_n):
+        for w in range(t.n):
+            seen.setdefault(canon_code(root_at(t, w), w), (t, w))
+    return list(seen.values())
+
+
+def test_wide_vertex_of_distinct_classes():
+    # a root with one copy of every rooted tree on at most 9 vertices: its key
+    # holds 486 pairwise distinct classes, the widest run table in the tests
+    types = rooted_types(9)
+    assert len(types) == 486  # OEIS A000081, summed over 1..9
+    edges = []
+    n = 1
+    for t, w in types:
+        edges.extend((n + u, n + v) for u, v in t.edges())
+        edges.append((0, n + w))
+        n += t.n
+    wide = Tree.from_edges(n, edges)
+    assert n == 4021
+    rt = root_at(wide, 0)
+    fields = analysis_fields(rt)
+    assert fields == reference_analysis(rt)
+    ids, sigs = fields[2], fields[3]
+    assert len(sigs[ids[0]]) == 486
+    assert all(mu == 1 for _, mu in sigs[ids[0]])
+    assert asym_rooted(rt) == a_at_every_root(Rerooting.of(wide))[0]
+
+
+# tracemalloc peaks on Python 3.11, doubled: star 9 MB, path 41 MB
+@pytest.mark.parametrize(
+    "shape, w, ceiling_mb",
+    [(star, 0, 18), (star, 1, 18), (path, 0, 82)],
+    ids=["star-center", "star-leaf", "path-end"],
+)
+def test_rooting_and_analysis_of_huge_trees(shape, w, ceiling_mb):
+    # iterative all the way down: no recursion limit, and memory linear in n
+    t = shape(10**5)
+    tracemalloc.start()
+    try:
+        rt = root_at(t, w)
+        an = TreeAnalysis.of(rt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rt.subtree_size[w] == t.n
+    assert an.ids[w] == len(an.sigs) - 1
+    assert peak < ceiling_mb * 10**6

@@ -21,7 +21,7 @@ from treesym import (
     tree_from_pruefer,
 )
 
-from .conftest import path, random_trees, trees_with_permutation
+from .conftest import path, random_trees, relabeled_families, sample_roots, trees_with_permutation
 
 
 @pytest.mark.parametrize("parse", [parse_edge_list, parse_graph_edge_list])
@@ -169,6 +169,11 @@ def test_root_at_matches_reference():
             t = tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
             for w in {0, n - 1, rng.randrange(n)}:
                 assert rooted_fields(t, w) == reference_root_at(t, w)
+    assert rooted_fields(path(1), 0) == reference_root_at(path(1), 0) == ((None,), ((),), (1,), (0,))
+    # relabeled, so a parent can sit anywhere in a sorted adjacency list
+    for t in relabeled_families(37, (4, 5, 10, 100, 500, 2000)):
+        for w in sample_roots(t, rng):
+            assert rooted_fields(t, w) == reference_root_at(t, w)
 
 
 def test_root_out_of_range(p3):
