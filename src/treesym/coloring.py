@@ -17,12 +17,13 @@ center do.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from math import comb, isqrt
 
-from .asym import a_by_class, asym_of
+from .asym import _a_product, a_by_class, asym_of
 from .canon import TreeAnalysis
-from .trees import Coloring, RootedTree, Tree, root_at
+from .trees import Coloring, RootedTree, Tree, _bfs, root_at
 
 
 def combinadic_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
@@ -60,10 +61,11 @@ def combinadic_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _unrank_into(an: TreeAnalysis, a: list[int], x: int, index: int, colors: list[int | None]):
+def _unrank_into(an: TreeAnalysis, a: list[int], x: int, index: int, colors: list[int | None], order=None):
     """Write the index-th inequivalent distinguishing coloring of x's branch.
 
-    Iterative so deep chains cannot hit the recursion limit.
+    Iterative so deep chains cannot hit the recursion limit. ``order(runs, kids)``,
+    if given, reorders the twin classes (and children) wherever the index is nonzero.
     """
     stack = [(x, index)]
     while stack:
@@ -71,8 +73,11 @@ def _unrank_into(an: TreeAnalysis, a: list[int], x: int, index: int, colors: lis
         colors[v] = 0 if k & 1 else 1
         k >>= 1
         kids = an.children[v]
+        runs = an.sigs[an.ids[v]]
+        if k and order and len(runs) > 1:
+            runs, kids = order(runs, kids)
         pos = 0
-        for c, mu in an.sigs[an.ids[v]]:
+        for c, mu in runs:
             cap = comb(a[c], mu)
             digit = k % cap
             k //= cap
@@ -254,56 +259,111 @@ class LobeAssignmentError(RuntimeError):
 def extend_ray_coloring(tr: OneEndedTruncation, ray_colors) -> Coloring:
     """Extend a coloring of the ray to one that distinguishes (T, v_D).
 
-    Walks v_1..v_D; at each step the branches hanging at v_i (all except the
+    Walks v_0..v_D; at each step the branches hanging at v_i (all except the
     one toward v_{i+1}) are grouped into twin classes. The class containing
-    the already-colored branch toward v_{i-1} receives fresh sub-colorings
-    inequivalent to it; every other class receives pairwise inequivalent
-    sub-colorings by unranking 0, 1, .... The result provably breaks every
-    automorphism fixing v_D, and is verified before being returned.
+    the already-colored branch toward v_{i-1} (none at v_0) receives fresh
+    sub-colorings inequivalent to it; every other class receives pairwise
+    inequivalent sub-colorings by unranking 0, 1, .... The result provably
+    breaks every automorphism fixing v_D, and is verified before being returned.
+
+    One rooting, at v_D, gives every lobe class and the prefix branch P_k at
+    v_k; the suffix branches S_k share its ids. Step i orders classes as the
+    whole tree rooted at v_i would: the class whose last vertex in BFS order
+    from v_i comes later ranks first. Lobe k at depth d lies at depth
+    |i - k| + d, each side keeps its BFS order (from v_D behind, from v_0
+    ahead), and v_i's sorted adjacency breaks ties at equal depth. Ranks are
+    computed only between failing classes at v_i and where a nonzero index is
+    split over two or more classes with more than one choice.
     """
-    tree = tr.tree
-    ray = tr.ray
+    tree, ray = tr.tree, tr.ray
     ray_colors = tuple(bool(b) for b in ray_colors)
     if len(ray_colors) != len(ray):
         raise ValueError("ray coloring length must match the ray")
-    colors: list[int | None] = [None] * tree.n
-    for v, black in zip(ray, ray_colors):
-        colors[v] = 1 if black else 0
+    n, end = tree.n, len(ray) - 1
+    colors: list[int | None] = [None] * n
+    lob, depth, top = [-1] * n, [0] * n, [0] * n  # lobe index, depth in it, ancestor next to the ray
+    for k, (v, black) in enumerate(zip(ray, ray_colors)):
+        colors[v], lob[v] = (1 if black else 0), k
+    an = TreeAnalysis.of(root_at(tree, ray[-1]))
+    ids, bfs = an.ids, an.rt.bfs_order
+    lobes: list[list[int]] = [[] for _ in ray]  # BFS positions from v_D, lobe by lobe
+    for p, v in enumerate(bfs):
+        if lob[v] < 0:
+            u = an.rt.parent[v]
+            lob[v], depth[v], top[v] = lob[u], depth[u] + 1, top[u] if depth[u] else v
+        lobes[lob[v]].append(p)
+    a = [0] * len(an.sigs)  # a-values of the lobe classes, the only ones the walk reads
+    for c in sorted({ids[v] for v in range(n) if depth[v]}):
+        a[c] = _a_product(a, an.sigs[c])
+    index = {tuple(k for k, mu in sig for _ in range(mu)): c for c, sig in enumerate(an.sigs)}
+    suffix = [0] * len(ray)
+    for k in range(end, 0, -1):
+        key = [ids[x] for x in an.children[ray[k]] if x != ray[k - 1]]
+        if k < end:
+            insort(key, suffix[k + 1])
+        suffix[k] = index.setdefault(tuple(key), len(index))
+    ahead: dict[int, list] = {}  # class -> (depth, position, lobe) of its vertices in BFS order from v_0
+    for p, y in enumerate(_bfs(tree.adj, ray[0])[0]):
+        k = lob[y]
+        ahead.setdefault(ids[y] if depth[y] else suffix[k], []).append((k + depth[y], p, k))
+    behind: dict[int, int] = {}  # class -> last BFS position from v_D inside P_i
 
-    for i in range(1, len(ray)):
-        v_i = ray[i]
-        an = TreeAnalysis.of(root_at(tree, v_i), cut=ray[i + 1] if i + 1 < len(ray) else None)
-        a = a_by_class(an)
-        back = ray[i - 1]
-        for cls in an.classes_at(v_i):
-            avail = a[an.ids[cls.rep]]
+    def last(c):
+        """(depth, side, position) of the last vertex of class c in BFS order from v_i."""
+        keys = []
+        if c in behind:
+            x = bfs[behind[c]]
+            side = top[x] if lob[x] == i else back
+            keys.append((i - lob[x] + depth[x], 0 if side < nxt else 2, behind[c]))
+        far = ahead.get(c, [])
+        while far and far[-1][2] <= i:
+            far.pop()
+        if far:
+            keys.append((far[-1][0] - i, 1, far[-1][1]))
+        return max(keys)
+
+    def order(runs, kids):
+        many = [comb(a[c], mu) > 1 for c, mu in runs]
+        if sum(many) < 2:
+            return runs, kids
+        groups, pos = [], 0
+        for (c, mu), m in zip(runs, many):
+            groups.append((last(c) if m else (), c, mu, kids[pos : pos + mu]))
+            pos += mu
+        groups.sort(key=lambda g: g[0], reverse=True)
+        return [g[1:3] for g in groups], [m for g in groups for m in g[3]]
+
+    for i, v_i in enumerate(ray):
+        back, nxt = ray[i - 1] if i else None, ray[i + 1] if i < end else n
+        for p in lobes[i]:
+            behind[ids[bfs[p]]] = max(p, behind.get(ids[bfs[p]], -1))
+        classes = [c for c in an.classes_at(v_i) if c.members != (back,)]
+        failing = [c for c in classes if a[ids[c.rep]] < c.multiplicity]
+        if failing:
+            cls = max(failing, key=lambda c: last(ids[c.rep])) if len(failing) > 1 else failing[0]
+            raise LobeAssignmentError(v_i, cls.rep, cls.multiplicity, a[ids[cls.rep]])
+        for cls in classes:
             if back in cls.members:
-                others = [m for m in cls.members if m != back]
-                if not others:
-                    continue
-                if avail < cls.multiplicity:
-                    raise LobeAssignmentError(v_i, cls.rep, cls.multiplicity, avail)
+                # a twin of the back branch makes |P_i| > 2 |P_{i-1}|, so these recolorings sum to O(n)
                 table: dict = {}
                 back_id = _colored_ids(an, colors, back, table)[0][back]
                 next_index = 0
-                for m in others:
+                for m in (m for m in cls.members if m != back):
                     while True:
-                        _unrank_into(an, a, m, next_index, colors)
+                        _unrank_into(an, a, m, next_index, colors, order)
                         next_index += 1
                         if _colored_ids(an, colors, m, table)[0][m] != back_id:
                             break
+            elif cls.multiplicity == 1 and a[ids[cls.rep]] == 1 << an.rt.subtree_size[cls.rep]:
+                # asymmetric lone branch: any coloring works; all-white for determinism
+                _whiten_branch(an, cls.rep, colors)
             else:
-                if avail < cls.multiplicity:
-                    raise LobeAssignmentError(v_i, cls.rep, cls.multiplicity, avail)
-                if cls.multiplicity == 1 and avail == 1 << an.rt.subtree_size[cls.rep]:
-                    # asymmetric lone branch: any coloring works; all-white for determinism
-                    _whiten_branch(an, cls.rep, colors)
-                    continue
                 for j, m in enumerate(cls.members):
-                    _unrank_into(an, a, m, j, colors)
+                    _unrank_into(an, a, m, j, colors, order)
 
     result = _to_coloring(colors)
-    if not verify_distinguishing(tree, result, pinned=ray[-1]):
+    # the check of verify_distinguishing(tree, result, pinned=v_D), on the same rooting
+    if not distinguishes(an, result):
         raise AssertionError("extended coloring is not distinguishing")
     return result
 
