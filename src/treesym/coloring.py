@@ -163,20 +163,28 @@ def _colored_ids(an: TreeAnalysis, colors, top: int, table: dict) -> tuple[dict[
     return ids, collide
 
 
-def distinguishes(an: TreeAnalysis, coloring: Coloring) -> bool:
-    """True iff no non-identity automorphism of the analysed rooting preserves the colors.
+def _colored_key(an: TreeAnalysis, coloring: Coloring, table: dict) -> tuple[int, ...] | None:
+    """Sorted colored ids of ``an.roots``, or None when the coloring is not distinguishing.
 
-    With two halves the automorphisms include the half swap.
+    None means a non-identity automorphism of the analysed rooting (the half
+    swap included) preserves the colors. Keys of center analyses drawn from
+    one table are equal iff the colored trees are color-isomorphic.
     """
     colors = coloring.bits()
-    table: dict = {}
     top_ids = []
     for r in an.roots:
         ids, collide = _colored_ids(an, colors, r, table)
         if collide:
-            return False
+            return None
         top_ids.append(ids[r])
-    return len(set(top_ids)) == len(top_ids)
+    if len(top_ids) == 2 and top_ids[0] == top_ids[1]:
+        return None
+    return tuple(sorted(top_ids))
+
+
+def distinguishes(an: TreeAnalysis, coloring: Coloring) -> bool:
+    """True iff no non-identity automorphism of the analysed rooting preserves the colors."""
+    return _colored_key(an, coloring, {}) is not None
 
 
 def verify_distinguishing(t: Tree, coloring: Coloring, pinned: int | None = None) -> bool:

@@ -10,7 +10,7 @@ from typing import Iterable, Iterator
 from .asym import GroupOrderBound, a_at_root, a_by_class, asym_of, asym_unrooted
 from .autom import aut_order_of, motion, motion_of
 from .canon import Rerooting, TreeAnalysis
-from .coloring import OneEndedTruncation, construct_of, distinguishes, one_ended_truncation
+from .coloring import OneEndedTruncation, construct_of, one_ended_truncation
 from .trees import Tree, serialize_edge_list
 
 ALL_TREES_MAX = 12
@@ -311,8 +311,8 @@ def run_theorem_suite(trees: Iterable[Tree]) -> SuiteReport:
                 report.counterexamples.append({"check": name, "tree": serialize_edge_list(t)})
 
         def check_construct():
-            coloring = construct_of(an, a_cls)
-            record("construct-verifies", coloring is not None and distinguishes(an, coloring))
+            # construct_of raises AssertionError on a coloring that does not verify
+            record("construct-verifies", construct_of(an, a_cls) is not None)
 
         if mot.is_asymmetric:
             hypothesis = "vacuous-asymmetric"

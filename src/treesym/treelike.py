@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import colored_unrooted_code, unrooted_code
-from .coloring import verify_distinguishing
-from .oracle import brute_graph_aut
+from .canon import TreeAnalysis
+from .coloring import _colored_key
+from .oracle import _apply, _mask_images, _moved, brute_graph_aut
 from .trees import Coloring, EdgeListParseError, Tree, _adjacency, _bfs, read_edge_lines
 
 
@@ -129,10 +129,9 @@ def extract_forest(g: RootedGraph) -> ForestExtraction:
 MAX_TREELIKE_VERTICES = 12
 
 
-def _component_tree(g: ForestExtraction, members: tuple[int, ...]) -> tuple[Tree, dict[int, int]]:
+def _component_tree(g: ForestExtraction, members: tuple[int, ...]) -> Tree:
     local = {v: i for i, v in enumerate(members)}
-    edges = [(local[u], local[v]) for u, v in g.edges if u in local and v in local]
-    return Tree.from_edges(len(members), edges), local
+    return Tree.from_edges(len(members), [(local[u], local[v]) for u, v in g.edges if u in local and v in local])
 
 
 def treelike_distinguish(g: RootedGraph) -> Coloring | None:
@@ -141,9 +140,12 @@ def treelike_distinguish(g: RootedGraph) -> Coloring | None:
     The root's component admits distinguishing sets in which every chosen
     vertex other than the root keeps a neighbor outside the set (any set at
     all when the root has degree 1); other components require that of every
-    chosen vertex. The union is accepted only if no non-identity graph
-    automorphism preserves it. Absence is a valid outcome: the procedure's
-    guarantee needs infinite components, so here it is exploratory.
+    chosen vertex. Each component takes the first such mask, in ascending
+    order, whose colored key (one center analysis per component, one id
+    table per call) no earlier component has taken. The union is accepted
+    only if no non-identity graph automorphism preserves it. Absence is a
+    valid outcome: the procedure's guarantee needs infinite components, so
+    here it is exploratory.
     """
     if g.n > MAX_TREELIKE_VERTICES:
         raise ValueError(f"n = {g.n} exceeds cap {MAX_TREELIKE_VERTICES}")
@@ -152,47 +154,24 @@ def treelike_distinguish(g: RootedGraph) -> Coloring | None:
         return Coloring(g.n, 0)
     forest = extract_forest(g)
     adjsets = [set(a) for a in g.adj]
-
-    chosen_masks: list[tuple[tuple[int, ...], int]] = []
-    used_codes: dict[bytes, set[bytes]] = {}
-    ordered = sorted(forest.components, key=lambda ms: (g.root not in ms, ms))
-    root_deg = len(g.adj[g.root])
-    for members in ordered:
-        tree, local = _component_tree(forest, members)
-        holds_root = g.root in local
-        shape = unrooted_code(tree)
-        taken = used_codes.setdefault(shape, set())
-        pick = None
-        for mask in range(1 << tree.n):
-            cand = Coloring(tree.n, mask)
-            if not verify_distinguishing(tree, cand):
-                continue
-            if not _admissible(cand, members, adjsets, holds_root, root_deg):
-                continue
-            code = colored_unrooted_code(tree, cand)
-            if code in taken:
-                continue
-            pick = (cand, code)
-            break
-        if pick is None:
-            return None
-        taken.add(pick[1])
-        chosen_masks.append((members, pick[0].mask))
-
+    table: dict = {}
+    taken: set[tuple[int, ...]] = set()
     mask = 0
-    for members, local_mask in chosen_masks:
-        for i, v in enumerate(members):
-            if local_mask >> i & 1:
-                mask |= 1 << v
-    for sigma in auts:
-        if all(sigma[i] == i for i in range(g.n)):
-            continue
-        image = 0
-        for v in range(g.n):
-            if mask >> v & 1:
-                image |= 1 << sigma[v]
-        if image == mask:
+    root_deg = len(g.adj[g.root])
+    for members in sorted(forest.components, key=lambda ms: (g.root not in ms, ms)):
+        an = TreeAnalysis.at_center(_component_tree(forest, members))
+        holds_root = g.root in members
+        for local in range(1 << len(members)):
+            cand = Coloring(len(members), local)
+            key = _colored_key(an, cand, table)
+            if key is not None and key not in taken and _admissible(cand, members, adjsets, holds_root, root_deg):
+                break
+        else:
             return None
+        taken.add(key)
+        mask |= _apply(_mask_images(members), local)
+    if any(_moved(sigma) and _apply(_mask_images(sigma), mask) == mask for sigma in auts):
+        return None
     return Coloring(g.n, mask)
 
 
@@ -204,12 +183,7 @@ def _admissible(cand: Coloring, members, adjsets, holds_root: bool, root_deg: in
     """
     if holds_root and root_deg == 1:
         return True
-    member_set = set(members)
     inside = {v for i, v in enumerate(members) if cand.is_black(i)}
-    buried = 0
-    for v in inside:
-        if not any(w in member_set and w not in inside for w in adjsets[v]):
-            buried += 1
-    if holds_root:
-        return buried <= 1
-    return buried == 0
+    outside = set(members) - inside
+    buried = sum(1 for v in inside if not adjsets[v] & outside)
+    return buried <= (1 if holds_root else 0)

@@ -281,7 +281,11 @@ def root_at(t: Tree, w: int) -> RootedTree:
 
 @dataclass(frozen=True)
 class Coloring:
-    """2-coloring of vertices as a bit mask; bit v set means v is black."""
+    """2-coloring of vertices as a bit mask; bit v set means v is black.
+
+    Masks convert through base-2 digit strings, which are linear in n and
+    exempt from Python's int <-> str digit limit.
+    """
 
     n: int
     mask: int
@@ -296,30 +300,28 @@ class Coloring:
     def from_bits(bits: str) -> "Coloring":
         if not bits or any(ch not in "01" for ch in bits):
             raise ValueError(f"expected a nonempty 0/1 string, got {bits!r}")
-        mask = 0
-        for v, ch in enumerate(bits):
-            if ch == "1":
-                mask |= 1 << v
-        return Coloring(len(bits), mask)
+        return Coloring(len(bits), int(bits[::-1], 2))
 
     @staticmethod
     def from_black(n: int, blacks) -> "Coloring":
-        mask = 0
+        digits = bytearray(b"0" * max(n, 1))
         for v in blacks:
-            mask |= 1 << v
-        return Coloring(n, mask)
+            if not 0 <= v < n:
+                raise ValueError("mask out of range for vertex count")
+            digits[v] = ord("1")
+        return Coloring(n, int(digits[::-1], 2))
 
     def is_black(self, v: int) -> bool:
         return bool(self.mask >> v & 1)
 
     def bits(self) -> str:
-        return "".join("1" if self.mask >> v & 1 else "0" for v in range(self.n))
+        return format(self.mask, f"0{self.n}b")[::-1]
 
     def complement(self) -> "Coloring":
         return Coloring(self.n, self.mask ^ ((1 << self.n) - 1))
 
     def blacks(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.mask >> v & 1)
+        return tuple(v for v, ch in enumerate(self.bits()) if ch == "1")
 
 
 def relabel(t: Tree, perm) -> Tree:

@@ -26,6 +26,7 @@ from treesym import (
     unrooted_code,
     verify_distinguishing,
 )
+from treesym.cli import main
 from treesym.corpus import all_trees, caterpillar, random_tree
 
 from .conftest import trees_up_to
@@ -227,6 +228,15 @@ def test_theorem_suite_clean_on_small_corpus():
     counts = report.counts()
     assert counts["trees"] == len(trees)
     assert counts["checks_failed"] == 0
+
+
+def test_theorem_suite_fails_loudly_on_a_coloring_that_does_not_verify(monkeypatch, p4, capsys):
+    # construct_of verifies its coloring, so the suite needs no second check to record a failure
+    monkeypatch.setattr("treesym.coloring.distinguishes", lambda an, coloring: False)
+    with pytest.raises(AssertionError, match="not distinguishing"):
+        run_theorem_suite([p4])
+    assert main(["corpus", "--all-trees", "4", "--check"]) == 1
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_theorem_suite_records_unmet_hypothesis(k13):

@@ -3,14 +3,20 @@ import random
 import pytest
 
 from treesym import (
+    Coloring,
     RootedGraph,
+    Tree,
     asym_unrooted,
     brute_graph_aut,
+    colored_unrooted_code,
     extract_forest,
     is_treelike,
     parse_graph_edge_list,
     treelike_distinguish,
+    unrooted_code,
+    verify_distinguishing,
 )
+from treesym.canon import center
 
 from .conftest import path, trees_up_to
 
@@ -146,3 +152,154 @@ def test_distinguish_verified_against_group():
 
 def test_distinguish_cycle4_absent():
     assert treelike_distinguish(cycle(4)) is None
+
+
+def reference_treelike_distinguish(g: RootedGraph) -> Coloring | None:
+    """The previous search: re-verify and bytes-code every mask tried, codes kept per shape."""
+    auts = brute_graph_aut(g.adj)
+    if len(auts) == 1:
+        return Coloring(g.n, 0)
+    forest = extract_forest(g)
+    adjsets = [set(a) for a in g.adj]
+    chosen_masks = []
+    used_codes: dict[bytes, set[bytes]] = {}
+    root_deg = len(g.adj[g.root])
+    for members in sorted(forest.components, key=lambda ms: (g.root not in ms, ms)):
+        local = {v: i for i, v in enumerate(members)}
+        tree = Tree.from_edges(len(members), [(local[u], local[v]) for u, v in forest.edges if u in local and v in local])
+        holds_root = g.root in local
+        taken = used_codes.setdefault(unrooted_code(tree), set())
+        pick = None
+        for mask in range(1 << tree.n):
+            cand = Coloring(tree.n, mask)
+            if not verify_distinguishing(tree, cand):
+                continue
+            if not reference_admissible(cand, members, adjsets, holds_root, root_deg):
+                continue
+            code = colored_unrooted_code(tree, cand)
+            if code in taken:
+                continue
+            pick = (cand, code)
+            break
+        if pick is None:
+            return None
+        taken.add(pick[1])
+        chosen_masks.append((members, pick[0].mask))
+    mask = 0
+    for members, local_mask in chosen_masks:
+        for i, v in enumerate(members):
+            if local_mask >> i & 1:
+                mask |= 1 << v
+    for sigma in auts:
+        if all(sigma[i] == i for i in range(g.n)):
+            continue
+        image = 0
+        for v in range(g.n):
+            if mask >> v & 1:
+                image |= 1 << sigma[v]
+        if image == mask:
+            return None
+    return Coloring(g.n, mask)
+
+
+def reference_admissible(cand, members, adjsets, holds_root, root_deg):
+    if holds_root and root_deg == 1:
+        return True
+    member_set = set(members)
+    inside = {v for i, v in enumerate(members) if cand.is_black(i)}
+    buried = sum(1 for v in inside if not any(w in member_set and w not in inside for w in adjsets[v]))
+    return buried <= 1 if holds_root else buried == 0
+
+
+def shuffled_graph(rng: random.Random, n: int) -> RootedGraph:
+    """A random spanning tree plus a few chords (sometimes none), on shuffled ids, at a random root."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.choice([0, 0, 1, 2, 3, n])):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return RootedGraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges], root=rng.randrange(n))
+
+
+PENDANTS = ([], [(0, 1)], [(0, 1), (1, 2)], [(0, 1), (0, 2)], [(0, 1), (1, 2), (2, 3)], [(0, 1), (0, 2), (0, 3)])
+
+
+def gadget_graph(rng: random.Random) -> RootedGraph:
+    """A small root tree plus vertices with two parents, each carrying one of two pendant trees.
+
+    Each two-parent vertex starts a forest component, so components of one shape
+    must take inequivalent colorings while components of other shapes share the id table.
+    """
+    edges, depth = [], [0]
+    for v in range(1, rng.randint(3, 5)):
+        p = rng.randrange(v)
+        edges.append((p, v))
+        depth.append(depth[p] + 1)
+    pendants = rng.sample(PENDANTS, 2)
+    while True:
+        pendant, n = rng.choice(pendants), len(depth)
+        levels = [d for d in sorted(set(depth)) if depth.count(d) > 1]
+        if not levels or n + len(pendant) + 1 > 12:
+            break
+        d = rng.choice(levels)
+        p, q = rng.sample([v for v in range(n) if depth[v] == d], 2)
+        edges += [(p, n), (q, n)] + [(n + a, n + b) for a, b in pendant]
+        depth.append(d + 1)
+        for a, _ in pendant:
+            depth.append(depth[n + a] + 1)
+    perm = list(range(len(depth)))
+    rng.shuffle(perm)
+    return RootedGraph.from_edges(len(depth), [(perm[u], perm[v]) for u, v in edges], root=perm[0])
+
+
+def differential_graphs():
+    for t in trees_up_to(7):
+        for w in range(t.n):
+            yield RootedGraph(t.n, t.adj, w)
+    rng = random.Random(601)
+    for _ in range(600):
+        yield shuffled_graph(rng, rng.randint(2, 12))
+    for _ in range(400):
+        yield gadget_graph(rng)
+
+
+def summary(coloring):
+    return None if coloring is None else (coloring.n, coloring.mask)
+
+
+def test_distinguish_matches_reference():
+    found = 0
+    for g in differential_graphs():
+        got = summary(treelike_distinguish(g))
+        assert got == summary(reference_treelike_distinguish(g)), (g.n, g.adj, g.root)
+        found += got is not None and got[1] != 0
+    assert found > 300  # the corpus exercises the search, not only the asymmetric shortcut
+
+
+def test_distinguish_analyses_each_component_once(monkeypatch):
+    # the per-mask verification re-centered the component once per mask tried
+    calls = 0
+
+    def counting_center(t):
+        nonlocal calls
+        calls += 1
+        return center(t)
+
+    monkeypatch.setattr("treesym.canon.center", counting_center)
+    searched = 0
+    for g in differential_graphs():
+        calls = 0
+        got = treelike_distinguish(g)
+        if len(brute_graph_aut(g.adj)) == 1:
+            assert calls == 0
+            continue
+        components = len(extract_forest(g).components)
+        if got is not None:
+            assert calls == components
+            searched += got.mask != 0
+        else:
+            assert 1 <= calls <= components
+    monkeypatch.undo()
+    assert searched > 300

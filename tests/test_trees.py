@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from collections import deque
 
@@ -206,6 +207,48 @@ def test_coloring_rejects_bad_input():
         Coloring.from_bits("01x")
     with pytest.raises(ValueError):
         Coloring(2, 5)
+
+
+def reference_bits(c: Coloring) -> str:
+    return "".join("1" if c.mask >> v & 1 else "0" for v in range(c.n))
+
+
+def reference_mask(bits: str) -> int:
+    mask = 0
+    for v, ch in enumerate(bits):
+        if ch == "1":
+            mask |= 1 << v
+    return mask
+
+
+def test_coloring_conversions_match_per_vertex_code():
+    rng = random.Random(5)
+    for n in [*range(1, 71), 1000]:
+        for mask in (0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(5))):
+            c = Coloring(n, mask)
+            bits = reference_bits(c)
+            assert c.bits() == bits
+            assert c.blacks() == tuple(v for v in range(n) if mask >> v & 1)
+            assert Coloring.from_bits(bits).mask == reference_mask(bits) == mask
+            assert Coloring.from_black(n, reversed(c.blacks())) == c
+
+
+def test_coloring_from_black_rejects_out_of_range():
+    for n, blacks in ((3, [3]), (3, [-1]), (1, [0, 1])):
+        with pytest.raises(ValueError):
+            Coloring.from_black(n, blacks)
+    with pytest.raises(ValueError):
+        Coloring.from_black(0, [])
+
+
+def test_coloring_million_vertex_round_trip():
+    # per-vertex shifts take over 30 s here; the digit-string conversions are linear
+    n = 10**6
+    c = Coloring(n, random.Random(6).getrandbits(n))
+    t0 = time.perf_counter()
+    assert Coloring.from_bits(c.bits()) == c
+    assert Coloring.from_black(n, c.blacks()) == c
+    assert time.perf_counter() - t0 < 5
 
 
 def test_zero_vertices_rejected():
