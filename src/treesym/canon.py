@@ -106,11 +106,20 @@ class TreeAnalysis:
 
     @staticmethod
     def at_center(t: Tree) -> "TreeAnalysis":
-        """Rooted at the vertex center, or at ``c.u`` cut at ``c.v`` for an edge center."""
-        c = center(t)
-        if isinstance(c, VertexCenter):
-            return TreeAnalysis.of(root_at(t, c.vertex))
-        return TreeAnalysis.of(root_at(t, c.u), cut=c.v)
+        """Rooted at the vertex center, or at ``c.u`` cut at ``c.v`` for an edge center.
+
+        Built on the first call for ``t`` and kept on ``t``: later calls return
+        the same object, which callers share and must not mutate.
+        """
+        an = t.__dict__.get("_center_analysis")
+        if an is None:
+            c = center(t)
+            if isinstance(c, VertexCenter):
+                an = TreeAnalysis.of(root_at(t, c.vertex))
+            else:
+                an = TreeAnalysis.of(root_at(t, c.u), cut=c.v)
+            object.__setattr__(t, "_center_analysis", an)
+        return an
 
     @property
     def iso_halves(self) -> bool:
@@ -215,9 +224,10 @@ def colored_subtree_codes(rt: RootedTree, coloring: Coloring) -> tuple[bytes, ..
     """Codes refined by vertex color; equal iff color-preserving isomorphic."""
     if coloring.n != rt.tree.n:
         raise ValueError("coloring length does not match tree")
+    bits = coloring.bits().encode()
     codes: list[bytes] = [b""] * rt.tree.n
     for v in reversed(rt.bfs_order):
-        col = b"1" if coloring.is_black(v) else b"0"
+        col = bits[v : v + 1]
         kids = rt.children[v]
         if not kids:
             codes[v] = b"(" + col + b")"

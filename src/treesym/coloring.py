@@ -387,8 +387,9 @@ def _whiten_branch(an: TreeAnalysis, x: int, colors):
 def to_dot(t: Tree, coloring: Coloring | None = None) -> str:
     """DOT rendering with filled nodes for black vertices (write-only artifact)."""
     lines = ["graph tree {", "  node [shape=circle];"]
+    bits = coloring.bits() if coloring is not None else "0" * t.n
     for v in range(t.n):
-        if coloring is not None and coloring.is_black(v):
+        if bits[v] == "1":
             lines.append(f"  {v} [style=filled fillcolor=black fontcolor=white];")
         else:
             lines.append(f"  {v};")

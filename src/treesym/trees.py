@@ -22,10 +22,19 @@ class Tree:
     Adjacency lists are sorted ascending and symmetric; the structure is
     validated on construction via :meth:`from_edges` (connected, acyclic,
     no self-loops, no duplicate edges).
+
+    A tree is immutable because its center analysis
+    (:meth:`canon.TreeAnalysis.at_center`) is computed once and kept on the
+    instance, shared by every public function called on it. The memo is not
+    a field, so ``==``, ``hash`` and ``repr`` do not see it, and pickling or
+    copying a tree leaves it behind.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
+
+    def __getstate__(self):
+        return {"n": self.n, "adj": self.adj}
 
     @staticmethod
     def from_edges(n: int, edges) -> "Tree":

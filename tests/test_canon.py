@@ -1,19 +1,36 @@
+import gc
+import pickle
 import random
+import sys
 import tracemalloc
+import weakref
+from collections import Counter
 from itertools import groupby, permutations
 
 import pytest
 from hypothesis import given
 
 from treesym import (
+    Coloring,
     Tree,
+    asym_unrooted,
+    aut_order,
     canon_code,
+    center,
     child_classes,
+    construct_distinguishing,
+    group_order_bound_check,
+    is_2_distinguishable,
     is_isomorphic,
+    motion,
     relabel,
     root_at,
+    spider,
     subtree_codes,
+    tree_from_pruefer,
     twin_classes,
+    unrank_unrooted,
+    verify_distinguishing,
 )
 from treesym.asym import a_at_every_root, asym_rooted
 from treesym.canon import Rerooting, TreeAnalysis
@@ -265,3 +282,149 @@ def test_rooting_and_analysis_of_huge_trees(shape, w, ceiling_mb):
     assert rt.subtree_size[w] == t.n
     assert an.ids[w] == len(an.sigs) - 1
     assert peak < ceiling_mb * 10**6
+
+
+def count_rootings(monkeypatch) -> list[tuple[str, int | None]]:
+    """Record every ``center``, ``root_at`` and ``TreeAnalysis.of`` call, with the root where there is one."""
+    calls: list[tuple[str, int | None]] = []
+
+    def counted(name, fn, root):
+        def wrapper(*args, **kwargs):
+            calls.append((name, root(*args)))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {
+        center: counted("center", center, lambda t: None),
+        root_at: counted("root_at", root_at, lambda t, w: w),
+    }
+    for name, mod in list(sys.modules.items()):
+        if name == "treesym" or name.startswith("treesym."):
+            for attr, value in list(vars(mod).items()):
+                if callable(value) and value in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[value])
+    analyse = TreeAnalysis.of
+    monkeypatch.setattr(TreeAnalysis, "of", staticmethod(counted("of", analyse, lambda rt, cut=None: rt.root)))
+    return calls
+
+
+def test_public_functions_share_one_center_analysis(monkeypatch):
+    # without the memo on the tree these calls made 9 center, 9 root_at and 9 TreeAnalysis.of calls
+    perm = list(range(40))
+    random.Random(1).shuffle(perm)
+    t = relabel(spider(40, 3), perm)
+    calls = count_rootings(monkeypatch)
+    assert aut_order(t) == 6
+    assert motion(t).moved == 26
+    a = asym_unrooted(t)
+    assert a > 0
+    assert group_order_bound_check(t).holds
+    c0 = construct_distinguishing(t)
+    ck = unrank_unrooted(t, a - 1)
+    assert verify_distinguishing(t, c0)
+    assert verify_distinguishing(t, ck)
+    assert not verify_distinguishing(t, Coloring(t.n, 0))
+    assert Counter(name for name, _ in calls) == {"center": 1, "root_at": 1, "of": 1}
+    assert TreeAnalysis.at_center(t) is TreeAnalysis.at_center(t)
+    assert TreeAnalysis.at_center(t).rt.tree is t
+    assert len(calls) == 3
+
+    # an equal tree built anew gets an analysis of its own
+    twin = Tree.from_edges(t.n, t.edges())
+    assert twin == t
+    an = TreeAnalysis.at_center(twin)
+    assert an is not TreeAnalysis.at_center(t)
+    assert an.rt.tree is twin
+    assert len(calls) == 6
+
+    # a pinned check roots at the pinned vertex, every time
+    calls.clear()
+    for _ in range(2):
+        assert verify_distinguishing(t, c0, pinned=perm[1])
+    assert calls == [("root_at", perm[1]), ("of", perm[1])] * 2
+
+
+def memo_corpus() -> list[Tree]:
+    """All trees with n <= 9, and relabeled random Prüfer, spider and path trees up to n = 300."""
+    rng = random.Random(11)
+    out = list(trees_up_to(9))
+    for n in (10, 17, 64, 150, 300):
+        for t in (tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]), spider(n, 3), path(n)):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            out.append(relabel(t, perm))
+    return out
+
+
+def test_warm_tree_matches_fresh_trees():
+    rng = random.Random(12)
+    for t in memo_corpus():
+        edges = list(t.edges())
+
+        def fresh():
+            return Tree.from_edges(t.n, edges)
+
+        a = asym_unrooted(fresh())
+        calls = {
+            "aut_order": aut_order,
+            "motion": motion,
+            "asym_unrooted": asym_unrooted,
+            "is_2_distinguishable": is_2_distinguishable,
+            "construct_distinguishing": construct_distinguishing,
+        }
+        colorings = [Coloring(t.n, rng.getrandbits(t.n))]
+        if a > 0:
+            k = rng.randrange(a)
+            calls["group_order_bound_check"] = group_order_bound_check
+            calls["unrank_unrooted"] = lambda u, k=k: unrank_unrooted(u, k)
+            colorings += [construct_distinguishing(fresh()), unrank_unrooted(fresh(), k)]
+        for i, c in enumerate(colorings):
+            calls[f"verify_distinguishing {i}"] = lambda u, c=c: verify_distinguishing(u, c)
+        expected = {name: f(fresh()) for name, f in calls.items()}
+        warm = fresh()
+        pickled = pickle.dumps(warm)
+        for _ in range(2):
+            names = list(calls)
+            rng.shuffle(names)
+            assert {name: calls[name](warm) for name in names} == expected, edges
+        # the memo is invisible to equality, hashing, repr and pickling
+        other = fresh()
+        assert warm == other
+        assert hash(warm) == hash(other)
+        assert repr(warm) == repr(other)
+        assert pickle.dumps(warm) == pickled
+        back = pickle.loads(pickled)
+        assert back == warm
+        assert TreeAnalysis.at_center(back).rt.tree is back
+
+
+def test_center_memo_keeps_linear_memory():
+    # the memo holds one TreeAnalysis; keeping the a-values too would add the
+    # n^2/8 bits of a path's a_by_class, another 7 MB here
+    t = path(20_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert asym_unrooted(t) > 0
+        assert construct_distinguishing(t) is not None
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 7.8 * 10**6  # 3.9 MB on Python 3.11, doubled
+
+
+def test_dropped_trees_are_collected():
+    # the memo makes a cycle (tree -> analysis -> rooting -> tree) that the collector frees
+    adj = star(4000).adj
+    live: weakref.WeakSet = weakref.WeakSet()
+    most = 0
+    for _ in range(300):
+        t = Tree(4000, adj)
+        asym_unrooted(t)
+        live.add(t)
+        del t
+        most = max(most, len(live))
+    assert most <= 10  # 1 on Python 3.11
