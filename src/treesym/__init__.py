@@ -8,6 +8,7 @@ colorings, and brute-force oracles that cross-validate every formula.
 from .asym import (
     GroupOrderBound,
     a_values,
+    asym_at_every_root,
     asym_rooted,
     asym_unrooted,
     group_order_bound_check,

@@ -62,6 +62,11 @@ def a_at_every_root(rr: Rerooting) -> list[int]:
     return [_a_product(a, Counter(rr.branches(w)).items()) for w in range(len(rr.up))]
 
 
+def asym_at_every_root(t: Tree) -> tuple[int, ...]:
+    """a(T,w) for every vertex w of t, from one rooting and one rerooting pass."""
+    return tuple(a_at_every_root(Rerooting.of(t)))
+
+
 def a_values(rt: RootedTree) -> tuple[int, ...]:
     """a(T^x, x) for every vertex x."""
     an = TreeAnalysis.of(rt)

@@ -12,9 +12,9 @@ import argparse
 import json
 import sys
 
-from .asym import GroupOrderBound, a_at_every_root, a_by_class, asym_of, asym_rooted
+from .asym import GroupOrderBound, a_by_class, asym_at_every_root, asym_of, asym_rooted
 from .autom import aut_order_of, motion_of
-from .canon import Rerooting, TreeAnalysis
+from .canon import TreeAnalysis
 from .coloring import to_dot, unrank_of, verify_distinguishing
 from .corpus import CorpusSpec, conjecture_check, generate, run_theorem_suite
 from .oracle import brute_asym
@@ -66,7 +66,7 @@ def cmd_analyze(args) -> int:
         report["motion_note"] = "asymmetric: exceeds every finite threshold by convention"
     roots = {}
     if args.all_roots:
-        roots = dict(enumerate(a_at_every_root(Rerooting.of(t))))
+        roots = dict(enumerate(asym_at_every_root(t)))
     elif args.root is not None:
         if not (0 <= args.root < t.n):
             raise EdgeListParseError(f"root {args.root} out of range 0..{t.n - 1}")
@@ -93,7 +93,13 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _check_count(args) -> None:
+    if args.count is not None and args.count < 0:
+        raise EdgeListParseError(f"--count must be non-negative, got {args.count}")
+
+
 def cmd_color(args) -> int:
+    _check_count(args)
     t = _load_tree(args.file)
     if args.root is not None:
         if not (0 <= args.root < t.n):
@@ -160,6 +166,7 @@ def _corpus_spec(args) -> CorpusSpec:
 
 
 def cmd_corpus(args) -> int:
+    _check_count(args)
     spec = _corpus_spec(args)
     trees = list(generate(spec))
     if args.check:

@@ -66,23 +66,38 @@ def _unrank_into(an: TreeAnalysis, a: list[int], x: int, index: int, colors: lis
 
     Iterative so deep chains cannot hit the recursion limit. ``order(runs, kids)``,
     if given, reorders the twin classes (and children) wherever the index is nonzero.
+    Digits that need no decoding skip ``combinadic_unrank``: with nothing left of
+    the index every run takes sub-indices 0..mu-1, and a lone branch takes its digit.
     """
+    children, sigs, ids = an.children, an.sigs, an.ids
     stack = [(x, index)]
+    pop, push = stack.pop, stack.append
     while stack:
-        v, k = stack.pop()
+        v, k = pop()
         colors[v] = 0 if k & 1 else 1
         k >>= 1
-        kids = an.children[v]
-        runs = an.sigs[an.ids[v]]
-        if k and order and len(runs) > 1:
+        kids = children[v]
+        if not kids:
+            if k:
+                raise AssertionError("index not fully consumed")
+            continue
+        runs = sigs[ids[v]]
+        if not k:
+            pos = 0
+            for _, mu in runs:
+                stack.extend(zip(kids[pos : pos + mu], range(mu)))
+                pos += mu
+            continue
+        if order and len(runs) > 1:
             runs, kids = order(runs, kids)
         pos = 0
         for c, mu in runs:
-            cap = comb(a[c], mu)
-            digit = k % cap
-            k //= cap
-            chosen = combinadic_unrank(digit, a[c], mu)
-            stack.extend(zip(kids[pos : pos + mu], chosen))
+            if mu == 1:
+                k, digit = divmod(k, a[c])
+                push((kids[pos], digit))
+            else:
+                k, digit = divmod(k, comb(a[c], mu))
+                stack.extend(zip(kids[pos : pos + mu], combinadic_unrank(digit, a[c], mu)))
             pos += mu
         if k:
             raise AssertionError("index not fully consumed")
@@ -142,25 +157,27 @@ def construct_distinguishing(t: Tree) -> Coloring | None:
     return construct_of(an, a_by_class(an))
 
 
-def _colored_ids(an: TreeAnalysis, colors, top: int, table: dict) -> tuple[dict[int, int], bool]:
-    """Colored class id of every vertex in the branch at ``top``, and whether twins collide.
+def _colored_ids(an: TreeAnalysis, colors, order, ids, table: dict) -> bool:
+    """Write the colored class id of every vertex of ``order`` (children first) into ``ids``.
 
     An id is interned in ``table`` from the vertex's color and its children's
     sorted ids, so ids drawn from one table are equal iff a color-preserving
-    isomorphism maps one branch onto the other. Twins collide when two
-    children of one vertex get equal ids.
+    isomorphism maps one branch onto the other. Returns False at the first
+    vertex whose twins collide (two children with equal ids), True otherwise.
     """
-    order = [top]
+    children, setdefault = an.children, table.setdefault
     for v in order:
-        order.extend(an.children[v])
-    ids: dict[int, int] = {}
-    collide = False
-    for v in reversed(order):
-        kids = sorted(ids[c] for c in an.children[v])
-        if len(kids) > 1 and len(set(kids)) < len(kids):
-            collide = True
-        ids[v] = table.setdefault((colors[v], *kids), len(table))
-    return ids, collide
+        kids = children[v]
+        if not kids:
+            ids[v] = setdefault((colors[v],), len(table))
+        elif len(kids) == 1:
+            ids[v] = setdefault((colors[v], ids[kids[0]]), len(table))
+        else:
+            key = sorted([ids[c] for c in kids])
+            if len(set(key)) < len(key):
+                return False
+            ids[v] = setdefault((colors[v], *key), len(table))
+    return True
 
 
 def _colored_key(an: TreeAnalysis, coloring: Coloring, table: dict) -> tuple[int, ...] | None:
@@ -168,18 +185,16 @@ def _colored_key(an: TreeAnalysis, coloring: Coloring, table: dict) -> tuple[int
 
     None means a non-identity automorphism of the analysed rooting (the half
     swap included) preserves the colors. Keys of center analyses drawn from
-    one table are equal iff the colored trees are color-isomorphic.
+    one table are equal iff the colored trees are color-isomorphic. One pass
+    covers both halves: the cut root is still in the rooting's BFS order.
     """
-    colors = coloring.bits()
-    top_ids = []
-    for r in an.roots:
-        ids, collide = _colored_ids(an, colors, r, table)
-        if collide:
-            return None
-        top_ids.append(ids[r])
+    ids = [0] * an.rt.tree.n
+    if not _colored_ids(an, coloring.bits(), reversed(an.rt.bfs_order), ids, table):
+        return None
+    top_ids = sorted(ids[r] for r in an.roots)
     if len(top_ids) == 2 and top_ids[0] == top_ids[1]:
         return None
-    return tuple(sorted(top_ids))
+    return tuple(top_ids)
 
 
 def distinguishes(an: TreeAnalysis, coloring: Coloring) -> bool:
@@ -341,6 +356,15 @@ def extend_ray_coloring(tr: OneEndedTruncation, ray_colors) -> Coloring:
         groups.sort(key=lambda g: g[0], reverse=True)
         return [g[1:3] for g in groups], [m for g in groups for m in g[3]]
 
+    def branch_id(x, table):
+        """Colored id of x's branch; a twin collision in it would fail the final check too."""
+        order, branch = [x], {}
+        for v in order:
+            order.extend(an.children[v])
+        if not _colored_ids(an, colors, reversed(order), branch, table):
+            raise AssertionError("extended coloring is not distinguishing")
+        return branch[x]
+
     for i, v_i in enumerate(ray):
         back, nxt = ray[i - 1] if i else None, ray[i + 1] if i < end else n
         for p in lobes[i]:
@@ -354,13 +378,13 @@ def extend_ray_coloring(tr: OneEndedTruncation, ray_colors) -> Coloring:
             if back in cls.members:
                 # a twin of the back branch makes |P_i| > 2 |P_{i-1}|, so these recolorings sum to O(n)
                 table: dict = {}
-                back_id = _colored_ids(an, colors, back, table)[0][back]
+                back_id = branch_id(back, table)
                 next_index = 0
                 for m in (m for m in cls.members if m != back):
                     while True:
                         _unrank_into(an, a, m, next_index, colors, order)
                         next_index += 1
-                        if _colored_ids(an, colors, m, table)[0][m] != back_id:
+                        if branch_id(m, table) != back_id:
                             break
             elif cls.multiplicity == 1 and a[ids[cls.rep]] == 1 << an.rt.subtree_size[cls.rep]:
                 # asymmetric lone branch: any coloring works; all-white for determinism

@@ -253,3 +253,23 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run(capsys, "analyze", "-", "--json")
     assert code == 0
     assert json.loads(out)["a"] == "2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("color", "TREE", "--count", "-5"), ("corpus", "--random-prufer", "10", "--count", "-3")],
+    ids=["color", "corpus"],
+)
+def test_negative_count_is_an_input_error(tree_file, capsys, argv):
+    argv = [tree_file(P3) if a == "TREE" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--count must be non-negative" in err
+
+
+def test_zero_count_is_empty(tree_file, capsys):
+    code, out, _ = run(capsys, "color", tree_file(P3), "--count", "0")
+    assert code == 0 and out == ""
+    code, out, _ = run(capsys, "corpus", "--random-prufer", "10", "--count", "0")
+    assert code == 0 and json.loads(out)["trees"] == []

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import os
 import random
 import subprocess
@@ -27,16 +28,17 @@ from treesym import (
     random_tree,
     relabel,
     root_at,
+    spider,
     to_dot,
     unrank_distinguishing,
     unrank_unrooted,
     verify_distinguishing,
 )
-from treesym.asym import a_by_class
+from treesym.asym import a_by_class, asym_of
 from treesym.canon import TreeAnalysis, colored_subtree_codes, colored_unrooted_code
-from treesym.coloring import _colored_ids, _to_coloring, _unrank_into, _whiten_branch
+from treesym.coloring import _colored_key, _to_coloring, _unrank_into, _whiten_branch, distinguishes, unrank_of
 
-from .conftest import path, random_trees, star, trees_up_to
+from .conftest import path, random_trees, relabeled_families, star, trees_up_to
 
 
 def orbit_min(t, mask, auts):
@@ -395,6 +397,169 @@ def test_extend_outputs_digest_on_twin_lobes():
     assert digest == "b36596f0d37c9f086cd8634a9f62fd80473310dcb59d59f374d72f3cd03db3aa"
 
 
+def reference_unrank_into(an, a, x, index, colors, order=None):
+    """The unranking kernel that decoded every digit through ``combinadic_unrank``, kept as the reference."""
+    stack = [(x, index)]
+    while stack:
+        v, k = stack.pop()
+        colors[v] = 0 if k & 1 else 1
+        k >>= 1
+        kids = an.children[v]
+        runs = an.sigs[an.ids[v]]
+        if k and order and len(runs) > 1:
+            runs, kids = order(runs, kids)
+        pos = 0
+        for c, mu in runs:
+            cap = comb(a[c], mu)
+            digit = k % cap
+            k //= cap
+            chosen = combinadic_unrank(digit, a[c], mu)
+            stack.extend(zip(kids[pos : pos + mu], chosen))
+            pos += mu
+        if k:
+            raise AssertionError("index not fully consumed")
+
+
+def reference_colored_ids(an, colors, top, table):
+    """The colored-id kernel that walked one BFS per branch into a dict, kept as the reference."""
+    order = [top]
+    for v in order:
+        order.extend(an.children[v])
+    ids = {}
+    collide = False
+    for v in reversed(order):
+        kids = sorted(ids[c] for c in an.children[v])
+        if len(kids) > 1 and len(set(kids)) < len(kids):
+            collide = True
+        ids[v] = table.setdefault((colors[v], *kids), len(table))
+    return ids, collide
+
+
+def reference_colored_key(an, coloring, table):
+    """Sorted colored ids of the roots, one branch walk per root, or None (the reference)."""
+    colors = coloring.bits()
+    top_ids = []
+    for r in an.roots:
+        ids, collide = reference_colored_ids(an, colors, r, table)
+        if collide:
+            return None
+        top_ids.append(ids[r])
+    if len(top_ids) == 2 and top_ids[0] == top_ids[1]:
+        return None
+    return tuple(sorted(top_ids))
+
+
+def reversed_classes(runs, kids):
+    """An ``order`` callback that hands the twin classes (and their children) over last first."""
+    groups, pos = [], 0
+    for c, mu in runs:
+        groups.append(((c, mu), kids[pos : pos + mu]))
+        pos += mu
+    groups.reverse()
+    return [g[0] for g in groups], [m for g in groups for m in g[1]]
+
+
+def colorings_to_check(an, a, rng):
+    """Unranked colorings, each with one bit flipped, their complements and random masks."""
+    n = an.rt.tree.n
+    out = [Coloring(n, rng.getrandbits(n)) for _ in range(3)]
+    total = asym_of(an, a)
+    for index in {0, min(1, total - 1), rng.randrange(total)} if total else ():
+        c = unrank_of(an, a, index)
+        flipped = Coloring(n, c.mask ^ (1 << rng.randrange(n)))
+        out += [c, c.complement(), flipped]
+    return out
+
+
+def analyses_at_every_root(t):
+    yield TreeAnalysis.at_center(t)
+    for w in range(t.n):
+        yield TreeAnalysis.of(root_at(t, w))
+
+
+def test_distinguishes_matches_reference_at_every_root_small():
+    rng = random.Random(31)
+    verdicts = set()
+    for t in trees_up_to(10):
+        for an in analyses_at_every_root(t):
+            a = a_by_class(an)
+            for c in colorings_to_check(an, a, rng):
+                expected = reference_colored_key(an, c, {}) is not None
+                assert distinguishes(an, c) == expected, (t.adj, an.roots, c.bits())
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_distinguishes_matches_reference_on_seeded_corpora():
+    rng = random.Random(32)
+    verdicts = []
+    for t in relabeled_families(33, (4, 9, 40, 150, 600, 2000)):
+        for an in (TreeAnalysis.at_center(t), TreeAnalysis.of(root_at(t, rng.randrange(t.n)))):
+            a = a_by_class(an)
+            for c in colorings_to_check(an, a, rng):
+                expected = reference_colored_key(an, c, {}) is not None
+                assert distinguishes(an, c) == expected, (t.n, an.roots)
+                verdicts.append(expected)
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 50
+
+
+def test_colored_keys_from_one_table_match_reference():
+    # the treelike contract: keys drawn from one table across many components
+    # are equal iff the reference's keys are, and None exactly where its are
+    rng = random.Random(34)
+    table, ref_table = {}, {}
+    pairs = {}
+    for t in trees_up_to(7) + relabeled_families(35, (8, 12)):
+        an = TreeAnalysis.at_center(t)
+        masks = range(1 << t.n) if t.n <= 7 else [rng.getrandbits(t.n) for _ in range(300)]
+        for mask in masks:
+            c = Coloring(t.n, mask)
+            key, ref = _colored_key(an, c, table), reference_colored_key(an, c, ref_table)
+            assert (key is None) == (ref is None)
+            if key is not None:
+                assert pairs.setdefault(key, ref) == ref
+    assert len(set(pairs.values())) == len(pairs) > 1000
+
+
+def unranking_cases(an, a, rng):
+    """(root, index) pairs: 0, 1, the largest multiplicity, random indices, and the first index out of range."""
+    mu_max = max((mu for sig in an.sigs for _, mu in sig), default=1)
+    for r in an.roots:
+        total = a[an.ids[r]]
+        if total:
+            for index in {0, 1, mu_max, rng.randrange(total), rng.randrange(total), total}:
+                yield r, index
+
+
+def assert_unranking_matches_reference(an, a, rng):
+    n = an.rt.tree.n
+    for r, index in unranking_cases(an, a, rng):
+        for order in (None, reversed_classes):
+            got, want = [None] * n, [None] * n
+            try:
+                reference_unrank_into(an, a, r, index, want, order)
+            except AssertionError:
+                with pytest.raises(AssertionError, match="index not fully consumed"):
+                    _unrank_into(an, a, r, index, got, order)
+                continue
+            _unrank_into(an, a, r, index, got, order)
+            assert got == want, (an.rt.tree.adj, r, index, order)
+
+
+def test_unrank_into_matches_reference_small():
+    rng = random.Random(36)
+    for t in trees_up_to(9):
+        for an in analyses_at_every_root(t):
+            assert_unranking_matches_reference(an, a_by_class(an), rng)
+
+
+def test_unrank_into_matches_reference_on_seeded_corpora():
+    rng = random.Random(37)
+    for t in relabeled_families(38, (4, 9, 40, 150, 600, 2000)):
+        an = TreeAnalysis.at_center(t)
+        assert_unranking_matches_reference(an, a_by_class(an), rng)
+
+
 def reference_extend_ray_coloring(tr, ray_colors):
     """The previous extension: one rooting at v_i, cut at v_{i+1}, per ray vertex v_1..v_D."""
     tree = tr.tree
@@ -420,13 +585,13 @@ def reference_extend_ray_coloring(tr, ray_colors):
                 if avail < cls.multiplicity:
                     raise LobeAssignmentError(v_i, cls.rep, cls.multiplicity, avail)
                 table = {}
-                back_id = _colored_ids(an, colors, back, table)[0][back]
+                back_id = reference_colored_ids(an, colors, back, table)[0][back]
                 next_index = 0
                 for m in others:
                     while True:
-                        _unrank_into(an, a, m, next_index, colors)
+                        reference_unrank_into(an, a, m, next_index, colors)
                         next_index += 1
-                        if _colored_ids(an, colors, m, table)[0][m] != back_id:
+                        if reference_colored_ids(an, colors, m, table)[0][m] != back_id:
                             break
             else:
                 if avail < cls.multiplicity:
@@ -435,7 +600,7 @@ def reference_extend_ray_coloring(tr, ray_colors):
                     _whiten_branch(an, cls.rep, colors)
                     continue
                 for j, m in enumerate(cls.members):
-                    _unrank_into(an, a, m, j, colors)
+                    reference_unrank_into(an, a, m, j, colors)
 
     result = _to_coloring(colors)
     if not verify_distinguishing(tree, result, pinned=ray[-1]):
@@ -625,3 +790,63 @@ def test_colored_outputs_on_huge_trees_are_linear():
     assert dot.count("style=filled") == cp.bits().count("1")
     assert codes[0].count(b"1") == cs.bits().count("1")
     assert elapsed < 5.0
+
+
+def spider_legs(t: Tree) -> list[list[int]]:
+    """The legs of a spider, each listed from the vertex next to the body outward."""
+    body = max(range(t.n), key=t.degree)
+    legs = []
+    for first in t.adj[body]:
+        leg, prev = [first], body
+        while t.degree(leg[-1]) == 2:
+            nxt = next(w for w in t.adj[leg[-1]] if w != prev)
+            prev = leg[-1]
+            leg.append(nxt)
+        legs.append(leg)
+    return legs
+
+
+def test_verify_on_hostile_sizes_matches_independent_rules():
+    # each tree's only automorphisms are the reversal (path), the leaf
+    # permutations (star) and the leg permutations (spider), so each verdict
+    # has a closed-form rule that needs no rooting
+    rng = random.Random(41)
+    n = 10**5
+    p, s, sp = path(n), star(n), spider(n, 3)
+    legs = spider_legs(sp)
+    assert sorted(len(leg) for leg in legs) == [33333] * 3
+    half = [rng.getrandbits(1) for _ in range(n // 2)]
+    path_masks = [rng.getrandbits(n) for _ in range(3)]
+    path_masks.append(int("".join(map(str, half + half[::-1])), 2))  # a palindrome
+    path_masks.append(path_masks[-1] ^ 1)
+    leg_bits = [rng.getrandbits(len(legs[0])) for _ in range(2)]
+    spider_masks = []
+    for pattern in ((0, 1, 1), (0, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 0)):
+        mask = rng.getrandbits(1) << max(range(n), key=sp.degree)
+        for leg, which in zip(legs, pattern):
+            mask |= sum((leg_bits[which] >> i & 1) << v for i, v in enumerate(leg))
+        spider_masks.append(mask)
+    spider_masks += [rng.getrandbits(n) for _ in range(2)]  # three distinct legs
+    star_masks = [rng.getrandbits(n) for _ in range(2)] + [(1 << n) - 2]
+    cases = [(p, m) for m in path_masks] + [(s, m) for m in star_masks] + [(sp, m) for m in spider_masks]
+
+    def rule(t, bits):
+        if t is p:
+            return bits != bits[::-1]
+        if t is s:
+            return len(set(bits[1:])) == n - 1
+        return len({"".join(bits[v] for v in leg) for leg in legs}) == 3
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200 + len(inspect.stack(0)))  # fails any recursion over the tree
+    try:
+        start = time.perf_counter()
+        verdicts = [verify_distinguishing(t, Coloring(n, m)) for t, m in cases]
+        star_coloring = construct_distinguishing(s)
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdicts == [rule(t, Coloring(n, m).bits()) for t, m in cases]
+    assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
+    assert star_coloring is None
+    assert elapsed < 60.0

@@ -9,12 +9,12 @@ import random
 
 import pytest
 
-from treesym import ConjectureReport, Tree, asym_rooted, asym_unrooted, conjecture_check, relabel, root_at
+from treesym import ConjectureReport, Tree, asym_at_every_root, asym_rooted, asym_unrooted, conjecture_check, relabel, root_at
 from treesym.asym import a_at_every_root, a_by_class
 from treesym.canon import Rerooting, TreeAnalysis
 from treesym.corpus import kary_tree, random_tree, spider
 
-from .conftest import path, trees_up_to
+from .conftest import path, relabeled_families, trees_up_to
 
 
 def reference_conjecture_check(t: Tree) -> ConjectureReport:
@@ -100,6 +100,14 @@ def test_a_at_every_root_matches_rooted_small():
 @pytest.mark.parametrize("name,t", SEEDED, ids=[name for name, _ in SEEDED])
 def test_a_at_every_root_matches_rooted_seeded(name, t):
     assert a_at_every_root(Rerooting.of(t)) == [asym_rooted(root_at(t, w)) for w in range(t.n)]
+
+
+def test_asym_at_every_root_matches_per_root_rooting():
+    trees = trees_up_to(9) + relabeled_families(12, (4, 9, 30, 120, 300))
+    for t in trees:
+        got = asym_at_every_root(t)
+        assert isinstance(got, tuple)
+        assert got == tuple(asym_rooted(root_at(t, w)) for w in range(t.n)), t.adj
 
 
 def test_corpus_has_violations_and_clean_trees():
