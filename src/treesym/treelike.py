@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .canon import TreeAnalysis
 from .coloring import _colored_key
 from .oracle import _apply, _mask_images, _moved, brute_graph_aut
-from .trees import Coloring, EdgeListParseError, Tree, _adjacency, _bfs, read_edge_lines
+from .trees import Coloring, EdgeListParseError, Tree, _adjacency, _bfs, _build_adjacency, read_edge_lines
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,15 @@ class RootedGraph:
     def from_edges(n: int, edges, root: int) -> "RootedGraph":
         if n <= 0:
             raise ValueError("vertex count must be at least 1")
+        edges = list(edges)
+        if len(edges) < n - 1:  # checked before anything is sized by n
+            raise ValueError("graph is disconnected")
+        return RootedGraph._rooted(n, _adjacency(n, edges), root)
+
+    @staticmethod
+    def _rooted(n: int, adj, root: int) -> "RootedGraph":
         if not (0 <= root < n):
             raise ValueError(f"root {root} out of range 0..{n - 1}")
-        adj = _adjacency(n, edges)
         if len(_bfs(adj, root)[0]) != n:
             raise ValueError("graph is disconnected")
         return RootedGraph(n, adj, root)
@@ -41,11 +47,11 @@ class RootedGraph:
 
 def parse_graph_edge_list(text: str, root: int = 0) -> RootedGraph:
     """Same wire format as trees, with the cycle check relaxed (graphs allowed)."""
-    n, rows = read_edge_lines(text)
+    n, edges, _ = read_edge_lines(text)
     # Checked before anything is sized by n, so a huge header fails fast.
-    if len(rows) < n - 1:
+    if len(edges) < n - 1:
         raise EdgeListParseError("graph is disconnected")
-    return RootedGraph.from_edges(n, [(u, v) for _, u, v in rows], root)
+    return RootedGraph._rooted(n, _build_adjacency(n, edges), root)
 
 
 def _preds(g: RootedGraph) -> list[list[int]]:

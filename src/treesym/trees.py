@@ -19,9 +19,9 @@ class EdgeListParseError(ValueError):
 class Tree:
     """Unrooted tree on dense vertex ids 0..n-1.
 
-    Adjacency lists are sorted ascending and symmetric; the structure is
-    validated on construction via :meth:`from_edges` (connected, acyclic,
-    no self-loops, no duplicate edges).
+    Adjacency lists are sorted ascending and symmetric; :meth:`from_edges`
+    and ``parse_edge_list`` validate the structure (connected, acyclic, no
+    self-loops, no duplicate edges).
 
     A tree is immutable because its center analysis
     (:meth:`canon.TreeAnalysis.at_center`) is computed once and kept on the
@@ -63,27 +63,34 @@ class Tree:
                     yield (u, v)
 
 
-def _check_edge(n: int, u: int, v: int, seen: set[tuple[int, int]]) -> None:
-    """Reject an id outside 0..n-1, a self-loop or an edge already in ``seen``; else record it."""
+def _edge_fault(n: int, u: int, v: int) -> str:
     if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"vertex id out of range 0..{_cut(n - 1)} in edge ({_cut(u)}, {_cut(v)})")
+        return f"vertex id out of range 0..{_cut(n - 1)} in edge ({_cut(u)}, {_cut(v)})"
     if u == v:
-        raise ValueError(f"self-loop at vertex {_cut(u)}")
-    key = (u, v) if u < v else (v, u)
-    if key in seen:
-        raise ValueError(f"duplicate edge ({_cut(key[0])}, {_cut(key[1])})")
-    seen.add(key)
+        return f"self-loop at vertex {_cut(u)}"
+    return f"duplicate edge ({_cut(min(u, v))}, {_cut(max(u, v))})"  # the one fault left
 
 
 def _adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
     """Sorted, symmetric adjacency lists of a simple graph, each edge checked."""
     seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        key = (u, v) if u < v else (v, u)
+        if not (0 <= u < n and 0 <= v < n) or u == v or key in seen:
+            raise ValueError(_edge_fault(n, u, v))
+        seen.add(key)
+    return _build_adjacency(n, edges)
+
+
+def _build_adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Sorted, symmetric adjacency lists of a list of edges already checked."""
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        _check_edge(n, u, v, seen)
         nbrs[u].append(v)
         nbrs[v].append(u)
-    return tuple(tuple(sorted(a)) for a in nbrs)
+    for a in nbrs:
+        a.sort()
+    return tuple(map(tuple, nbrs))
 
 
 def _bfs(adj, start: int) -> tuple[list[int], list[int]]:
@@ -110,12 +117,6 @@ def _bfs(adj, start: int) -> tuple[list[int], list[int]]:
 _MAX_INPUT_DIGITS = 4300
 
 
-def _parse_int(token: str) -> int:
-    if len(token) > _MAX_INPUT_DIGITS:
-        raise ValueError(f"integer longer than {_MAX_INPUT_DIGITS} characters")
-    return int(token)
-
-
 # Error messages quote at most this many characters of an offending line or number.
 _ECHO_CHARS = 40
 
@@ -128,46 +129,44 @@ def _cut(x, show=str) -> str:
 
 
 def read_edge_lines(text: str):
-    """Shared reader for edge-list text: returns (n, [(line_no, u, v), ...]).
+    """Shared reader for edge-list text: returns (n, [(u, v), ...], [line_no, ...]).
 
-    Validates header, id ranges, self-loops and duplicates with line numbers.
-    Connectivity and count rules are left to the callers (tree vs graph).
+    Validates header, id ranges, self-loops and duplicates with line numbers,
+    each edge once. Connectivity and count rules are left to the callers.
     """
     lines = text.splitlines()
-    header_idx = None
-    n = None
-    for i, raw in enumerate(lines):
-        if raw.strip() == "":
-            continue
-        try:
-            n = _parse_int(raw.strip())
-        except ValueError:
-            raise EdgeListParseError(f"expected vertex count, got {_cut(raw.strip(), repr)}", i + 1)
-        header_idx = i
-        break
-    if n is None:
+    i = next((i for i, raw in enumerate(lines) if raw.strip()), None)
+    if i is None:
         raise EdgeListParseError("empty input: expected vertex count on first line")
+    header = lines[i].strip()
+    try:
+        if len(header) > _MAX_INPUT_DIGITS:
+            raise ValueError
+        n = int(header)
+    except ValueError:
+        raise EdgeListParseError(f"expected vertex count, got {_cut(header, repr)}", i + 1) from None
     if n <= 0:
-        raise EdgeListParseError("vertex count must be at least 1", header_idx + 1)
-    out = []
-    seen: set[tuple[int, int]] = set()
-    for i in range(header_idx + 1, len(lines)):
-        raw = lines[i].strip()
-        if raw == "":
-            continue
+        raise EdgeListParseError("vertex count must be at least 1", i + 1)
+    edges, line_nos, seen = [], [], set()
+    for line_no, raw in enumerate(lines[i + 1 :], i + 2):
         parts = raw.split()
         if len(parts) != 2:
-            raise EdgeListParseError(f"expected 'u v', got {_cut(raw, repr)}", i + 1)
+            if not parts:
+                continue
+            raise EdgeListParseError(f"expected 'u v', got {_cut(raw.strip(), repr)}", line_no)
         try:
-            u, v = _parse_int(parts[0]), _parse_int(parts[1])
+            if len(raw) > _MAX_INPUT_DIGITS and max(map(len, parts)) > _MAX_INPUT_DIGITS:
+                raise ValueError  # a line within the limit holds no over-long token
+            u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise EdgeListParseError(f"non-integer vertex id in {_cut(raw, repr)}", i + 1)
-        try:
-            _check_edge(n, u, v, seen)
-        except ValueError as exc:
-            raise EdgeListParseError(str(exc), i + 1) from None
-        out.append((i + 1, u, v))
-    return n, out
+            raise EdgeListParseError(f"non-integer vertex id in {_cut(raw.strip(), repr)}", line_no) from None
+        key = (u, v) if u < v else (v, u)
+        if not (0 <= u < n and 0 <= v < n) or u == v or key in seen:
+            raise EdgeListParseError(_edge_fault(n, u, v), line_no)
+        seen.add(key)
+        edges.append((u, v))
+        line_nos.append(line_no)
+    return n, edges, line_nos
 
 
 def parse_edge_list(text: str) -> Tree:
@@ -177,28 +176,23 @@ def parse_edge_list(text: str) -> Tree:
     edges, out-of-range ids and cycles (reported at the closing edge);
     too few edges are rejected first.
     """
-    n, rows = read_edge_lines(text)
+    n, edges, line_nos = read_edge_lines(text)
     # Checked before anything is sized by n, so a huge header fails fast.
-    if len(rows) < n - 1:
-        raise EdgeListParseError(f"edge count {len(rows)} != n-1 = {n - 1}")
+    if len(edges) < n - 1:
+        raise EdgeListParseError(f"edge count {len(edges)} != n-1 = {n - 1}")
     # Union-find so a cycle is reported at the line that closes it. More than
     # n-1 edges always close one, and n-1 acyclic edges span the vertices.
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = []
-    for line_no, u, v in rows:
-        ru, rv = find(u), find(v)
+    for line_no, (u, v) in zip(line_nos, edges):
+        ru, rv = u, v
+        while parent[ru] != ru:
+            parent[ru] = ru = parent[parent[ru]]  # path halving
+        while parent[rv] != rv:
+            parent[rv] = rv = parent[parent[rv]]
         if ru == rv:
             raise EdgeListParseError(f"cycle detected at edge ({u}, {v})", line_no)
         parent[ru] = rv
-        edges.append((u, v))
-    return Tree.from_edges(n, edges)
+    return Tree(n, _build_adjacency(n, edges))
 
 
 def serialize_edge_list(t: Tree) -> str:

@@ -1,0 +1,407 @@
+"""The one-pass edge-list parsers against the two-pass code they replaced.
+
+The ``reference_*`` functions are the reader and both parsers as they were
+when every edge was checked twice: once by the reader, and once more while
+``Tree.from_edges`` or ``RootedGraph.from_edges`` built the adjacency. They
+are kept here with those constructors inlined as they were and with their
+own copies of the helpers, so that a change to ``treesym.trees`` cannot move
+them too. Both sides must return equal trees and graphs, or raise the same
+exception type with the same text and ``.line``.
+"""
+
+import random
+import time
+import tracemalloc
+
+import pytest
+
+from treesym import (
+    EdgeListParseError,
+    RootedGraph,
+    Tree,
+    kary_tree,
+    parse_edge_list,
+    parse_graph_edge_list,
+    spider,
+    tree_from_pruefer,
+)
+
+REFERENCE_MAX_INPUT_DIGITS = 4300
+REFERENCE_ECHO_CHARS = 40
+
+
+def reference_cut(x, show=str) -> str:
+    text = str(x)
+    if len(text) <= REFERENCE_ECHO_CHARS:
+        return show(text)
+    return f"{show(text[:REFERENCE_ECHO_CHARS])}... (cut, {len(text)} characters)"
+
+
+def reference_parse_int(token: str) -> int:
+    if len(token) > REFERENCE_MAX_INPUT_DIGITS:
+        raise ValueError(f"integer longer than {REFERENCE_MAX_INPUT_DIGITS} characters")
+    return int(token)
+
+
+def reference_check_edge(n, u, v, seen):
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(
+            f"vertex id out of range 0..{reference_cut(n - 1)} in edge ({reference_cut(u)}, {reference_cut(v)})"
+        )
+    if u == v:
+        raise ValueError(f"self-loop at vertex {reference_cut(u)}")
+    key = (u, v) if u < v else (v, u)
+    if key in seen:
+        raise ValueError(f"duplicate edge ({reference_cut(key[0])}, {reference_cut(key[1])})")
+    seen.add(key)
+
+
+def reference_adjacency(n, edges):
+    seen = set()
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        reference_check_edge(n, u, v, seen)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(tuple(sorted(a)) for a in nbrs)
+
+
+def reference_reached(adj, start):
+    seen = {start}
+    order = [start]
+    for u in order:
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    return len(order)
+
+
+def reference_read_edge_lines(text):
+    lines = text.splitlines()
+    header_idx = None
+    n = None
+    for i, raw in enumerate(lines):
+        if raw.strip() == "":
+            continue
+        try:
+            n = reference_parse_int(raw.strip())
+        except ValueError:
+            raise EdgeListParseError(f"expected vertex count, got {reference_cut(raw.strip(), repr)}", i + 1)
+        header_idx = i
+        break
+    if n is None:
+        raise EdgeListParseError("empty input: expected vertex count on first line")
+    if n <= 0:
+        raise EdgeListParseError("vertex count must be at least 1", header_idx + 1)
+    out = []
+    seen = set()
+    for i in range(header_idx + 1, len(lines)):
+        raw = lines[i].strip()
+        if raw == "":
+            continue
+        parts = raw.split()
+        if len(parts) != 2:
+            raise EdgeListParseError(f"expected 'u v', got {reference_cut(raw, repr)}", i + 1)
+        try:
+            u, v = reference_parse_int(parts[0]), reference_parse_int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(f"non-integer vertex id in {reference_cut(raw, repr)}", i + 1)
+        try:
+            reference_check_edge(n, u, v, seen)
+        except ValueError as exc:
+            raise EdgeListParseError(str(exc), i + 1) from None
+        out.append((i + 1, u, v))
+    return n, out
+
+
+def reference_parse_edge_list(text):
+    n, rows = reference_read_edge_lines(text)
+    if len(rows) < n - 1:
+        raise EdgeListParseError(f"edge count {len(rows)} != n-1 = {n - 1}")
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges = []
+    for line_no, u, v in rows:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise EdgeListParseError(f"cycle detected at edge ({u}, {v})", line_no)
+        parent[ru] = rv
+        edges.append((u, v))
+    # Tree.from_edges as it was: count, per-edge checks, connectivity
+    if len(edges) != n - 1:
+        raise ValueError(f"edge count {len(edges)} != n-1 = {n - 1}")
+    adj = reference_adjacency(n, edges)
+    if reference_reached(adj, 0) != n:
+        raise ValueError("edges do not form a connected tree")
+    return Tree(n, adj)
+
+
+def reference_parse_graph_edge_list(text, root=0):
+    n, rows = reference_read_edge_lines(text)
+    if len(rows) < n - 1:
+        raise EdgeListParseError("graph is disconnected")
+    # RootedGraph.from_edges as it was: root range, per-edge checks, connectivity
+    if not (0 <= root < n):
+        raise ValueError(f"root {root} out of range 0..{n - 1}")
+    adj = reference_adjacency(n, [(u, v) for _, u, v in rows])
+    if reference_reached(adj, root) != n:
+        raise ValueError("graph is disconnected")
+    return RootedGraph(n, adj, root)
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None))
+
+
+def assert_same(text, n):
+    """Both tree parsers, and both graph parsers at the default root and at an out-of-range one."""
+    assert outcome(parse_edge_list, text) == outcome(reference_parse_edge_list, text)
+    for root in (0, n):
+        assert outcome(parse_graph_edge_list, text, root) == outcome(reference_parse_graph_edge_list, text, root)
+
+
+# -- inputs ----------------------------------------------------------------
+
+
+def family_edges(rng, kind, n):
+    """Edges of a seeded path, 3-leg spider, binary or Prüfer tree, relabeled, shuffled, oriented at random."""
+    if kind == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif kind == "spider":
+        edges = list(spider(n, 3).edges()) if n >= 4 else [(0, i) for i in range(1, n)]
+    elif kind == "binary":
+        edges = list(kary_tree(n, 2).edges())
+    else:
+        edges = list(tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]).edges()) if n >= 2 else []
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u]) for u, v in edges]
+    rng.shuffle(edges)
+    return edges
+
+
+def token(rng, x):
+    """x as int() reads it: plain, signed, zero-padded, or with underscores between digits."""
+    s = str(x)
+    pick = rng.randrange(6)
+    if pick == 1:
+        return "+" + s
+    if pick == 2:
+        return "00" + s
+    if pick == 3 and len(s) >= 2:
+        cut = rng.randrange(1, len(s))
+        return s[:cut] + "_" + s[cut:]
+    return s
+
+
+SPACES = (" ", "\t", "  ", " \t", "\u00a0", "\u3000")
+BLANKS = ("", "   ", "\t", " \t ", "\x0c")
+
+
+def render(rng, header, edges):
+    """The lines of a text: header, then "u v" lines, in varied whitespace, with blank lines between."""
+    lines = [rng.choice(("", " ", "\t")) + header + rng.choice(("", " ", "\t "))]
+    for u, v in edges:
+        while rng.random() < 0.1:
+            lines.append(rng.choice(BLANKS))
+        lead, trail = rng.choice(("", " ", "\t")), rng.choice(("", " ", "\t", "  "))
+        lines.append(f"{lead}{token(rng, u)}{rng.choice(SPACES)}{token(rng, v)}{trail}")
+    if rng.random() < 0.3:
+        lines.append(rng.choice(BLANKS))
+    return lines
+
+
+def join(rng, lines):
+    newline = rng.choice(("\n", "\r\n", "\r", "\n", "\x1c", "\u2028"))
+    return newline.join(lines) + rng.choice(("", newline))
+
+
+def edge_line_indices(lines):
+    return [i for i, line in enumerate(lines) if i > 0 and line.strip()]
+
+
+def non_edge(rng, n, edges):
+    present = {(min(u, v), max(u, v)) for u, v in edges}
+    for _ in range(50):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and (min(u, v), max(u, v)) not in present:
+            return u, v
+    return None
+
+
+def mutations(rng, n, edges, lines):
+    """One-line mutations of a valid text's lines, each a new list of lines."""
+    idx = edge_line_indices(lines)
+    out = []
+
+    def put(i, text):
+        new = list(lines)
+        new[i] = text
+        out.append(new)
+
+    def insert(i, text):
+        new = list(lines)
+        new.insert(i, text)
+        out.append(new)
+
+    # the header
+    for header in ("0", "-3", "x", f"{n} {n}", f"{n + 1}", f"{max(n - 1, 1)}", "9" * 4301, "1" + "0" * 4299, ""):
+        put(0, header)
+    out.append([])
+    if not idx:
+        insert(1, "0 0")
+        insert(1, "0 1")
+        return out
+    u, v = edges[0]
+    i = rng.choice(idx)
+    j = rng.choice(idx)
+    big = "1" * 4301
+    for text in (
+        f"{u}",
+        f"{u} {v} {v}",
+        f"{u} x",
+        f"1.5 {v}",
+        f"0x1 {v}",
+        f"{u} {n}",
+        f"{n + 7} {v}",
+        f"-1 {v}",
+        f"{u} -{v + 1}",
+        f"{u} {u}",
+        f"{n} {n}",
+        f"-2 -2",
+        f"{big} {v}",
+        f"{u} {'0' * 4301}",
+        f"{u}{' ' * 4400}{v}",
+        "",
+    ):
+        put(i, text)
+    # duplicates of an earlier edge, in both orientations
+    if len(idx) >= 2:
+        first, later = sorted(rng.sample(idx, 2))
+        a, b = lines[first].split()
+        put(later, f"{a} {b}")
+        put(later, f"{b} {a}")
+        insert(later, f"{b}\t{a}")
+    # too few edges, too many, and a cycle
+    new = list(lines)
+    del new[j]
+    out.append(new)
+    extra = non_edge(rng, n, edges)
+    if extra is not None:
+        insert(j, f"{extra[0]} {extra[1]}")
+        put(j, f"{extra[0]} {extra[1]}")
+        # the edge count is checked before the cycle
+        new = list(lines)
+        new[0] = str(n + 1)
+        new[j] = f"{extra[0]} {extra[1]}"
+        out.append(new)
+    # two faults: the earlier line wins
+    if len(idx) >= 2:
+        first, later = sorted(rng.sample(idx, 2))
+        new = list(lines)
+        new[first] = f"{u} {n}"
+        new[later] = f"{u} {u}"
+        out.append(new)
+        new = list(lines)
+        new[first] = f"{u} {u}"
+        new[later] = "x y"
+        out.append(new)
+    return out
+
+
+SIZES = (1, 2, 3, 4, 7, 30, 200, 4000)
+KINDS = ("path", "spider", "binary", "pruefer")
+
+
+def test_valid_texts_parse_alike():
+    rng = random.Random(20251)
+    for n in SIZES:
+        for kind in KINDS:
+            edges = family_edges(rng, kind, n)
+            text = join(rng, render(rng, token(rng, n), edges))
+            t = parse_edge_list(text)
+            assert t == reference_parse_edge_list(text) == Tree.from_edges(n, edges)
+            assert_same(text, n)
+
+
+def test_long_lines_within_and_over_the_digit_limit():
+    pad = " " * 4400
+    for text in (
+        f"{pad}3{pad}\n0{pad}1\n1 2\n",
+        f"3\n{pad}0 1{pad}\n1\t{pad}2\n",
+        f"3\n0 1\n{'0' * 4300} 2\n",
+        f"3\n0 1\n{'0' * 4301} 2\n",
+        f"3\n0 1\n1{pad}+{'0' * 4300}\n",
+        f"{'0' * 4299}3\n0 1\n1 2\n",
+        f"{'0' * 4298}3\n0 1\n1 2\n",
+    ):
+        assert_same(text, 3)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mutated_texts_fail_alike(kind):
+    rng = random.Random(101 + KINDS.index(kind))
+    for n in SIZES:
+        for _ in range(3 if n <= 200 else 1):
+            edges = family_edges(rng, kind, n)
+            lines = render(rng, str(n), edges)
+            for mutated in mutations(rng, n, edges, lines):
+                assert_same(join(rng, mutated), n)
+
+
+# -- hostile sizes ---------------------------------------------------------
+
+# tracemalloc peaks of parse_edge_list on these 1.2 MB texts (n = 10**5,
+# Python 3.11: path 32.0 MB, star 31.7 MB, spider 32.0 MB), doubled
+HOSTILE_PEAK = 64 << 20
+
+
+@pytest.mark.parametrize("kind", ["path", "star", "spider"])
+def test_hostile_sizes_parse_within_memory(kind):
+    n = 10**5
+    rng = random.Random(7)
+    if kind == "star":
+        edges = [(0, i) for i in range(1, n)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in edges]
+        rng.shuffle(edges)
+    else:
+        edges = family_edges(rng, kind, n)
+    text = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    tracemalloc.start()
+    try:
+        t = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < HOSTILE_PEAK
+    assert t == Tree.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("parse", [parse_edge_list, parse_graph_edge_list])
+def test_huge_valid_header_fails_fast(parse):
+    # 4,300 digits is within the limit: the header parses, and the edge count rejects it
+    text = "1" + "0" * 4299 + "\n0 1\n1 2\n2 3\n"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(EdgeListParseError) as exc:
+            parse(text)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.line is None
+    assert elapsed < 1.0
+    assert peak < 1 << 20

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -303,3 +304,16 @@ def test_distinguish_analyses_each_component_once(monkeypatch):
             assert 1 <= calls <= components
     monkeypatch.undo()
     assert searched > 300
+
+
+def test_from_edges_rejects_too_few_edges_before_allocating():
+    # a huge vertex count with one edge must not size anything by n
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            RootedGraph.from_edges(10**9, [(0, 1)], 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (type(exc.value), str(exc.value)) == (ValueError, "graph is disconnected")
+    assert peak < 1 << 16
