@@ -154,11 +154,12 @@ def _runs(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True, eq=False)
 class Rerooting:
-    """The branch classes at every vertex, from one rooting (``down``, at 0) and one top-down pass.
+    """The branch classes at every vertex, from the center analysis (``down``) and one top-down pass.
 
-    ``up[x]`` is the class of the branch at x's parent away from x (-1 at the root). Up classes
-    share the down id space and intern key, so equal ids mean isomorphic branches, and ``sigs``
-    (the down table, then the up classes) refers only to smaller ids.
+    ``up[x]`` is the class of the branch at x's parent away from x. At a vertex center the root
+    has no such branch (-1); at an edge center (u, v) each half is the other's up branch. Up
+    classes share the down id space and intern key, so equal ids mean isomorphic branches, and
+    ``sigs`` (the down table, then the up classes) refers only to smaller ids.
     """
 
     down: TreeAnalysis
@@ -167,11 +168,14 @@ class Rerooting:
 
     @staticmethod
     def of(t: Tree) -> "Rerooting":
-        down = TreeAnalysis.of(root_at(t, 0))
+        down = TreeAnalysis.at_center(t)
         ids = down.ids
         sigs = list(down.sigs)
         index = {tuple(k for k, mu in sig for _ in range(mu)): c for c, sig in enumerate(sigs)}
         up = [-1] * t.n
+        if len(down.roots) == 2:
+            u, v = down.roots
+            up[u], up[v] = ids[v], ids[u]
         for p in down.rt.bfs_order:
             around = [ids[x] for x in down.children[p]]
             if up[p] >= 0:

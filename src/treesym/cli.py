@@ -9,6 +9,7 @@ All big integers are emitted as decimal strings in JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -220,7 +221,13 @@ def cmd_treelike(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later ``main()`` in the process.
+
+    Parsing leaves it unchanged: each parse makes a fresh ``Namespace``, and
+    ``sys.stdout``/``sys.stderr`` are looked up only when it prints.
+    """
     parser = argparse.ArgumentParser(
         prog="treesym",
         description="Symmetry invariants of finite trees and distinguishing 2-colorings.",

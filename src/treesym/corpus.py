@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .asym import GroupOrderBound, a_at_root, a_by_class, asym_of, asym_unrooted
+from .asym import GroupOrderBound, a_at_root, a_by_class, asym_of
 from .autom import aut_order_of, motion, motion_of
 from .canon import Rerooting, TreeAnalysis
 from .coloring import OneEndedTruncation, construct_of, one_ended_truncation
@@ -366,17 +366,28 @@ class ConjectureReport:
 
 
 def conjecture_check(t: Tree) -> ConjectureReport:
+    """Compare the local twin condition with a(T) > 0.
+
+    The local condition holds when, at every vertex w, each neighbor x's
+    branch class occurs among w's branches at most a(T^x) times. It is read
+    from the run tables of one rerooting: at w, the multiplicities are the
+    runs of ``sigs[ids[w]]`` plus one for ``up[w]``. The witness is the
+    first violating (w, x), in vertex order and then in ``adj[w]`` order.
+    """
     rr = Rerooting.of(t)
     a = a_by_class(rr)
+    ids, up, sigs = rr.down.ids, rr.up, rr.sigs
     violation = None
     for w in range(t.n):
-        ks = rr.branches(w)
-        mu = Counter(ks)
-        violation = next(((w, x, mu[k], a[k]) for x, k in zip(t.adj[w], ks) if mu[k] > a[k]), None)
-        if violation:
+        k_up = up[w]
+        # up[w] adds one to its class's run; a class with no run occurs once, which only a = 0 forbids
+        if (k_up >= 0 and a[k_up] == 0) or any(mu + (k == k_up) > a[k] for k, mu in sigs[ids[w]]):
+            ks = rr.branches(w)
+            mu = Counter(ks)
+            violation = next((w, x, mu[k], a[k]) for x, k in zip(t.adj[w], ks) if mu[k] > a[k])
             break
     local_ok = violation is None
-    dist = asym_unrooted(t) > 0
+    dist = asym_of(rr.down, a) > 0
     return ConjectureReport(local_ok == dist, local_ok, dist, violation)
 
 

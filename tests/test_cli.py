@@ -273,3 +273,38 @@ def test_zero_count_is_empty(tree_file, capsys):
     assert code == 0 and out == ""
     code, out, _ = run(capsys, "corpus", "--random-prufer", "10", "--count", "0")
     assert code == 0 and json.loads(out)["trees"] == []
+
+
+def test_in_process_calls_share_one_parser(tree_file, capsys, monkeypatch):
+    from treesym import cli
+
+    path4 = tree_file("4\n0 1\n1 2\n2 3\n")
+    calls = [
+        ("analyze", path4, "--json"),
+        ("corpus", "--bogus"),
+        ("--help",),
+        ("color", path4, "--count", "3"),
+        # pinned at an end, "0000" distinguishes; unpinned the reversal fixes it
+        ("verify", path4, "--coloring", "0000", "--pin", "0"),
+        ("verify", path4, "--coloring", "0000"),
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli.build_parser.cache_clear()
+    shared = [outcome(argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [outcome(argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 4]
+    assert shared[4][1] == "true\n" and shared[5][1] == "false\n"
+    assert "unrecognized arguments: --bogus" in shared[1][2]
+    assert shared[2][1].startswith("usage: treesym")

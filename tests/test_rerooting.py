@@ -3,15 +3,30 @@
 ``reference_conjecture_check`` is the earlier ``conjecture_check`` body: one
 rooting, one analysis and one a-table per vertex. The new pass must give the
 same report, violation witness included, and the same a(T,w) at every root.
+``reference_rerooting`` is the earlier ``Rerooting.of``, rooted at vertex 0
+instead of at the center; both must give the same branch classes.
 """
 
 import random
+from bisect import bisect_left, insort
+from itertools import groupby
 
 import pytest
 
-from treesym import ConjectureReport, Tree, asym_at_every_root, asym_rooted, asym_unrooted, conjecture_check, relabel, root_at
+from treesym import (
+    ConjectureReport,
+    Tree,
+    asym_at_every_root,
+    asym_rooted,
+    asym_unrooted,
+    conjecture_check,
+    relabel,
+    root_at,
+    serialize_edge_list,
+)
 from treesym.asym import a_at_every_root, a_by_class
-from treesym.canon import Rerooting, TreeAnalysis
+from treesym.canon import Rerooting, TreeAnalysis, _runs
+from treesym.cli import main
 from treesym.corpus import kary_tree, random_tree, spider
 
 from .conftest import path, relabeled_families, trees_up_to
@@ -33,6 +48,27 @@ def reference_conjecture_check(t: Tree) -> ConjectureReport:
     local_ok = violation is None
     dist = asym_unrooted(t) > 0
     return ConjectureReport(local_ok == dist, local_ok, dist, violation)
+
+
+def reference_rerooting(t: Tree) -> Rerooting:
+    down = TreeAnalysis.of(root_at(t, 0))
+    ids = down.ids
+    sigs = list(down.sigs)
+    index = {tuple(k for k, mu in sig for _ in range(mu)): c for c, sig in enumerate(sigs)}
+    up = [-1] * t.n
+    for p in down.rt.bfs_order:
+        around = [ids[x] for x in down.children[p]]
+        if up[p] >= 0:
+            insort(around, up[p])
+        for k, run in groupby(down.children[p], key=ids.__getitem__):
+            i = bisect_left(around, k)
+            key = tuple(around[:i] + around[i + 1 :])
+            cid = index.setdefault(key, len(sigs))
+            if cid == len(sigs):
+                sigs.append(_runs(key))
+            for x in run:
+                up[x] = cid
+    return Rerooting(down, tuple(up), tuple(sigs))
 
 
 def bounded(rng: random.Random, n: int) -> Tree:
@@ -110,6 +146,24 @@ def test_asym_at_every_root_matches_per_root_rooting():
         assert got == tuple(asym_rooted(root_at(t, w)) for w in range(t.n)), t.adj
 
 
+def assert_same_branch_classes(t: Tree) -> None:
+    new, old = Rerooting.of(t), reference_rerooting(t)
+    assert a_at_every_root(new) == a_at_every_root(old), t.adj
+    # the class of every directed edge (w -> x): the map old id -> new id is a bijection
+    pairs = {(k_old, k_new) for w in range(t.n) for k_old, k_new in zip(old.branches(w), new.branches(w))}
+    assert len({k for k, _ in pairs}) == len(pairs) == len({k for _, k in pairs}), t.adj
+
+
+def test_center_rerooting_matches_root_zero_small():
+    for t in small_corpus():
+        assert_same_branch_classes(t)
+
+
+@pytest.mark.parametrize("name,t", SEEDED, ids=[name for name, _ in SEEDED])
+def test_center_rerooting_matches_root_zero_seeded(name, t):
+    assert_same_branch_classes(t)
+
+
 def test_corpus_has_violations_and_clean_trees():
     # the witness comparison only means something if both outcomes occur
     reports = [conjecture_check(t) for t in small_corpus()]
@@ -119,12 +173,20 @@ def test_corpus_has_violations_and_clean_trees():
 
 
 def test_up_classes_share_the_down_id_space():
-    # path 0-1-2-3 rooted at 0: the branch at 2 away from 3 is the 3-path
-    # rooted at its end, which is also the down class of vertex 1
+    # path 0-1-2-3 has the edge center (1, 2): each half is the other's up
+    # branch, and the branch at 1 away from 0 is the branch at 2 away from 3
     rr = Rerooting.of(path(4))
-    assert rr.up[3] == rr.down.ids[1]
-    assert rr.up[0] == -1
+    assert rr.down.roots == (1, 2)
+    assert rr.up[1] == rr.down.ids[2]
+    assert rr.up[2] == rr.down.ids[1]
+    assert rr.up[0] == rr.up[3]
     assert rr.branches(2) == [rr.up[2], rr.down.ids[3]]
+    # path 0-1-2-3-4 has the vertex center 2, which has no up branch
+    rr = Rerooting.of(path(5))
+    assert rr.down.roots == (2,)
+    assert rr.up[2] == -1
+    assert rr.up[0] == rr.up[4] != -1
+    assert rr.up[1] == rr.up[3] != -1
 
 
 def test_star_costs_one_key_per_distinct_class():
@@ -152,3 +214,38 @@ def test_conjecture_check_roots_the_tree_at_most_twice(monkeypatch):
             monkeypatch.setattr(module, "root_at", counting)
     conjecture_check(path(50))
     assert 1 <= len(calls) <= 2
+
+
+@pytest.mark.parametrize("make", [lambda: path(50), lambda: spider(40, 3)], ids=["path", "spider"])
+def test_all_roots_callers_root_the_tree_once(monkeypatch, capsys, make):
+    # the rerooting starts from the center analysis that the tree keeps, so
+    # each caller makes the one center rooting and analysis in all
+    import io
+    import json
+    import sys
+
+    calls = []
+    real_root_at, real_of = root_at, TreeAnalysis.of
+
+    def counting_root_at(t, w):
+        calls.append("root_at")
+        return real_root_at(t, w)
+
+    def counting_of(rt, cut=None):
+        calls.append("of")
+        return real_of(rt, cut)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("treesym") and getattr(module, "root_at", None) is real_root_at:
+            monkeypatch.setattr(module, "root_at", counting_root_at)
+    monkeypatch.setattr(TreeAnalysis, "of", staticmethod(counting_of))
+
+    def analyze_all_roots(t):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_edge_list(t)))
+        assert main(["analyze", "-", "--all-roots", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["roots"]) == t.n
+
+    for run in (conjecture_check, asym_at_every_root, analyze_all_roots):
+        calls.clear()
+        run(make())
+        assert sorted(calls) == ["of", "root_at"], run.__name__
