@@ -15,12 +15,11 @@ product of the two rooted groups). Everything is exact integer math.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
 from .autom import aut_order_of
-from .canon import Rerooting, TreeAnalysis
+from .canon import Rerooting, TreeAnalysis, _branch_runs
 from .trees import RootedTree, Tree
 
 
@@ -52,14 +51,13 @@ def asym_of(an: TreeAnalysis, a: list[int]) -> int:
 
 def a_at_root(an: TreeAnalysis, a: list[int], w: int) -> int:
     """a(T,w) of the whole tree at a root w of the analysis (the other half is one more child)."""
-    kids = [an.ids[x] for x in an.children[w]] + [an.ids[r] for r in an.roots if r != w]
-    return _a_product(a, Counter(kids).items())
+    return _a_product(a, _branch_runs(an.sigs[an.ids[w]], *(an.ids[r] for r in an.roots if r != w)))
 
 
 def a_at_every_root(rr: Rerooting) -> list[int]:
     """a(T,w) for every vertex w, from the branch classes at w."""
-    a = a_by_class(rr)
-    return [_a_product(a, Counter(rr.branches(w)).items()) for w in range(len(rr.up))]
+    a, ids, sigs = a_by_class(rr), rr.down.ids, rr.sigs
+    return [_a_product(a, _branch_runs(sigs[ids[w]], k_up)) for w, k_up in enumerate(rr.up)]
 
 
 def asym_at_every_root(t: Tree) -> tuple[int, ...]:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 from math import factorial
 
 from .canon import TreeAnalysis
 from .trees import RootedTree, Tree, _bfs
 
 
+@total_ordering
 @dataclass(frozen=True)
 class Motion:
     """Minimum number of vertices moved by a non-identity automorphism.
@@ -37,15 +39,6 @@ class Motion:
         if other.moved is None:
             return True
         return self.moved < other.moved
-
-    def __le__(self, other: "Motion") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "Motion") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Motion") -> bool:
-        return other <= self
 
     def to_json(self):
         return "asymmetric" if self.moved is None else self.moved

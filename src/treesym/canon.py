@@ -15,7 +15,6 @@ children. Codes are interned per call so equal codes share one bytes object.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -152,14 +151,31 @@ def _runs(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple((k, len(list(run))) for k, run in groupby(key))
 
 
+def _branch_runs(sig: tuple[tuple[int, int], ...], add: int = -1, drop: int = -1) -> tuple[tuple[int, int], ...]:
+    """The run table ``sig`` with one more branch of class ``add`` and one fewer of class ``drop`` (-1: none)."""
+    out = []
+    for k, mu in sig:
+        if 0 <= add < k:
+            out.append((add, 1))
+        mu += (k == add) - (k == drop)
+        if add <= k:
+            add = -1
+        if mu:
+            out.append((k, mu))
+    if add >= 0:
+        out.append((add, 1))
+    return tuple(out)
+
+
 @dataclass(frozen=True, eq=False)
 class Rerooting:
     """The branch classes at every vertex, from the center analysis (``down``) and one top-down pass.
 
     ``up[x]`` is the class of the branch at x's parent away from x. At a vertex center the root
     has no such branch (-1); at an edge center (u, v) each half is the other's up branch. Up
-    classes share the down id space and intern key, so equal ids mean isomorphic branches, and
-    ``sigs`` (the down table, then the up classes) refers only to smaller ids.
+    classes share the down id space and are interned by run table, so equal ids mean isomorphic
+    branches, and ``sigs`` (the down table, then the up classes) refers only to smaller ids. The
+    branch classes at w are the runs ``_branch_runs(sigs[down.ids[w]], up[w])``.
     """
 
     down: TreeAnalysis
@@ -170,31 +186,18 @@ class Rerooting:
     def of(t: Tree) -> "Rerooting":
         down = TreeAnalysis.at_center(t)
         ids = down.ids
-        sigs = list(down.sigs)
-        index = {tuple(k for k, mu in sig for _ in range(mu)): c for c, sig in enumerate(sigs)}
+        index = dict(zip(down.sigs, range(len(down.sigs))))  # run table -> class, in id order
         up = [-1] * t.n
         if len(down.roots) == 2:
             u, v = down.roots
             up[u], up[v] = ids[v], ids[u]
         for p in down.rt.bfs_order:
-            around = [ids[x] for x in down.children[p]]
-            if up[p] >= 0:
-                insort(around, up[p])
-            # one key per distinct child class: the branches at p minus one of that class
+            # one up class per distinct child class: the branches at p minus one of that class
             for k, run in groupby(down.children[p], key=ids.__getitem__):
-                i = bisect_left(around, k)
-                key = tuple(around[:i] + around[i + 1 :])
-                cid = index.setdefault(key, len(sigs))
-                if cid == len(sigs):
-                    sigs.append(_runs(key))
+                cid = index.setdefault(_branch_runs(down.sigs[ids[p]], up[p], k), len(index))
                 for x in run:
                     up[x] = cid
-        return Rerooting(down, tuple(up), tuple(sigs))
-
-    def branches(self, w: int) -> list[int]:
-        """Class of the branch at w through each neighbor, in ``adj[w]`` order."""
-        p = self.down.rt.parent[w]
-        return [self.up[w] if y == p else self.down.ids[y] for y in self.down.rt.tree.adj[w]]
+        return Rerooting(down, tuple(up), tuple(index))
 
 
 def child_classes(rt: RootedTree, y: int) -> tuple[TwinClass, ...]:
@@ -207,21 +210,24 @@ def twin_classes(rt: RootedTree) -> TreeAnalysis:
     return TreeAnalysis.of(rt)
 
 
-def _center_ends(t: Tree) -> tuple[int, ...]:
-    """The vertex center, or both ends of the edge center."""
-    c = center(t)
-    return (c.vertex,) if isinstance(c, VertexCenter) else (c.u, c.v)
-
-
 def unrooted_code(t: Tree) -> CanonCode:
     """Canonical code of the unrooted isomorphism type: the least code rooted at a center end."""
-    return min(subtree_codes(root_at(t, w))[w] for w in _center_ends(t))
+    return min(subtree_codes(root_at(t, w))[w] for w in TreeAnalysis.at_center(t).roots)
 
 
 def is_isomorphic(t1: Tree, t2: Tree) -> bool:
+    """Equal sorted center classes, after both center analyses' run tables share one id table."""
     if t1.n != t2.n:
         return False
-    return unrooted_code(t1) == unrooted_code(t2)
+    table: dict[tuple[tuple[int, int], ...], int] = {}
+    keys = []
+    for t in (t1, t2):
+        an = TreeAnalysis.at_center(t)
+        ids: list[int] = []
+        for sig in an.sigs:
+            ids.append(table.setdefault(tuple(sorted((ids[k], mu) for k, mu in sig)), len(table)))
+        keys.append(sorted(ids[an.ids[r]] for r in an.roots))
+    return keys[0] == keys[1]
 
 
 def colored_subtree_codes(rt: RootedTree, coloring: Coloring) -> tuple[bytes, ...]:
@@ -242,4 +248,4 @@ def colored_subtree_codes(rt: RootedTree, coloring: Coloring) -> tuple[bytes, ..
 
 def colored_unrooted_code(t: Tree, coloring: Coloring) -> bytes:
     """Canonical form of a colored tree; equal iff a color-preserving isomorphism exists."""
-    return min(colored_subtree_codes(root_at(t, w), coloring)[w] for w in _center_ends(t))
+    return min(colored_subtree_codes(root_at(t, w), coloring)[w] for w in TreeAnalysis.at_center(t).roots)

@@ -17,12 +17,11 @@ center do.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from math import comb, isqrt
 
 from .asym import _a_product, a_by_class, asym_of
-from .canon import TreeAnalysis
+from .canon import TreeAnalysis, _branch_runs
 from .trees import Coloring, RootedTree, Tree, _bfs, root_at
 
 
@@ -318,13 +317,11 @@ def extend_ray_coloring(tr: OneEndedTruncation, ray_colors) -> Coloring:
     a = [0] * len(an.sigs)  # a-values of the lobe classes, the only ones the walk reads
     for c in sorted({ids[v] for v in range(n) if depth[v]}):
         a[c] = _a_product(a, an.sigs[c])
-    index = {tuple(k for k, mu in sig for _ in range(mu)): c for c, sig in enumerate(an.sigs)}
+    index = dict(zip(an.sigs, range(len(an.sigs))))
     suffix = [0] * len(ray)
     for k in range(end, 0, -1):
-        key = [ids[x] for x in an.children[ray[k]] if x != ray[k - 1]]
-        if k < end:
-            insort(key, suffix[k + 1])
-        suffix[k] = index.setdefault(tuple(key), len(index))
+        runs = _branch_runs(an.sigs[ids[ray[k]]], suffix[k + 1] if k < end else -1, ids[ray[k - 1]])
+        suffix[k] = index.setdefault(runs, len(index))
     ahead: dict[int, list] = {}  # class -> (depth, position, lobe) of its vertices in BFS order from v_0
     for p, y in enumerate(_bfs(tree.adj, ray[0])[0]):
         k = lob[y]

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .asym import GroupOrderBound, a_at_root, a_by_class, asym_of
 from .autom import aut_order_of, motion, motion_of
-from .canon import Rerooting, TreeAnalysis
+from .canon import Rerooting, TreeAnalysis, _branch_runs
 from .coloring import OneEndedTruncation, construct_of, one_ended_truncation
 from .trees import Tree, serialize_edge_list
 
@@ -382,9 +381,9 @@ def conjecture_check(t: Tree) -> ConjectureReport:
         k_up = up[w]
         # up[w] adds one to its class's run; a class with no run occurs once, which only a = 0 forbids
         if (k_up >= 0 and a[k_up] == 0) or any(mu + (k == k_up) > a[k] for k, mu in sigs[ids[w]]):
-            ks = rr.branches(w)
-            mu = Counter(ks)
-            violation = next((w, x, mu[k], a[k]) for x, k in zip(t.adj[w], ks) if mu[k] > a[k])
+            mu, p = dict(_branch_runs(sigs[ids[w]], k_up)), rr.down.rt.parent[w]
+            ks = {x: k_up if x == p else ids[x] for x in t.adj[w]}
+            violation = next((w, x, mu[k], a[k]) for x, k in ks.items() if mu[k] > a[k])
             break
     local_ok = violation is None
     dist = asym_of(rr.down, a) > 0

@@ -125,10 +125,11 @@ def extract_forest(g: RootedGraph) -> ForestExtraction:
                     members.append(w)
                     stack.append(w)
         components.append(tuple(sorted(members)))
-    for members in components:
-        inside = sum(1 for u, v in edges if comp[u] == comp[v] == comp[members[0]])
-        if inside != len(members) - 1:
-            raise AssertionError("forest extraction produced a cycle")
+    inside = [0] * len(components)
+    for u, _ in edges:  # both ends of a forest edge lie in one component
+        inside[comp[u]] += 1
+    if any(e != len(members) - 1 for e, members in zip(inside, components)):
+        raise AssertionError("forest extraction produced a cycle")
     return ForestExtraction(tuple(sorted(edges)), tuple(components))
 
 

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, settings
 
@@ -80,6 +82,18 @@ def test_motion_validation():
     assert not ASYMMETRIC < Motion(1000)
     assert ASYMMETRIC.to_json() == "asymmetric"
     assert Motion(4).to_json() == 4
+
+
+def test_motion_orders_like_its_key():
+    # asymmetric sorts above every finite motion, under all four comparisons
+    def key(m):
+        return float("inf") if m.is_asymmetric else m.moved
+
+    values = [Motion(2), Motion(4), Motion(6), ASYMMETRIC]
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        for a in values:
+            for b in values:
+                assert op(a, b) is op(key(a), key(b)), (op.__name__, a, b)
 
 
 def test_exhaustive_oracle_equivalence_small():

@@ -30,6 +30,7 @@ from treesym import (
     tree_from_pruefer,
     twin_classes,
     unrank_unrooted,
+    unrooted_code,
     verify_distinguishing,
 )
 from treesym.asym import a_at_every_root, asym_rooted
@@ -140,6 +141,48 @@ def test_is_isomorphic_matches_bijection_oracle_small():
             if a.n != b.n:
                 continue
             assert is_isomorphic(a, b) == brute_isomorphic(a, b)
+
+
+def test_is_isomorphic_matches_unrooted_code_small():
+    rng = random.Random(8)
+    trees = trees_up_to(8)
+    trees += [relabel(t, rng.sample(range(t.n), t.n)) for t in trees for _ in range(2)]
+    for a in trees:
+        for b in trees:
+            assert is_isomorphic(a, b) == (a.n == b.n and unrooted_code(a) == unrooted_code(b)), (a.adj, b.adj)
+
+
+def test_is_isomorphic_on_equal_degree_sequences():
+    # trees that only their shape tells apart, in both argument orders and relabeled
+    rng = random.Random(9)
+    by_degrees: dict[tuple[int, ...], list[Tree]] = {}
+    for t in trees_up_to(10):
+        by_degrees.setdefault(tuple(sorted(map(len, t.adj))), []).append(t)
+    pairs = 0
+    for group in by_degrees.values():
+        for i, a in enumerate(group):
+            for b in group[i + 1 :]:
+                b = relabel(b, rng.sample(range(b.n), b.n))
+                assert unrooted_code(a) != unrooted_code(b)
+                assert not is_isomorphic(a, b) and not is_isomorphic(b, a), (a.adj, b.adj)
+                pairs += 1
+    assert pairs == 567
+
+
+def test_is_isomorphic_on_long_paths_is_linear_in_memory():
+    # the bytes codes of a path are quadratic in size; the class ids are not
+    rng = random.Random(10)
+    n = 5 * 10**4
+    a, b = path(n), relabel(path(n), rng.sample(range(n), n))
+    bent = Tree.from_edges(n, [(i, i + 1) for i in range(n - 2)] + [(1, n - 1)])
+    tracemalloc.start()
+    try:
+        assert is_isomorphic(a, b)
+        assert not is_isomorphic(b, bent)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 10**6
 
 
 @given(trees_with_permutation(max_n=10))

@@ -3,12 +3,16 @@
 ``reference_conjecture_check`` is the earlier ``conjecture_check`` body: one
 rooting, one analysis and one a-table per vertex. The new pass must give the
 same report, violation witness included, and the same a(T,w) at every root.
-``reference_rerooting`` is the earlier ``Rerooting.of``, rooted at vertex 0
+``reference_rerooting`` is an earlier ``Rerooting.of``, rooted at vertex 0
 instead of at the center; both must give the same branch classes.
+``reference_center_rerooting`` is the center-rooted ``Rerooting.of`` that
+rebuilt sorted keys with ``insort`` and ``bisect``; the run-table edit must
+give the same ``up`` and ``sigs``, field by field.
 """
 
 import random
 from bisect import bisect_left, insort
+from collections import Counter
 from itertools import groupby
 
 import pytest
@@ -25,9 +29,9 @@ from treesym import (
     serialize_edge_list,
 )
 from treesym.asym import a_at_every_root, a_by_class
-from treesym.canon import Rerooting, TreeAnalysis, _runs
+from treesym.canon import Rerooting, TreeAnalysis, _branch_runs, _runs
 from treesym.cli import main
-from treesym.corpus import kary_tree, random_tree, spider
+from treesym.corpus import all_trees, kary_tree, random_tree, spider
 
 from .conftest import path, relabeled_families, trees_up_to
 
@@ -69,6 +73,36 @@ def reference_rerooting(t: Tree) -> Rerooting:
             for x in run:
                 up[x] = cid
     return Rerooting(down, tuple(up), tuple(sigs))
+
+
+def reference_center_rerooting(t: Tree) -> Rerooting:
+    down = TreeAnalysis.at_center(t)
+    ids = down.ids
+    sigs = list(down.sigs)
+    index = {tuple(k for k, mu in sig for _ in range(mu)): c for c, sig in enumerate(sigs)}
+    up = [-1] * t.n
+    if len(down.roots) == 2:
+        u, v = down.roots
+        up[u], up[v] = ids[v], ids[u]
+    for p in down.rt.bfs_order:
+        around = [ids[x] for x in down.children[p]]
+        if up[p] >= 0:
+            insort(around, up[p])
+        for k, run in groupby(down.children[p], key=ids.__getitem__):
+            i = bisect_left(around, k)
+            key = tuple(around[:i] + around[i + 1 :])
+            cid = index.setdefault(key, len(sigs))
+            if cid == len(sigs):
+                sigs.append(_runs(key))
+            for x in run:
+                up[x] = cid
+    return Rerooting(down, tuple(up), tuple(sigs))
+
+
+def branches(rr: Rerooting, w: int) -> list[int]:
+    """Class of the branch at w through each neighbor, in ``adj[w]`` order."""
+    p = rr.down.rt.parent[w]
+    return [rr.up[w] if y == p else rr.down.ids[y] for y in rr.down.rt.tree.adj[w]]
 
 
 def bounded(rng: random.Random, n: int) -> Tree:
@@ -150,7 +184,7 @@ def assert_same_branch_classes(t: Tree) -> None:
     new, old = Rerooting.of(t), reference_rerooting(t)
     assert a_at_every_root(new) == a_at_every_root(old), t.adj
     # the class of every directed edge (w -> x): the map old id -> new id is a bijection
-    pairs = {(k_old, k_new) for w in range(t.n) for k_old, k_new in zip(old.branches(w), new.branches(w))}
+    pairs = {(k_old, k_new) for w in range(t.n) for k_old, k_new in zip(branches(old, w), branches(new, w))}
     assert len({k for k, _ in pairs}) == len(pairs) == len({k for _, k in pairs}), t.adj
 
 
@@ -162,6 +196,63 @@ def test_center_rerooting_matches_root_zero_small():
 @pytest.mark.parametrize("name,t", SEEDED, ids=[name for name, _ in SEEDED])
 def test_center_rerooting_matches_root_zero_seeded(name, t):
     assert_same_branch_classes(t)
+
+
+def wide_tree() -> Tree:
+    """A root joined to vertex 0 of every free tree on 10 vertices: 106 distinct classes at one vertex."""
+    edges, n = [], 1
+    for t in all_trees(10):
+        edges.extend((n + u, n + v) for u, v in t.edges())
+        edges.append((0, n))
+        n += t.n
+    return Tree.from_edges(n, edges)
+
+
+def assert_same_run_tables(t: Tree) -> None:
+    new, old = Rerooting.of(t), reference_center_rerooting(t)
+    assert new.up == old.up, t.adj
+    assert new.sigs == old.sigs, t.adj
+
+
+def test_run_table_rerooting_matches_sorted_keys_small():
+    for t in small_corpus():
+        assert_same_run_tables(t)
+
+
+@pytest.mark.parametrize("name,t", SEEDED, ids=[name for name, _ in SEEDED])
+def test_run_table_rerooting_matches_sorted_keys_seeded(name, t):
+    assert_same_run_tables(t)
+
+
+def test_run_table_rerooting_matches_sorted_keys_wide():
+    t = wide_tree()
+    assert t.n == 1061
+    assert len(set(branches(Rerooting.of(t), 0))) == 106
+    assert_same_run_tables(t)
+
+
+def test_branch_runs_edits_the_multiset():
+    # against the sorted-list edit, on random multisets with add and drop in,
+    # below, between and above the runs, equal to each other, or absent (-1)
+    rng = random.Random(5)
+    for _ in range(3000):
+        key = sorted(rng.choices(range(8), k=rng.randrange(6)))
+        add = rng.choice([-1, rng.randrange(9)])
+        drop = rng.choice([-1] + key) if key else -1
+        edited = list(key)
+        if add >= 0:
+            insort(edited, add)
+        if drop >= 0:
+            edited.remove(drop)
+        assert _branch_runs(_runs(tuple(key)) if key else (), add, drop) == tuple(sorted(Counter(edited).items()))
+
+
+def test_branch_runs_are_the_branch_classes():
+    for t in small_corpus() + [t for _, t in SEEDED]:
+        rr = Rerooting.of(t)
+        for w in range(t.n):
+            runs = _branch_runs(rr.sigs[rr.down.ids[w]], rr.up[w])
+            assert runs == tuple(sorted(Counter(branches(rr, w)).items())), t.adj
 
 
 def test_corpus_has_violations_and_clean_trees():
@@ -180,7 +271,7 @@ def test_up_classes_share_the_down_id_space():
     assert rr.up[1] == rr.down.ids[2]
     assert rr.up[2] == rr.down.ids[1]
     assert rr.up[0] == rr.up[3]
-    assert rr.branches(2) == [rr.up[2], rr.down.ids[3]]
+    assert branches(rr, 2) == [rr.up[2], rr.down.ids[3]]
     # path 0-1-2-3-4 has the vertex center 2, which has no up branch
     rr = Rerooting.of(path(5))
     assert rr.down.roots == (2,)

@@ -5,6 +5,7 @@ import pytest
 
 from treesym import (
     Coloring,
+    ForestExtraction,
     RootedGraph,
     Tree,
     asym_unrooted,
@@ -17,6 +18,7 @@ from treesym import (
     unrooted_code,
     verify_distinguishing,
 )
+from treesym import treelike
 from treesym.canon import center
 
 from .conftest import path, trees_up_to
@@ -107,6 +109,73 @@ def test_forest_spanning_and_acyclic_random():
         covered = {v for comp in fx.components for v in comp}
         assert covered == set(range(g.n))
         assert sum(len(c) - 1 for c in fx.components) == len(fx.edges)
+
+
+def reference_extract_forest(g: RootedGraph) -> ForestExtraction:
+    """The previous extraction: one scan of all forest edges per component."""
+    preds = treelike._preds(g)
+    edges = []
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for x in range(g.n):
+        if len(preds[x]) == 1:
+            y = preds[x][0]
+            edges.append((min(x, y), max(x, y)))
+            nbrs[x].append(y)
+            nbrs[y].append(x)
+    comp = [-1] * g.n
+    components = []
+    for v in range(g.n):
+        if comp[v] != -1:
+            continue
+        cid = len(components)
+        comp[v] = cid
+        stack = [v]
+        members = [v]
+        while stack:
+            u = stack.pop()
+            for w in nbrs[u]:
+                if comp[w] == -1:
+                    comp[w] = cid
+                    members.append(w)
+                    stack.append(w)
+        components.append(tuple(sorted(members)))
+    for members in components:
+        inside = sum(1 for u, v in edges if comp[u] == comp[v] == comp[members[0]])
+        if inside != len(members) - 1:
+            raise AssertionError("forest extraction produced a cycle")
+    return ForestExtraction(tuple(sorted(edges)), tuple(components))
+
+
+def grid(side: int, root: int = 0) -> RootedGraph:
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    return RootedGraph.from_edges(side * side, edges, root)
+
+
+def test_forest_matches_reference_random():
+    rng = random.Random(2024)
+    graphs = list(differential_graphs())
+    graphs += [shuffled_graph(rng, rng.randint(20, 300)) for _ in range(60)]
+    graphs += [random_connected_graph(rng, rng.randint(20, 300)) for _ in range(60)]
+    for g in graphs:
+        assert extract_forest(g) == reference_extract_forest(g), (g.n, g.adj, g.root)
+
+
+def test_forest_matches_reference_on_grid():
+    # rooted at a corner, every vertex off the two axes has two parents and
+    # starts its own component: 39,601 components, the quadratic case of the reference
+    g = grid(200)
+    fx = extract_forest(g)
+    assert len(fx.components) == 199 * 199 + 1
+    assert fx == reference_extract_forest(g)
+
+
+def test_forest_cycle_check_still_raises(monkeypatch):
+    # the unique-parent edges always form a forest, so fake a parent cycle 0 -> 1 -> 2 -> 0
+    monkeypatch.setattr(treelike, "_preds", lambda g: [[1], [2], [0]])
+    for extract in (extract_forest, reference_extract_forest):
+        with pytest.raises(AssertionError, match="forest extraction produced a cycle"):
+            extract(cycle(3))
 
 
 def test_forest_preserved_by_pinned_automorphisms():
