@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .autom import aut_order_of
-from .canon import Rerooting, TreeAnalysis, _branch_runs
+from .canon import Rerooting, TreeAnalysis, _branch_runs, _center_runs
 from .trees import RootedTree, Tree
 
 
@@ -42,11 +42,8 @@ def a_by_class(an: TreeAnalysis | Rerooting) -> list[int]:
 
 
 def asym_of(an: TreeAnalysis, a: list[int]) -> int:
-    """a of the analysed tree: a(T,w) for one root, a(T) for two halves."""
-    if len(an.roots) == 1:
-        return a[an.ids[an.roots[0]]]
-    a_u, a_v = (a[an.ids[r]] for r in an.roots)
-    return comb(a_u, 2) if an.iso_halves else a_u * a_v
+    """a of the analysed tree, a(T,w) or a(T): the product at the center, less the root color's factor 2."""
+    return _a_product(a, _center_runs(an)) >> 1
 
 
 def a_at_root(an: TreeAnalysis, a: list[int], w: int) -> int:

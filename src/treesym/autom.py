@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from math import factorial
 
-from .canon import TreeAnalysis
+from .canon import TreeAnalysis, _center_runs
 from .trees import RootedTree, Tree, _bfs
 
 
@@ -47,30 +47,30 @@ class Motion:
 ASYMMETRIC = Motion(None)
 
 
+def _aut_product(vals: list[int], sig) -> int:
+    """prod mu! * |Aut(k)|^mu over (class k, multiplicity mu) pairs."""
+    acc = 1
+    for k, mu in sig:
+        acc *= factorial(mu) * vals[k] ** mu
+    return acc
+
+
 def aut_by_class(an: TreeAnalysis) -> list[int]:
     """|Aut| of every class's rooted subtree by the twin-class product: prod mu! * |Aut(rep)|^mu."""
     vals: list[int] = []
     for sig in an.sigs:
-        acc = 1
-        for k, mu in sig:
-            acc *= factorial(mu) * vals[k] ** mu
-        vals.append(acc)
+        vals.append(_aut_product(vals, sig))
     return vals
 
 
 def aut_order_of(an: TreeAnalysis) -> int:
-    """|Aut| of the analysed tree: both halves' groups, doubled by a half swap."""
-    vals = aut_by_class(an)
-    order = 1
-    for r in an.roots:
-        order *= vals[an.ids[r]]
-    return 2 * order if an.iso_halves else order
+    """|Aut| of the analysed tree: the twin-class product over the center's branches."""
+    return _aut_product(aut_by_class(an), _center_runs(an))
 
 
 def aut_order_rooted(rt: RootedTree) -> int:
     """|Aut(T,w)| by the twin-class product: prod mu! * |Aut(rep)|^mu."""
-    an = TreeAnalysis.of(rt)
-    return aut_by_class(an)[an.ids[rt.root]]
+    return aut_order_of(TreeAnalysis.of(rt))
 
 
 def aut_order(t: Tree) -> int:
@@ -88,11 +88,9 @@ def motion_of(an: TreeAnalysis) -> Motion:
     candidates is therefore the motion, and with no candidate the group is
     trivial; the oracle suite cross-checks this closed form exhaustively.
     """
-    # a child class first occurs below the root, where rt's subtree sizes are the halves' sizes
+    # a class with twins first occurs below the root (isomorphic halves at the cut child), where sizes are the halves'
     size = an.rt.subtree_size
-    candidates = [2 * size[an.reps[k]] for sig in an.sigs for k, mu in sig if mu >= 2]
-    if an.iso_halves:
-        candidates.append(an.rt.tree.n)
+    candidates = [2 * size[an.reps[k]] for sig in (*an.sigs, _center_runs(an)) for k, mu in sig if mu >= 2]
     return Motion(min(candidates)) if candidates else ASYMMETRIC
 
 

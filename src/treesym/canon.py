@@ -25,14 +25,17 @@ CanonCode = bytes
 
 def subtree_codes(rt: RootedTree) -> tuple[bytes, ...]:
     """Code of (T^x, x) for every vertex x; the root entry codes the whole tree."""
+    return _bytes_codes(rt, b"")
+
+
+def _bytes_codes(rt: RootedTree, bits: bytes) -> tuple[bytes, ...]:
+    """The code of every vertex, with v's color byte ``bits[v]`` (none when ``bits`` is empty) after its ``(``."""
     codes: list[bytes] = [b""] * rt.tree.n
     interned: dict[bytes, bytes] = {}
     for v in reversed(rt.bfs_order):
         kids = rt.children[v]
-        if not kids:
-            raw = b"()"
-        else:
-            raw = b"(" + b"".join(sorted(codes[c] for c in kids)) + b")"
+        inner = b"".join(sorted(codes[c] for c in kids)) if kids else b""
+        raw = b"(" + bits[v : v + 1] + inner + b")"
         codes[v] = interned.setdefault(raw, raw)
     return tuple(codes)
 
@@ -151,6 +154,11 @@ def _runs(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple((k, len(list(run))) for k, run in groupby(key))
 
 
+def _center_runs(an: TreeAnalysis) -> tuple[tuple[int, int], ...]:
+    """The run table of a root placed on the central edge, in ``roots`` order; isomorphic halves are one run of 2."""
+    return ((an.ids[an.roots[0]], 2),) if an.iso_halves else tuple((an.ids[r], 1) for r in an.roots)
+
+
 def _branch_runs(sig: tuple[tuple[int, int], ...], add: int = -1, drop: int = -1) -> tuple[tuple[int, int], ...]:
     """The run table ``sig`` with one more branch of class ``add`` and one fewer of class ``drop`` (-1: none)."""
     out = []
@@ -234,16 +242,7 @@ def colored_subtree_codes(rt: RootedTree, coloring: Coloring) -> tuple[bytes, ..
     """Codes refined by vertex color; equal iff color-preserving isomorphic."""
     if coloring.n != rt.tree.n:
         raise ValueError("coloring length does not match tree")
-    bits = coloring.bits().encode()
-    codes: list[bytes] = [b""] * rt.tree.n
-    for v in reversed(rt.bfs_order):
-        col = bits[v : v + 1]
-        kids = rt.children[v]
-        if not kids:
-            codes[v] = b"(" + col + b")"
-        else:
-            codes[v] = b"(" + col + b"".join(sorted(codes[c] for c in kids)) + b")"
-    return tuple(codes)
+    return _bytes_codes(rt, coloring.bits().encode())
 
 
 def colored_unrooted_code(t: Tree, coloring: Coloring) -> bytes:

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .asym import GroupOrderBound, a_by_class, asym_at_every_root, asym_of, asym_rooted
-from .autom import aut_order_of, motion_of
+from .autom import AutomorphismLimitExceeded, aut_order_of, motion_of
 from .canon import TreeAnalysis
 from .coloring import to_dot, unrank_of, verify_distinguishing
 from .corpus import CorpusSpec, conjecture_check, generate, run_theorem_suite
@@ -203,7 +203,10 @@ def cmd_treelike(args) -> int:
     g = parse_graph_edge_list(_read_input(args.file), root=args.root)
     report = is_treelike(g)
     forest = extract_forest(g)
-    coloring = treelike_distinguish(g) if g.n <= 12 else None
+    try:
+        coloring = treelike_distinguish(g) if g.n <= 12 else None
+    except AutomorphismLimitExceeded:  # too many automorphisms to check a coloring against, as for n > 12
+        coloring = None
     payload = {
         "schema": SCHEMA,
         "n": g.n,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb, isqrt
 
 from .asym import _a_product, a_by_class, asym_of
-from .canon import TreeAnalysis, _branch_runs
+from .canon import TreeAnalysis, _branch_runs, _center_runs
 from .trees import Coloring, RootedTree, Tree, _bfs, root_at
 
 
@@ -114,17 +114,11 @@ def unrank_of(an: TreeAnalysis, a: list[int], index: int) -> Coloring:
     if not (0 <= index < total):
         raise IndexError(f"index {index} out of range [0, {total})")
     colors: list[int | None] = [None] * an.rt.tree.n
-    if len(an.roots) == 1:
-        _unrank_into(an, a, an.roots[0], index, colors)
-        return _to_coloring(colors)
-    u, v = an.roots
-    a_u = a[an.ids[u]]
-    if an.iso_halves:
-        s_u, s_v = combinadic_unrank(index, a_u, 2)
-    else:
-        s_u, s_v = index % a_u, index // a_u
-    _unrank_into(an, a, u, s_u, colors)
-    _unrank_into(an, a, v, s_v, colors)
+    roots = iter(an.roots)
+    for c, mu in _center_runs(an):  # decoded like any vertex's twin runs, less the root's color bit
+        index, digit = divmod(index, comb(a[c], mu))
+        for sub, r in zip(combinadic_unrank(digit, a[c], mu), roots):  # digits first, or zip drops a root
+            _unrank_into(an, a, r, sub, colors)
     return _to_coloring(colors)
 
 
@@ -237,27 +231,17 @@ def one_ended_truncation(tree: Tree, ray) -> OneEndedTruncation:
             raise ValueError(f"ray vertices {a}, {b} are not adjacent")
     if tree.degree(ray[0]) != 1:
         raise ValueError("ray origin must have degree 1")
-    ray_edges = {frozenset(e) for e in zip(ray, ray[1:])}
-    comp = [-1] * tree.n
-    lobes = []
-    for i, anchor in enumerate(ray):
-        if comp[anchor] != -1:
-            raise ValueError("ray vertices must lie in distinct lobes")
-        stack = [anchor]
-        comp[anchor] = i
-        members = [anchor]
-        while stack:
-            u = stack.pop()
-            for w in tree.adj[u]:
-                if frozenset((u, w)) in ray_edges or comp[w] != -1:
-                    continue
-                comp[w] = i
-                members.append(w)
-                stack.append(w)
-        lobes.append(tuple(sorted(members)))
-    if any(c == -1 for c in comp):
-        raise ValueError("lobes do not cover the tree; ray is not spanning")
-    return OneEndedTruncation(tree, ray, tuple(lobes))
+    # T minus the ray edges has one component per ray vertex; from v_D, a BFS parent off the ray shares its lobe
+    order, parent = _bfs(tree.adj, ray[-1])
+    lob = [-1] * tree.n
+    lobes: list[list[int]] = [[] for _ in ray]
+    for i, v in enumerate(ray):
+        lob[v] = i
+    for v in order:
+        if lob[v] < 0:
+            lob[v] = lob[parent[v]]
+        lobes[lob[v]].append(v)
+    return OneEndedTruncation(tree, ray, tuple(tuple(sorted(m)) for m in lobes))
 
 
 class LobeAssignmentError(RuntimeError):

@@ -302,7 +302,7 @@ class Coloring:
     @staticmethod
     def from_bits(bits: str) -> "Coloring":
         if not bits or any(ch not in "01" for ch in bits):
-            raise ValueError(f"expected a nonempty 0/1 string, got {bits!r}")
+            raise ValueError(f"expected a nonempty 0/1 string, got {_cut(bits, repr)}")
         return Coloring(len(bits), int(bits[::-1], 2))
 
     @staticmethod

@@ -91,6 +91,30 @@ def test_codes_interned_within_tree(k14):
     assert codes[1] is codes[2] is codes[3] is codes[4]
 
 
+def reference_subtree_codes(rt) -> tuple[bytes, ...]:
+    """``subtree_codes`` with its own loop, before the colored codes shared it (the reference)."""
+    codes: list[bytes] = [b""] * rt.tree.n
+    interned: dict[bytes, bytes] = {}
+    for v in reversed(rt.bfs_order):
+        kids = rt.children[v]
+        if not kids:
+            raw = b"()"
+        else:
+            raw = b"(" + b"".join(sorted(codes[c] for c in kids)) + b")"
+        codes[v] = interned.setdefault(raw, raw)
+    return tuple(codes)
+
+
+def test_subtree_codes_match_reference():
+    rng = random.Random(63)
+    for t in trees_up_to(8) + relabeled_families(64, (40, 300)):
+        for w in range(t.n) if t.n <= 8 else sample_roots(t, rng):
+            rt = root_at(t, w)
+            codes = subtree_codes(rt)
+            assert codes == reference_subtree_codes(rt)
+            assert len({id(c) for c in codes}) == len(set(codes))  # equal codes are one object
+
+
 def test_twin_classes_star(k14):
     rt = root_at(k14, 0)
     part = twin_classes(rt)

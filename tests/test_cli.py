@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -244,6 +245,67 @@ def test_treelike_disconnected_exits_2(tree_file, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: graph is disconnected\n"
+
+
+STAR12 = "12\n" + "".join(f"0 {v}\n" for v in range(1, 12))
+K1_10 = "11\n" + "".join(f"0 {v}\n" for v in range(1, 11))
+
+
+@pytest.mark.parametrize("text", [STAR12, K1_10], ids=["star-12", "K1,10"])
+def test_treelike_past_the_automorphism_limit_prints_no_coloring(tree_file, capsys, text):
+    # 11! and 10! automorphisms: more than the oracle enumerates, so no coloring can be checked
+    code, out, err = run(capsys, "treelike", tree_file(text))
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    n = int(text.split()[0])
+    assert data["coloring"] is None
+    assert data["forest"]["components"] == [list(range(n))]
+    assert data["witnesses"] == [1] + [None] * (n - 1)
+
+
+def test_treelike_under_the_automorphism_limit_prints_its_coloring(tree_file, capsys):
+    code, out, err = run(capsys, "treelike", tree_file("9\n0 1\n0 5\n1 2\n1 3\n3 4\n5 6\n6 7\n5 8\n"))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == "6f7f31e046a16217728b60a9aeb1f2c1cb3c67b22acc3c3d5718d3042c5c3cee"
+    assert json.loads(out)["coloring"] == "010000000"
+
+
+def test_verify_overlong_bad_coloring_echo_is_cut(tree_file, capsys):
+    code, out, err = run(capsys, "verify", tree_file(K2), "--coloring", "0" * 100_000 + "x")
+    assert (code, out) == (2, "")
+    assert err == f"error: expected a nonempty 0/1 string, got {'0' * 40!r}... (cut, 100001 characters)\n"
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("analyze", "TREE", "--root", "3"), "root 3 out of range 0..2"),
+        (("color", "TREE", "--root", "-1"), "root -1 out of range 0..2"),
+        (("verify", "TREE", "--coloring", "000", "--pin", "3"), "pin 3 out of range 0..2"),
+        (("corpus", "--kary", "5", "0"), "arity must be at least 1"),
+        (("corpus", "--spider", "5", "0"), "need n >= legs + 1"),
+    ],
+    ids=["analyze-root", "color-root", "verify-pin", "kary", "spider"],
+)
+def test_out_of_range_arguments_are_input_errors(tree_file, capsys, argv, message):
+    argv = [tree_file(P3) if a == "TREE" else a for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, edges",
+    [
+        (("--caterpillar", "6"), [[0, 1], [1, 2], [2, 3], [3, 4], [3, 5]]),
+        (("--kary", "7", "2"), [[0, 1], [0, 2], [1, 3], [1, 4], [2, 5], [2, 6]]),
+        (("--spider", "7", "3"), [[0, 1], [0, 3], [0, 5], [1, 2], [3, 4], [5, 6]]),
+    ],
+    ids=["caterpillar", "kary", "spider"],
+)
+def test_corpus_family_flags(capsys, argv, edges):
+    code, out, err = run(capsys, "corpus", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["trees"] == [{"n": len(edges) + 1, "edges": edges}]
 
 
 def test_stdin_input(capsys, monkeypatch):

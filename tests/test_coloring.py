@@ -297,8 +297,18 @@ def test_truncation_validation(p4):
         one_ended_truncation(p4, [1, 2])  # origin degree 2
     with pytest.raises(ValueError):
         one_ended_truncation(p4, [0, 2])  # not adjacent
+    for ray, message in (
+        ([], "ray must be a nonempty sequence of distinct vertices"),
+        ([0, 1, 0], "ray must be a nonempty sequence of distinct vertices"),
+        ([0, 4], "ray vertex 4 out of range"),
+        ([-1, 0], "ray vertex -1 out of range"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            one_ended_truncation(p4, ray)
     tr = one_ended_truncation(p4, [0, 1, 2, 3])
     assert tr.lobes == ((0,), (1,), (2,), (3,))
+    with pytest.raises(ValueError, match="^ray coloring length must match the ray$"):
+        extend_ray_coloring(tr, (True, False, True))
 
 
 def test_extend_ray_only():
@@ -687,6 +697,58 @@ def test_extend_matches_reference_on_hanging_path_rays():
 @pytest.mark.parametrize("seeds", [range(1000), (2122, 4295, 6490)], ids=["first-1000", "found"])
 def test_extend_matches_reference_on_pooled_lobes(seeds):
     assert_matches_reference(pooled_truncation(random.Random(seed)) for seed in seeds)
+
+
+def reference_lobes(tree, ray):
+    """The lobes by one DFS over the non-ray edges from each ray vertex (the reference)."""
+    ray_edges = {frozenset(e) for e in zip(ray, ray[1:])}
+    comp = [-1] * tree.n
+    lobes = []
+    for i, anchor in enumerate(ray):
+        assert comp[anchor] == -1
+        stack, members = [anchor], [anchor]
+        comp[anchor] = i
+        while stack:
+            u = stack.pop()
+            for w in tree.adj[u]:
+                if frozenset((u, w)) not in ray_edges and comp[w] == -1:
+                    comp[w] = i
+                    members.append(w)
+                    stack.append(w)
+        lobes.append(tuple(sorted(members)))
+    assert -1 not in comp
+    return tuple(lobes)
+
+
+def leaf_rays(t: Tree):
+    """Every ray of t: the path from a leaf to any vertex."""
+    for leaf in (v for v in range(t.n) if t.degree(v) == 1):
+        order, parent = [leaf], {leaf: None}
+        for u in order:
+            for w in t.adj[u]:
+                if w not in parent:
+                    parent[w] = u
+                    order.append(w)
+        for end in order:
+            ray = [end]
+            while parent[ray[-1]] is not None:
+                ray.append(parent[ray[-1]])
+            yield ray[::-1]
+
+
+def test_truncation_lobes_match_reference():
+    rng = random.Random(72)
+    cases = [random_one_ended_truncation(rng)[0] for _ in range(2000)]
+    cases += [twin_lobe_truncation(random.Random(seed))[0] for seed in range(2000)]
+    cases += [pooled_truncation(random.Random(seed))[0] for seed in range(1000)]
+    for tr in cases:
+        assert tr.lobes == reference_lobes(tr.tree, tr.ray), (tr.tree.adj, tr.ray)
+    rays = 0
+    for t in trees_up_to(8) + [relabel(t, rng.sample(range(t.n), t.n)) for t in trees_up_to(8)]:
+        for ray in leaf_rays(t):
+            assert one_ended_truncation(t, ray).lobes == reference_lobes(t, ray), (t.adj, ray)
+            rays += 1
+    assert rays > 2500
 
 
 def test_extend_error_order_at_equal_depth():

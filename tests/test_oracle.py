@@ -65,6 +65,15 @@ def test_size_cap():
         brute_asym(big)
 
 
+@pytest.mark.parametrize("brute", [brute_asym, brute_motion], ids=["brute_asym", "brute_motion"])
+def test_automorphism_limit_is_an_oracle_size_error(k14, brute):
+    # K_{1,4} has 24 automorphisms
+    with pytest.raises(OracleSizeError, match="^automorphism count exceeds limit 10$") as exc:
+        brute(k14, aut_limit=10)
+    assert isinstance(exc.value.__cause__, AutomorphismLimitExceeded)
+    assert brute(k14, aut_limit=24) is not None
+
+
 def test_brute_graph_aut_examples(k1, p3):
     square = [(0, 1), (1, 2), (2, 3), (3, 0)]
     adj = [[] for _ in range(4)]

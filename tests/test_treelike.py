@@ -220,6 +220,11 @@ def test_distinguish_verified_against_group():
                 assert image != mask
 
 
+def test_distinguish_refuses_more_than_12_vertices():
+    with pytest.raises(ValueError, match="^n = 13 exceeds cap 12$"):
+        treelike_distinguish(RootedGraph.from_edges(13, [(i, i + 1) for i in range(12)], 0))
+
+
 def test_distinguish_cycle4_absent():
     assert treelike_distinguish(cycle(4)) is None
 

@@ -209,6 +209,22 @@ def test_coloring_rejects_bad_input():
         Coloring(2, 5)
 
 
+@pytest.mark.parametrize(
+    "bits, shown",
+    [
+        ("01x", "'01x'"),
+        ("", "''"),
+        ("0" * 39 + "x", repr("0" * 39 + "x")),
+        ("0" * 100_000 + "x", repr("0" * 40) + "... (cut, 100001 characters)"),
+    ],
+    ids=["short", "empty", "40-chars", "100001-chars"],
+)
+def test_coloring_from_bits_quotes_at_most_40_characters(bits, shown):
+    with pytest.raises(ValueError) as exc:
+        Coloring.from_bits(bits)
+    assert str(exc.value) == f"expected a nonempty 0/1 string, got {shown}"
+
+
 def reference_bits(c: Coloring) -> str:
     return "".join("1" if c.mask >> v & 1 else "0" for v in range(c.n))
 
