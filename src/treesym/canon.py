@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from .trees import Coloring, RootedTree, Tree, VertexCenter, center, root_at
+from .trees import Coloring, RootedTree, Tree, _center_ends, center, root_at
 
 CanonCode = bytes
 
@@ -115,11 +115,8 @@ class TreeAnalysis:
         """
         an = t.__dict__.get("_center_analysis")
         if an is None:
-            c = center(t)
-            if isinstance(c, VertexCenter):
-                an = TreeAnalysis.of(root_at(t, c.vertex))
-            else:
-                an = TreeAnalysis.of(root_at(t, c.u), cut=c.v)
+            w, *cut = _center_ends(center(t))
+            an = TreeAnalysis.of(root_at(t, w), *cut)
             object.__setattr__(t, "_center_analysis", an)
         return an
 
@@ -220,7 +217,7 @@ def twin_classes(rt: RootedTree) -> TreeAnalysis:
 
 def unrooted_code(t: Tree) -> CanonCode:
     """Canonical code of the unrooted isomorphism type: the least code rooted at a center end."""
-    return min(subtree_codes(root_at(t, w))[w] for w in TreeAnalysis.at_center(t).roots)
+    return min(subtree_codes(root_at(t, w))[w] for w in _center_ends(center(t)))
 
 
 def is_isomorphic(t1: Tree, t2: Tree) -> bool:
@@ -247,4 +244,4 @@ def colored_subtree_codes(rt: RootedTree, coloring: Coloring) -> tuple[bytes, ..
 
 def colored_unrooted_code(t: Tree, coloring: Coloring) -> bytes:
     """Canonical form of a colored tree; equal iff a color-preserving isomorphism exists."""
-    return min(colored_subtree_codes(root_at(t, w), coloring)[w] for w in TreeAnalysis.at_center(t).roots)
+    return min(colored_subtree_codes(root_at(t, w), coloring)[w] for w in _center_ends(center(t)))

@@ -18,7 +18,7 @@ from .autom import AutomorphismLimitExceeded, aut_order_of, motion_of
 from .canon import TreeAnalysis
 from .coloring import to_dot, unrank_of, verify_distinguishing
 from .corpus import CorpusSpec, conjecture_check, generate, run_theorem_suite
-from .oracle import brute_asym
+from .oracle import MAX_GRAPH_VERTICES, brute_asym
 from .treelike import extract_forest, is_treelike, parse_graph_edge_list, treelike_distinguish
 from .trees import Coloring, EdgeListParseError, Tree, parse_edge_list, root_at, serialize_edge_list
 
@@ -204,8 +204,8 @@ def cmd_treelike(args) -> int:
     report = is_treelike(g)
     forest = extract_forest(g)
     try:
-        coloring = treelike_distinguish(g) if g.n <= 12 else None
-    except AutomorphismLimitExceeded:  # too many automorphisms to check a coloring against, as for n > 12
+        coloring = treelike_distinguish(g) if g.n <= MAX_GRAPH_VERTICES else None
+    except AutomorphismLimitExceeded:  # too many automorphisms to check a coloring against, as for a graph past the cap
         coloring = None
     payload = {
         "schema": SCHEMA,

@@ -14,7 +14,9 @@ from .trees import Tree, serialize_edge_list
 
 ALL_TREES_MAX = 12
 
-FAMILIES = ("random-prufer", "all-trees", "kary", "caterpillar", "lobed-extremal", "spider")
+# each family's required CorpusSpec fields; generate() checks them and lists the families in this order
+FAMILIES = {"random-prufer": ("n",), "all-trees": ("n",), "kary": ("n", "arity"), "caterpillar": ("n",),
+            "lobed-extremal": ("m",), "spider": ("n", "arity")}
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,8 @@ def tree_from_pruefer(n: int, seq) -> Tree:
 
 
 def random_tree(rng: random.Random, n: int) -> Tree:
+    if n < 1:
+        raise ValueError("n must be at least 1")
     return tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
 
 
@@ -159,6 +163,8 @@ def kary_tree(n: int, arity: int) -> Tree:
 
 def caterpillar(n: int, rng: random.Random) -> Tree:
     """Random caterpillar: a spine with the remaining vertices as random legs."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if n <= 2:
         return tree_from_pruefer(n, [])
     spine_len = rng.randint(2, n)
@@ -170,7 +176,9 @@ def caterpillar(n: int, rng: random.Random) -> Tree:
 
 def spider(n: int, legs: int) -> Tree:
     """Center vertex with ``legs`` paths of near-equal length, n vertices total."""
-    if legs < 1 or n < legs + 1:
+    if legs < 1:
+        raise ValueError("legs must be at least 1")
+    if n < legs + 1:
         raise ValueError("need n >= legs + 1")
     base, extra = divmod(n - 1, legs)
     edges = []
@@ -188,36 +196,22 @@ def spider(n: int, legs: int) -> Tree:
 def generate(spec: CorpusSpec) -> Iterator[Tree]:
     """Deterministic stream of trees for one family spec."""
     if spec.family not in FAMILIES:
-        raise ValueError(f"unknown family {spec.family!r}; expected one of {FAMILIES}")
+        raise ValueError(f"unknown family {spec.family!r}; expected one of {tuple(FAMILIES)}")
+    required = FAMILIES[spec.family]
+    if any(getattr(spec, name) is None for name in required):
+        raise ValueError(f"{spec.family} requires {' and '.join(required)}")
     if spec.family == "all-trees":
-        if spec.n is None:
-            raise ValueError("all-trees requires n")
         yield from all_trees(spec.n)
-        return
-    if spec.family == "lobed-extremal":
-        if spec.m is None:
-            raise ValueError("lobed-extremal requires m")
+    elif spec.family == "lobed-extremal":
         yield lobed_extremal(spec.m)
-        return
-    if spec.family == "kary":
-        if spec.n is None or spec.arity is None:
-            raise ValueError("kary requires n and arity")
+    elif spec.family == "kary":
         yield kary_tree(spec.n, spec.arity)
-        return
-    if spec.family == "spider":
-        if spec.n is None or spec.arity is None:
-            raise ValueError("spider requires n and arity")
+    elif spec.family == "spider":
         yield spider(spec.n, spec.arity)
-        return
-    if spec.n is None:
-        raise ValueError(f"{spec.family} requires n")
-    count = spec.count if spec.count is not None else 1
-    rng = random.Random(spec.seed)
-    for _ in range(count):
-        if spec.family == "random-prufer":
-            yield random_tree(rng, spec.n)
-        else:
-            yield caterpillar(spec.n, rng)
+    else:
+        rng = random.Random(spec.seed)
+        for _ in range(spec.count if spec.count is not None else 1):
+            yield random_tree(rng, spec.n) if spec.family == "random-prufer" else caterpillar(spec.n, rng)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from .autom import ASYMMETRIC, AutomorphismLimitExceeded, Motion, _automorphisms
 from .trees import Tree
 
 MAX_ORACLE_VERTICES = 16
+MAX_GRAPH_VERTICES = 12  # the cap of _graph_search, so of every graph automorphism search
 DEFAULT_AUT_LIMIT = 2_000_000
 
 
@@ -156,7 +157,7 @@ def exists_automorphism(adj, pinned: int | None = None, forced: dict[int, int] |
 
 
 def _graph_search(adj, pinned, limit, forced):
-    """The shared automorphism backtracker, behind the oracle's n <= 12 graph cap."""
-    if len(adj) > 12:
-        raise OracleSizeError(f"n = {len(adj)} exceeds graph automorphism cap 12")
+    """The shared automorphism backtracker, behind the oracle's graph cap."""
+    if len(adj) > MAX_GRAPH_VERTICES:
+        raise OracleSizeError(f"n = {len(adj)} exceeds graph automorphism cap {MAX_GRAPH_VERTICES}")
     return _automorphisms(adj, limit=limit, pinned=pinned, forced=forced)

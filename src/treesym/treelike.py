@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .canon import TreeAnalysis
 from .coloring import _colored_key
-from .oracle import _apply, _mask_images, _moved, brute_graph_aut
+from .oracle import MAX_GRAPH_VERTICES, _apply, _mask_images, _moved, brute_graph_aut
 from .trees import Coloring, EdgeListParseError, Tree, _adjacency, _bfs, _build_adjacency, read_edge_lines
 
 
@@ -133,9 +133,6 @@ def extract_forest(g: RootedGraph) -> ForestExtraction:
     return ForestExtraction(tuple(sorted(edges)), tuple(components))
 
 
-MAX_TREELIKE_VERTICES = 12
-
-
 def _component_tree(g: ForestExtraction, members: tuple[int, ...]) -> Tree:
     local = {v: i for i, v in enumerate(members)}
     return Tree.from_edges(len(members), [(local[u], local[v]) for u, v in g.edges if u in local and v in local])
@@ -154,8 +151,8 @@ def treelike_distinguish(g: RootedGraph) -> Coloring | None:
     valid outcome: the procedure's guarantee needs infinite components, so
     here it is exploratory.
     """
-    if g.n > MAX_TREELIKE_VERTICES:
-        raise ValueError(f"n = {g.n} exceeds cap {MAX_TREELIKE_VERTICES}")
+    if g.n > MAX_GRAPH_VERTICES:
+        raise ValueError(f"n = {g.n} exceeds cap {MAX_GRAPH_VERTICES}")
     auts = brute_graph_aut(g.adj)
     if len(auts) == 1:
         return Coloring(g.n, 0)

@@ -243,6 +243,11 @@ def center(t: Tree) -> Center:
     return EdgeCenter(u, v)
 
 
+def _center_ends(c: Center) -> tuple[int, ...]:
+    """``(vertex,)`` for a vertex center, ``(u, v)`` for an edge center."""
+    return (c.vertex,) if isinstance(c, VertexCenter) else (c.u, c.v)
+
+
 @dataclass(frozen=True, eq=False)
 class RootedTree:
     """Tree with a distinguished root and parent/child orientation.

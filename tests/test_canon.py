@@ -34,7 +34,7 @@ from treesym import (
     verify_distinguishing,
 )
 from treesym.asym import a_at_every_root, asym_rooted
-from treesym.canon import Rerooting, TreeAnalysis
+from treesym.canon import Rerooting, TreeAnalysis, colored_subtree_codes, colored_unrooted_code
 from treesym.oracle import exists_automorphism
 
 from .conftest import (
@@ -495,3 +495,58 @@ def test_dropped_trees_are_collected():
         del t
         most = max(most, len(live))
     assert most <= 10  # 1 on Python 3.11
+
+
+def reference_unrooted_code(t: Tree) -> bytes:
+    """The code as written before it read the center ends from ``center``: through the center analysis."""
+    return min(subtree_codes(root_at(t, w))[w] for w in TreeAnalysis.at_center(t).roots)
+
+
+def reference_colored_unrooted_code(t: Tree, coloring: Coloring) -> bytes:
+    return min(colored_subtree_codes(root_at(t, w), coloring)[w] for w in TreeAnalysis.at_center(t).roots)
+
+
+def center_ends_corpus() -> list[Tree]:
+    """All trees with n <= 10 and two relabelings of each, then seeded Prüfer, spider and path trees, n 50..400."""
+    rng = random.Random(16)
+    out = []
+    for t in trees_up_to(10):
+        out.append(t)
+        for _ in range(2):
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            out.append(relabel(t, perm))
+    for n in (50, 51, 128, 257, 400):
+        for t in (tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]), spider(n, 4), path(n)):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            out.append(relabel(t, perm))
+    return out
+
+
+def test_codes_from_center_ends_match_reference_fresh_and_warm():
+    rng = random.Random(17)
+    for t in center_ends_corpus():
+        edges = list(t.edges())
+        coloring = Coloring(t.n, rng.getrandbits(t.n))
+        want = reference_unrooted_code(Tree.from_edges(t.n, edges))
+        want_colored = reference_colored_unrooted_code(Tree.from_edges(t.n, edges), coloring)
+        fresh = Tree.from_edges(t.n, edges)
+        got = (unrooted_code(fresh), colored_unrooted_code(fresh, coloring))
+        assert "_center_analysis" not in fresh.__dict__
+        warm = Tree.from_edges(t.n, edges)
+        TreeAnalysis.at_center(warm)
+        assert got == (want, want_colored) == (unrooted_code(warm), colored_unrooted_code(warm, coloring)), edges
+
+
+@pytest.mark.parametrize("t", [path(7), path(8), star(6)], ids=["vertex-center", "edge-center", "star"])
+def test_codes_take_the_center_from_center_alone(monkeypatch, t):
+    # the codes read the ends from one center call, not from the center analysis, and leave no memo
+    t = Tree.from_edges(t.n, t.edges())
+    calls = count_rootings(monkeypatch)
+    for code in (unrooted_code, lambda u: colored_unrooted_code(u, Coloring(u.n, 1))):
+        assert code(t)
+        names = Counter(name for name, _ in calls)
+        assert names["center"] == 1 and names["root_at"] <= 2 and names["of"] == 0, calls
+        assert "_center_analysis" not in t.__dict__
+        calls.clear()

@@ -284,9 +284,12 @@ def test_verify_overlong_bad_coloring_echo_is_cut(tree_file, capsys):
         (("color", "TREE", "--root", "-1"), "root -1 out of range 0..2"),
         (("verify", "TREE", "--coloring", "000", "--pin", "3"), "pin 3 out of range 0..2"),
         (("corpus", "--kary", "5", "0"), "arity must be at least 1"),
-        (("corpus", "--spider", "5", "0"), "need n >= legs + 1"),
+        (("corpus", "--spider", "5", "0"), "legs must be at least 1"),
+        (("corpus", "--spider", "3", "3"), "need n >= legs + 1"),
+        (("corpus", "--caterpillar", "0"), "n must be at least 1"),
+        (("corpus", "--random-prufer", "0"), "n must be at least 1"),
     ],
-    ids=["analyze-root", "color-root", "verify-pin", "kary", "spider"],
+    ids=["analyze-root", "color-root", "verify-pin", "kary", "spider", "spider-short", "caterpillar", "random-prufer"],
 )
 def test_out_of_range_arguments_are_input_errors(tree_file, capsys, argv, message):
     argv = [tree_file(P3) if a == "TREE" else a for a in argv]

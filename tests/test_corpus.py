@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +164,81 @@ def test_generate_validates():
         list(generate(CorpusSpec("all-trees")))
     with pytest.raises(ValueError):
         list(generate(CorpusSpec("lobed-extremal", m=3)))
+
+
+def reference_generate(spec: CorpusSpec):
+    """generate() as it was written before the family table: one presence check per family."""
+    families = ("random-prufer", "all-trees", "kary", "caterpillar", "lobed-extremal", "spider")
+    if spec.family not in families:
+        raise ValueError(f"unknown family {spec.family!r}; expected one of {families}")
+    if spec.family == "all-trees":
+        if spec.n is None:
+            raise ValueError("all-trees requires n")
+        yield from all_trees(spec.n)
+        return
+    if spec.family == "lobed-extremal":
+        if spec.m is None:
+            raise ValueError("lobed-extremal requires m")
+        yield lobed_extremal(spec.m)
+        return
+    if spec.family == "kary":
+        if spec.n is None or spec.arity is None:
+            raise ValueError("kary requires n and arity")
+        yield kary_tree(spec.n, spec.arity)
+        return
+    if spec.family == "spider":
+        if spec.n is None or spec.arity is None:
+            raise ValueError("spider requires n and arity")
+        yield spider(spec.n, spec.arity)
+        return
+    if spec.n is None:
+        raise ValueError(f"{spec.family} requires n")
+    count = spec.count if spec.count is not None else 1
+    rng = random.Random(spec.seed)
+    for _ in range(count):
+        if spec.family == "random-prufer":
+            yield random_tree(rng, spec.n)
+        else:
+            yield caterpillar(spec.n, rng)
+
+
+def trees_or_error(gen):
+    try:
+        return list(gen)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_generate_matches_reference_on_every_field_combination():
+    families = ("random-prufer", "all-trees", "kary", "caterpillar", "lobed-extremal", "spider", "nonsense", "")
+    seen_errors = set()
+    for family in families:
+        for n in (None, 0, 1, 6):
+            for arity in (None, 0, 2):
+                for m in (None, 3, 4):
+                    for count in (None, 0, 1, 3):
+                        spec = CorpusSpec(family, n=n, arity=arity, m=m, count=count, seed=7)
+                        want = trees_or_error(reference_generate(spec))
+                        assert trees_or_error(generate(spec)) == want, spec
+                        if isinstance(want, tuple):
+                            seen_errors.add(want[1])
+    assert len(seen_errors) == 14, seen_errors  # six presence messages, two unknown families, six from the generators
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: random_tree(random.Random(1), 0), "n must be at least 1"),
+        (lambda: random_tree(random.Random(1), -3), "n must be at least 1"),
+        (lambda: caterpillar(0, random.Random(1)), "n must be at least 1"),
+        (lambda: spider(5, 0), "legs must be at least 1"),
+        (lambda: spider(3, 3), "need n >= legs + 1"),
+    ],
+    ids=["random-0", "random-negative", "caterpillar-0", "spider-no-legs", "spider-short"],
+)
+def test_family_arguments_name_what_is_wrong(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_lobed_extremal_m4():
