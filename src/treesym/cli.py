@@ -1,7 +1,8 @@
 """Command-line interface: analyze | color | verify | oracle | corpus | treelike.
 
-Exit codes: 0 success, 1 internal assertion failure, 2 unparseable input,
-3 coloring unavailable (not distinguishable / index out of range),
+Exit codes: 0 success, 1 internal assertion failure, 2 invalid input (a bad edge
+list or coloring, an out-of-range root or pin, a rejected corpus argument, a negative
+--count), 3 coloring unavailable (not distinguishable / index out of range),
 4 verification answered false, 5 theorem violation found by corpus --check.
 All big integers are emitted as decimal strings in JSON.
 """
@@ -17,12 +18,13 @@ from .asym import GroupOrderBound, a_by_class, asym_at_every_root, asym_of, asym
 from .autom import AutomorphismLimitExceeded, aut_order_of, motion_of
 from .canon import TreeAnalysis
 from .coloring import to_dot, unrank_of, verify_distinguishing
-from .corpus import CorpusSpec, conjecture_check, generate, run_theorem_suite
+from .corpus import FAMILIES, CorpusSpec, conjecture_check, generate, run_theorem_suite
 from .oracle import MAX_GRAPH_VERTICES, brute_asym
 from .treelike import extract_forest, is_treelike, parse_graph_edge_list, treelike_distinguish
 from .trees import Coloring, EdgeListParseError, Tree, parse_edge_list, root_at, serialize_edge_list
 
 SCHEMA = 1
+CORPUS_FLAGS = ("all-trees", "random-prufer", "caterpillar", "lobed-extremal", "kary", "spider")  # in precedence order
 
 
 def _read_input(path: str) -> str:
@@ -68,9 +70,7 @@ def cmd_analyze(args) -> int:
     roots = {}
     if args.all_roots:
         roots = dict(enumerate(asym_at_every_root(t)))
-    elif args.root is not None:
-        if not (0 <= args.root < t.n):
-            raise EdgeListParseError(f"root {args.root} out of range 0..{t.n - 1}")
+    elif args.root is not None:  # root_at rejects an out-of-range root
         roots = {args.root: asym_rooted(root_at(t, args.root))}
     if roots:
         report["roots"] = {str(w): str(a_w) for w, a_w in roots.items()}
@@ -103,8 +103,6 @@ def cmd_color(args) -> int:
     _check_count(args)
     t = _load_tree(args.file)
     if args.root is not None:
-        if not (0 <= args.root < t.n):
-            raise EdgeListParseError(f"root {args.root} out of range 0..{t.n - 1}")
         an = TreeAnalysis.of(root_at(t, args.root))
     else:
         an = TreeAnalysis.at_center(t)
@@ -151,18 +149,11 @@ def cmd_oracle(args) -> int:
 
 
 def _corpus_spec(args) -> CorpusSpec:
-    if args.all_trees is not None:
-        return CorpusSpec("all-trees", n=args.all_trees)
-    if args.random_prufer is not None:
-        return CorpusSpec("random-prufer", n=args.random_prufer, count=args.count, seed=args.seed)
-    if args.caterpillar is not None:
-        return CorpusSpec("caterpillar", n=args.caterpillar, count=args.count, seed=args.seed)
-    if args.lobed_extremal is not None:
-        return CorpusSpec("lobed-extremal", m=args.lobed_extremal)
-    if args.kary is not None:
-        return CorpusSpec("kary", n=args.kary[0], arity=args.kary[1])
-    if args.spider is not None:
-        return CorpusSpec("spider", n=args.spider[0], arity=args.spider[1])
+    for family in CORPUS_FLAGS:
+        values = getattr(args, family.replace("-", "_"))
+        if values is not None:
+            values = values if isinstance(values, list) else [values]
+            return CorpusSpec(family, **dict(zip(FAMILIES[family], values)), count=args.count, seed=args.seed)
     raise EdgeListParseError("choose a corpus family (e.g. --all-trees 8)")
 
 
@@ -263,12 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("corpus", help="generate tree families and run the property suite")
-    p.add_argument("--all-trees", type=int, default=None, metavar="N")
-    p.add_argument("--random-prufer", type=int, default=None, metavar="N")
-    p.add_argument("--caterpillar", type=int, default=None, metavar="N")
-    p.add_argument("--lobed-extremal", type=int, default=None, metavar="M")
-    p.add_argument("--kary", type=int, nargs=2, default=None, metavar=("N", "ARITY"))
-    p.add_argument("--spider", type=int, nargs=2, default=None, metavar=("N", "ARITY"))
+    for family in CORPUS_FLAGS:  # one int per field; a single field keeps argparse's one-value form
+        fields = FAMILIES[family]
+        p.add_argument(f"--{family}", type=int, nargs=len(fields) if len(fields) > 1 else None,
+                       metavar=tuple(f.upper() for f in fields))
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", action="store_true", help="run the theorem and conjecture suite")

@@ -13,6 +13,7 @@ from .coloring import OneEndedTruncation, construct_of, one_ended_truncation
 from .trees import Tree, serialize_edge_list
 
 ALL_TREES_MAX = 12
+LOBED_EXTREMAL_MAX = 26  # lobed_extremal(m) has m/2 * 2^(m/2) + 1 vertices: 106,497 at m = 26
 
 # each family's required CorpusSpec fields; generate() checks them and lists the families in this order
 FAMILIES = {"random-prufer": ("n",), "all-trees": ("n",), "kary": ("n", "arity"), "caterpillar": ("n",),
@@ -149,6 +150,8 @@ def lobed_extremal(m: int) -> Tree:
     """Root with 2^(m/2) hanging paths of order m/2: motion m, max degree 2^(m/2), a = 2."""
     if m < 2 or m % 2 != 0:
         raise ValueError("m must be an even integer >= 2")
+    if m > LOBED_EXTREMAL_MAX:
+        raise ValueError(f"m = {m} exceeds cap {LOBED_EXTREMAL_MAX}")
     half = m // 2
     return spider(1 + half * (1 << half), 1 << half)
 

@@ -71,6 +71,14 @@ def _apply(tbl, mask: int) -> int:
     return out
 
 
+def _budgeted_automorphisms(t: Tree, aut_limit: int, pinned: int | None = None):
+    """Yield T's automorphisms (fixing ``pinned`` when given); past ``aut_limit`` raise OracleSizeError."""
+    try:
+        yield from enumerate_automorphisms(t, limit=aut_limit, pinned=pinned)
+    except AutomorphismLimitExceeded as exc:
+        raise OracleSizeError(str(exc)) from exc
+
+
 def brute_asym(t: Tree, pinned: int | None = None, aut_limit: int = DEFAULT_AUT_LIMIT) -> OrbitReport:
     """Count distinguishing sets and their orbits by full enumeration.
 
@@ -82,11 +90,7 @@ def brute_asym(t: Tree, pinned: int | None = None, aut_limit: int = DEFAULT_AUT_
     """
     if t.n > MAX_ORACLE_VERTICES:
         raise OracleSizeError(f"n = {t.n} exceeds oracle cap {MAX_ORACLE_VERTICES}")
-    try:
-        auts = list(enumerate_automorphisms(t, limit=aut_limit, pinned=pinned))
-    except AutomorphismLimitExceeded as exc:
-        raise OracleSizeError(str(exc)) from exc
-    auts.sort(key=_moved)
+    auts = sorted(_budgeted_automorphisms(t, aut_limit, pinned), key=_moved)
     tables = [_mask_images(s) for s in auts[1:]]
 
     dist_count = 0
@@ -122,13 +126,10 @@ def brute_asym(t: Tree, pinned: int | None = None, aut_limit: int = DEFAULT_AUT_
 def brute_motion(t: Tree, aut_limit: int = DEFAULT_AUT_LIMIT) -> Motion:
     """Minimum moved-vertex count over enumerated non-identity automorphisms."""
     best: int | None = None
-    try:
-        for sigma in enumerate_automorphisms(t, limit=aut_limit):
-            moved = _moved(sigma)
-            if moved and (best is None or moved < best):
-                best = moved
-    except AutomorphismLimitExceeded as exc:
-        raise OracleSizeError(str(exc)) from exc
+    for sigma in _budgeted_automorphisms(t, aut_limit):
+        moved = _moved(sigma)
+        if moved and (best is None or moved < best):
+            best = moved
     return ASYMMETRIC if best is None else Motion(best)
 
 

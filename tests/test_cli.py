@@ -1,10 +1,13 @@
+import argparse
 import hashlib
 import json
 import math
 import sys
+import tracemalloc
 
 import pytest
 
+from treesym import CorpusSpec, EdgeListParseError, generate
 from treesym.cli import main
 
 P3 = "3\n0 1\n0 2\n"
@@ -288,12 +291,36 @@ def test_verify_overlong_bad_coloring_echo_is_cut(tree_file, capsys):
         (("corpus", "--spider", "3", "3"), "need n >= legs + 1"),
         (("corpus", "--caterpillar", "0"), "n must be at least 1"),
         (("corpus", "--random-prufer", "0"), "n must be at least 1"),
+        (("corpus", "--lobed-extremal", "28"), "m = 28 exceeds cap 26"),
+        (("corpus", "--lobed-extremal", "40"), "m = 40 exceeds cap 26"),
+        (("corpus", "--lobed-extremal", str(10**9)), "m = 1000000000 exceeds cap 26"),
     ],
-    ids=["analyze-root", "color-root", "verify-pin", "kary", "spider", "spider-short", "caterpillar", "random-prufer"],
+    ids=["analyze-root", "color-root", "verify-pin", "kary", "spider", "spider-short", "caterpillar", "random-prufer",
+         "lobed-28", "lobed-40", "lobed-1e9"],
 )
 def test_out_of_range_arguments_are_input_errors(tree_file, capsys, argv, message):
     argv = [tree_file(P3) if a == "TREE" else a for a in argv]
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("m", [28, 40, 10**9])
+def test_lobed_extremal_past_the_cap_fails_before_building(capsys, m):
+    main(["corpus", "--all-trees", "1"])  # build the shared parser outside the traced call
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["corpus", "--lobed-extremal", str(m)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, *capsys.readouterr()) == (2, "", f"error: m = {m} exceeds cap 26\n")
+    assert peak < 1_000_000  # m = 28 would build 229,377 vertices
+
+
+def test_lobed_extremal_at_the_cap_is_emitted(capsys):
+    code, out, err = run(capsys, "corpus", "--lobed-extremal", "26")
+    assert (code, err) == (0, "")
+    assert [t["n"] for t in json.loads(out)["trees"]] == [13 * 2**13 + 1]
 
 
 @pytest.mark.parametrize(
@@ -373,3 +400,123 @@ def test_in_process_calls_share_one_parser(tree_file, capsys, monkeypatch):
     assert shared[4][1] == "true\n" and shared[5][1] == "false\n"
     assert "unrecognized arguments: --bogus" in shared[1][2]
     assert shared[2][1].startswith("usage: treesym")
+
+
+def reference_build_parser():
+    """The CLI parser as it was built before the family loop: one hand-written flag per corpus family."""
+    from treesym import cli
+
+    parser = argparse.ArgumentParser(
+        prog="treesym",
+        description="Symmetry invariants of finite trees and distinguishing 2-colorings.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="full invariant report for one tree")
+    p.add_argument("file", help="edge-list file or - for stdin")
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--root", type=int, default=None, help="also report a(T,w) for this root")
+    p.add_argument("--all-roots", action="store_true", help="report a(T,w) for every root")
+    p.set_defaults(func=cli.cmd_analyze)
+
+    p = sub.add_parser("color", help="emit distinguishing colorings")
+    p.add_argument("file")
+    p.add_argument("--index", type=int, default=0, help="class index to unrank (default 0)")
+    p.add_argument("--count", type=int, default=None, help="emit classes 0..count-1 instead")
+    p.add_argument("--root", type=int, default=None, help="color the rooted tree (T,w)")
+    p.add_argument("--dot", action="store_true", help="emit DOT instead of 0/1 strings")
+    p.set_defaults(func=cli.cmd_color)
+
+    p = sub.add_parser("verify", help="check whether a coloring is distinguishing")
+    p.add_argument("file")
+    p.add_argument("--coloring", required=True, help="0/1 string in vertex order")
+    p.add_argument("--pin", type=int, default=None, help="only automorphisms fixing this vertex")
+    p.set_defaults(func=cli.cmd_verify)
+
+    p = sub.add_parser("oracle", help="brute-force orbit census (n <= 16)")
+    p.add_argument("file")
+    p.set_defaults(func=cli.cmd_oracle)
+
+    p = sub.add_parser("corpus", help="generate tree families and run the property suite")
+    p.add_argument("--all-trees", type=int, default=None, metavar="N")
+    p.add_argument("--random-prufer", type=int, default=None, metavar="N")
+    p.add_argument("--caterpillar", type=int, default=None, metavar="N")
+    p.add_argument("--lobed-extremal", type=int, default=None, metavar="M")
+    p.add_argument("--kary", type=int, nargs=2, default=None, metavar=("N", "ARITY"))
+    p.add_argument("--spider", type=int, nargs=2, default=None, metavar=("N", "ARITY"))
+    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--check", action="store_true", help="run the theorem and conjecture suite")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cli.cmd_corpus)
+
+    p = sub.add_parser("treelike", help="tree-like test, forest extraction, distinguishing")
+    p.add_argument("file")
+    p.add_argument("--root", type=int, default=0)
+    p.set_defaults(func=cli.cmd_treelike)
+
+    return parser
+
+
+def reference_corpus_spec(args) -> CorpusSpec:
+    """_corpus_spec as it was written before the family loop: one branch per family, in precedence order."""
+    if args.all_trees is not None:
+        return CorpusSpec("all-trees", n=args.all_trees)
+    if args.random_prufer is not None:
+        return CorpusSpec("random-prufer", n=args.random_prufer, count=args.count, seed=args.seed)
+    if args.caterpillar is not None:
+        return CorpusSpec("caterpillar", n=args.caterpillar, count=args.count, seed=args.seed)
+    if args.lobed_extremal is not None:
+        return CorpusSpec("lobed-extremal", m=args.lobed_extremal)
+    if args.kary is not None:
+        return CorpusSpec("kary", n=args.kary[0], arity=args.kary[1])
+    if args.spider is not None:
+        return CorpusSpec("spider", n=args.spider[0], arity=args.spider[1])
+    raise EdgeListParseError("choose a corpus family (e.g. --all-trees 8)")
+
+
+def corpus_outcome(spec_of, args):
+    """The trees a spec generates, or the type and message of what was raised."""
+    try:
+        return list(generate(spec_of(args)))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_corpus_spec_matches_reference_on_every_family_subset():
+    from treesym import cli
+
+    good = {"all-trees": ["5"], "random-prufer": ["6"], "caterpillar": ["5"], "lobed-extremal": ["4"],
+            "kary": ["7", "2"], "spider": ["7", "3"]}
+    bad = {"all-trees": ["13"], "random-prufer": ["0"], "caterpillar": ["-1"], "lobed-extremal": ["28"],
+           "kary": ["5", "0"], "spider": ["3", "3"]}
+    families = list(good)
+    errors = set()
+    for values in (good, bad):
+        for chosen in range(1 << len(families)):
+            flags = []
+            for i, family in enumerate(families):
+                if chosen >> i & 1:
+                    flags += [f"--{family}", *values[family]]
+            for extra in ([], ["--count", "3"], ["--seed", "9"], ["--count", "2", "--seed", "4"]):
+                argv = ["corpus", *flags, *extra]
+                want = corpus_outcome(reference_corpus_spec, reference_build_parser().parse_args(argv))
+                assert corpus_outcome(cli._corpus_spec, cli.build_parser().parse_args(argv)) == want, argv
+                if isinstance(want, tuple):
+                    errors.add(want[1])
+    assert len(errors) == 6  # no family, and each bad value (the two random families share one message)
+
+
+@pytest.mark.parametrize("columns", ["80", "200", "40"])
+def test_help_and_usage_errors_match_reference_parser(capsys, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    reference = reference_build_parser()
+    for argv in (["--help"], ["corpus", "--help"], ["corpus", "--all-trees"], ["corpus", "--kary", "3"],
+                 ["corpus", "--lobed-extremal", "x"], ["corpus", "--spider", "1", "y"], ["bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            reference.parse_args(argv)
+        want = (exc.value.code, *capsys.readouterr())
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert (exc.value.code, *capsys.readouterr()) == want, argv
+        assert want[1] or want[2]

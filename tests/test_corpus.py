@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from treesym import (
     verify_distinguishing,
 )
 from treesym.cli import main
-from treesym.corpus import all_trees, caterpillar, random_tree
+from treesym.corpus import LOBED_EXTREMAL_MAX, all_trees, caterpillar, random_tree
 
 from .conftest import trees_up_to
 
@@ -233,12 +234,33 @@ def test_generate_matches_reference_on_every_field_combination():
         (lambda: caterpillar(0, random.Random(1)), "n must be at least 1"),
         (lambda: spider(5, 0), "legs must be at least 1"),
         (lambda: spider(3, 3), "need n >= legs + 1"),
+        (lambda: lobed_extremal(28), "m = 28 exceeds cap 26"),
+        (lambda: lobed_extremal(40), "m = 40 exceeds cap 26"),
+        (lambda: lobed_extremal(10**9), "m = 1000000000 exceeds cap 26"),
     ],
-    ids=["random-0", "random-negative", "caterpillar-0", "spider-no-legs", "spider-short"],
+    ids=["random-0", "random-negative", "caterpillar-0", "spider-no-legs", "spider-short",
+         "lobed-28", "lobed-40", "lobed-1e9"],
 )
 def test_family_arguments_name_what_is_wrong(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+@pytest.mark.parametrize("m", [28, 40, 10**9])
+def test_lobed_extremal_past_the_cap_builds_nothing(m):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^m = {m} exceeds cap {LOBED_EXTREMAL_MAX}$"):
+            lobed_extremal(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # m = 28 would build 229,377 vertices
+
+
+def test_lobed_extremal_at_the_cap_still_builds():
+    t = lobed_extremal(LOBED_EXTREMAL_MAX)
+    assert (t.n, t.delta) == (13 * 2**13 + 1, 2**13)
 
 
 def test_lobed_extremal_m4():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -14,9 +15,10 @@ from treesym import (
     exists_automorphism,
     root_at,
 )
-from treesym.oracle import OrbitReport
+from treesym.autom import ASYMMETRIC
+from treesym.oracle import DEFAULT_AUT_LIMIT, MAX_ORACLE_VERTICES, OrbitReport, _apply, _mask_images, _moved
 
-from .conftest import trees_up_to
+from .conftest import path, star, trees_up_to
 
 
 def test_brute_asym_k1(k1):
@@ -301,3 +303,92 @@ def test_exists_automorphism_cap_and_connectivity():
         exists_automorphism(k13)
     with pytest.raises(ValueError, match="graph must be connected"):
         exists_automorphism([[1], [0], [3], [2]])
+
+
+def reference_brute_asym(t, pinned=None, aut_limit=DEFAULT_AUT_LIMIT):
+    """brute_asym as it was written before the shared automorphism budget: its own try around the list."""
+    if t.n > MAX_ORACLE_VERTICES:
+        raise OracleSizeError(f"n = {t.n} exceeds oracle cap {MAX_ORACLE_VERTICES}")
+    try:
+        auts = list(enumerate_automorphisms(t, limit=aut_limit, pinned=pinned))
+    except AutomorphismLimitExceeded as exc:
+        raise OracleSizeError(str(exc)) from exc
+    auts.sort(key=_moved)
+    tables = [_mask_images(s) for s in auts[1:]]
+    dist_count = 0
+    orbit_count = 0
+    reps = []
+    for mask in range(1 << t.n):
+        fixed = False
+        for tbl in tables:
+            if _apply(tbl, mask) == mask:
+                fixed = True
+                break
+        if fixed:
+            continue
+        dist_count += 1
+        is_rep = True
+        for tbl in tables:
+            if _apply(tbl, mask) < mask:
+                is_rep = False
+                break
+        if is_rep:
+            orbit_count += 1
+            reps.append(mask)
+    return OrbitReport(
+        n=t.n,
+        total_colorings=1 << t.n,
+        distinguishing_count=dist_count,
+        orbit_count=orbit_count,
+        aut_order=len(auts),
+        orbit_reps=tuple(reps),
+    )
+
+
+def reference_brute_motion(t, aut_limit=DEFAULT_AUT_LIMIT):
+    """brute_motion as it was written before the shared automorphism budget: its own try around the scan."""
+    best = None
+    try:
+        for sigma in enumerate_automorphisms(t, limit=aut_limit):
+            moved = _moved(sigma)
+            if moved and (best is None or moved < best):
+                best = moved
+    except AutomorphismLimitExceeded as exc:
+        raise OracleSizeError(str(exc)) from exc
+    return ASYMMETRIC if best is None else Motion(best)
+
+
+def oracle_outcome(brute, *args, **kwargs):
+    """The result, or the type, message and cause type of what was raised."""
+    try:
+        return brute(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc), type(exc.__cause__)
+
+
+def test_oracle_matches_reference_on_all_small_trees_at_every_pin():
+    for t in trees_up_to(8):
+        assert brute_motion(t) == reference_brute_motion(t)
+        for pinned in [None, *range(t.n)]:
+            got, want = brute_asym(t, pinned=pinned), reference_brute_asym(t, pinned=pinned)
+            assert dataclasses.astuple(got) == dataclasses.astuple(want), (t.edges(), pinned)
+
+
+def test_oracle_budget_matches_reference_on_stars_and_paths():
+    raised = set()
+    for t in [*(star(n) for n in (1, 2, 3, 4, 5, 17)), *(path(n) for n in (1, 2, 3, 6, 17))]:
+        for aut_limit in (1, 2, 5, 23):
+            want = oracle_outcome(reference_brute_motion, t, aut_limit=aut_limit)
+            assert oracle_outcome(brute_motion, t, aut_limit=aut_limit) == want
+            for pinned in (None, 0, t.n - 1, t.n):
+                want = oracle_outcome(reference_brute_asym, t, pinned=pinned, aut_limit=aut_limit)
+                assert oracle_outcome(brute_asym, t, pinned=pinned, aut_limit=aut_limit) == want
+                if isinstance(want, tuple):
+                    raised.add(want)
+    # the budget at each limit, the size cap (checked first, so also past the budget) and an out-of-range pin
+    assert {msg for _, msg, _ in raised} >= {
+        "automorphism count exceeds limit 1", "automorphism count exceeds limit 2",
+        "automorphism count exceeds limit 5", "automorphism count exceeds limit 23",
+        "n = 17 exceeds oracle cap 16", "root 5 out of range 0..4",
+    }
+    assert (OracleSizeError, "automorphism count exceeds limit 23", AutomorphismLimitExceeded) in raised
