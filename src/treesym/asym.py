@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .autom import aut_order_of
-from .canon import Rerooting, TreeAnalysis, _branch_runs, _center_runs
+from .canon import Rerooting, TreeAnalysis, _at_root, _branch_runs, _center_runs
 from .trees import RootedTree, Tree
 
 
@@ -47,8 +47,8 @@ def asym_of(an: TreeAnalysis, a: list[int]) -> int:
 
 
 def a_at_root(an: TreeAnalysis, a: list[int], w: int) -> int:
-    """a(T,w) of the whole tree at a root w of the analysis (the other half is one more child)."""
-    return _a_product(a, _branch_runs(an.sigs[an.ids[w]], *(an.ids[r] for r in an.roots if r != w)))
+    """a(T,w) at any vertex w, from a center analysis and its class values: one product along the path to the center."""
+    return _at_root(an, a, _a_product, w)
 
 
 def a_at_every_root(rr: Rerooting) -> list[int]:
@@ -70,9 +70,9 @@ def a_values(rt: RootedTree) -> tuple[int, ...]:
 
 
 def asym_rooted(rt: RootedTree) -> int:
-    """a(T,w): inequivalent distinguishing sets under the root stabilizer."""
-    an = TreeAnalysis.of(rt)
-    return asym_of(an, a_by_class(an))
+    """a(T,w): inequivalent distinguishing sets under the root stabilizer, from the tree's center analysis."""
+    an = TreeAnalysis.at_center(rt.tree)
+    return a_at_root(an, a_by_class(an), rt.root)
 
 
 def asym_unrooted(t: Tree) -> int:

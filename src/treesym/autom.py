@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from functools import total_ordering
 from math import factorial
 
-from .canon import TreeAnalysis, _center_runs
-from .trees import RootedTree, Tree, _bfs
+from .canon import TreeAnalysis, _at_root, _center_runs
+from .trees import RootedTree, Tree, _bfs, _check_root
 
 
 @total_ordering
@@ -69,8 +69,9 @@ def aut_order_of(an: TreeAnalysis) -> int:
 
 
 def aut_order_rooted(rt: RootedTree) -> int:
-    """|Aut(T,w)| by the twin-class product: prod mu! * |Aut(rep)|^mu."""
-    return aut_order_of(TreeAnalysis.of(rt))
+    """|Aut(T,w)| by the twin-class product, from the tree's center analysis: one product along the path to the center."""
+    an = TreeAnalysis.at_center(rt.tree)
+    return _at_root(an, aut_by_class(an), _aut_product, rt.root)
 
 
 def aut_order(t: Tree) -> int:
@@ -118,8 +119,8 @@ def _automorphisms(adj, limit: int | None = None, pinned: int | None = None, for
     Raises AutomorphismLimitExceeded before yielding past ``limit``.
     """
     n = len(adj)
-    if pinned is not None and not (0 <= pinned < n):
-        raise ValueError(f"root {pinned} out of range 0..{n - 1}")
+    if pinned is not None:
+        _check_root(n, pinned)
     order, par = _bfs(adj, pinned if pinned is not None else 0)
     if len(order) != n:
         raise ValueError("graph must be connected")

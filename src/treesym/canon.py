@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from .trees import Coloring, RootedTree, Tree, _center_ends, center, root_at
+from .trees import Coloring, RootedTree, Tree, _center_ends, _check_root, center, root_at
 
 CanonCode = bytes
 
@@ -170,6 +170,29 @@ def _branch_runs(sig: tuple[tuple[int, int], ...], add: int = -1, drop: int = -1
     if add >= 0:
         out.append((add, 1))
     return tuple(out)
+
+
+def _at_root(an: TreeAnalysis, vals: list[int], product, w: int) -> int:
+    """A rooted class value of the whole tree rooted at any vertex w, from a center analysis.
+
+    ``vals`` holds the value of every class and ``product(vals, runs)`` the recursion over a run
+    table. At w the branches are w's runs plus, away from the center, the branch b(w) toward it,
+    rooted at w's parent p. The center halves a longest path, so that branch is taller than
+    every other branch at w: it is a run of one, and b(x) = b(p) * product(p's runs less x),
+    from 1 at a vertex center, or the other half at an edge center, down the path to w.
+    """
+    _check_root(an.rt.tree.n, w)
+    ids, sigs, parent, roots = an.ids, an.sigs, an.rt.parent, an.roots
+    acc = vals[ids[w]]
+    x = w
+    while x not in roots:
+        p = parent[x]
+        acc *= product(vals, _branch_runs(sigs[ids[p]], -1, ids[x]))
+        x = p
+    for r in roots:
+        if r != x:
+            acc *= vals[ids[r]]
+    return acc
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,9 @@
 """Command-line interface: analyze | color | verify | oracle | corpus | treelike.
 
-Exit codes: 0 success, 1 internal assertion failure, 2 invalid input (a bad edge
-list or coloring, an out-of-range root or pin, a rejected corpus argument, a negative
---count), 3 coloring unavailable (not distinguishable / index out of range),
+Exit codes: 0 success, or stdout closed by its reader (``treesym ... | head -1``),
+1 internal assertion failure, 2 invalid input (a bad edge list or coloring, an
+out-of-range root or pin, a rejected corpus argument, a negative --count),
+3 coloring unavailable (not distinguishable / index out of range),
 4 verification answered false, 5 theorem violation found by corpus --check.
 All big integers are emitted as decimal strings in JSON.
 """
@@ -12,9 +13,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
-from .asym import GroupOrderBound, a_by_class, asym_at_every_root, asym_of, asym_rooted
+from .asym import GroupOrderBound, a_at_root, a_by_class, asym_at_every_root, asym_of
 from .autom import AutomorphismLimitExceeded, aut_order_of, motion_of
 from .canon import TreeAnalysis
 from .coloring import to_dot, unrank_of, verify_distinguishing
@@ -50,7 +52,8 @@ def cmd_analyze(args) -> int:
     an = TreeAnalysis.at_center(t)
     mot = motion_of(an)
     aut = aut_order_of(an)
-    a = asym_of(an, a_by_class(an))
+    a_cls = a_by_class(an)
+    a = asym_of(an, a_cls)
     report = {
         "schema": SCHEMA,
         "n": t.n,
@@ -70,8 +73,8 @@ def cmd_analyze(args) -> int:
     roots = {}
     if args.all_roots:
         roots = dict(enumerate(asym_at_every_root(t)))
-    elif args.root is not None:  # root_at rejects an out-of-range root
-        roots = {args.root: asym_rooted(root_at(t, args.root))}
+    elif args.root is not None:  # a_at_root rejects an out-of-range root as root_at does
+        roots = {args.root: a_at_root(an, a_cls, args.root)}
     if roots:
         report["roots"] = {str(w): str(a_w) for w, a_w in roots.items()}
     if args.json:
@@ -215,6 +218,16 @@ def cmd_treelike(args) -> int:
     return 0
 
 
+def _ascii_int(text: str) -> int:
+    """``int`` for an option, on ASCII digits only (``int`` reads any Unicode digits), with argparse's message."""
+    if text.isascii():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later ``main()`` in the process.
@@ -231,22 +244,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full invariant report for one tree")
     p.add_argument("file", help="edge-list file or - for stdin")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--root", type=int, default=None, help="also report a(T,w) for this root")
+    p.add_argument("--root", type=_ascii_int, default=None, help="also report a(T,w) for this root")
     p.add_argument("--all-roots", action="store_true", help="report a(T,w) for every root")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("color", help="emit distinguishing colorings")
     p.add_argument("file")
-    p.add_argument("--index", type=int, default=0, help="class index to unrank (default 0)")
-    p.add_argument("--count", type=int, default=None, help="emit classes 0..count-1 instead")
-    p.add_argument("--root", type=int, default=None, help="color the rooted tree (T,w)")
+    p.add_argument("--index", type=_ascii_int, default=0, help="class index to unrank (default 0)")
+    p.add_argument("--count", type=_ascii_int, default=None, help="emit classes 0..count-1 instead")
+    p.add_argument("--root", type=_ascii_int, default=None, help="color the rooted tree (T,w)")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of 0/1 strings")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("verify", help="check whether a coloring is distinguishing")
     p.add_argument("file")
     p.add_argument("--coloring", required=True, help="0/1 string in vertex order")
-    p.add_argument("--pin", type=int, default=None, help="only automorphisms fixing this vertex")
+    p.add_argument("--pin", type=_ascii_int, default=None, help="only automorphisms fixing this vertex")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force orbit census (n <= 16)")
@@ -256,17 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="generate tree families and run the property suite")
     for family in CORPUS_FLAGS:  # one int per field; a single field keeps argparse's one-value form
         fields = FAMILIES[family]
-        p.add_argument(f"--{family}", type=int, nargs=len(fields) if len(fields) > 1 else None,
+        p.add_argument(f"--{family}", type=_ascii_int, nargs=len(fields) if len(fields) > 1 else None,
                        metavar=tuple(f.upper() for f in fields))
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_ascii_int, default=None)
+    p.add_argument("--seed", type=_ascii_int, default=0)
     p.add_argument("--check", action="store_true", help="run the theorem and conjecture suite")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("treelike", help="tree-like test, forest extraction, distinguishing")
     p.add_argument("file")
-    p.add_argument("--root", type=int, default=0)
+    p.add_argument("--root", type=_ascii_int, default=0)
     p.set_defaults(func=cmd_treelike)
 
     return parser
@@ -281,7 +294,12 @@ def main(argv=None) -> int:
     if saved is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # an OSError, but no input fault: the reader has all it wants
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush goes nowhere
+        return 0
     except (EdgeListParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ against these results, never the other way around.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ne
 
 from .autom import ASYMMETRIC, AutomorphismLimitExceeded, Motion, _automorphisms, enumerate_automorphisms
 from .trees import Tree
@@ -55,18 +56,15 @@ class OrbitReport:
 
 
 def _moved(sigma) -> int:
-    return sum(1 for i, y in enumerate(sigma) if i != y)
+    return sum(map(ne, sigma, range(len(sigma))))
 
 
-def _mask_images(sigma) -> list[int]:
-    return [1 << y for y in sigma]
-
-
-def _apply(tbl, mask: int) -> int:
+def _apply(sigma, mask: int) -> int:
+    """The image of the vertex set ``mask`` under the permutation ``sigma`` (bit i goes to bit sigma[i])."""
     out = 0
     while mask:
         low = mask & -mask
-        out |= tbl[low.bit_length() - 1]
+        out |= 1 << sigma[low.bit_length() - 1]
         mask ^= low
     return out
 
@@ -91,23 +89,23 @@ def brute_asym(t: Tree, pinned: int | None = None, aut_limit: int = DEFAULT_AUT_
     if t.n > MAX_ORACLE_VERTICES:
         raise OracleSizeError(f"n = {t.n} exceeds oracle cap {MAX_ORACLE_VERTICES}")
     auts = sorted(_budgeted_automorphisms(t, aut_limit, pinned), key=_moved)
-    tables = [_mask_images(s) for s in auts[1:]]
+    others = auts[1:]  # the identity moves nothing, so it sorts first
 
     dist_count = 0
     orbit_count = 0
     reps: list[int] = []
     for mask in range(1 << t.n):
         fixed = False
-        for tbl in tables:
-            if _apply(tbl, mask) == mask:
+        for sigma in others:
+            if _apply(sigma, mask) == mask:
                 fixed = True
                 break
         if fixed:
             continue
         dist_count += 1
         is_rep = True
-        for tbl in tables:
-            if _apply(tbl, mask) < mask:
+        for sigma in others:
+            if _apply(sigma, mask) < mask:
                 is_rep = False
                 break
         if is_rep:

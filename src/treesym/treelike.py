@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .canon import TreeAnalysis
 from .coloring import _colored_key
-from .oracle import MAX_GRAPH_VERTICES, _apply, _mask_images, _moved, brute_graph_aut
-from .trees import Coloring, EdgeListParseError, Tree, _adjacency, _bfs, _build_adjacency, read_edge_lines
+from .oracle import MAX_GRAPH_VERTICES, _apply, _moved, brute_graph_aut
+from .trees import Coloring, EdgeListParseError, Tree, _adjacency, _bfs, _build_adjacency, _check_root, read_edge_lines
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ class RootedGraph:
 
     @staticmethod
     def _rooted(n: int, adj, root: int) -> "RootedGraph":
-        if not (0 <= root < n):
-            raise ValueError(f"root {root} out of range 0..{n - 1}")
+        _check_root(n, root)
         if len(_bfs(adj, root)[0]) != n:
             raise ValueError("graph is disconnected")
         return RootedGraph(n, adj, root)
@@ -173,8 +172,8 @@ def treelike_distinguish(g: RootedGraph) -> Coloring | None:
         else:
             return None
         taken.add(key)
-        mask |= _apply(_mask_images(members), local)
-    if any(_moved(sigma) and _apply(_mask_images(sigma), mask) == mask for sigma in auts):
+        mask |= _apply(members, local)
+    if any(_moved(sigma) and _apply(sigma, mask) == mask for sigma in auts):
         return None
     return Coloring(g.n, mask)
 

@@ -133,14 +133,17 @@ def read_edge_lines(text: str):
 
     Validates header, id ranges, self-loops and duplicates with line numbers,
     each edge once. Connectivity and count rules are left to the callers.
+    Numbers are ASCII decimals: ``int`` reads any Unicode digits, so a text
+    that is not all ASCII has each number checked.
     """
     lines = text.splitlines()
+    unicode = not text.isascii()
     i = next((i for i, raw in enumerate(lines) if raw.strip()), None)
     if i is None:
         raise EdgeListParseError("empty input: expected vertex count on first line")
     header = lines[i].strip()
     try:
-        if len(header) > _MAX_INPUT_DIGITS:
+        if len(header) > _MAX_INPUT_DIGITS or unicode and not header.isascii():
             raise ValueError
         n = int(header)
     except ValueError:
@@ -157,6 +160,8 @@ def read_edge_lines(text: str):
         try:
             if len(raw) > _MAX_INPUT_DIGITS and max(map(len, parts)) > _MAX_INPUT_DIGITS:
                 raise ValueError  # a line within the limit holds no over-long token
+            if unicode and not (parts[0].isascii() and parts[1].isascii()):
+                raise ValueError
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError(f"non-integer vertex id in {_cut(raw.strip(), repr)}", line_no) from None
@@ -265,9 +270,13 @@ class RootedTree:
     bfs_order: tuple[int, ...]
 
 
+def _check_root(n: int, w: int) -> None:
+    if not (0 <= w < n):
+        raise ValueError(f"root {w} out of range 0..{n - 1}")
+
+
 def root_at(t: Tree, w: int) -> RootedTree:
-    if not (0 <= w < t.n):
-        raise ValueError(f"root {w} out of range 0..{t.n - 1}")
+    _check_root(t.n, w)
     parent = [None] * t.n
     children = [()] * t.n
     order = [w]

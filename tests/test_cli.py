@@ -520,3 +520,75 @@ def test_help_and_usage_errors_match_reference_parser(capsys, monkeypatch, colum
             main(argv)
         assert (exc.value.code, *capsys.readouterr()) == want, argv
         assert want[1] or want[2]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("٣\n0 1\n1 2\n", "line 1: expected vertex count, got '٣'"),
+        ("３\n0 1\n1 2\n", "line 1: expected vertex count, got '３'"),
+        ("3\n0 1\n1 ٢\n", "line 3: non-integer vertex id in '1 ٢'"),
+    ],
+    ids=["arabic-indic-header", "fullwidth-header", "arabic-indic-id"],
+)
+def test_non_ascii_digits_in_input_are_rejected(capsys, monkeypatch, text, message):
+    # int() reads any Unicode digits; the edge-list format takes ASCII decimals only
+    import io
+
+    for cmd in ("analyze", "treelike"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(capsys, cmd, "-") == (2, "", f"error: {message}\n")
+
+
+def test_non_ascii_text_with_ascii_numbers_still_parses(capsys, monkeypatch):
+    # only the numbers are checked: an em space and a no-break space are whitespace to str.split
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("3\n0\u20031\n1 2\u00a0\n"))
+    code, out, _ = run(capsys, "analyze", "-", "--json")
+    assert code == 0 and json.loads(out)["a"] == "2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "TREE", "--root", "١"),
+        ("color", "TREE", "--index", "١"),
+        ("color", "TREE", "--count", "١"),
+        ("color", "TREE", "--root", "١"),
+        ("verify", "TREE", "--coloring", "000", "--pin", "١"),
+        ("corpus", "--all-trees", "٥"),
+        ("corpus", "--kary", "5", "２"),
+        ("corpus", "--random-prufer", "5", "--seed", "١"),
+        ("corpus", "--random-prufer", "5", "--count", "١"),
+        ("treelike", "TREE", "--root", "١"),
+    ],
+)
+def test_non_ascii_digits_in_integer_options_are_rejected(tree_file, capsys, argv):
+    argv = [tree_file(P3_PATH) if a == "TREE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    option = next(a for a in reversed(argv[:-1]) if a.startswith("--"))
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith(f"error: argument {option}: invalid int value: {argv[-1]!r}\n"), err
+    assert argv[-1] in err and err.startswith("usage: treesym")
+
+
+def test_closed_stdout_exits_0_quietly():
+    # a reader that stops early, as `treesym corpus --all-trees 10 | head -1` does; this output
+    # outgrows a pipe buffer, so the writer is still writing when the pipe closes
+    import os
+    import subprocess
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treesym.cli", "corpus", "--all-trees", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")

@@ -16,7 +16,7 @@ from treesym import (
     root_at,
 )
 from treesym.autom import ASYMMETRIC
-from treesym.oracle import DEFAULT_AUT_LIMIT, MAX_ORACLE_VERTICES, OrbitReport, _apply, _mask_images, _moved
+from treesym.oracle import DEFAULT_AUT_LIMIT, MAX_ORACLE_VERTICES, OrbitReport, _apply, _moved
 
 from .conftest import path, star, trees_up_to
 
@@ -305,15 +305,35 @@ def test_exists_automorphism_cap_and_connectivity():
         exists_automorphism([[1], [0], [3], [2]])
 
 
+def _reference_moved(sigma):
+    return sum(1 for i, y in enumerate(sigma) if i != y)
+
+
+def _mask_images(sigma):
+    return [1 << y for y in sigma]
+
+
+def _apply_table(tbl, mask):
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= tbl[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def reference_brute_asym(t, pinned=None, aut_limit=DEFAULT_AUT_LIMIT):
-    """brute_asym as it was written before the shared automorphism budget: its own try around the list."""
+    """brute_asym as it was written before the shared automorphism budget and the direct permutation reads.
+
+    It has its own try around the list and keeps one image table per automorphism.
+    """
     if t.n > MAX_ORACLE_VERTICES:
         raise OracleSizeError(f"n = {t.n} exceeds oracle cap {MAX_ORACLE_VERTICES}")
     try:
         auts = list(enumerate_automorphisms(t, limit=aut_limit, pinned=pinned))
     except AutomorphismLimitExceeded as exc:
         raise OracleSizeError(str(exc)) from exc
-    auts.sort(key=_moved)
+    auts.sort(key=_reference_moved)
     tables = [_mask_images(s) for s in auts[1:]]
     dist_count = 0
     orbit_count = 0
@@ -321,7 +341,7 @@ def reference_brute_asym(t, pinned=None, aut_limit=DEFAULT_AUT_LIMIT):
     for mask in range(1 << t.n):
         fixed = False
         for tbl in tables:
-            if _apply(tbl, mask) == mask:
+            if _apply_table(tbl, mask) == mask:
                 fixed = True
                 break
         if fixed:
@@ -329,7 +349,7 @@ def reference_brute_asym(t, pinned=None, aut_limit=DEFAULT_AUT_LIMIT):
         dist_count += 1
         is_rep = True
         for tbl in tables:
-            if _apply(tbl, mask) < mask:
+            if _apply_table(tbl, mask) < mask:
                 is_rep = False
                 break
         if is_rep:
@@ -350,7 +370,7 @@ def reference_brute_motion(t, aut_limit=DEFAULT_AUT_LIMIT):
     best = None
     try:
         for sigma in enumerate_automorphisms(t, limit=aut_limit):
-            moved = _moved(sigma)
+            moved = _reference_moved(sigma)
             if moved and (best is None or moved < best):
                 best = moved
     except AutomorphismLimitExceeded as exc:
@@ -392,3 +412,15 @@ def test_oracle_budget_matches_reference_on_stars_and_paths():
         "n = 17 exceeds oracle cap 16", "root 5 out of range 0..4",
     }
     assert (OracleSizeError, "automorphism count exceeds limit 23", AutomorphismLimitExceeded) in raised
+
+
+def test_direct_permutation_reads_match_image_tables():
+    # the 8- and 9-vertex stars are the big-group trees of corpus --check; the rest are small
+    trees = [star(8), star(9), *trees_up_to(6)]
+    rng = random.Random(5)
+    for t in trees:
+        for sigma in enumerate_automorphisms(t):
+            assert _moved(sigma) == _reference_moved(sigma)
+            tbl = _mask_images(sigma)
+            for mask in [0, (1 << t.n) - 1, *(rng.getrandbits(t.n) for _ in range(8))]:
+                assert _apply(sigma, mask) == _apply_table(tbl, mask), (t.edges(), sigma, mask)

@@ -8,6 +8,9 @@ instead of at the center; both must give the same branch classes.
 ``reference_center_rerooting`` is the center-rooted ``Rerooting.of`` that
 rebuilt sorted keys with ``insort`` and ``bisect``; the run-table edit must
 give the same ``up`` and ``sigs``, field by field.
+``reference_asym_rooted`` and ``reference_aut_order_rooted`` are the earlier
+``asym_rooted`` and ``aut_order_rooted``: one analysis of the tree rooted at w.
+The new ones read the center analysis along the path from w to the center.
 """
 
 import random
@@ -23,17 +26,28 @@ from treesym import (
     asym_at_every_root,
     asym_rooted,
     asym_unrooted,
+    aut_order_rooted,
     conjecture_check,
     relabel,
     root_at,
     serialize_edge_list,
 )
-from treesym.asym import a_at_every_root, a_by_class
-from treesym.canon import Rerooting, TreeAnalysis, _branch_runs, _runs
+from treesym.asym import a_at_every_root, a_at_root, a_by_class, asym_of
+from treesym.autom import _aut_product, aut_by_class, aut_order_of
+from treesym.canon import Rerooting, TreeAnalysis, _at_root, _branch_runs, _runs
 from treesym.cli import main
 from treesym.corpus import all_trees, kary_tree, random_tree, spider
 
 from .conftest import path, relabeled_families, trees_up_to
+
+
+def reference_asym_rooted(rt) -> int:
+    an = TreeAnalysis.of(rt)
+    return asym_of(an, a_by_class(an))
+
+
+def reference_aut_order_rooted(rt) -> int:
+    return aut_order_of(TreeAnalysis.of(rt))
 
 
 def reference_conjecture_check(t: Tree) -> ConjectureReport:
@@ -164,12 +178,12 @@ def test_conjecture_matches_per_root_reference_seeded(name, t):
 
 def test_a_at_every_root_matches_rooted_small():
     for t in small_corpus():
-        assert a_at_every_root(Rerooting.of(t)) == [asym_rooted(root_at(t, w)) for w in range(t.n)], t.adj
+        assert a_at_every_root(Rerooting.of(t)) == [reference_asym_rooted(root_at(t, w)) for w in range(t.n)], t.adj
 
 
 @pytest.mark.parametrize("name,t", SEEDED, ids=[name for name, _ in SEEDED])
 def test_a_at_every_root_matches_rooted_seeded(name, t):
-    assert a_at_every_root(Rerooting.of(t)) == [asym_rooted(root_at(t, w)) for w in range(t.n)]
+    assert a_at_every_root(Rerooting.of(t)) == [reference_asym_rooted(root_at(t, w)) for w in range(t.n)]
 
 
 def test_asym_at_every_root_matches_per_root_rooting():
@@ -177,7 +191,7 @@ def test_asym_at_every_root_matches_per_root_rooting():
     for t in trees:
         got = asym_at_every_root(t)
         assert isinstance(got, tuple)
-        assert got == tuple(asym_rooted(root_at(t, w)) for w in range(t.n)), t.adj
+        assert got == tuple(reference_asym_rooted(root_at(t, w)) for w in range(t.n)), t.adj
 
 
 def assert_same_branch_classes(t: Tree) -> None:
@@ -340,3 +354,77 @@ def test_all_roots_callers_root_the_tree_once(monkeypatch, capsys, make):
         calls.clear()
         run(make())
         assert sorted(calls) == ["of", "root_at"], run.__name__
+
+
+def assert_rooted_numbers_match_reference(t: Tree) -> None:
+    for w in range(t.n):
+        rt = root_at(t, w)
+        assert asym_rooted(rt) == reference_asym_rooted(rt), (t.adj, w)
+        assert aut_order_rooted(rt) == reference_aut_order_rooted(rt), (t.adj, w)
+
+
+def test_rooted_numbers_match_reference_up_to_11():
+    # every tree with n <= 11 at every root, and one relabeled copy of each
+    rng = random.Random(7)
+    for t in trees_up_to(11):
+        assert_rooted_numbers_match_reference(t)
+        assert_rooted_numbers_match_reference(shuffled(rng, t))
+
+
+@pytest.mark.parametrize("name,t", SEEDED, ids=[name for name, _ in SEEDED])
+def test_rooted_numbers_match_reference_seeded(name, t):
+    assert_rooted_numbers_match_reference(t)
+
+
+def test_rooted_numbers_match_reference_random():
+    rng = random.Random(17)
+    for _ in range(40):
+        assert_rooted_numbers_match_reference(random_tree(rng, rng.randint(12, 200)))
+
+
+def test_rooted_numbers_match_reference_wide():
+    assert_rooted_numbers_match_reference(wide_tree())
+
+
+def test_branch_toward_the_center_has_no_twin():
+    # the lemma behind the rooted numbers: rooted at any x off the center, the
+    # child toward the center is taller than its siblings, so alone in its run
+    for t in trees_up_to(10):
+        an = TreeAnalysis.at_center(t)
+        for x in range(t.n):
+            if x in an.roots:
+                continue
+            at_x = TreeAnalysis.of(root_at(t, x))
+            toward = at_x.ids[an.rt.parent[x]]
+            assert dict(at_x.sigs[at_x.ids[x]])[toward] == 1, (t.adj, x)
+
+
+@pytest.mark.parametrize("w", [-1, 5])
+def test_rooted_numbers_reject_an_out_of_range_root(w):
+    t = path(5)
+    with pytest.raises(ValueError) as want:
+        root_at(t, w)
+    an = TreeAnalysis.at_center(t)
+    for at_root in (lambda: a_at_root(an, a_by_class(an), w), lambda: _at_root(an, aut_by_class(an), _aut_product, w)):
+        with pytest.raises(ValueError) as got:
+            at_root()
+        assert str(got.value) == str(want.value) == f"root {w} out of range 0..4"
+
+
+def test_rooted_numbers_reuse_the_center_analysis(monkeypatch):
+    # once the tree holds its center analysis, no rooted number analyses another rooting
+    t = spider(40, 3)
+    TreeAnalysis.at_center(t)
+    calls = []
+    real_of = TreeAnalysis.of
+
+    def counting_of(rt, cut=None):
+        calls.append(rt.root)
+        return real_of(rt, cut)
+
+    monkeypatch.setattr(TreeAnalysis, "of", staticmethod(counting_of))
+    for w in range(t.n):
+        rt = root_at(t, w)
+        asym_rooted(rt)
+        aut_order_rooted(rt)
+    assert calls == []
