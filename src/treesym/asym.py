@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .autom import aut_order_of
-from .canon import Rerooting, TreeAnalysis, _at_root, _branch_runs, _center_runs
+from .canon import TreeAnalysis, _at_root, _center_runs, _toward_center
 from .trees import RootedTree, Tree
 
 
@@ -33,7 +33,7 @@ def _a_product(a: list[int], pairs) -> int:
     return acc
 
 
-def a_by_class(an: TreeAnalysis | Rerooting) -> list[int]:
+def a_by_class(an: TreeAnalysis) -> list[int]:
     """a(T^x, x) of every class, in one pass over the class table."""
     a: list[int] = []
     for sig in an.sigs:
@@ -51,15 +51,11 @@ def a_at_root(an: TreeAnalysis, a: list[int], w: int) -> int:
     return _at_root(an, a, _a_product, w)
 
 
-def a_at_every_root(rr: Rerooting) -> list[int]:
-    """a(T,w) for every vertex w, from the branch classes at w."""
-    a, ids, sigs = a_by_class(rr), rr.down.ids, rr.sigs
-    return [_a_product(a, _branch_runs(sigs[ids[w]], k_up)) for w, k_up in enumerate(rr.up)]
-
-
 def asym_at_every_root(t: Tree) -> tuple[int, ...]:
-    """a(T,w) for every vertex w of t, from one rooting and one rerooting pass."""
-    return tuple(a_at_every_root(Rerooting.of(t)))
+    """a(T,w) for every vertex w of t: w's class value times b(w), the branch toward the center, in one pass."""
+    an = TreeAnalysis.at_center(t)
+    a = a_by_class(an)
+    return tuple(a[c] * b for c, b in zip(an.ids, _toward_center(an, a, _a_product)))
 
 
 def a_values(rt: RootedTree) -> tuple[int, ...]:

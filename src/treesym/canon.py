@@ -195,37 +195,24 @@ def _at_root(an: TreeAnalysis, vals: list[int], product, w: int) -> int:
     return acc
 
 
-@dataclass(frozen=True, eq=False)
-class Rerooting:
-    """The branch classes at every vertex, from the center analysis (``down``) and one top-down pass.
+def _toward_center(an: TreeAnalysis, vals: list[int], product) -> list[int]:
+    """b(x) for every vertex x: the value of the branch at x toward the center, rooted at x's parent p.
 
-    ``up[x]`` is the class of the branch at x's parent away from x. At a vertex center the root
-    has no such branch (-1); at an edge center (u, v) each half is the other's up branch. Up
-    classes share the down id space and are interned by run table, so equal ids mean isomorphic
-    branches, and ``sigs`` (the down table, then the up classes) refers only to smaller ids. The
-    branch classes at w are the runs ``_branch_runs(sigs[down.ids[w]], up[w])``.
+    The top-down form of ``_at_root``'s walk: b is 1 at a vertex center and the other half's value
+    at an edge center, and b(x) = b(p) * product(p's runs less one x-class), once per distinct
+    child class of p. Keeps one value per vertex and no run table.
     """
-
-    down: TreeAnalysis
-    up: tuple[int, ...]
-    sigs: tuple[tuple[tuple[int, int], ...], ...]
-
-    @staticmethod
-    def of(t: Tree) -> "Rerooting":
-        down = TreeAnalysis.at_center(t)
-        ids = down.ids
-        index = dict(zip(down.sigs, range(len(down.sigs))))  # run table -> class, in id order
-        up = [-1] * t.n
-        if len(down.roots) == 2:
-            u, v = down.roots
-            up[u], up[v] = ids[v], ids[u]
-        for p in down.rt.bfs_order:
-            # one up class per distinct child class: the branches at p minus one of that class
-            for k, run in groupby(down.children[p], key=ids.__getitem__):
-                cid = index.setdefault(_branch_runs(down.sigs[ids[p]], up[p], k), len(index))
-                for x in run:
-                    up[x] = cid
-        return Rerooting(down, tuple(up), tuple(index))
+    ids, sigs = an.ids, an.sigs
+    b = [1] * an.rt.tree.n
+    if len(an.roots) == 2:
+        u, v = an.roots
+        b[u], b[v] = vals[ids[v]], vals[ids[u]]
+    for p in an.rt.bfs_order:
+        for k, run in groupby(an.children[p], key=ids.__getitem__):
+            value = b[p] * product(vals, _branch_runs(sigs[ids[p]], -1, k))
+            for x in run:
+                b[x] = value
+    return b
 
 
 def child_classes(rt: RootedTree, y: int) -> tuple[TwinClass, ...]:

@@ -23,7 +23,7 @@ from .coloring import to_dot, unrank_of, verify_distinguishing
 from .corpus import FAMILIES, CorpusSpec, conjecture_check, generate, run_theorem_suite
 from .oracle import MAX_GRAPH_VERTICES, brute_asym
 from .treelike import extract_forest, is_treelike, parse_graph_edge_list, treelike_distinguish
-from .trees import Coloring, EdgeListParseError, Tree, parse_edge_list, root_at, serialize_edge_list
+from .trees import Coloring, EdgeListParseError, Tree, _is_decimal, parse_edge_list, root_at, serialize_edge_list
 
 SCHEMA = 1
 CORPUS_FLAGS = ("all-trees", "random-prufer", "caterpillar", "lobed-extremal", "kary", "spider")  # in precedence order
@@ -219,11 +219,11 @@ def cmd_treelike(args) -> int:
 
 
 def _ascii_int(text: str) -> int:
-    """``int`` for an option, on ASCII digits only (``int`` reads any Unicode digits), with argparse's message."""
-    if text.isascii():
+    """``int`` for an option, on a plain decimal only (``trees._is_decimal``), with argparse's message."""
+    if _is_decimal(text):
         try:
             return int(text)
-        except ValueError:
+        except ValueError:  # past Python's int <-> str digit limit
             pass
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 

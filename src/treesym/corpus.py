@@ -6,9 +6,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .asym import GroupOrderBound, a_at_root, a_by_class, asym_of
+from .asym import GroupOrderBound, _a_product, a_at_root, a_by_class, asym_of
 from .autom import aut_order_of, motion, motion_of
-from .canon import Rerooting, TreeAnalysis, _branch_runs
+from .canon import TreeAnalysis, _toward_center
 from .coloring import OneEndedTruncation, construct_of, one_ended_truncation
 from .trees import Tree, serialize_edge_list
 
@@ -366,24 +366,26 @@ def conjecture_check(t: Tree) -> ConjectureReport:
 
     The local condition holds when, at every vertex w, each neighbor x's
     branch class occurs among w's branches at most a(T^x) times. It is read
-    from the run tables of one rerooting: at w, the multiplicities are the
-    runs of ``sigs[ids[w]]`` plus one for ``up[w]``. The witness is the
-    first violating (w, x), in vertex order and then in ``adj[w]`` order.
+    from the tree's center analysis: the branches away from the center are
+    w's runs ``sigs[ids[w]]``, and the branch toward the center is alone in
+    its run (see ``canon._at_root``), so it fails only when its value b(w) is
+    0. The witness is the first violating (w, x), in vertex order and then in
+    ``adj[w]`` order.
     """
-    rr = Rerooting.of(t)
-    a = a_by_class(rr)
-    ids, up, sigs = rr.down.ids, rr.up, rr.sigs
+    an = TreeAnalysis.at_center(t)
+    a = a_by_class(an)
+    b = _toward_center(an, a, _a_product)
+    ids, sigs, parent, roots = an.ids, an.sigs, an.rt.parent, an.roots
+    over = [any(mu > a[k] for k, mu in sig) for sig in sigs]  # a twin run longer than its class's a
     violation = None
     for w in range(t.n):
-        k_up = up[w]
-        # up[w] adds one to its class's run; a class with no run occurs once, which only a = 0 forbids
-        if (k_up >= 0 and a[k_up] == 0) or any(mu + (k == k_up) > a[k] for k, mu in sigs[ids[w]]):
-            mu, p = dict(_branch_runs(sigs[ids[w]], k_up)), rr.down.rt.parent[w]
-            ks = {x: k_up if x == p else ids[x] for x in t.adj[w]}
-            violation = next((w, x, mu[k], a[k]) for x, k in ks.items() if mu[k] > a[k])
+        if b[w] == 0 or over[ids[w]]:
+            mu = dict(sigs[ids[w]])
+            ks = ((x, 1, b[w]) if x == parent[w] or x in roots else (x, mu[ids[x]], a[ids[x]]) for x in t.adj[w])
+            violation = next((w, x, m, a_x) for x, m, a_x in ks if m > a_x)
             break
     local_ok = violation is None
-    dist = asym_of(rr.down, a) > 0
+    dist = asym_of(an, a) > 0
     return ConjectureReport(local_ok == dist, local_ok, dist, violation)
 
 

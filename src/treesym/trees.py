@@ -121,6 +121,11 @@ _MAX_INPUT_DIGITS = 4300
 _ECHO_CHARS = 40
 
 
+def _is_decimal(text: str) -> bool:
+    """A plain decimal: ASCII, an optional leading ``-``, then digits; ``int`` also reads ``_``, ``+``, any digit."""
+    return text.isascii() and text.removeprefix("-").isdigit()
+
+
 def _cut(x, show=str) -> str:
     text = str(x)
     if len(text) <= _ECHO_CHARS:
@@ -133,17 +138,18 @@ def read_edge_lines(text: str):
 
     Validates header, id ranges, self-loops and duplicates with line numbers,
     each edge once. Connectivity and count rules are left to the callers.
-    Numbers are ASCII decimals: ``int`` reads any Unicode digits, so a text
-    that is not all ASCII has each number checked.
+    Numbers are plain decimals (``_is_decimal``): in an ASCII text without
+    ``_`` or ``+``, ``int`` reads nothing else, so only another text has each
+    number checked.
     """
     lines = text.splitlines()
-    unicode = not text.isascii()
+    suspect = not text.isascii() or "_" in text or "+" in text
     i = next((i for i, raw in enumerate(lines) if raw.strip()), None)
     if i is None:
         raise EdgeListParseError("empty input: expected vertex count on first line")
     header = lines[i].strip()
     try:
-        if len(header) > _MAX_INPUT_DIGITS or unicode and not header.isascii():
+        if len(header) > _MAX_INPUT_DIGITS or suspect and not _is_decimal(header):
             raise ValueError
         n = int(header)
     except ValueError:
@@ -160,7 +166,7 @@ def read_edge_lines(text: str):
         try:
             if len(raw) > _MAX_INPUT_DIGITS and max(map(len, parts)) > _MAX_INPUT_DIGITS:
                 raise ValueError  # a line within the limit holds no over-long token
-            if unicode and not (parts[0].isascii() and parts[1].isascii()):
+            if suspect and not (_is_decimal(parts[0]) and _is_decimal(parts[1])):
                 raise ValueError
             u, v = int(parts[0]), int(parts[1])
         except ValueError:

@@ -33,8 +33,8 @@ from treesym import (
     unrooted_code,
     verify_distinguishing,
 )
-from treesym.asym import a_at_every_root, asym_rooted
-from treesym.canon import Rerooting, TreeAnalysis, colored_subtree_codes, colored_unrooted_code
+from treesym.asym import a_by_class, asym_at_every_root, asym_of, asym_rooted
+from treesym.canon import TreeAnalysis, colored_subtree_codes, colored_unrooted_code
 from treesym.oracle import exists_automorphism
 
 from .conftest import (
@@ -327,7 +327,8 @@ def test_wide_vertex_of_distinct_classes():
     ids, sigs = fields[2], fields[3]
     assert len(sigs[ids[0]]) == 486
     assert all(mu == 1 for _, mu in sigs[ids[0]])
-    assert asym_rooted(rt) == a_at_every_root(Rerooting.of(wide))[0]
+    an = TreeAnalysis.of(rt)  # a(T,0) from the rooting at 0 itself, as the reference
+    assert asym_rooted(rt) == asym_at_every_root(wide)[0] == asym_of(an, a_by_class(an))
 
 
 # tracemalloc peaks on Python 3.11, doubled: star 9 MB, path 41 MB

@@ -575,6 +575,30 @@ def test_non_ascii_digits_in_integer_options_are_rejected(tree_file, capsys, arg
     assert argv[-1] in err and err.startswith("usage: treesym")
 
 
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ("3\n0 1\n0_0 2\n", ("analyze", "-"), "error: line 3: non-integer vertex id in '0_0 2'"),
+        ("3\n+0 1\n0 2\n", ("analyze", "-"), "error: line 2: non-integer vertex id in '+0 1'"),
+        ("1_0\n0 1\n", ("treelike", "-"), "error: line 1: expected vertex count, got '1_0'"),
+        (P3_PATH, ("analyze", "-", "--root", "0_1"), "error: argument --root: invalid int value: '0_1'"),
+        ("", ("corpus", "--random-prufer", "5", "--seed", "+1"), "error: argument --seed: invalid int value: '+1'"),
+    ],
+    ids=["underscore-id", "plus-id", "underscore-header", "underscore-root", "plus-seed"],
+)
+def test_numbers_are_plain_decimals(capsys, monkeypatch, text, argv, message):
+    # int() also reads "1_0" and "+1"; input and options take an optional "-" and digits only
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects an option with a usage message
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.endswith(message + "\n"), err
+
+
 def test_closed_stdout_exits_0_quietly():
     # a reader that stops early, as `treesym corpus --all-trees 10 | head -1` does; this output
     # outgrows a pipe buffer, so the writer is still writing when the pipe closes

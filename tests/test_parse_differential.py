@@ -6,7 +6,9 @@ when every edge was checked twice: once by the reader, and once more while
 are kept here with those constructors inlined as they were and with their
 own copies of the helpers, so that a change to ``treesym.trees`` cannot move
 them too. Both sides must return equal trees and graphs, or raise the same
-exception type with the same text and ``.line``.
+exception type with the same text and ``.line``. A number is a plain decimal
+on both sides: the reference checks every token, the reader only the tokens
+of a text that is not ASCII or holds ``_`` or ``+``.
 """
 
 import random
@@ -40,6 +42,8 @@ def reference_cut(x, show=str) -> str:
 def reference_parse_int(token: str) -> int:
     if len(token) > REFERENCE_MAX_INPUT_DIGITS:
         raise ValueError(f"integer longer than {REFERENCE_MAX_INPUT_DIGITS} characters")
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"not a plain decimal: {token!r}")
     return int(token)
 
 
@@ -191,16 +195,11 @@ def family_edges(rng, kind, n):
 
 
 def token(rng, x):
-    """x as int() reads it: plain, signed, zero-padded, or with underscores between digits."""
+    """x as a plain decimal: as is, or with one or two leading zeros."""
     s = str(x)
     pick = rng.randrange(6)
-    if pick == 1:
-        return "+" + s
-    if pick == 2:
-        return "00" + s
-    if pick == 3 and len(s) >= 2:
-        cut = rng.randrange(1, len(s))
-        return s[:cut] + "_" + s[cut:]
+    if pick in (1, 2):
+        return "0" * pick + s
     return s
 
 
@@ -255,7 +254,8 @@ def mutations(rng, n, edges, lines):
         out.append(new)
 
     # the header
-    for header in ("0", "-3", "x", f"{n} {n}", f"{n + 1}", f"{max(n - 1, 1)}", "9" * 4301, "1" + "0" * 4299, ""):
+    for header in ("0", "-3", "x", f"{n} {n}", f"{n + 1}", f"{max(n - 1, 1)}", "9" * 4301, "1" + "0" * 4299, "",
+                   f"+{n}", f"0_{n}"):
         put(0, header)
     out.append([])
     if not idx:
@@ -272,6 +272,9 @@ def mutations(rng, n, edges, lines):
         f"{u} x",
         f"1.5 {v}",
         f"0x1 {v}",
+        f"+{u} {v}",
+        f"{u} 0_{v}",
+        f"{u} -+{v}",
         f"{u} {n}",
         f"{n + 7} {v}",
         f"-1 {v}",
@@ -357,6 +360,28 @@ def test_mutated_texts_fail_alike(kind):
             lines = render(rng, str(n), edges)
             for mutated in mutations(rng, n, edges, lines):
                 assert_same(join(rng, mutated), n)
+
+
+def test_only_a_text_with_a_suspect_character_has_its_numbers_checked(monkeypatch):
+    # int() reads plain decimals exactly in an ASCII text without "_" and "+",
+    # so a clean text, of any length, costs no per-token check
+    from treesym import trees
+
+    calls = []
+    real = trees._is_decimal
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(trees, "_is_decimal", counting)
+    assert parse_edge_list("4\n0 1\n-0 2\n0 3\n") == Tree.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    assert calls == []
+    for text, line in (("4\n0 1\n0 2\n0 3\n+", 5), ("4\n0 1\n0 2\n0 3_\n", 4), ("4\n0 1\n0 2\n0 ٣\n", 4)):
+        calls.clear()
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list(text)
+        assert exc.value.line == line and calls, text
 
 
 # -- hostile sizes ---------------------------------------------------------

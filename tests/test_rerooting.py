@@ -1,21 +1,30 @@
-"""The rerooting pass against the per-root computation it replaced.
+"""The all-roots pass against the per-root computation and the rerooting it replaced.
 
 ``reference_conjecture_check`` is the earlier ``conjecture_check`` body: one
 rooting, one analysis and one a-table per vertex. The new pass must give the
 same report, violation witness included, and the same a(T,w) at every root.
-``reference_rerooting`` is an earlier ``Rerooting.of``, rooted at vertex 0
-instead of at the center; both must give the same branch classes.
-``reference_center_rerooting`` is the center-rooted ``Rerooting.of`` that
-rebuilt sorted keys with ``insort`` and ``bisect``; the run-table edit must
-give the same ``up`` and ``sigs``, field by field.
+``Rerooting`` and ``a_at_every_root`` are the earlier all-roots pass: one class
+id per "up" branch (the branch at x's parent away from x), interned by run table
+in a second id space. ``reference_rerooting`` builds it rooted at vertex 0 and
+``reference_center_rerooting`` from the center analysis, with sorted keys and
+``insort``/``bisect``; both must give the same branch classes. The new pass,
+``canon._toward_center``, keeps no up class: it gives the value of the branch
+toward the center, which must equal the value of the reference's up class.
+``reference_rerooting_conjecture_check`` is the ``conjecture_check`` that read
+the reference's branch classes; it is fast enough for the wide trees.
 ``reference_asym_rooted`` and ``reference_aut_order_rooted`` are the earlier
 ``asym_rooted`` and ``aut_order_rooted``: one analysis of the tree rooted at w.
 The new ones read the center analysis along the path from w to the center.
 """
 
+import io
+import json
 import random
+import sys
+import tracemalloc
 from bisect import bisect_left, insort
 from collections import Counter
+from dataclasses import dataclass
 from itertools import groupby
 
 import pytest
@@ -32,13 +41,32 @@ from treesym import (
     root_at,
     serialize_edge_list,
 )
-from treesym.asym import a_at_every_root, a_at_root, a_by_class, asym_of
+from treesym.asym import _a_product, a_at_root, a_by_class, asym_of
 from treesym.autom import _aut_product, aut_by_class, aut_order_of
-from treesym.canon import Rerooting, TreeAnalysis, _at_root, _branch_runs, _runs
+from treesym.canon import TreeAnalysis, _at_root, _branch_runs, _runs, _toward_center
 from treesym.cli import main
 from treesym.corpus import all_trees, kary_tree, random_tree, spider
 
 from .conftest import path, relabeled_families, trees_up_to
+
+
+@dataclass(frozen=True, eq=False)
+class Rerooting:
+    """The branch classes at every vertex: ``up[x]`` is the class of the branch at x's parent away from x.
+
+    At a vertex center the root has no up branch (-1); at an edge center each half is the other's up
+    branch. Up classes share the down id space, so ``sigs`` is the down table followed by the up classes.
+    """
+
+    down: TreeAnalysis
+    up: tuple[int, ...]
+    sigs: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def a_at_every_root(rr: Rerooting) -> list[int]:
+    """a(T,w) for every vertex w, from the branch classes at w."""
+    a, ids, sigs = a_by_class(rr), rr.down.ids, rr.sigs
+    return [_a_product(a, _branch_runs(sigs[ids[w]], k_up)) for w, k_up in enumerate(rr.up)]
 
 
 def reference_asym_rooted(rt) -> int:
@@ -119,6 +147,22 @@ def branches(rr: Rerooting, w: int) -> list[int]:
     return [rr.up[w] if y == p else rr.down.ids[y] for y in rr.down.rt.tree.adj[w]]
 
 
+def reference_rerooting_conjecture_check(t: Tree) -> ConjectureReport:
+    """The local condition from the rerooting: each neighbor's branch class and its multiplicity at w."""
+    rr = reference_center_rerooting(t)
+    a = a_by_class(rr)
+    violation = None
+    for w in range(t.n):
+        ks = branches(rr, w)
+        mu = Counter(ks)
+        violation = next(((w, x, mu[k], a[k]) for x, k in zip(t.adj[w], ks) if mu[k] > a[k]), None)
+        if violation:
+            break
+    local_ok = violation is None
+    dist = asym_of(rr.down, a) > 0
+    return ConjectureReport(local_ok == dist, local_ok, dist, violation)
+
+
 def bounded(rng: random.Random, n: int) -> Tree:
     """Random tree in which every vertex has at most 2 children."""
     slots = [0, 0]
@@ -176,14 +220,20 @@ def test_conjecture_matches_per_root_reference_seeded(name, t):
     assert conjecture_check(t).to_json() == reference_conjecture_check(t).to_json()
 
 
+def assert_every_root_matches_rooted(t: Tree) -> None:
+    want = [reference_asym_rooted(root_at(t, w)) for w in range(t.n)]
+    assert a_at_every_root(reference_center_rerooting(t)) == want, t.adj
+    assert asym_at_every_root(t) == tuple(want), t.adj
+
+
 def test_a_at_every_root_matches_rooted_small():
     for t in small_corpus():
-        assert a_at_every_root(Rerooting.of(t)) == [reference_asym_rooted(root_at(t, w)) for w in range(t.n)], t.adj
+        assert_every_root_matches_rooted(t)
 
 
 @pytest.mark.parametrize("name,t", SEEDED, ids=[name for name, _ in SEEDED])
 def test_a_at_every_root_matches_rooted_seeded(name, t):
-    assert a_at_every_root(Rerooting.of(t)) == [reference_asym_rooted(root_at(t, w)) for w in range(t.n)]
+    assert_every_root_matches_rooted(t)
 
 
 def test_asym_at_every_root_matches_per_root_rooting():
@@ -195,7 +245,7 @@ def test_asym_at_every_root_matches_per_root_rooting():
 
 
 def assert_same_branch_classes(t: Tree) -> None:
-    new, old = Rerooting.of(t), reference_rerooting(t)
+    new, old = reference_center_rerooting(t), reference_rerooting(t)
     assert a_at_every_root(new) == a_at_every_root(old), t.adj
     # the class of every directed edge (w -> x): the map old id -> new id is a bijection
     pairs = {(k_old, k_new) for w in range(t.n) for k_old, k_new in zip(branches(old, w), branches(new, w))}
@@ -212,20 +262,25 @@ def test_center_rerooting_matches_root_zero_seeded(name, t):
     assert_same_branch_classes(t)
 
 
-def wide_tree() -> Tree:
-    """A root joined to vertex 0 of every free tree on 10 vertices: 106 distinct classes at one vertex."""
+def joined_at_one_root(sizes, copies: int = 1) -> Tree:
+    """A root joined to vertex 0 of ``copies`` copies of every free tree on each of ``sizes`` vertices."""
     edges, n = [], 1
-    for t in all_trees(10):
-        edges.extend((n + u, n + v) for u, v in t.edges())
-        edges.append((0, n))
-        n += t.n
+    for size in sizes:
+        for t in all_trees(size):
+            for _ in range(copies):
+                edges.extend((n + u, n + v) for u, v in t.edges())
+                edges.append((0, n))
+                n += t.n
     return Tree.from_edges(n, edges)
 
 
 def assert_same_run_tables(t: Tree) -> None:
-    new, old = Rerooting.of(t), reference_center_rerooting(t)
-    assert new.up == old.up, t.adj
-    assert new.sigs == old.sigs, t.adj
+    # b(x) of the run-table pass is the value of x's up class in the sorted-keys reference,
+    # for a and for |Aut|; at a vertex center, which has no up class, b is 1
+    ref, an = reference_center_rerooting(t), TreeAnalysis.at_center(t)
+    for by_class, product in ((a_by_class, _a_product), (aut_by_class, _aut_product)):
+        ref_vals = by_class(ref)
+        assert _toward_center(an, by_class(an), product) == [ref_vals[k] if k >= 0 else 1 for k in ref.up], t.adj
 
 
 def test_run_table_rerooting_matches_sorted_keys_small():
@@ -239,10 +294,26 @@ def test_run_table_rerooting_matches_sorted_keys_seeded(name, t):
 
 
 def test_run_table_rerooting_matches_sorted_keys_wide():
-    t = wide_tree()
+    t = joined_at_one_root([10])
     assert t.n == 1061
-    assert len(set(branches(Rerooting.of(t), 0))) == 106
+    assert len(set(branches(reference_center_rerooting(t), 0))) == 106
     assert_same_run_tables(t)
+
+
+def test_all_roots_outputs_match_the_rerooting_reference(monkeypatch, capsys):
+    # every tree with n <= 10 and one relabeling of each, the seeded corpus,
+    # 40 random trees with n <= 400 and two wide vertices (106 and 550 child classes)
+    rng = random.Random(23)
+    trees = [u for t in trees_up_to(10) for u in (t, shuffled(rng, t))] + [t for _, t in SEEDED]
+    trees += [random_tree(rng, rng.randint(2, 400)) for _ in range(40)]
+    trees += [joined_at_one_root([10]), joined_at_one_root([12])]
+    for t in trees:
+        want = a_at_every_root(reference_center_rerooting(t))
+        assert asym_at_every_root(t) == tuple(want), t.adj
+        assert conjecture_check(t).to_json() == reference_rerooting_conjecture_check(t).to_json(), t.adj
+        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_edge_list(t)))
+        assert main(["analyze", "-", "--all-roots", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["roots"] == {str(w): str(a_w) for w, a_w in enumerate(want)}
 
 
 def test_branch_runs_edits_the_multiset():
@@ -263,44 +334,44 @@ def test_branch_runs_edits_the_multiset():
 
 def test_branch_runs_are_the_branch_classes():
     for t in small_corpus() + [t for _, t in SEEDED]:
-        rr = Rerooting.of(t)
+        rr = reference_center_rerooting(t)
         for w in range(t.n):
             runs = _branch_runs(rr.sigs[rr.down.ids[w]], rr.up[w])
             assert runs == tuple(sorted(Counter(branches(rr, w)).items())), t.adj
 
 
 def test_corpus_has_violations_and_clean_trees():
-    # the witness comparison only means something if both outcomes occur
-    reports = [conjecture_check(t) for t in small_corpus()]
+    # the witness comparison only means something if both outcomes occur, and
+    # if some witnesses are the branch toward the center and some are not
+    trees = small_corpus()
+    reports = [conjecture_check(t) for t in trees]
     assert any(r.violation for r in reports)
     assert any(r.violation is None for r in reports)
     assert any(r.violation and r.violation[0] > 0 for r in reports)
+    toward = set()
+    for t, r in zip(trees, reports):
+        if r.violation:
+            w, x, _, _ = r.violation
+            an = TreeAnalysis.at_center(t)
+            toward.add(x == an.rt.parent[w] or {w, x} == set(an.roots))
+    assert toward == {True, False}
 
 
-def test_up_classes_share_the_down_id_space():
-    # path 0-1-2-3 has the edge center (1, 2): each half is the other's up
-    # branch, and the branch at 1 away from 0 is the branch at 2 away from 3
-    rr = Rerooting.of(path(4))
-    assert rr.down.roots == (1, 2)
-    assert rr.up[1] == rr.down.ids[2]
-    assert rr.up[2] == rr.down.ids[1]
-    assert rr.up[0] == rr.up[3]
-    assert branches(rr, 2) == [rr.up[2], rr.down.ids[3]]
-    # path 0-1-2-3-4 has the vertex center 2, which has no up branch
-    rr = Rerooting.of(path(5))
-    assert rr.down.roots == (2,)
-    assert rr.up[2] == -1
-    assert rr.up[0] == rr.up[4] != -1
-    assert rr.up[1] == rr.up[3] != -1
-
-
-def test_star_costs_one_key_per_distinct_class():
-    # every leaf of a star rooted at its center gets the same up class, and
-    # the whole table has three classes: leaf, star minus a leaf, star
+def test_star_costs_one_product_per_distinct_class():
+    # every leaf of a star gets b from one product: the center's runs less one leaf
     n = 400
-    rr = Rerooting.of(Tree.from_edges(n, [(0, v) for v in range(1, n)]))
-    assert len(set(rr.up[1:])) == 1
-    assert len(rr.sigs) == 3
+    t = Tree.from_edges(n, [(0, v) for v in range(1, n)])
+    an = TreeAnalysis.at_center(t)
+    a = a_by_class(an)
+    calls = []
+
+    def counting(vals, runs):
+        calls.append(runs)
+        return _a_product(vals, runs)
+
+    b = _toward_center(an, a, counting)
+    assert calls == [((0, n - 2),)]
+    assert b[1:] == [_a_product(a, ((0, n - 2),))] * (n - 1)
 
 
 def test_conjecture_check_roots_the_tree_at_most_twice(monkeypatch):
@@ -383,7 +454,7 @@ def test_rooted_numbers_match_reference_random():
 
 
 def test_rooted_numbers_match_reference_wide():
-    assert_rooted_numbers_match_reference(wide_tree())
+    assert_rooted_numbers_match_reference(joined_at_one_root([10]))
 
 
 def test_branch_toward_the_center_has_no_twin():
@@ -428,3 +499,41 @@ def test_rooted_numbers_reuse_the_center_analysis(monkeypatch):
         asym_rooted(rt)
         aut_order_rooted(rt)
     assert calls == []
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_all_roots_memory_is_linear_at_a_wide_vertex():
+    # vertex 0 has 551 pairwise non-isomorphic branches; one run table per up
+    # class took 20.5 MB there, against 0.5 MB for the whole center analysis
+    t = joined_at_one_root([12])
+    assert t.n == 6613 and len(t.adj[0]) == 551
+    an = TreeAnalysis.at_center(t)
+    ceiling = traced_peak(lambda: TreeAnalysis.of(an.rt))
+    for run in (asym_at_every_root, conjecture_check):
+        assert traced_peak(lambda: run(t)) < ceiling, run.__name__
+
+
+@pytest.fixture(scope="module")
+def twins_text() -> str:
+    return serialize_edge_list(joined_at_one_root([11, 12], copies=8))
+
+
+def test_analyze_all_roots_on_a_wide_tree_of_twins(twins_text, monkeypatch, capsys):
+    # 8 copies of each of the 786 free trees on 11 and 12 vertices at one root:
+    # tracemalloc peak 42 MB on Python 3.11, most of it the edge-list reader;
+    # 58 MB with one run table per up class
+    monkeypatch.setattr(sys, "stdin", io.StringIO(twins_text))
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(["analyze", "-", "--all-roots", "--json"])))
+    report = json.loads(capsys.readouterr().out)
+    assert codes == [0] and report["n"] == 73577
+    assert report["roots"] == {str(w): "0" for w in range(73577)}
+    assert peak < 50 * 2**20
