@@ -263,6 +263,8 @@ def _center_ends(c: Center) -> tuple[int, ...]:
 class RootedTree:
     """Tree with a distinguished root and parent/child orientation.
 
+    ``parent``, ``children``, ``subtree_size`` and ``bfs_order`` are built by
+    one BFS when any of them is first read, then kept as plain attributes.
     ``children`` lists are in ascending id order; canonical ordering is the
     canon module's job. ``bfs_order`` starts at the root, so its reverse is
     a valid bottom-up evaluation order. Equality and hashing are by identity.
@@ -270,10 +272,13 @@ class RootedTree:
 
     tree: Tree
     root: int
-    parent: tuple[int | None, ...]
-    children: tuple[tuple[int, ...], ...]
-    subtree_size: tuple[int, ...]
-    bfs_order: tuple[int, ...]
+
+    def __getattr__(self, name: str):
+        # only a missing table is built; any other name (``__setstate__`` while unpickling) stays missing
+        if name not in ("parent", "children", "subtree_size", "bfs_order"):
+            raise AttributeError(name)
+        self.__dict__.update(_rooting(self.tree, self.root))
+        return self.__dict__[name]
 
 
 def _check_root(n: int, w: int) -> None:
@@ -283,6 +288,11 @@ def _check_root(n: int, w: int) -> None:
 
 def root_at(t: Tree, w: int) -> RootedTree:
     _check_root(t.n, w)
+    return RootedTree(t, w)
+
+
+def _rooting(t: Tree, w: int) -> dict[str, tuple]:
+    """The tables of ``t`` rooted at ``w``, by name, from one BFS."""
     parent = [None] * t.n
     children = [()] * t.n
     order = [w]
@@ -299,7 +309,7 @@ def root_at(t: Tree, w: int) -> RootedTree:
     size = [1] * t.n
     for v in order[:0:-1]:
         size[parent[v]] += size[v]
-    return RootedTree(t, w, tuple(parent), tuple(children), tuple(size), tuple(order))
+    return dict(parent=tuple(parent), children=tuple(children), subtree_size=tuple(size), bfs_order=tuple(order))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,17 @@ import pytest
 from hypothesis import strategies as st
 
 from treesym import Tree, all_trees, kary_tree, relabel, spider, tree_from_pruefer
+from treesym import trees as trees_module
+
+
+@pytest.fixture
+def table_builds(monkeypatch) -> list[int]:
+    """The root of every rooting whose tables are built while the test runs."""
+    built: list[int] = []
+    build = trees_module._rooting
+    monkeypatch.setattr(trees_module, "_rooting", lambda t, w: built.append(w) or build(t, w))
+    return built
+
 
 # named fixtures for the small trees every module's examples use
 

@@ -1,3 +1,6 @@
+import copy
+import itertools
+import pickle
 import random
 import time
 import tracemalloc
@@ -152,34 +155,65 @@ def reference_root_at(t, w):
     return tuple(parent), tuple(children), tuple(size), tuple(order)
 
 
-def rooted_fields(t, w):
+TABLES = ("parent", "children", "subtree_size", "bfs_order")
+
+# each table is read first in one of these orders; the tables are built together on the first read
+READ_ORDERS = [TABLES[i:] + TABLES[:i] for i in range(len(TABLES))] + [TABLES[::-1]]
+
+
+def rooted_fields(t, w, order=TABLES):
+    """The tables of ``root_at(t, w)`` in ``TABLES`` order, read in ``order``, each twice."""
     rt = root_at(t, w)
     assert (rt.tree, rt.root) == (t, w)
-    return rt.parent, rt.children, rt.subtree_size, rt.bfs_order
+    first = {name: getattr(rt, name) for name in order}
+    assert all(getattr(rt, name) is first[name] for name in order)
+    return tuple(first[name] for name in TABLES)
 
 
 def test_root_at_matches_reference():
     # bfs_order and the children order fix class ids and hence unranking
+    orders = itertools.cycle(READ_ORDERS)
     for n in range(1, 10):
         for t in all_trees(n):
             for w in range(n):
-                assert rooted_fields(t, w) == reference_root_at(t, w)
+                assert rooted_fields(t, w, next(orders)) == reference_root_at(t, w)
     rng = random.Random(31)
     for n in (3, 10, 100, 500, 2000):
         for _ in range(3):
             t = tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
             for w in {0, n - 1, rng.randrange(n)}:
-                assert rooted_fields(t, w) == reference_root_at(t, w)
-    assert rooted_fields(path(1), 0) == reference_root_at(path(1), 0) == ((None,), ((),), (1,), (0,))
+                assert rooted_fields(t, w, next(orders)) == reference_root_at(t, w)
+    for order in READ_ORDERS:
+        assert rooted_fields(path(1), 0, order) == reference_root_at(path(1), 0) == ((None,), ((),), (1,), (0,))
     # relabeled, so a parent can sit anywhere in a sorted adjacency list
     for t in relabeled_families(37, (4, 5, 10, 100, 500, 2000)):
         for w in sample_roots(t, rng):
-            assert rooted_fields(t, w) == reference_root_at(t, w)
+            assert rooted_fields(t, w, next(orders)) == reference_root_at(t, w)
 
 
-def test_root_out_of_range(p3):
-    with pytest.raises(ValueError):
-        root_at(p3, 3)
+def test_root_out_of_range(p3, table_builds):
+    # the range check runs in root_at itself, before any table is read
+    for w in (3, 4, -1, -3):
+        with pytest.raises(ValueError, match="out of range"):
+            root_at(p3, w)
+    assert table_builds == []
+
+
+def test_rooting_survives_copy_and_pickle():
+    rng = random.Random(5)
+    for t in [path(1), path(2)] + relabeled_families(41, (4, 30)):
+        for w in sample_roots(t, rng):
+            want = (t, w) + reference_root_at(t, w)
+            rt = root_at(t, w)
+            for read in (False, True):
+                if read:
+                    assert (rt.tree, rt.root) + tuple(getattr(rt, name) for name in TABLES) == want
+                copies = [pickle.loads(pickle.dumps(rt)), copy.copy(rt), copy.deepcopy(rt)]
+                # copying an unread rooting builds no tables, in it or in the copies
+                assert read == ("parent" in rt.__dict__)
+                for twin in copies:
+                    assert twin is not rt and read == ("parent" in twin.__dict__)
+                    assert (twin.tree, twin.root) + tuple(getattr(twin, name) for name in TABLES) == want
 
 
 @given(random_trees(max_n=12))
