@@ -23,21 +23,27 @@ from .canon import TreeAnalysis, _at_root, _center_runs, _toward_center
 from .trees import RootedTree, Tree
 
 
-def _a_product(a: list[int], pairs) -> int:
-    """2 * prod C(a(k), mu) over (class k, multiplicity mu) pairs."""
+def _a_product(a: list[int], runs, drop: int = -1) -> int:
+    """2 * prod C(a(k), mu) over (class k, multiplicity mu) runs, with one fewer branch of class ``drop`` (-1: none)."""
     acc = 2
-    for k, mu in pairs:
-        acc *= comb(a[k], mu)
-        if acc == 0:
+    for k, mu in runs:
+        mu -= k == drop
+        acc *= a[k] if mu == 1 else comb(a[k], mu)  # C(a, 1) = a
+        if not acc:
             break
     return acc
 
 
 def a_by_class(an: TreeAnalysis) -> list[int]:
-    """a(T^x, x) of every class, in one pass over the class table."""
+    """a(T^x, x) of every class, in one pass over the class table: ``_a_product`` inline, with no drop."""
     a: list[int] = []
     for sig in an.sigs:
-        a.append(_a_product(a, sig))
+        acc = 2
+        for k, mu in sig:
+            acc *= a[k] if mu == 1 else comb(a[k], mu)
+            if not acc:
+                break
+        a.append(acc)
     return a
 
 

@@ -47,11 +47,12 @@ class Motion:
 ASYMMETRIC = Motion(None)
 
 
-def _aut_product(vals: list[int], sig) -> int:
-    """prod mu! * |Aut(k)|^mu over (class k, multiplicity mu) pairs."""
+def _aut_product(vals: list[int], runs, drop: int = -1) -> int:
+    """prod mu! * |Aut(k)|^mu over (class k, multiplicity mu) runs, less one branch of class ``drop`` (-1: none)."""
     acc = 1
-    for k, mu in sig:
-        acc *= factorial(mu) * vals[k] ** mu
+    for k, mu in runs:
+        mu -= k == drop
+        acc *= vals[k] if mu == 1 else factorial(mu) * vals[k] ** mu  # 1! * v^1 = v
     return acc
 
 

@@ -175,20 +175,28 @@ def _branch_runs(sig: tuple[tuple[int, int], ...], add: int = -1, drop: int = -1
 def _at_root(an: TreeAnalysis, vals: list[int], product, w: int) -> int:
     """A rooted class value of the whole tree rooted at any vertex w, from a center analysis.
 
-    ``vals`` holds the value of every class and ``product(vals, runs)`` the recursion over a run
-    table. At w the branches are w's runs plus, away from the center, the branch b(w) toward it,
-    rooted at w's parent p. The center halves a longest path, so that branch is taller than
-    every other branch at w: it is a run of one, and b(x) = b(p) * product(p's runs less x),
-    from 1 at a vertex center, or the other half at an edge center, down the path to w.
+    ``vals`` holds the value of every class and ``product(vals, runs, drop)`` the recursion over a
+    run table less one branch of class ``drop``. At w the branches are w's runs plus, away from the
+    center, the branch b(w) toward it, rooted at w's parent p. The center halves a longest path, so
+    that branch is taller than every other branch at w: it is a run of one, and b(x) = b(p) *
+    product(p's runs less x), from 1 at a vertex center, or the other half at an edge center, down
+    the path to w. Where x is p's only child that product is ``product(vals, ())``, so such chain
+    steps are counted and paid with one power.
     """
     _check_root(an.rt.tree.n, w)
-    ids, sigs, parent, roots = an.ids, an.sigs, an.rt.parent, an.roots
+    ids, sigs, children, parent, roots = an.ids, an.sigs, an.children, an.rt.parent, an.roots
     acc = vals[ids[w]]
+    chain = 0
     x = w
     while x not in roots:
         p = parent[x]
-        acc *= product(vals, _branch_runs(sigs[ids[p]], -1, ids[x]))
+        if len(children[p]) == 1:
+            chain += 1
+        else:
+            acc *= product(vals, sigs[ids[p]], ids[x])
         x = p
+    if chain:
+        acc *= product(vals, ()) ** chain
     for r in roots:
         if r != x:
             acc *= vals[ids[r]]
@@ -209,7 +217,7 @@ def _toward_center(an: TreeAnalysis, vals: list[int], product) -> list[int]:
         b[u], b[v] = vals[ids[v]], vals[ids[u]]
     for p in an.rt.bfs_order:
         for k, run in groupby(an.children[p], key=ids.__getitem__):
-            value = b[p] * product(vals, _branch_runs(sigs[ids[p]], -1, k))
+            value = b[p] * product(vals, sigs[ids[p]], k)
             for x in run:
                 b[x] = value
     return b

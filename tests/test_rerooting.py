@@ -365,12 +365,12 @@ def test_star_costs_one_product_per_distinct_class():
     a = a_by_class(an)
     calls = []
 
-    def counting(vals, runs):
-        calls.append(runs)
-        return _a_product(vals, runs)
+    def counting(vals, runs, drop):
+        calls.append((runs, drop))
+        return _a_product(vals, runs, drop)
 
     b = _toward_center(an, a, counting)
-    assert calls == [((0, n - 2),)]
+    assert calls == [(((0, n - 1),), 0)]
     assert b[1:] == [_a_product(a, ((0, n - 2),))] * (n - 1)
 
 
