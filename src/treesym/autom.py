@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import permutations
 from math import factorial
 
 from .canon import TreeAnalysis, _at_root, _center_runs
@@ -112,12 +113,16 @@ class AutomorphismLimitExceeded(RuntimeError):
 def _automorphisms(adj, limit: int | None = None, pinned: int | None = None, forced=None):
     """Yield every automorphism of a connected simple graph exactly once as an image tuple.
 
-    Backtracks over a BFS vertex order from ``pinned`` (else 0). A candidate
-    image is unused, has the vertex's degree, is adjacent to the image of its
-    BFS parent, honours ``forced`` (vertex -> image) and is adjacent to the
-    images of the vertex's other earlier neighbours; a tree has none, so it
-    checks each edge exactly once. ``pinned`` forces that vertex to itself.
-    Raises AutomorphismLimitExceeded before yielding past ``limit``.
+    Plain backtracking over a BFS vertex order from ``pinned`` (else 0). A
+    candidate image is unused, has the vertex's degree, is adjacent to the
+    image of its BFS parent, honours ``forced`` (vertex -> image) and is
+    adjacent to the images of the vertex's other earlier neighbours; a tree
+    has none, so it checks each edge exactly once. ``pinned`` forces that
+    vertex to itself. A run of consecutive sibling leaves with no forced
+    image is one level: its members share one candidate list, so the level
+    takes their images as one permutation of it, in the order the
+    vertex-by-vertex search would visit them. Raises
+    AutomorphismLimitExceeded before yielding past ``limit``.
     """
     n = len(adj)
     if pinned is not None:
@@ -134,40 +139,51 @@ def _automorphisms(adj, limit: int | None = None, pinned: int | None = None, for
         pos[v] = k
     back = [[z for z in adj[v] if pos[z] < pos[v] and z != par[v]] for v in range(n)]
     adjsets = [set(a) for a in adj] if any(back) else None
+    levels = [[order[0]]]
+    for v in order[1:]:
+        u = levels[-1][0]
+        if deg[u] == deg[v] == 1 and par[u] == par[v] and u not in want and v not in want:
+            levels[-1].append(v)
+        else:
+            levels.append([v])
     mapping = [-1] * n
     used = [False] * n
 
-    def candidates(k: int) -> list[int]:
-        v = order[k]
-        pool = range(n) if k == 0 else adj[mapping[par[v]]]
+    def candidates(level: list[int]):
+        v = level[0]
+        pool = range(n) if par[v] < 0 else adj[mapping[par[v]]]
         dv = deg[v]
         out = [y for y in pool if not used[y] and deg[y] == dv]
         if v in want:
             out = [y for y in out if y == want[v]]
         if back[v]:
             out = [y for y in out if all(mapping[z] in adjsets[y] for z in back[v])]
-        return out
+        return permutations(out, len(level))
 
     count = 0
-    stack = [iter(candidates(0))]
+    last = len(levels) - 1
+    stack = [candidates(levels[0])]
     while stack:
         k = len(stack) - 1
-        v = order[k]
-        for y in stack[-1]:
-            mapping[v] = y
-            if k + 1 == n:
+        level = levels[k]
+        for images in stack[-1]:
+            for v, y in zip(level, images):
+                mapping[v] = y
+            if k == last:
                 count += 1
                 if limit is not None and count > limit:
                     raise AutomorphismLimitExceeded(limit)
                 yield tuple(mapping)
                 continue
-            used[y] = True
-            stack.append(iter(candidates(k + 1)))
+            for y in images:
+                used[y] = True
+            stack.append(candidates(levels[k + 1]))
             break
         else:
             stack.pop()
             if k:
-                used[mapping[order[k - 1]]] = False
+                for v in levels[k - 1]:
+                    used[mapping[v]] = False
 
 
 def enumerate_automorphisms(t: Tree, limit: int | None = None, pinned: int | None = None):

@@ -1,9 +1,10 @@
 """Brute-force ground truth: exhaustive colorings, orbit counts, graph automorphisms.
 
 Everything here is deliberately dumb: subsets are enumerated as bit
-counters, automorphisms come from plain backtracking, and orbit
-representatives are minimum bit patterns. The fast modules are validated
-against these results, never the other way around.
+counters, automorphisms come from plain backtracking (a run of sibling
+leaves takes its images as one permutation of their shared candidates),
+and orbit representatives are minimum bit patterns. The fast modules are
+validated against these results, never the other way around.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 import dataclasses
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -15,8 +17,10 @@ from treesym import (
     exists_automorphism,
     root_at,
 )
-from treesym.autom import ASYMMETRIC
+from treesym import autom as autom_module
+from treesym.autom import ASYMMETRIC, _automorphisms
 from treesym.oracle import DEFAULT_AUT_LIMIT, MAX_ORACLE_VERTICES, OrbitReport, _apply, _moved
+from treesym.trees import _bfs, _check_root
 
 from .conftest import path, star, trees_up_to
 
@@ -224,11 +228,14 @@ def reference_brute_graph_aut(adj, pinned=None, limit=500_000, forced=None):
 
 
 def outcome(search, *args, **kwargs):
-    """The ordered result of a search, or the type and message of what it raised."""
+    """The ordered result of a search, or the type and message of what it raised and what it yielded before."""
+    got = []
     try:
-        return list(search(*args, **kwargs))
+        for sigma in search(*args, **kwargs):
+            got.append(sigma)
     except (AutomorphismLimitExceeded, ValueError) as exc:
-        return (type(exc).__name__, str(exc))
+        return (type(exc).__name__, str(exc), got)
+    return got
 
 
 def seeded_graphs(count: int, seed: int):
@@ -304,6 +311,208 @@ def test_exists_automorphism_cap_and_connectivity():
     with pytest.raises(ValueError, match="graph must be connected"):
         exists_automorphism([[1], [0], [3], [2]])
 
+
+# -- the vertex-by-vertex backtracker that leaf blocks replaced, kept as a third reference --
+
+
+def reference_vertex_automorphisms(adj, limit=None, pinned=None, forced=None):
+    """``autom._automorphisms`` as it was before sibling leaves took their images as one permutation.
+
+    One search level per BFS position, and one candidate list per search node.
+    """
+    n = len(adj)
+    if pinned is not None:
+        _check_root(n, pinned)
+    order, par = _bfs(adj, pinned if pinned is not None else 0)
+    if len(order) != n:
+        raise ValueError("graph must be connected")
+    want = dict(forced or {})
+    if pinned is not None:
+        want[pinned] = pinned
+    deg = [len(a) for a in adj]
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+    back = [[z for z in adj[v] if pos[z] < pos[v] and z != par[v]] for v in range(n)]
+    adjsets = [set(a) for a in adj] if any(back) else None
+    mapping = [-1] * n
+    used = [False] * n
+
+    def candidates(k):
+        v = order[k]
+        pool = range(n) if k == 0 else adj[mapping[par[v]]]
+        dv = deg[v]
+        out = [y for y in pool if not used[y] and deg[y] == dv]
+        if v in want:
+            out = [y for y in out if y == want[v]]
+        if back[v]:
+            out = [y for y in out if all(mapping[z] in adjsets[y] for z in back[v])]
+        return out
+
+    count = 0
+    stack = [iter(candidates(0))]
+    while stack:
+        k = len(stack) - 1
+        v = order[k]
+        for y in stack[-1]:
+            mapping[v] = y
+            if k + 1 == n:
+                count += 1
+                if limit is not None and count > limit:
+                    raise AutomorphismLimitExceeded(limit)
+                yield tuple(mapping)
+                continue
+            used[y] = True
+            stack.append(iter(candidates(k + 1)))
+            break
+        else:
+            stack.pop()
+            if k:
+                used[mapping[order[k - 1]]] = False
+
+
+def graph_from_edges(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def shuffled(adj, rng):
+    """The same graph with random vertex ids and neighbour order."""
+    perm = list(range(len(adj)))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u in range(len(adj)) for v in adj[u] if u < v]
+    rng.shuffle(edges)
+    return graph_from_edges(len(adj), edges)
+
+
+def leafy_families(max_n: int):
+    """Stars, double stars, caterpillars with 2-4 leaves per spine vertex and spiders with legs of length 1-2."""
+    for n in range(1, max_n + 1):
+        yield graph_from_edges(n, [(0, v) for v in range(1, n)])
+    for a in range(1, max_n - 2):
+        for b in range(a, max_n - 1 - a):
+            edges = [(0, 1), *((0, 2 + i) for i in range(a)), *((1, 2 + a + i) for i in range(b))]
+            yield graph_from_edges(a + b + 2, edges)
+    for spine in (2, 3, 4):
+        for counts in product(range(2, 5), repeat=spine):
+            n = spine + sum(counts)
+            if n <= max_n:
+                legs = [s for s, c in enumerate(counts) for _ in range(c)]
+                edges = [*((s, s + 1) for s in range(spine - 1)), *((s, spine + i) for i, s in enumerate(legs))]
+                yield graph_from_edges(n, edges)
+    for short in range(max_n):
+        for long in range(max_n // 2):
+            n = 1 + short + 2 * long
+            if 2 <= short + long and n <= max_n:
+                edges = [(0, 1 + i) for i in range(short)]
+                for i in range(long):
+                    mid = 1 + short + 2 * i
+                    edges += [(0, mid), (mid, mid + 1)]
+                yield graph_from_edges(n, edges)
+
+
+def pendant_graphs(count: int, seed: int):
+    """Random connected graphs, n <= 12: a random core with chords, then pendant leaves on a few core vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        core = rng.randint(1, 6)
+        n = rng.randint(core, 12)
+        edges = {(rng.randrange(v), v) for v in range(1, core)}
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.randrange(core), rng.randrange(core)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        hubs = rng.sample(range(core), rng.randint(1, min(3, core)))
+        edges |= {(rng.choice(hubs), v) for v in range(core, n)}
+        yield rng, shuffled(graph_from_edges(n, sorted(edges)), rng)
+
+
+def test_leaf_blocks_match_vertex_search_on_all_trees_in_order():
+    for t in trees_up_to(10):
+        for pinned in [None, *range(t.n)]:
+            assert list(enumerate_automorphisms(t, pinned=pinned)) == list(
+                reference_vertex_automorphisms(t.adj, pinned=pinned)
+            ), (t.edges(), pinned)
+
+
+def test_leaf_blocks_match_vertex_search_on_leafy_families():
+    rng = random.Random(12)
+    for adj in leafy_families(12):
+        for g in (adj, shuffled(adj, rng)):
+            for pinned in [None, *range(len(g))]:
+                kwargs = dict(pinned=pinned, limit=800)  # the 12-vertex star alone has 11! automorphisms
+                want = outcome(reference_vertex_automorphisms, g, **kwargs)
+                assert outcome(_automorphisms, g, **kwargs) == want, (g, pinned)
+
+
+def test_leaf_blocks_match_vertex_search_on_pendant_graphs():
+    kinds = Counter()
+    for rng, adj in pendant_graphs(2000, seed=20261019):
+        n = len(adj)
+        pinned = rng.choice([None, rng.randrange(n)])
+        # past 9 vertices an impossible forced image can cost a search of 10! dead ends, on either side
+        forced = {rng.randrange(n): rng.randrange(n)} if n <= 9 and rng.random() < 0.5 else None
+        kwargs = dict(pinned=pinned, forced=forced, limit=rng.choice([0, 1, 5, 200]))
+        want = outcome(reference_vertex_automorphisms, adj, **kwargs)
+        assert outcome(_automorphisms, adj, **kwargs) == want, (adj, kwargs)
+        kinds[type(want).__name__] += 1
+    assert kinds["list"] >= 500 and kinds["tuple"] >= 500
+
+
+# a 5-leaf block in a star, after a 2-leaf swap in a double star, and at a triangle's corner, where the search also checks a back edge
+BLOCK_GRAPHS = [
+    graph_from_edges(6, [(0, v) for v in range(1, 6)]),
+    graph_from_edges(9, [(0, 1), (0, 2), (0, 3), *((1, v) for v in range(4, 9))]),
+    graph_from_edges(8, [(0, 1), (1, 2), (2, 0), *((0, v) for v in range(3, 8))]),
+]
+
+
+@pytest.mark.parametrize("adj", BLOCK_GRAPHS, ids=["star6", "double-star", "triangle"])
+def test_leaf_block_limits_match_vertex_search(adj):
+    # 5! = 120 images of the block: the limit falls inside it, at its edge and past it
+    for pinned in [None, *range(len(adj))]:
+        for limit in (0, 1, 5, 23, 119, 120, 121, None):
+            want = outcome(reference_vertex_automorphisms, adj, pinned=pinned, limit=limit)
+            assert outcome(_automorphisms, adj, pinned=pinned, limit=limit) == want, (pinned, limit)
+
+
+@pytest.mark.parametrize("adj", BLOCK_GRAPHS, ids=["star6", "double-star", "triangle"])
+def test_forced_leaf_inside_a_block_matches_vertex_search(adj):
+    n = len(adj)
+    leaves = [v for v in range(n) if len(adj[v]) == 1]
+    hits = Counter()
+    for v in leaves:
+        for y in range(n):
+            for forced in ({v: y}, {v: y, leaves[-1]: leaves[0]}):
+                for pinned in (None, leaves[0], v):
+                    want = outcome(reference_vertex_automorphisms, adj, pinned=pinned, forced=forced)
+                    assert outcome(_automorphisms, adj, pinned=pinned, forced=forced) == want, (forced, pinned)
+                    assert exists_automorphism(adj, pinned=pinned, forced=forced) == bool(want)
+                    hits[bool(want)] += 1
+    assert hits[True] and hits[False]  # honoured and impossible forced images both occur
+
+
+@pytest.fixture
+def candidate_lists(monkeypatch) -> list[int]:
+    """The length of every candidate list the automorphism search builds while the test runs."""
+    built: list[int] = []
+    perms = autom_module.permutations
+    monkeypatch.setattr(autom_module, "permutations", lambda out, r: built.append(len(out)) or perms(out, r))
+    return built
+
+
+def test_leaf_blocks_bound_the_candidate_lists(candidate_lists):
+    # the vertex-by-vertex search built 69,282 lists on the 9-vertex star and 105 on the caterpillar
+    assert sum(1 for _ in enumerate_automorphisms(star(9))) == 40320
+    assert len(candidate_lists) <= 2
+    candidate_lists.clear()
+    spine = [(0, 1), (1, 2), (2, 3)]
+    caterpillar = Tree.from_edges(12, [*spine, *((s, 4 + 2 * s + i) for s in range(4) for i in range(2))])
+    assert sum(1 for _ in enumerate_automorphisms(caterpillar)) == 32
+    assert len(candidate_lists) <= 45
 
 def _reference_moved(sigma):
     return sum(1 for i, y in enumerate(sigma) if i != y)
