@@ -115,14 +115,16 @@ def _automorphisms(adj, limit: int | None = None, pinned: int | None = None, for
 
     Plain backtracking over a BFS vertex order from ``pinned`` (else 0). A
     candidate image is unused, has the vertex's degree, is adjacent to the
-    image of its BFS parent, honours ``forced`` (vertex -> image) and is
-    adjacent to the images of the vertex's other earlier neighbours; a tree
-    has none, so it checks each edge exactly once. ``pinned`` forces that
-    vertex to itself. A run of consecutive sibling leaves with no forced
-    image is one level: its members share one candidate list, so the level
-    takes their images as one permutation of it, in the order the
-    vertex-by-vertex search would visit them. Raises
-    AutomorphismLimitExceeded before yielding past ``limit``.
+    image of its BFS parent, honours ``forced`` (vertex -> image; keys out of
+    range are ignored, ``pinned`` maps to itself over it), is no other
+    vertex's forced image and is adjacent to the images of the vertex's other
+    earlier neighbours; a tree has none, so it checks each edge exactly once.
+    Forced images that clash, or are out of range or of another degree, yield
+    nothing at once. A run of consecutive sibling leaves with no forced image
+    is one level: its members share one candidate list, so the level takes
+    their images as one permutation of it, in the order the vertex-by-vertex
+    search would visit them. Raises AutomorphismLimitExceeded before yielding
+    past ``limit``.
     """
     n = len(adj)
     if pinned is not None:
@@ -130,10 +132,13 @@ def _automorphisms(adj, limit: int | None = None, pinned: int | None = None, for
     order, par = _bfs(adj, pinned if pinned is not None else 0)
     if len(order) != n:
         raise ValueError("graph must be connected")
-    want = dict(forced or {})
+    want = {v: y for v, y in (forced or {}).items() if 0 <= v < n}
     if pinned is not None:
         want[pinned] = pinned
     deg = [len(a) for a in adj]
+    if len(set(want.values())) < len(want) or any(not 0 <= y < n or deg[y] != deg[v] for v, y in want.items()):
+        return
+    reserved = {y for v, y in want.items() if v != pinned}
     pos = [0] * n
     for k, v in enumerate(order):
         pos[v] = k
@@ -156,6 +161,8 @@ def _automorphisms(adj, limit: int | None = None, pinned: int | None = None, for
         out = [y for y in pool if not used[y] and deg[y] == dv]
         if v in want:
             out = [y for y in out if y == want[v]]
+        elif reserved:
+            out = [y for y in out if y not in reserved]
         if back[v]:
             out = [y for y in out if all(mapping[z] in adjsets[y] for z in back[v])]
         return permutations(out, len(level))

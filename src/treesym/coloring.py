@@ -22,7 +22,7 @@ from math import comb, isqrt
 
 from .asym import _a_product, a_by_class, asym_of
 from .canon import TreeAnalysis, _branch_runs, _center_runs
-from .trees import Coloring, RootedTree, Tree, _bfs, root_at
+from .trees import Coloring, RootedTree, Tree, _bfs, _check_root, root_at
 
 
 def combinadic_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
@@ -173,8 +173,8 @@ def _colored_ids(an: TreeAnalysis, colors, order, ids, table: dict) -> bool:
     return True
 
 
-def _colored_key(an: TreeAnalysis, coloring: Coloring, table: dict) -> tuple[int, ...] | None:
-    """Sorted colored ids of ``an.roots``, or None when the coloring is not distinguishing.
+def _colored_key(an: TreeAnalysis, colors: str, table: dict) -> tuple[int, ...] | None:
+    """Sorted colored ids of ``an.roots``, or None when ``colors`` (``Coloring.bits()``, a pin as "2") do not distinguish.
 
     None means a non-identity automorphism of the analysed rooting (the half
     swap included) preserves the colors. Keys of center analyses drawn from
@@ -182,7 +182,7 @@ def _colored_key(an: TreeAnalysis, coloring: Coloring, table: dict) -> tuple[int
     covers both halves: the cut root is still in the rooting's BFS order.
     """
     ids = [0] * an.rt.tree.n
-    if not _colored_ids(an, coloring.bits(), reversed(an.rt.bfs_order), ids, table):
+    if not _colored_ids(an, colors, reversed(an.rt.bfs_order), ids, table):
         return None
     top_ids = sorted(ids[r] for r in an.roots)
     if len(top_ids) == 2 and top_ids[0] == top_ids[1]:
@@ -192,18 +192,18 @@ def _colored_key(an: TreeAnalysis, coloring: Coloring, table: dict) -> tuple[int
 
 def distinguishes(an: TreeAnalysis, coloring: Coloring) -> bool:
     """True iff no non-identity automorphism of the analysed rooting preserves the colors."""
-    return _colored_key(an, coloring, {}) is not None
+    return _colored_key(an, coloring.bits(), {}) is not None
 
 
 def verify_distinguishing(t: Tree, coloring: Coloring, pinned: int | None = None) -> bool:
-    """True iff no non-identity automorphism (fixing ``pinned``) preserves the colors."""
+    """True iff no non-identity automorphism (fixing ``pinned``, as a third color would) preserves the colors."""
     if coloring.n != t.n:
         raise ValueError("coloring length does not match tree")
+    colors = coloring.bits()
     if pinned is not None:
-        an = TreeAnalysis.of(root_at(t, pinned))
-    else:
-        an = TreeAnalysis.at_center(t)
-    return distinguishes(an, coloring)
+        _check_root(t.n, pinned)
+        colors = f"{colors[:pinned]}2{colors[pinned + 1:]}"
+    return _colored_key(TreeAnalysis.at_center(t), colors, {}) is not None
 
 
 @dataclass(frozen=True)

@@ -93,30 +93,23 @@ def brute_asym(t: Tree, pinned: int | None = None, aut_limit: int = DEFAULT_AUT_
     others = auts[1:]  # the identity moves nothing, so it sorts first
 
     dist_count = 0
-    orbit_count = 0
     reps: list[int] = []
     for mask in range(1 << t.n):
-        fixed = False
+        below = False  # some automorphism maps the mask to a smaller pattern
         for sigma in others:
-            if _apply(sigma, mask) == mask:
-                fixed = True
+            image = _apply(sigma, mask)
+            if image == mask:
                 break
-        if fixed:
-            continue
-        dist_count += 1
-        is_rep = True
-        for sigma in others:
-            if _apply(sigma, mask) < mask:
-                is_rep = False
-                break
-        if is_rep:
-            orbit_count += 1
-            reps.append(mask)
+            below = below or image < mask
+        else:
+            dist_count += 1
+            if not below:
+                reps.append(mask)
     return OrbitReport(
         n=t.n,
         total_colorings=1 << t.n,
         distinguishing_count=dist_count,
-        orbit_count=orbit_count,
+        orbit_count=len(reps),
         aut_order=len(auts),
         orbit_reps=tuple(reps),
     )

@@ -166,7 +166,7 @@ def treelike_distinguish(g: RootedGraph) -> Coloring | None:
         holds_root = g.root in members
         for local in range(1 << len(members)):
             cand = Coloring(len(members), local)
-            key = _colored_key(an, cand, table)
+            key = _colored_key(an, cand.bits(), table)
             if key is not None and key not in taken and _admissible(cand, members, adjsets, holds_root, root_deg):
                 break
         else:

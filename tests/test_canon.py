@@ -406,11 +406,11 @@ def test_public_functions_share_one_center_analysis(monkeypatch):
     assert an.rt.tree is twin
     assert len(calls) == 6
 
-    # a pinned check roots at the pinned vertex, every time
+    # a pinned check gives the pin a third color and reads the kept center analysis
     calls.clear()
     for _ in range(2):
         assert verify_distinguishing(t, c0, pinned=perm[1])
-    assert calls == [("root_at", perm[1]), ("of", perm[1])] * 2
+    assert calls == []
 
 
 def memo_corpus() -> list[Tree]:

@@ -221,6 +221,57 @@ def test_verify_length_mismatch(p3):
         verify_distinguishing(p3, Coloring.from_bits("01"))
 
 
+def reference_verify_pinned(t, coloring, w):
+    """The pinned check that analysed the rooting at the pin, kept as the reference."""
+    if coloring.n != t.n:
+        raise ValueError("coloring length does not match tree")
+    return distinguishes(TreeAnalysis.of(root_at(t, w)), coloring)
+
+
+def test_verify_pinned_matches_rooting_at_the_pin_small():
+    rng = random.Random(36)
+    verdicts = set()
+    for t in trees_up_to(10):
+        masks = range(1 << t.n) if t.n <= 7 else None
+        for w in range(t.n):
+            an = TreeAnalysis.of(root_at(t, w))  # the reference's rooting, built once per pin
+            for mask in masks or [rng.getrandbits(t.n) for _ in range(40)]:
+                c = Coloring(t.n, mask)
+                expected = distinguishes(an, c)
+                assert verify_distinguishing(t, c, pinned=w) == expected, (t.edges(), w, c.bits())
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_verify_pinned_matches_rooting_at_the_pin_on_seeded_corpora():
+    rng = random.Random(37)
+    trees = [path(1), path(2), path(3), *relabeled_families(38, (4, 9, 40, 150, 600, 2000))]
+    assert {len(TreeAnalysis.at_center(t).roots) for t in trees} == {1, 2}  # both center kinds
+    verdicts = []
+    for t in trees:
+        for w in {0, t.n - 1, rng.randrange(t.n), rng.randrange(t.n)}:
+            an = TreeAnalysis.of(root_at(t, w))
+            for c in colorings_to_check(an, a_by_class(an), rng):
+                expected = reference_verify_pinned(t, c, w)
+                assert verify_distinguishing(t, c, pinned=w) == expected, (t.n, w)
+                verdicts.append(expected)
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 50
+
+
+def test_verify_pinned_errors_match_rooting_at_the_pin(p3):
+    for t in (path(1), p3, relabeled_families(39, (40,))[2]):
+        c = Coloring(t.n, 0)
+        for w in (-1, -t.n, t.n, t.n + 5):
+            with pytest.raises(ValueError) as want:
+                reference_verify_pinned(t, c, w)
+            with pytest.raises(ValueError, match=f"^root {w} out of range 0..{t.n - 1}$") as got:
+                verify_distinguishing(t, c, pinned=w)
+            assert str(got.value) == str(want.value)
+            # the length check comes first, even for a pin out of range
+            with pytest.raises(ValueError, match="^coloring length does not match tree$"):
+                verify_distinguishing(t, Coloring(t.n + 1, 0), pinned=w)
+
+
 @given(random_trees(max_n=10))
 @settings(max_examples=60)
 def test_complement_closure(t):
@@ -524,7 +575,7 @@ def test_colored_keys_from_one_table_match_reference():
         masks = range(1 << t.n) if t.n <= 7 else [rng.getrandbits(t.n) for _ in range(300)]
         for mask in masks:
             c = Coloring(t.n, mask)
-            key, ref = _colored_key(an, c, table), reference_colored_key(an, c, ref_table)
+            key, ref = _colored_key(an, c.bits(), table), reference_colored_key(an, c, ref_table)
             assert (key is None) == (ref is None)
             if key is not None:
                 assert pairs.setdefault(key, ref) == ref

@@ -514,6 +514,65 @@ def test_leaf_blocks_bound_the_candidate_lists(candidate_lists):
     assert sum(1 for _ in enumerate_automorphisms(caterpillar)) == 32
     assert len(candidate_lists) <= 45
 
+
+def forced_maps(n: int, rng: random.Random, sigma):
+    """Forced images: honoured by the automorphism ``sigma``, random, clashing, and with keys or images out of range."""
+    v, u = rng.randrange(n), rng.randrange(n)
+    return [
+        {v: sigma[v], u: sigma[u]},
+        {v: rng.randrange(n)},
+        {v: rng.randrange(n), u: rng.randrange(n)},
+        {v: sigma[v], u: sigma[v]},  # one image for two vertices when u != v
+        {v: rng.choice([n, -1])},
+        {n: 0, -1: v, v: sigma[v]},  # keys out of range are ignored
+    ]
+
+
+def assert_forced_maps_match_vertex_search(adj, rng, kinds):
+    n = len(adj)
+    sigmas = outcome(reference_vertex_automorphisms, adj, limit=200)
+    sigmas = sigmas if isinstance(sigmas, list) else sigmas[2]
+    for forced in forced_maps(n, rng, rng.choice(sigmas)):
+        w = rng.randrange(n)
+        for pinned in (None, w, *forced.keys()):
+            if pinned is not None and not 0 <= pinned < n:
+                continue
+            kwargs = dict(pinned=pinned, forced=forced, limit=rng.choice([0, 1, 5, 200]))
+            want = outcome(reference_vertex_automorphisms, adj, **kwargs)
+            assert outcome(_automorphisms, adj, **kwargs) == want, (adj, kwargs)
+            if isinstance(want, list):
+                assert exists_automorphism(adj, pinned=pinned, forced=forced) == bool(want)
+            kinds[type(want).__name__, bool(want[2] if isinstance(want, tuple) else want)] += 1
+
+
+def test_forced_maps_match_vertex_search_on_all_trees_in_order():
+    rng = random.Random(23)
+    kinds = Counter()
+    for t in trees_up_to(10):
+        assert_forced_maps_match_vertex_search(t.adj, rng, kinds)
+    # empty and nonempty results, and limit raises after none and after some automorphisms
+    assert min(kinds.values()) >= 100 and len(kinds) == 4, kinds
+
+
+def test_forced_maps_match_vertex_search_on_seeded_graphs_in_order():
+    kinds = Counter()
+    for rng, adj in seeded_graphs(1000, seed=20261020):
+        # the reference spends 57 s on an impossible forced image in the 12-vertex star, so its impossible maps stop at 10
+        if len(adj) <= 10:
+            assert_forced_maps_match_vertex_search(adj, rng, kinds)
+    assert min(kinds.values()) >= 50 and len(kinds) == 4, kinds
+
+
+def test_forced_images_prune_the_star_search(candidate_lists):
+    # the leaf block tried every arrangement of 9 of the 10 leaves before the one forced leaf, so 362,880 or
+    # more candidate lists; the first forced image cannot be honoured, the second can
+    star11 = star(11).adj
+    assert not exists_automorphism(star11, pinned=1, forced={10: 0})
+    assert candidate_lists == []
+    assert exists_automorphism(star11, forced={10: 1})
+    assert len(candidate_lists) <= 3
+
+
 def _reference_moved(sigma):
     return sum(1 for i, y in enumerate(sigma) if i != y)
 
@@ -574,6 +633,38 @@ def reference_brute_asym(t, pinned=None, aut_limit=DEFAULT_AUT_LIMIT):
     )
 
 
+def reference_two_scan_brute_asym(t, pinned=None, aut_limit=DEFAULT_AUT_LIMIT):
+    """brute_asym as it was before one scan per mask: a second scan of every distinguishing mask for a smaller image."""
+    if t.n > MAX_ORACLE_VERTICES:
+        raise OracleSizeError(f"n = {t.n} exceeds oracle cap {MAX_ORACLE_VERTICES}")
+    try:
+        auts = sorted(enumerate_automorphisms(t, limit=aut_limit, pinned=pinned), key=_moved)
+    except AutomorphismLimitExceeded as exc:
+        raise OracleSizeError(str(exc)) from exc
+    others = auts[1:]
+    dist_count = 0
+    orbit_count = 0
+    reps = []
+    for mask in range(1 << t.n):
+        fixed = False
+        for sigma in others:
+            if _apply(sigma, mask) == mask:
+                fixed = True
+                break
+        if fixed:
+            continue
+        dist_count += 1
+        is_rep = True
+        for sigma in others:
+            if _apply(sigma, mask) < mask:
+                is_rep = False
+                break
+        if is_rep:
+            orbit_count += 1
+            reps.append(mask)
+    return OrbitReport(t.n, 1 << t.n, dist_count, orbit_count, len(auts), tuple(reps))
+
+
 def reference_brute_motion(t, aut_limit=DEFAULT_AUT_LIMIT):
     """brute_motion as it was written before the shared automorphism budget: its own try around the scan."""
     best = None
@@ -601,6 +692,12 @@ def test_oracle_matches_reference_on_all_small_trees_at_every_pin():
         for pinned in [None, *range(t.n)]:
             got, want = brute_asym(t, pinned=pinned), reference_brute_asym(t, pinned=pinned)
             assert dataclasses.astuple(got) == dataclasses.astuple(want), (t.edges(), pinned)
+
+
+def test_one_scan_census_matches_two_scans_at_every_pin():
+    for t in trees_up_to(10):
+        for pinned in [None, *range(t.n)]:
+            assert brute_asym(t, pinned=pinned) == reference_two_scan_brute_asym(t, pinned=pinned), (t.edges(), pinned)
 
 
 def test_oracle_budget_matches_reference_on_stars_and_paths():
