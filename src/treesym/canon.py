@@ -156,22 +156,6 @@ def _center_runs(an: TreeAnalysis) -> tuple[tuple[int, int], ...]:
     return ((an.ids[an.roots[0]], 2),) if an.iso_halves else tuple((an.ids[r], 1) for r in an.roots)
 
 
-def _branch_runs(sig: tuple[tuple[int, int], ...], add: int = -1, drop: int = -1) -> tuple[tuple[int, int], ...]:
-    """The run table ``sig`` with one more branch of class ``add`` and one fewer of class ``drop`` (-1: none)."""
-    out = []
-    for k, mu in sig:
-        if 0 <= add < k:
-            out.append((add, 1))
-        mu += (k == add) - (k == drop)
-        if add <= k:
-            add = -1
-        if mu:
-            out.append((k, mu))
-    if add >= 0:
-        out.append((add, 1))
-    return tuple(out)
-
-
 def _at_root(an: TreeAnalysis, vals: list[int], product, w: int) -> int:
     """A rooted class value of the whole tree rooted at any vertex w, from a center analysis.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb, isqrt
 
 from .asym import _a_product, a_by_class, asym_of
-from .canon import TreeAnalysis, _branch_runs, _center_runs
+from .canon import TreeAnalysis, _center_runs, _runs
 from .trees import Coloring, RootedTree, Tree, _bfs, _check_root, root_at
 
 
@@ -273,13 +273,15 @@ def extend_ray_coloring(tr: OneEndedTruncation, ray_colors) -> Coloring:
     breaks every automorphism fixing v_D, and is verified before being returned.
 
     One rooting, at v_D, gives every lobe class and the prefix branch P_k at
-    v_k; the suffix branches S_k share its ids. Step i orders classes as the
-    whole tree rooted at v_i would: the class whose last vertex in BFS order
-    from v_i comes later ranks first. Lobe k at depth d lies at depth
-    |i - k| + d, each side keeps its BFS order (from v_D behind, from v_0
-    ahead), and v_i's sorted adjacency breaks ties at equal depth. Ranks are
-    computed only between failing classes at v_i and where a nonzero index is
-    split over two or more classes with more than one choice.
+    v_k. The suffix branch S_k at v_k, away from v_{k-1}, has an id only if it
+    is a class there: S_{k-1} has S_k as a branch, so the lookup stops at the
+    first S_k that is not, and only lobe classes are ever ranked. Step i
+    orders classes as the whole tree rooted at v_i would: the class whose last
+    vertex in BFS order from v_i comes later ranks first. Lobe k at depth d
+    lies at depth |i - k| + d, each side keeps its BFS order (from v_D behind,
+    from v_0 ahead), and v_i's sorted adjacency breaks ties at equal depth.
+    Ranks are computed only between failing classes at v_i and where a nonzero
+    index is split over two or more classes with more than one choice.
     """
     tree, ray = tr.tree, tr.ray
     ray_colors = tuple(bool(b) for b in ray_colors)
@@ -302,10 +304,12 @@ def extend_ray_coloring(tr: OneEndedTruncation, ray_colors) -> Coloring:
     for c in sorted({ids[v] for v in range(n) if depth[v]}):
         a[c] = _a_product(a, an.sigs[c])
     index = dict(zip(an.sigs, range(len(an.sigs))))
-    suffix = [0] * len(ray)
+    suffix = [-1] * len(ray)  # the class of S_k, where it is one
     for k in range(end, 0, -1):
-        runs = _branch_runs(an.sigs[ids[ray[k]]], suffix[k + 1] if k < end else -1, ids[ray[k - 1]])
-        suffix[k] = index.setdefault(runs, len(index))
+        key = [ids[c] for c in an.children[ray[k]] if c != ray[k - 1]] + suffix[k + 1 : k + 2]
+        suffix[k] = index.get(_runs(tuple(sorted(key))), -1)
+        if suffix[k] < 0:  # S_{k-1} has S_k as a branch, so no earlier S_k is a class either
+            break
     ahead: dict[int, list] = {}  # class -> (depth, position, lobe) of its vertices in BFS order from v_0
     for p, y in enumerate(_bfs(tree.adj, ray[0])[0]):
         k = lob[y]

@@ -341,10 +341,12 @@ def run_theorem_suite(trees: Iterable[Tree]) -> SuiteReport:
 class ConjectureReport:
     """Local twin condition vs global 2-distinguishability for one tree.
 
-    The local condition: for every vertex w and neighbor x, the similarity
-    multiplicity of x among w's neighbors is at most a(T^x). ``consistent``
-    means the local condition and a(T) > 0 agree; a mismatch is a research
-    finding and is surfaced with a witness.
+    The local condition: a(T,w) > 0 at every vertex w, that is, no twin class
+    of branches at w outnumbers its branch's a. It agrees with a(T) > 0
+    (``consistent``) on every finite tree: a distinguishing coloring of T
+    distinguishes every (T,w), and at a vertex center c a(T) = a(T,c); at an
+    edge center uv, a(T,u) is the product of the half values, and a(T) is that
+    product or C(h, 2) for isomorphic halves of even value h.
     """
 
     consistent: bool
@@ -362,24 +364,22 @@ class ConjectureReport:
 
 
 def conjecture_check(t: Tree) -> ConjectureReport:
-    """Compare the local twin condition with a(T) > 0.
+    """Compare the local twin condition, a(T,w) > 0 at every w, with a(T) > 0.
 
-    The local condition holds when, at every vertex w, each neighbor x's
-    branch class occurs among w's branches at most a(T^x) times. It is read
-    from the tree's center analysis: the branches away from the center are
-    w's runs ``sigs[ids[w]]``, and the branch toward the center is alone in
-    its run (see ``canon._at_root``), so it fails only when its value b(w) is
-    0. The witness is the first violating (w, x), in vertex order and then in
-    ``adj[w]`` order.
+    a(T,w) is w's class value in the center analysis times b(w): the branches
+    away from the center are w's runs ``sigs[ids[w]]``, and the branch toward
+    the center is alone in its run (see ``canon._at_root``), so it fails only
+    when b(w) = 0. The witness is the first violating (w, x), in vertex order,
+    then in ``adj[w]`` order. The two sides always agree
+    (``ConjectureReport``), so this tests ``canon._toward_center``.
     """
     an = TreeAnalysis.at_center(t)
     a = a_by_class(an)
     b = _toward_center(an, a, _a_product)
     ids, sigs, parent, roots = an.ids, an.sigs, an.rt.parent, an.roots
-    over = [any(mu > a[k] for k, mu in sig) for sig in sigs]  # a twin run longer than its class's a
     violation = None
     for w in range(t.n):
-        if b[w] == 0 or over[ids[w]]:
+        if not (a[ids[w]] and b[w]):  # a(T,w) = 0: a run at w is longer than its class's a
             mu = dict(sigs[ids[w]])
             ks = ((x, 1, b[w]) if x == parent[w] or x in roots else (x, mu[ids[x]], a[ids[x]]) for x in t.adj[w])
             violation = next((w, x, m, a_x) for x, m, a_x in ks if m > a_x)

@@ -228,30 +228,23 @@ Center = VertexCenter | EdgeCenter
 
 
 def center(t: Tree) -> Center:
-    """Center by iterated leaf removal: a single vertex or an adjacent pair."""
+    """Center by iterated leaf removal: the last layer, a single vertex or an adjacent pair."""
     n = t.n
     if n == 1:
         return VertexCenter(0)
     deg = [len(a) for a in t.adj]
-    removed = [False] * n
     layer = [v for v in range(n) if deg[v] == 1]
     remaining = n
     while remaining > 2:
         nxt = []
         for u in layer:
-            removed[u] = True
-            for v in t.adj[u]:
-                if not removed[v]:
-                    deg[v] -= 1
-                    if deg[v] == 1:
-                        nxt.append(v)
+            for v in t.adj[u]:  # a peeled v only drops from 1 to 0, so it never rejoins a layer
+                deg[v] -= 1
+                if deg[v] == 1:
+                    nxt.append(v)
         remaining -= len(layer)
         layer = nxt
-    live = sorted(v for v in range(n) if not removed[v])
-    if len(live) == 1:
-        return VertexCenter(live[0])
-    u, v = live
-    return EdgeCenter(u, v)
+    return VertexCenter(layer[0]) if len(layer) == 1 else EdgeCenter(*sorted(layer))
 
 
 def _center_ends(c: Center) -> tuple[int, ...]:

@@ -1,7 +1,7 @@
 """The class-value kernels against the ones they replaced, kept here as the reference.
 
 ``reference_a_product`` and ``reference_aut_product`` are the earlier products over a
-run table: they took one fewer branch only as a table edited by ``_branch_runs``, and
+run table: they took one fewer branch only as a table edited by ``branch_runs``, and
 paid ``comb``, ``factorial`` and a power on a run of one. ``reference_by_class`` calls
 the product once per class, as ``a_by_class`` did. ``reference_at_root`` is the earlier
 walk to the center, one edited table and one product per step. The new kernels drop the
@@ -17,9 +17,9 @@ import pytest
 from treesym import Tree, caterpillar, relabel, spider
 from treesym.asym import _a_product, a_by_class
 from treesym.autom import _aut_product, aut_by_class
-from treesym.canon import TreeAnalysis, _at_root, _branch_runs
+from treesym.canon import TreeAnalysis, _at_root
 
-from .conftest import path, trees_up_to
+from .conftest import branch_runs, path, trees_up_to
 from .test_rerooting import SEEDED, joined_at_one_root
 
 
@@ -52,7 +52,7 @@ def reference_at_root(an, vals, product, w):
     x = w
     while x not in roots:
         p = parent[x]
-        acc *= product(vals, _branch_runs(sigs[ids[p]], -1, ids[x]))
+        acc *= product(vals, branch_runs(sigs[ids[p]], -1, ids[x]))
         x = p
     for r in roots:
         if r != x:
@@ -70,7 +70,7 @@ def assert_kernels_match_reference(t: Tree) -> None:
         assert by_class(an) == vals, t.adj
         for sig in an.sigs:
             for drop in (-1, *(k for k, _ in sig)):
-                assert product(vals, sig, drop) == reference(vals, _branch_runs(sig, -1, drop)), (t.adj, sig, drop)
+                assert product(vals, sig, drop) == reference(vals, branch_runs(sig, -1, drop)), (t.adj, sig, drop)
         for w in range(t.n):
             assert _at_root(an, vals, product, w) == reference_at_root(an, vals, reference, w), (t.adj, w)
 
@@ -125,7 +125,7 @@ def test_chain_steps_cost_one_product_per_root(n, most):
 
             def counting(vals, runs, drop=-1):
                 calls.append(runs)
-                return reference(vals, _branch_runs(runs, -1, drop))
+                return reference(vals, branch_runs(runs, -1, drop))
 
             assert _at_root(an, vals, counting, w) == reference_at_root(an, vals, reference, w)
             assert len(calls) <= most, (n, w, len(calls))

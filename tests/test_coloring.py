@@ -35,7 +35,7 @@ from treesym import (
     verify_distinguishing,
 )
 from treesym.asym import a_by_class, asym_of
-from treesym.canon import TreeAnalysis, colored_subtree_codes, colored_unrooted_code
+from treesym.canon import TreeAnalysis, colored_subtree_codes, colored_unrooted_code, subtree_codes
 from treesym.coloring import _colored_key, _to_coloring, _unrank_into, _whiten_branch, distinguishes, unrank_of
 
 from .conftest import path, random_trees, relabeled_families, star, trees_up_to
@@ -748,6 +748,29 @@ def test_extend_matches_reference_on_hanging_path_rays():
 @pytest.mark.parametrize("seeds", [range(1000), (2122, 4295, 6490)], ids=["first-1000", "found"])
 def test_extend_matches_reference_on_pooled_lobes(seeds):
     assert_matches_reference(pooled_truncation(random.Random(seed)) for seed in seeds)
+
+
+def test_suffix_classes_form_a_tail():
+    # rooted at v_0, v_k's subtree is the suffix branch S_k; the ray extension looks S_k up among
+    # the classes of the v_D rooting from k = D down and stops at the first miss, which is exact
+    # iff S_{k+1} is a class wherever S_k is (S_k has S_{k+1} as a branch). Bytes codes, no ids.
+    rng = random.Random(8)
+    cases = [twin_lobe_truncation(random.Random(seed))[0] for seed in range(2000)]
+    cases += [random_one_ended_truncation(rng)[0] for _ in range(200)]
+    cases += [pooled_truncation(random.Random(seed))[0] for seed in range(1000)]
+    cases += [hanging_path_ray(rng, rng.randint(4, 120))[0] for _ in range(10)]
+    found = missed = 0
+    for tr in cases:
+        ray = tr.ray
+        suffix = subtree_codes(root_at(tr.tree, ray[0]))
+        classes = set(subtree_codes(root_at(tr.tree, ray[-1])))
+        for k in range(1, len(ray) - 1):
+            if suffix[ray[k]] in classes:
+                assert suffix[ray[k + 1]] in classes, (tr.tree.adj, ray, k)
+                found += 1
+            else:
+                missed += 1
+    assert found > 500 and missed > 5000  # both outcomes occur
 
 
 def reference_lobes(tree, ray):

@@ -43,11 +43,11 @@ from treesym import (
 )
 from treesym.asym import _a_product, a_at_root, a_by_class, asym_of
 from treesym.autom import _aut_product, aut_by_class, aut_order_of
-from treesym.canon import TreeAnalysis, _at_root, _branch_runs, _runs, _toward_center
+from treesym.canon import TreeAnalysis, _at_root, _runs, _toward_center
 from treesym.cli import main
 from treesym.corpus import all_trees, kary_tree, random_tree, spider
 
-from .conftest import path, relabeled_families, trees_up_to
+from .conftest import branch_runs, path, relabeled_families, trees_up_to
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +66,7 @@ class Rerooting:
 def a_at_every_root(rr: Rerooting) -> list[int]:
     """a(T,w) for every vertex w, from the branch classes at w."""
     a, ids, sigs = a_by_class(rr), rr.down.ids, rr.sigs
-    return [_a_product(a, _branch_runs(sigs[ids[w]], k_up)) for w, k_up in enumerate(rr.up)]
+    return [_a_product(a, branch_runs(sigs[ids[w]], k_up)) for w, k_up in enumerate(rr.up)]
 
 
 def reference_asym_rooted(rt) -> int:
@@ -160,6 +160,25 @@ def reference_rerooting_conjecture_check(t: Tree) -> ConjectureReport:
             break
     local_ok = violation is None
     dist = asym_of(rr.down, a) > 0
+    return ConjectureReport(local_ok == dist, local_ok, dist, violation)
+
+
+def reference_over_conjecture_check(t: Tree) -> ConjectureReport:
+    """The previous scan: a table of the classes with a run longer than its class's a, and b(w) = 0."""
+    an = TreeAnalysis.at_center(t)
+    a = a_by_class(an)
+    b = _toward_center(an, a, _a_product)
+    ids, sigs, parent, roots = an.ids, an.sigs, an.rt.parent, an.roots
+    over = [any(mu > a[k] for k, mu in sig) for sig in sigs]
+    violation = None
+    for w in range(t.n):
+        if b[w] == 0 or over[ids[w]]:
+            mu = dict(sigs[ids[w]])
+            ks = ((x, 1, b[w]) if x == parent[w] or x in roots else (x, mu[ids[x]], a[ids[x]]) for x in t.adj[w])
+            violation = next((w, x, m, a_x) for x, m, a_x in ks if m > a_x)
+            break
+    local_ok = violation is None
+    dist = asym_of(an, a) > 0
     return ConjectureReport(local_ok == dist, local_ok, dist, violation)
 
 
@@ -262,6 +281,29 @@ def test_center_rerooting_matches_root_zero_seeded(name, t):
     assert_same_branch_classes(t)
 
 
+def with_three_leaves(rng: random.Random, t: Tree) -> Tree:
+    """``t`` with three new leaves at one random vertex, so a(T) = 0."""
+    w = rng.randrange(t.n)
+    return Tree.from_edges(t.n + 3, list(t.edges()) + [(w, t.n + i) for i in range(3)])
+
+
+def test_conjecture_scan_reads_a_of_t_w():
+    # every tree with n <= 10, seeded trees up to n = 500, the wide trees, and trees with
+    # a(T) = 0: three twin leaves, spiders with more legs than a leg has colorings
+    rng = random.Random(41)
+    trees = trees_up_to(10) + [t for _, t in SEEDED] + relabeled_families(41, (4, 13, 60, 250, 500))
+    trees += [random_tree(rng, rng.randint(2, 500)) for _ in range(40)]
+    trees += [joined_at_one_root([10]), joined_at_one_root([12]), joined_at_one_root([11, 12], copies=8)]
+    zero = [with_three_leaves(rng, random_tree(rng, rng.randint(1, 500))) for _ in range(60)]
+    zero += [spider(1 + legs * length, legs) for length in (1, 2, 3) for legs in range((1 << length) + 1, 12)]
+    assert all(asym_unrooted(t) == 0 for t in zero)
+    reports = []
+    for t in trees + zero:
+        reports.append(conjecture_check(t))
+        assert reports[-1] == reference_over_conjecture_check(t), t.adj
+    assert sum(r.violation is not None for r in reports) > len(zero)
+
+
 def joined_at_one_root(sizes, copies: int = 1) -> Tree:
     """A root joined to vertex 0 of ``copies`` copies of every free tree on each of ``sizes`` vertices."""
     edges, n = [], 1
@@ -329,14 +371,14 @@ def test_branch_runs_edits_the_multiset():
             insort(edited, add)
         if drop >= 0:
             edited.remove(drop)
-        assert _branch_runs(_runs(tuple(key)) if key else (), add, drop) == tuple(sorted(Counter(edited).items()))
+        assert branch_runs(_runs(tuple(key)) if key else (), add, drop) == tuple(sorted(Counter(edited).items()))
 
 
 def test_branch_runs_are_the_branch_classes():
     for t in small_corpus() + [t for _, t in SEEDED]:
         rr = reference_center_rerooting(t)
         for w in range(t.n):
-            runs = _branch_runs(rr.sigs[rr.down.ids[w]], rr.up[w])
+            runs = branch_runs(rr.sigs[rr.down.ids[w]], rr.up[w])
             assert runs == tuple(sorted(Counter(branches(rr, w)).items())), t.adj
 
 

@@ -25,7 +25,7 @@ from treesym import (
     tree_from_pruefer,
 )
 
-from .conftest import path, random_trees, relabeled_families, sample_roots, trees_with_permutation
+from .conftest import path, random_trees, relabeled_families, sample_roots, trees_up_to, trees_with_permutation
 
 
 @pytest.mark.parametrize("parse", [parse_edge_list, parse_graph_edge_list])
@@ -116,6 +116,47 @@ def test_center_relabel_invariant(tp):
     else:
         u, v = sorted((perm[c1.u], perm[c1.v]))
         assert c2 == EdgeCenter(u, v)
+
+
+def reference_center(t: Tree):
+    """The previous peel: a removed table, and a final scan for the vertices left."""
+    n = t.n
+    if n == 1:
+        return VertexCenter(0)
+    deg = [len(a) for a in t.adj]
+    removed = [False] * n
+    layer = [v for v in range(n) if deg[v] == 1]
+    remaining = n
+    while remaining > 2:
+        nxt = []
+        for u in layer:
+            removed[u] = True
+            for v in t.adj[u]:
+                if not removed[v]:
+                    deg[v] -= 1
+                    if deg[v] == 1:
+                        nxt.append(v)
+        remaining -= len(layer)
+        layer = nxt
+    live = sorted(v for v in range(n) if not removed[v])
+    return VertexCenter(live[0]) if len(live) == 1 else EdgeCenter(*live)
+
+
+def test_center_is_the_last_peeled_layer():
+    # every tree with n <= 12 and three relabelings of each, seeded trees up to n = 2000,
+    # and n = 1, 2, 3 with both center kinds
+    rng = random.Random(17)
+    trees = [path(1), path(2), path(3), Tree.from_edges(3, [(0, 1), (0, 2)]), path(4)]
+    for t in trees_up_to(12):
+        trees.append(t)
+        trees.extend(relabel(t, rng.sample(range(t.n), t.n)) for _ in range(3))
+    trees += relabeled_families(17, (4, 5, 31, 100, 500, 1999, 2000))
+    trees += [tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]) for n in range(3, 2001, 37)]
+    kinds = set()
+    for t in trees:
+        assert center(t) == reference_center(t), t.adj
+        kinds.add((min(t.n, 4), type(center(t))))
+    assert kinds == {(1, VertexCenter), (2, EdgeCenter), (3, VertexCenter), (4, VertexCenter), (4, EdgeCenter)}
 
 
 def test_root_at_examples(p3, p4, k1):
