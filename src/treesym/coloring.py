@@ -60,7 +60,7 @@ def combinadic_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _unrank_into(an: TreeAnalysis, a: list[int], x: int, index: int, colors: list[int | None], order=None):
+def _unrank_into(an: TreeAnalysis, a: list[int], x: int, index: int, colors: list[str | None], order=None):
     """Write the index-th inequivalent distinguishing coloring of x's branch.
 
     Iterative so deep chains cannot hit the recursion limit. ``order(runs, kids)``,
@@ -73,7 +73,7 @@ def _unrank_into(an: TreeAnalysis, a: list[int], x: int, index: int, colors: lis
     pop, push = stack.pop, stack.append
     while stack:
         v, k = pop()
-        colors[v] = 0 if k & 1 else 1
+        colors[v] = "0" if k & 1 else "1"
         k >>= 1
         kids = children[v]
         if not kids:
@@ -102,10 +102,11 @@ def _unrank_into(an: TreeAnalysis, a: list[int], x: int, index: int, colors: lis
             raise AssertionError("index not fully consumed")
 
 
-def _to_coloring(colors: list[int | None]) -> Coloring:
+def _to_coloring(colors: list[str | None]) -> Coloring:
+    """The Coloring whose ``bits()`` are ``colors``, one join and one parse."""
     if None in colors:
         raise AssertionError("coloring left a vertex uncolored")
-    return Coloring.from_black(len(colors), (v for v, c in enumerate(colors) if c))
+    return Coloring(len(colors), int("".join(colors)[::-1], 2))
 
 
 def unrank_of(an: TreeAnalysis, a: list[int], index: int) -> Coloring:
@@ -113,7 +114,7 @@ def unrank_of(an: TreeAnalysis, a: list[int], index: int) -> Coloring:
     total = asym_of(an, a)
     if not (0 <= index < total):
         raise IndexError(f"index {index} out of range [0, {total})")
-    colors: list[int | None] = [None] * an.rt.tree.n
+    colors: list[str | None] = [None] * an.rt.tree.n
     roots = iter(an.roots)
     for c, mu in _center_runs(an):  # decoded like any vertex's twin runs, less the root's color bit
         index, digit = divmod(index, comb(a[c], mu))
@@ -288,10 +289,10 @@ def extend_ray_coloring(tr: OneEndedTruncation, ray_colors) -> Coloring:
     if len(ray_colors) != len(ray):
         raise ValueError("ray coloring length must match the ray")
     n, end = tree.n, len(ray) - 1
-    colors: list[int | None] = [None] * n
+    colors: list[str | None] = [None] * n
     lob, depth, top = [-1] * n, [0] * n, [0] * n  # lobe index, depth in it, ancestor next to the ray
     for k, (v, black) in enumerate(zip(ray, ray_colors)):
-        colors[v], lob[v] = (1 if black else 0), k
+        colors[v], lob[v] = ("1" if black else "0"), k
     an = TreeAnalysis.of(root_at(tree, ray[-1]))
     ids, bfs = an.ids, an.rt.bfs_order
     lobes: list[list[int]] = [[] for _ in ray]  # BFS positions from v_D, lobe by lobe
@@ -313,7 +314,8 @@ def extend_ray_coloring(tr: OneEndedTruncation, ray_colors) -> Coloring:
     ahead: dict[int, list] = {}  # class -> (depth, position, lobe) of its vertices in BFS order from v_0
     for p, y in enumerate(_bfs(tree.adj, ray[0])[0]):
         k = lob[y]
-        ahead.setdefault(ids[y] if depth[y] else suffix[k], []).append((k + depth[y], p, k))
+        if depth[y] or suffix[k] >= 0:
+            ahead.setdefault(ids[y] if depth[y] else suffix[k], []).append((k + depth[y], p, k))
     behind: dict[int, int] = {}  # class -> last BFS position from v_D inside P_i
 
     def last(c):
@@ -389,7 +391,7 @@ def _whiten_branch(an: TreeAnalysis, x: int, colors):
     stack = [x]
     while stack:
         v = stack.pop()
-        colors[v] = 0
+        colors[v] = "0"
         stack.extend(an.children[v])
 
 

@@ -165,9 +165,9 @@ def treelike_distinguish(g: RootedGraph) -> Coloring | None:
         an = TreeAnalysis.at_center(_component_tree(forest, members))
         holds_root = g.root in members
         for local in range(1 << len(members)):
-            cand = Coloring(len(members), local)
-            key = _colored_key(an, cand.bits(), table)
-            if key is not None and key not in taken and _admissible(cand, members, adjsets, holds_root, root_deg):
+            bits = format(local, f"0{len(members)}b")[::-1]
+            key = _colored_key(an, bits, table)
+            if key is not None and key not in taken and _admissible(bits, members, adjsets, holds_root, root_deg):
                 break
         else:
             return None
@@ -178,7 +178,7 @@ def treelike_distinguish(g: RootedGraph) -> Coloring | None:
     return Coloring(g.n, mask)
 
 
-def _admissible(cand: Coloring, members, adjsets, holds_root: bool, root_deg: int) -> bool:
+def _admissible(bits: str, members, adjsets, holds_root: bool, root_deg: int) -> bool:
     """Buried = a chosen vertex with no in-component neighbor outside the set.
 
     Root component: any set when the root has degree 1, else at most one
@@ -186,7 +186,7 @@ def _admissible(cand: Coloring, members, adjsets, holds_root: bool, root_deg: in
     """
     if holds_root and root_deg == 1:
         return True
-    inside = {v for i, v in enumerate(members) if cand.is_black(i)}
+    inside = {v for v, ch in zip(members, bits) if ch == "1"}
     outside = set(members) - inside
     buried = sum(1 for v in inside if not adjsets[v] & outside)
     return buried <= (1 if holds_root else 0)

@@ -143,6 +143,26 @@ def test_twin_classes_mixed():
     assert not exists_automorphism(t.adj, pinned=0, forced={1: 2})
 
 
+def test_by_vertex_partitions_every_vertex_s_children():
+    # by_vertex is classes_at at every vertex with children; the classes cut children[y] into runs, in order
+    rng = random.Random(44)
+    rootings = [root_at(t, w) for t in trees_up_to(7) for w in range(t.n)]
+    rootings += [root_at(t, w) for t in relabeled_families(45, (4, 10, 100, 500)) for w in sample_roots(t, rng)]
+    for rt in rootings:
+        an = twin_classes(rt)
+        by_vertex = an.by_vertex
+        assert by_vertex == {y: an.classes_at(y) for y in range(rt.tree.n) if an.children[y]}
+        for y, classes in by_vertex.items():
+            assert [m for cls in classes for m in cls.members] == list(an.children[y])
+            assert all(cls.rep == cls.members[0] for cls in classes)
+
+
+def test_colored_subtree_codes_rejects_a_coloring_of_another_length(p4):
+    for bits in ("0", "000", "00000"):
+        with pytest.raises(ValueError, match="^coloring length does not match tree$"):
+            colored_subtree_codes(root_at(p4, 0), Coloring.from_bits(bits))
+
+
 def test_is_isomorphic_examples(p3, p4, k13):
     relabeled = relabel(p3, [2, 0, 1])
     assert is_isomorphic(p3, relabeled)

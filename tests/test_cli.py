@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from treesym import CorpusSpec, EdgeListParseError, generate
+from treesym import ConjectureReport, CorpusSpec, EdgeListParseError, generate, serialize_edge_list
 from treesym.cli import main
 
 P3 = "3\n0 1\n0 2\n"
@@ -219,6 +219,44 @@ def test_corpus_check_json(capsys):
     assert code == 0
     assert data["suite"]["ok"] is True
     assert data["conjecture"]["consistent"] is True
+
+
+def test_corpus_check_names_a_failing_check_and_its_tree(capsys, monkeypatch):
+    # exit 5 names the check and the tree, in both output modes
+    monkeypatch.setattr("treesym.corpus.construct_of", lambda an, a: None)
+    trees = [serialize_edge_list(t) for t in generate(CorpusSpec("all-trees", n=5))]
+    code, out, _ = run(capsys, "corpus", "--all-trees", "5", "--check", "--json")
+    assert code == 5
+    suite = json.loads(out)["suite"]
+    failed = [t for t, rec in zip(trees, suite["records"]) if rec["checks"].get("construct-verifies") == "fail"]
+    assert suite["ok"] is False and suite["counts"]["checks_failed"] >= 1 and failed
+    assert suite["counterexamples"] == [{"check": "construct-verifies", "tree": t} for t in failed]
+    code, out, _ = run(capsys, "corpus", "--all-trees", "5", "--check")
+    assert code == 5
+    assert f"checks failed:    {suite['counts']['checks_failed']}" in out.splitlines()
+    assert [line for line in out.splitlines() if line.startswith("COUNTEREXAMPLE")] == [
+        f"COUNTEREXAMPLE [construct-verifies]: {t!r}" for t in failed
+    ]
+
+
+def test_corpus_check_names_an_inconsistent_conjecture(capsys, monkeypatch):
+    monkeypatch.setattr("treesym.cli.conjecture_check", lambda t: ConjectureReport(False, True, False, None))
+    trees = [serialize_edge_list(t) for t in generate(CorpusSpec("all-trees", n=5))]
+    code, out, _ = run(capsys, "corpus", "--all-trees", "5", "--check", "--json")
+    assert code == 5
+    data = json.loads(out)
+    assert data["suite"]["ok"] is True
+    assert data["conjecture"] == {
+        "consistent": False,
+        "counterexamples": [{"check": "conjecture-consistency", "tree": t} for t in trees],
+    }
+    code, out, _ = run(capsys, "corpus", "--all-trees", "5", "--check")
+    assert code == 5
+    lines = out.splitlines()
+    assert "conjecture consistent: False" in lines
+    assert [line for line in lines if line.startswith("COUNTEREXAMPLE")] == [
+        f"COUNTEREXAMPLE [conjecture]: {t!r}" for t in trees
+    ]
 
 
 def test_corpus_generate_json(capsys):

@@ -30,15 +30,18 @@ from treesym import (
     root_at,
     spider,
     to_dot,
+    treelike_distinguish,
     unrank_distinguishing,
     unrank_unrooted,
     verify_distinguishing,
 )
+from treesym import coloring as coloring_module
 from treesym.asym import a_by_class, asym_of
 from treesym.canon import TreeAnalysis, colored_subtree_codes, colored_unrooted_code, subtree_codes
 from treesym.coloring import _colored_key, _to_coloring, _unrank_into, _whiten_branch, distinguishes, unrank_of
 
 from .conftest import path, random_trees, relabeled_families, star, trees_up_to
+from .test_treelike import gadget_graph
 
 
 def orbit_min(t, mask, auts):
@@ -463,7 +466,7 @@ def reference_unrank_into(an, a, x, index, colors, order=None):
     stack = [(x, index)]
     while stack:
         v, k = stack.pop()
-        colors[v] = 0 if k & 1 else 1
+        colors[v] = "0" if k & 1 else "1"
         k >>= 1
         kids = an.children[v]
         runs = an.sigs[an.ids[v]]
@@ -630,7 +633,7 @@ def reference_extend_ray_coloring(tr, ray_colors):
         raise ValueError("ray coloring length must match the ray")
     colors = [None] * tree.n
     for v, black in zip(ray, ray_colors):
-        colors[v] = 1 if black else 0
+        colors[v] = "1" if black else "0"
 
     for i in range(1, len(ray)):
         v_i = ray[i]
@@ -848,6 +851,50 @@ def test_extend_roots_the_tree_a_constant_number_of_times(monkeypatch):
     monkeypatch.undo()
     assert len(calls) <= 3
     assert verify_distinguishing(tr.tree, ext, pinned=tr.ray[-1])
+
+
+def test_colored_ids_read_only_bits_characters(monkeypatch):
+    # one color alphabet inside the library: the "0" (white) and "1" (black) of Coloring.bits(), a pin as "2"
+    seen = set()
+    kernel = coloring_module._colored_ids
+
+    def recording(an, colors, order, ids, table):
+        order = list(order)
+        seen.update((type(colors[v]), colors[v]) for v in order)
+        return kernel(an, colors, order, ids, table)
+
+    monkeypatch.setattr(coloring_module, "_colored_ids", recording)
+    rng = random.Random(46)
+    for t in relabeled_families(47, (4, 9, 40, 150)):
+        construct_distinguishing(t)
+        total = asym_unrooted(t)
+        for index in {0, total // 3, total - 1} if total else ():
+            c = unrank_unrooted(t, index)
+            assert verify_distinguishing(t, c)
+            verify_distinguishing(t, c, pinned=rng.randrange(t.n))
+    for seed in range(100):
+        tr, colors = twin_lobe_truncation(random.Random(seed))
+        extension_outcome(extend_ray_coloring, tr, colors)
+    for _ in range(20):
+        extension_outcome(extend_ray_coloring, *random_one_ended_truncation(rng))
+        extension_outcome(extend_ray_coloring, *hanging_path_ray(rng, rng.randint(4, 40)))
+    for _ in range(40):
+        treelike_distinguish(gadget_graph(rng))
+    monkeypatch.undo()
+    assert seen == {(str, "0"), (str, "1"), (str, "2")}
+
+
+def test_to_coloring_matches_from_black():
+    rng = random.Random(48)
+    cases = [["0"], ["1"], ["0"] * 70, ["1"] * 70]
+    cases += [[rng.choice("01") for _ in range(rng.randint(1, 300))] for _ in range(300)]
+    for colors in cases:
+        blacks = [v for v, c in enumerate(colors) if c == "1"]
+        assert _to_coloring(colors) == Coloring.from_black(len(colors), blacks)
+        assert _to_coloring(colors).bits() == "".join(colors)
+    for colors in ([None], ["0", None], ["1", None, "0"]):
+        with pytest.raises(AssertionError, match="^coloring left a vertex uncolored$"):
+            _to_coloring(colors)
 
 
 @pytest.mark.parametrize("t, ray", [(path(3), (0,)), (star(4), (1,))], ids=["P3", "spider"])

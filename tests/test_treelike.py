@@ -225,6 +225,12 @@ def test_distinguish_refuses_more_than_12_vertices():
         treelike_distinguish(RootedGraph.from_edges(13, [(i, i + 1) for i in range(12)], 0))
 
 
+@pytest.mark.parametrize("n", [0, -1, -(10**9)])
+def test_from_edges_rejects_an_empty_vertex_count(n):
+    with pytest.raises(ValueError, match="^vertex count must be at least 1$"):
+        RootedGraph.from_edges(n, [], 0)
+
+
 def test_distinguish_cycle4_absent():
     assert treelike_distinguish(cycle(4)) is None
 
