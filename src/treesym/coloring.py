@@ -22,7 +22,7 @@ from math import comb, isqrt
 
 from .asym import _a_product, a_by_class, asym_of
 from .canon import TreeAnalysis, _center_runs, _runs
-from .trees import Coloring, RootedTree, Tree, _bfs, _check_root, root_at
+from .trees import Coloring, RootedTree, Tree, _bfs, _check_root, _cut, root_at
 
 
 def combinadic_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
@@ -272,6 +272,7 @@ def extend_ray_coloring(tr: OneEndedTruncation, ray_colors) -> Coloring:
     sub-colorings inequivalent to it; every other class receives pairwise
     inequivalent sub-colorings by unranking 0, 1, .... The result provably
     breaks every automorphism fixing v_D, and is verified before being returned.
+    A ray color is True or 1 (black), or False or 0 (white); any other item raises ValueError.
 
     One rooting, at v_D, gives every lobe class and the prefix branch P_k at
     v_k. The suffix branch S_k at v_k, away from v_{k-1}, has an id only if it
@@ -285,7 +286,10 @@ def extend_ray_coloring(tr: OneEndedTruncation, ray_colors) -> Coloring:
     index is split over two or more classes with more than one choice.
     """
     tree, ray = tr.tree, tr.ray
-    ray_colors = tuple(bool(b) for b in ray_colors)
+    ray_colors = tuple(ray_colors)
+    for b in ray_colors:  # a bit string's "0" would read as black
+        if not isinstance(b, int) or b not in (0, 1):
+            raise ValueError(f"ray color must be a bool or 0/1, got {_cut(repr(b))}")
     if len(ray_colors) != len(ray):
         raise ValueError("ray coloring length must match the ray")
     n, end = tree.n, len(ray) - 1

@@ -97,39 +97,31 @@ class ForestExtraction:
 
 
 def extract_forest(g: RootedGraph) -> ForestExtraction:
-    """Edges yx with y on all shortest x-to-root paths; verified acyclic and spanning."""
-    preds = _preds(g)
+    """Edges yx with y on all shortest x-to-root paths; verified acyclic and spanning.
+
+    The components are the union-find classes of those edges, and an edge
+    whose ends are already in one class would close a cycle.
+    """
+    parent = list(range(g.n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
+        return v
+
     edges = []
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for x in range(g.n):
-        if len(preds[x]) == 1:
-            y = preds[x][0]
+    for x, ys in enumerate(_preds(g)):
+        if len(ys) == 1:
+            y = ys[0]
+            rx, ry = find(x), find(y)
+            if rx == ry:
+                raise AssertionError("forest extraction produced a cycle")
+            parent[rx] = ry
             edges.append((min(x, y), max(x, y)))
-            nbrs[x].append(y)
-            nbrs[y].append(x)
-    comp = [-1] * g.n
-    components = []
-    for v in range(g.n):
-        if comp[v] != -1:
-            continue
-        cid = len(components)
-        comp[v] = cid
-        stack = [v]
-        members = [v]
-        while stack:
-            u = stack.pop()
-            for w in nbrs[u]:
-                if comp[w] == -1:
-                    comp[w] = cid
-                    members.append(w)
-                    stack.append(w)
-        components.append(tuple(sorted(members)))
-    inside = [0] * len(components)
-    for u, _ in edges:  # both ends of a forest edge lie in one component
-        inside[comp[u]] += 1
-    if any(e != len(members) - 1 for e, members in zip(inside, components)):
-        raise AssertionError("forest extraction produced a cycle")
-    return ForestExtraction(tuple(sorted(edges)), tuple(components))
+    members: dict[int, list[int]] = {}
+    for v in range(g.n):  # ascending, so classes come in order of their least vertex
+        members.setdefault(find(v), []).append(v)
+    return ForestExtraction(tuple(sorted(edges)), tuple(map(tuple, members.values())))
 
 
 def _component_tree(g: ForestExtraction, members: tuple[int, ...]) -> Tree:

@@ -8,12 +8,15 @@ exception escaping ``main()`` fails the test.
 
 import contextlib
 import io
+import json
 import re
 import sys
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from treesym import treelike
 from treesym.cli import CORPUS_FLAGS, main
 from treesym.corpus import FAMILIES
 
@@ -182,3 +185,29 @@ def treelike_cases(draw):
 def test_treelike_on_small_graphs_exits_as_documented(case):
     text, argv = case
     check_exit(argv, text)
+
+
+HUGE = 10**5
+
+
+@pytest.mark.parametrize(
+    "edges, witnesses",
+    [
+        ([(v, v + 1) for v in range(HUGE - 1)], [*range(1, HUGE), None]),
+        ([(0, v) for v in range(1, HUGE)], [1] + [None] * (HUGE - 1)),
+    ],
+    ids=["path", "star"],
+)
+def test_treelike_on_a_huge_path_and_star_completes(monkeypatch, edges, witnesses):
+    # past the n <= 12 cap no coloring is searched for, so the graph automorphisms are never listed
+    def no_listing(*args, **kwargs):
+        raise AssertionError("brute_graph_aut called past the vertex cap")
+
+    monkeypatch.setattr(treelike, "brute_graph_aut", no_listing)
+    text = f"{HUGE}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    code, out, err = run_main(["treelike", "-"], text)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["coloring"] is None and report["treelike"] is False
+    assert report["forest"]["component_sizes"] == [HUGE]
+    assert report["witnesses"] == witnesses

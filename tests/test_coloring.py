@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -743,6 +744,32 @@ def test_extend_matches_reference_on_random_truncations():
 def test_extend_matches_reference_on_hanging_path_rays():
     rng = random.Random(9)
     assert_matches_reference(hanging_path_ray(rng, rng.randint(4, 301)) for _ in range(50))
+
+
+def forked_path_truncation():
+    """The path 0-1-2 as the ray, with two leaves at 2."""
+    return one_ended_truncation(Tree.from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)]), (0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "ray_colors, item",
+    [("000", "'0'"), ("010", "'0'"), ((0, 2, 1), "2"), ((None, 0, 0), "None"), ((1, "1", 0), "'1'"), ((1, 1.0, 0), "1.0")],
+)
+def test_extend_rejects_ray_colors_other_than_bools_and_0_1(ray_colors, item):
+    # read by truthiness, "000" and "010" both extended to 11110, as if the ray were all black
+    with pytest.raises(ValueError, match=f"^ray color must be a bool or 0/1, got {re.escape(item)}$"):
+        extend_ray_coloring(forked_path_truncation(), ray_colors)
+
+
+def test_extend_reads_bools_and_0_1_ints_alike():
+    cases = [(forked_path_truncation(), tuple(bool(k >> i & 1) for i in range(3))) for k in range(8)]
+    rng = random.Random(12)
+    cases += [random_one_ended_truncation(rng) for _ in range(60)]
+    for tr, colors in cases:
+        expected = extension_outcome(reference_extend_ray_coloring, tr, colors)
+        assert extension_outcome(extend_ray_coloring, tr, colors) == expected, (tr.tree.adj, tr.ray, colors)
+        assert extension_outcome(extend_ray_coloring, tr, [int(b) for b in colors]) == expected
+    assert extend_ray_coloring(forked_path_truncation(), (0, 0, 0)).bits() == "00010"
 
 
 # Found by a search over 40,000 seeds: the side rule at equal depth decides seeds 756

@@ -573,6 +573,15 @@ def test_forced_images_prune_the_star_search(candidate_lists):
     assert len(candidate_lists) <= 3
 
 
+def test_clashing_forced_images_build_no_candidate_list(candidate_lists):
+    # two leaves forced to one image: no automorphism honours that, and the clash is rejected before the
+    # search; a search that only finds it there builds 6 candidate lists first
+    star11 = star(11).adj
+    assert exists_automorphism(star11, forced={1: 5, 2: 5}) is False
+    assert brute_graph_aut(star11, forced={1: 5, 2: 5}) == []
+    assert candidate_lists == []
+
+
 def _reference_moved(sigma):
     return sum(1 for i, y in enumerate(sigma) if i != y)
 
