@@ -115,7 +115,7 @@ def cmd_color(args) -> int:
         print("tree is not 2-distinguishable", file=sys.stderr)
         return 3
     indices = range(args.count) if args.count is not None else [args.index]
-    if any(not 0 <= k < total for k in indices):
+    if indices and not (0 <= indices[0] and indices[-1] < total):
         print(f"index out of range [0, {total})", file=sys.stderr)
         return 3
     for k in indices:
@@ -166,12 +166,8 @@ def cmd_corpus(args) -> int:
     trees = list(generate(spec))
     if args.check:
         report = run_theorem_suite(trees)
-        conjectures = [conjecture_check(t) for t in trees]
-        inconsistent = [
-            {"check": "conjecture-consistency", "tree": serialize_edge_list(t)}
-            for t, c in zip(trees, conjectures)
-            if not c.consistent
-        ]
+        inconsistent = [{"check": "conjecture-consistency", "tree": serialize_edge_list(t)}
+                        for t in trees if not conjecture_check(t).consistent]
         payload = {"schema": SCHEMA, "suite": report.to_json()}
         payload["conjecture"] = {
             "consistent": not inconsistent,

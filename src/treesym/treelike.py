@@ -46,7 +46,7 @@ class RootedGraph:
 
 def parse_graph_edge_list(text: str, root: int = 0) -> RootedGraph:
     """Same wire format as trees, with the cycle check relaxed (graphs allowed)."""
-    n, edges, _ = read_edge_lines(text)
+    n, edges = read_edge_lines(text)
     # Checked before anything is sized by n, so a huge header fails fast.
     if len(edges) < n - 1:
         raise EdgeListParseError("graph is disconnected")

@@ -134,7 +134,7 @@ def _cut(x, show=str) -> str:
 
 
 def read_edge_lines(text: str):
-    """Shared reader for edge-list text: returns (n, [(u, v), ...], [line_no, ...]).
+    """Shared reader for edge-list text: returns (n, [(u, v), ...]), u < v, one per non-blank line after the header.
 
     Validates header, id ranges, self-loops and duplicates with line numbers,
     each edge once. Connectivity and count rules are left to the callers.
@@ -156,7 +156,7 @@ def read_edge_lines(text: str):
         raise EdgeListParseError(f"expected vertex count, got {_cut(header, repr)}", i + 1) from None
     if n <= 0:
         raise EdgeListParseError("vertex count must be at least 1", i + 1)
-    edges, line_nos, seen = [], [], set()
+    edges, seen = [], set()
     for line_no, raw in enumerate(lines[i + 1 :], i + 2):
         parts = raw.split()
         if len(parts) != 2:
@@ -175,9 +175,8 @@ def read_edge_lines(text: str):
         if not (0 <= u < n and 0 <= v < n) or u == v or key in seen:
             raise EdgeListParseError(_edge_fault(n, u, v), line_no)
         seen.add(key)
-        edges.append((u, v))
-        line_nos.append(line_no)
-    return n, edges, line_nos
+        edges.append(key)
+    return n, edges
 
 
 def parse_edge_list(text: str) -> Tree:
@@ -187,20 +186,22 @@ def parse_edge_list(text: str) -> Tree:
     edges, out-of-range ids and cycles (reported at the closing edge);
     too few edges are rejected first.
     """
-    n, edges, line_nos = read_edge_lines(text)
+    n, edges = read_edge_lines(text)
     # Checked before anything is sized by n, so a huge header fails fast.
     if len(edges) < n - 1:
         raise EdgeListParseError(f"edge count {len(edges)} != n-1 = {n - 1}")
     # Union-find so a cycle is reported at the line that closes it. More than
     # n-1 edges always close one, and n-1 acyclic edges span the vertices.
     parent = list(range(n))
-    for line_no, (u, v) in zip(line_nos, edges):
+    for k, (u, v) in enumerate(edges):
         ru, rv = u, v
         while parent[ru] != ru:
             parent[ru] = ru = parent[parent[ru]]  # path halving
         while parent[rv] != rv:
             parent[rv] = rv = parent[parent[rv]]
         if ru == rv:
+            line_no, raw = [(j, r) for j, r in enumerate(text.splitlines(), 1) if r.split()][k + 1]
+            u, v = map(int, raw.split())
             raise EdgeListParseError(f"cycle detected at edge ({u}, {v})", line_no)
         parent[ru] = rv
     return Tree(n, _build_adjacency(n, edges))

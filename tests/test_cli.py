@@ -166,6 +166,31 @@ def test_color_count_two_inequivalent(tree_file, capsys):
     assert len(lines) == 2 and lines[0] != lines[1]
 
 
+@pytest.mark.parametrize("argv, code, lines", [(("--count", "2"), 0, 2), (("--count", "3"), 3, 0), (("--index", "-1"), 3, 0)])
+def test_color_range_is_checked_at_both_ends(tree_file, capsys, argv, code, lines):
+    # a(P3) = 2: --count 2 ends at the last index, --count 3 one past it, and -1 is below the first
+    got, out, err = run(capsys, "color", tree_file(P3), *argv)
+    assert (got, len(out.splitlines())) == (code, lines)
+    assert err == ("" if code == 0 else "index out of range [0, 2)\n")
+
+
+def test_color_count_past_the_end_fails_without_a_scan():
+    # a(P60) = 576460751766552576 = 2**59 - 2**29: a count one past it is refused from its last index
+    # alone; a check of every index would not finish
+    import os
+    import subprocess
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    path60 = "60\n" + "".join(f"{i} {i + 1}\n" for i in range(59))
+    proc = subprocess.run(
+        [sys.executable, "-m", "treesym.cli", "color", "--count", "576460751766552577", "-"],
+        input=path60, capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "index out of range [0, 576460751766552576)\n")
+
+
 def test_color_rooted(tree_file, capsys):
     code, out, _ = run(capsys, "color", tree_file(P3), "--root", "1", "--count", "8")
     assert code == 0
@@ -621,8 +646,12 @@ def test_non_ascii_digits_in_integer_options_are_rejected(tree_file, capsys, arg
         ("1_0\n0 1\n", ("treelike", "-"), "error: line 1: expected vertex count, got '1_0'"),
         (P3_PATH, ("analyze", "-", "--root", "0_1"), "error: argument --root: invalid int value: '0_1'"),
         ("", ("corpus", "--random-prufer", "5", "--seed", "+1"), "error: argument --seed: invalid int value: '+1'"),
+        pytest.param(
+            P3_PATH, ("color", "-", "--index", "1" * 4301), f"error: argument --index: invalid int value: '{'1' * 4301}'",
+            marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int <-> str digit limit"),
+        ),
     ],
-    ids=["underscore-id", "plus-id", "underscore-header", "underscore-root", "plus-seed"],
+    ids=["underscore-id", "plus-id", "underscore-header", "underscore-root", "plus-seed", "past-digit-limit"],
 )
 def test_numbers_are_plain_decimals(capsys, monkeypatch, text, argv, message):
     # int() also reads "1_0" and "+1"; input and options take an optional "-" and digits only
