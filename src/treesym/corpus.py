@@ -184,16 +184,8 @@ def spider(n: int, legs: int) -> Tree:
     if n < legs + 1:
         raise ValueError("need n >= legs + 1")
     base, extra = divmod(n - 1, legs)
-    edges = []
-    nxt = 1
-    for i in range(legs):
-        length = base + (1 if i < extra else 0)
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return Tree.from_edges(n, edges)
+    starts = {1 + i * base + min(i, extra) for i in range(legs)}  # leg i has base + (i < extra) vertices
+    return Tree.from_edges(n, [(0 if v in starts else v - 1, v) for v in range(1, n)])
 
 
 def generate(spec: CorpusSpec) -> Iterator[Tree]:

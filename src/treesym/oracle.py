@@ -9,7 +9,9 @@ validated against these results, never the other way around.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import factorial, prod
 from operator import ne
 
 from .autom import ASYMMETRIC, AutomorphismLimitExceeded, Motion, _automorphisms, enumerate_automorphisms
@@ -70,10 +72,23 @@ def _apply(sigma, mask: int) -> int:
     return out
 
 
+def _refuse_past(search, adj, pinned, limit):
+    """``search``, unless sibling leaves alone make more than ``limit`` automorphisms: then refuse at once.
+
+    The k_v leaves at v other than ``pinned`` permute freely and independently, so |Aut| >= prod k_v!.
+    The identity is taken first, so a pin out of range or a disconnected graph still raises its own error.
+    """
+    leaves = Counter(a[0] for v, a in enumerate(adj) if len(a) == 1 and v != pinned)
+    if limit is None or prod(map(factorial, leaves.values())) <= limit:
+        return search
+    next(search)
+    raise AutomorphismLimitExceeded(limit)
+
+
 def _budgeted_automorphisms(t: Tree, aut_limit: int, pinned: int | None = None):
     """Yield T's automorphisms (fixing ``pinned`` when given); past ``aut_limit`` raise OracleSizeError."""
     try:
-        yield from enumerate_automorphisms(t, limit=aut_limit, pinned=pinned)
+        yield from _refuse_past(enumerate_automorphisms(t, limit=aut_limit, pinned=pinned), t.adj, pinned, aut_limit)
     except AutomorphismLimitExceeded as exc:
         raise OracleSizeError(str(exc)) from exc
 
@@ -153,4 +168,5 @@ def _graph_search(adj, pinned, limit, forced):
     """The shared automorphism backtracker, behind the oracle's graph cap."""
     if len(adj) > MAX_GRAPH_VERTICES:
         raise OracleSizeError(f"n = {len(adj)} exceeds graph automorphism cap {MAX_GRAPH_VERTICES}")
-    return _automorphisms(adj, limit=limit, pinned=pinned, forced=forced)
+    search = _automorphisms(adj, limit=limit, pinned=pinned, forced=forced)
+    return search if forced else _refuse_past(search, adj, pinned, limit)  # forced images form no group

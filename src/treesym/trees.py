@@ -229,23 +229,14 @@ Center = VertexCenter | EdgeCenter
 
 
 def center(t: Tree) -> Center:
-    """Center by iterated leaf removal: the last layer, a single vertex or an adjacent pair."""
-    n = t.n
-    if n == 1:
-        return VertexCenter(0)
-    deg = [len(a) for a in t.adj]
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        nxt = []
-        for u in layer:
-            for v in t.adj[u]:  # a peeled v only drops from 1 to 0, so it never rejoins a layer
-                deg[v] -= 1
-                if deg[v] == 1:
-                    nxt.append(v)
-        remaining -= len(layer)
-        layer = nxt
-    return VertexCenter(layer[0]) if len(layer) == 1 else EdgeCenter(*sorted(layer))
+    """The middle vertex, or middle edge, of a longest path: the center lies on every one (Jordan 1869)."""
+    # a BFS ends at a farthest vertex, which ends a longest path; a BFS from there ends at its other end
+    order, parent = _bfs(t.adj, _bfs(t.adj, 0)[0][-1])
+    path = [order[-1]]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    mid = len(path) // 2
+    return VertexCenter(path[mid]) if len(path) % 2 else EdgeCenter(*sorted(path[mid - 1 : mid + 1]))
 
 
 def _center_ends(c: Center) -> tuple[int, ...]:

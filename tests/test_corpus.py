@@ -288,6 +288,30 @@ def test_kary_and_spider_shapes():
     assert sorted(s.degree(v) for v in range(1, 7)) == [1, 1, 1, 2, 2, 2]
 
 
+def reference_spider(n: int, legs: int) -> Tree:
+    """The previous leg-by-leg build: each leg a path from the center, the first ``extra`` one longer."""
+    base, extra = divmod(n - 1, legs)
+    edges = []
+    nxt = 1
+    for i in range(legs):
+        length = base + (1 if i < extra else 0)
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return Tree.from_edges(n, edges)
+
+
+def test_spider_matches_leg_by_leg_build():
+    # every n < 60 with every leg count, lobed_extremal(26)'s spider and two benchmark sizes
+    sizes = [(n, legs) for n in range(2, 60) for legs in range(1, n)]
+    sizes += [(106_497, 8_192), (4_000, 6), (5_000, 3)]
+    for n, legs in sizes:
+        assert spider(n, legs) == reference_spider(n, legs), (n, legs)
+    assert lobed_extremal(26) == reference_spider(106_497, 8_192)
+
+
 def test_caterpillar_valid():
     rng = random.Random(1)
     for _ in range(50):

@@ -18,6 +18,7 @@ from treesym import (
     root_at,
 )
 from treesym import autom as autom_module
+from treesym import oracle as oracle_module
 from treesym.autom import ASYMMETRIC, _automorphisms
 from treesym.oracle import DEFAULT_AUT_LIMIT, MAX_ORACLE_VERTICES, OrbitReport, _apply, _moved
 from treesym.trees import _bfs, _check_root
@@ -727,6 +728,56 @@ def test_oracle_budget_matches_reference_on_stars_and_paths():
         "n = 17 exceeds oracle cap 16", "root 5 out of range 0..4",
     }
     assert (OracleSizeError, "automorphism count exceeds limit 23", AutomorphismLimitExceeded) in raised
+
+
+@pytest.fixture
+def images_listed(monkeypatch) -> list[tuple[int, ...]]:
+    """Every image the oracle's searches yield while the test runs."""
+    listed: list[tuple[int, ...]] = []
+
+    def counted(search):
+        def wrapper(*args, **kwargs):
+            for sigma in search(*args, **kwargs):
+                listed.append(sigma)
+                yield sigma
+        return wrapper
+
+    monkeypatch.setattr(oracle_module, "enumerate_automorphisms", counted(enumerate_automorphisms))
+    monkeypatch.setattr(oracle_module, "_automorphisms", counted(_automorphisms))
+    return listed
+
+
+@pytest.mark.parametrize("pinned", [None, 0, 1], ids=["no-pin", "center-pin", "leaf-pin"])
+def test_sibling_leaves_past_the_budget_are_refused_at_once(images_listed, pinned):
+    # the 12-vertex star has 11! automorphisms, 10! with a leaf pinned: past both budgets, so
+    # each call takes the identity and refuses, where it listed 2,000,001 or 500,001 images
+    star12 = star(12)
+    budget = (OracleSizeError, "automorphism count exceeds limit 2000000", AutomorphismLimitExceeded)
+    calls = [
+        (lambda: oracle_outcome(brute_asym, star12, pinned=pinned), budget),
+        (lambda: outcome(brute_graph_aut, star12.adj, pinned=pinned),
+         ("AutomorphismLimitExceeded", "automorphism count exceeds limit 500000", [])),
+    ]
+    if pinned is None:
+        calls.append((lambda: oracle_outcome(brute_motion, star12), budget))
+    for call, want in calls:
+        images_listed.clear()
+        assert call() == want
+        assert len(images_listed) <= 1
+
+
+def test_refusal_keeps_the_order_of_errors():
+    star12 = star(12)
+    # a pin out of range and a disconnected graph still raise their own errors
+    assert oracle_outcome(brute_asym, star12, pinned=12) == (ValueError, "root 12 out of range 0..11", type(None))
+    assert outcome(brute_graph_aut, star12.adj, pinned=12) == ("ValueError", "root 12 out of range 0..11", [])
+    star11_and_a_vertex = (*star(11).adj, ())
+    assert outcome(brute_graph_aut, star11_and_a_vertex) == ("ValueError", "graph must be connected", [])
+    # forced images form no group, so they are listed as before; the search itself still lists up to the limit
+    kwargs = dict(forced={1: 2}, limit=100)
+    assert outcome(brute_graph_aut, star12.adj, **kwargs) == outcome(reference_brute_graph_aut, star12.adj, **kwargs)
+    got = outcome(enumerate_automorphisms, star12, limit=10)
+    assert got[:2] == ("AutomorphismLimitExceeded", "automorphism count exceeds limit 10") and len(got[2]) == 10
 
 
 def test_direct_permutation_reads_match_image_tables():

@@ -22,10 +22,11 @@ from treesym import (
     relabel,
     root_at,
     serialize_edge_list,
+    spider,
     tree_from_pruefer,
 )
 
-from .conftest import path, random_trees, relabeled_families, sample_roots, trees_up_to, trees_with_permutation
+from .conftest import path, random_trees, relabeled_families, sample_roots, star, trees_up_to, trees_with_permutation
 
 
 @pytest.mark.parametrize("parse", [parse_edge_list, parse_graph_edge_list])
@@ -144,7 +145,8 @@ def reference_center(t: Tree):
 
 def test_center_is_the_last_peeled_layer():
     # every tree with n <= 12 and three relabelings of each, seeded trees up to n = 2000,
-    # and n = 1, 2, 3 with both center kinds
+    # n = 1, 2, 3 with both center kinds, and hostile sizes: 10^5- and (10^5 + 1)-vertex
+    # paths, the 10^5-vertex star and a 10^5-vertex 6-leg spider
     rng = random.Random(17)
     trees = [path(1), path(2), path(3), Tree.from_edges(3, [(0, 1), (0, 2)]), path(4)]
     for t in trees_up_to(12):
@@ -152,11 +154,14 @@ def test_center_is_the_last_peeled_layer():
         trees.extend(relabel(t, rng.sample(range(t.n), t.n)) for _ in range(3))
     trees += relabeled_families(17, (4, 5, 31, 100, 500, 1999, 2000))
     trees += [tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]) for n in range(3, 2001, 37)]
+    trees += [path(10**5), path(10**5 + 1), star(10**5), spider(10**5, 6)]
     kinds = set()
     for t in trees:
         assert center(t) == reference_center(t), t.adj
         kinds.add((min(t.n, 4), type(center(t))))
     assert kinds == {(1, VertexCenter), (2, EdgeCenter), (3, VertexCenter), (4, VertexCenter), (4, EdgeCenter)}
+    hostile = [EdgeCenter(49_999, 50_000), VertexCenter(50_000), VertexCenter(0), VertexCenter(0)]
+    assert [center(t) for t in trees[-4:]] == hostile
 
 
 def test_root_at_examples(p3, p4, k1):
