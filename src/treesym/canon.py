@@ -93,13 +93,21 @@ class TreeAnalysis:
         reps = [rt.bfs_order[-1]]  # the last vertex in BFS order is a leaf, so leaves are class 0
         for x in reversed(rt.bfs_order):
             kids = children[x]
-            if len(kids) > 1:
+            if not kids:
+                continue
+            if len(kids) == 1:
+                key = (ids[kids[0]],)
+            elif len(kids) == 2:  # one comparison orders two children as the stable sort would
+                a, b = kids
+                ka, kb = ids[a], ids[b]
+                if kb < ka:
+                    children[x] = (b, a)
+                    key = (kb, ka)
+                else:
+                    key = (ka, kb)
+            else:
                 kids = children[x] = tuple(sorted(kids, key=ids.__getitem__))
                 key = tuple(map(ids.__getitem__, kids))
-            elif kids:
-                key = (ids[kids[0]],)
-            else:
-                continue
             cid = ids[x] = index.setdefault(key, len(sigs))
             if cid == len(sigs):  # a new class
                 sigs.append(_runs(key))

@@ -18,7 +18,7 @@ center do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 
 from .asym import _a_product, a_by_class, asym_of
 from .canon import TreeAnalysis, _center_runs, _runs
@@ -32,8 +32,10 @@ def combinadic_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
     unranking meets most take closed forms: for k = 1 the subset is (rank,),
     and for k = 2 the top element is the largest c with c(c-1)/2 <= rank,
     c = (1 + isqrt(8 rank + 1)) // 2, and the rest is a k = 1 digit. Larger
-    k binary-search each element, so huge universes (a-values reach 2^n)
-    cost O(k log universe) ``comb`` calls.
+    k find each element c_i, the largest c with C(c, i) <= rank, among i
+    candidates: (c-i+1)^i <= i! C(c, i) <= c^i puts it in [r, r+i-1] for
+    r = floor((i! rank)^(1/i)), so huge universes (a-values reach 2^n) cost
+    one integer root and O(k log k) ``comb`` calls.
     """
     if k < 0 or universe < 0 or rank < 0 or rank >= comb(universe, k):
         raise ValueError(f"rank {rank} out of range for C({universe}, {k})")
@@ -45,7 +47,8 @@ def combinadic_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
     out = []
     hi = universe - 1
     for i in range(k, 0, -1):
-        lo = i - 1
+        r = _iroot(factorial(i) * rank, i)
+        lo, hi = max(r, i - 1), min(r + i - 1, hi)
         # largest c in [lo, hi] with C(c, i) <= rank
         while lo < hi:
             mid = (lo + hi + 1) // 2
@@ -58,6 +61,23 @@ def combinadic_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
         hi = lo - 1
     out.reverse()
     return tuple(out)
+
+
+def _iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) for an integer x >= 0, exact at any size.
+
+    Newton's method from above, started just over the root of x's top half,
+    where it needs few steps.
+    """
+    if x < 2:
+        return x
+    s = x.bit_length() // (2 * k)  # half the bits of the root
+    y = (_iroot(x >> k * s, k) + 1) << s if s else 1 << -(-x.bit_length() // k)
+    while True:
+        z = ((k - 1) * y + x // y ** (k - 1)) // k
+        if z >= y:
+            return y
+        y = z
 
 
 def _unrank_into(an: TreeAnalysis, a: list[int], x: int, index: int, colors: list[str | None], order=None):
@@ -166,6 +186,11 @@ def _colored_ids(an: TreeAnalysis, colors, order, ids, table: dict) -> bool:
             ids[v] = setdefault((colors[v],), len(table))
         elif len(kids) == 1:
             ids[v] = setdefault((colors[v], ids[kids[0]]), len(table))
+        elif len(kids) == 2:  # the sorted key by one comparison
+            a, b = ids[kids[0]], ids[kids[1]]
+            if a == b:
+                return False
+            ids[v] = setdefault((colors[v], a, b) if a < b else (colors[v], b, a), len(table))
         else:
             key = sorted([ids[c] for c in kids])
             if len(set(key)) < len(key):
@@ -185,10 +210,12 @@ def _colored_key(an: TreeAnalysis, colors: str, table: dict) -> tuple[int, ...] 
     ids = [0] * an.rt.tree.n
     if not _colored_ids(an, colors, reversed(an.rt.bfs_order), ids, table):
         return None
-    top_ids = sorted(ids[r] for r in an.roots)
-    if len(top_ids) == 2 and top_ids[0] == top_ids[1]:
+    if len(an.roots) == 1:
+        return (ids[an.roots[0]],)
+    a, b = ids[an.roots[0]], ids[an.roots[1]]
+    if a == b:
         return None
-    return tuple(top_ids)
+    return (a, b) if a < b else (b, a)
 
 
 def distinguishes(an: TreeAnalysis, coloring: Coloring) -> bool:

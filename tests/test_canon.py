@@ -1,3 +1,4 @@
+import builtins
 import gc
 import pickle
 import random
@@ -22,6 +23,7 @@ from treesym import (
     group_order_bound_check,
     is_2_distinguishable,
     is_isomorphic,
+    kary_tree,
     motion,
     relabel,
     root_at,
@@ -33,6 +35,8 @@ from treesym import (
     unrooted_code,
     verify_distinguishing,
 )
+from treesym import canon as canon_module
+from treesym import coloring as coloring_module
 from treesym.asym import a_by_class, asym_at_every_root, asym_of, asym_rooted
 from treesym.canon import TreeAnalysis, colored_subtree_codes, colored_unrooted_code
 from treesym.oracle import exists_automorphism
@@ -317,6 +321,52 @@ def test_analysis_matches_reference_relabeled_families():
             rt = root_at(t, w)
             for cut in (None, rt.children[w][0], rt.children[w][-1]):
                 assert analysis_fields(rt, cut) == reference_analysis(rt, cut)
+
+
+def count_sorts(monkeypatch) -> list[int]:
+    """Shadow ``sorted`` in the two kernel modules and record the length of every sorted list."""
+    calls: list[int] = []
+
+    def counted(items, **kwargs):
+        out = builtins.sorted(items, **kwargs)
+        calls.append(len(out))
+        return out
+
+    for mod in (canon_module, coloring_module):
+        monkeypatch.setattr(mod, "sorted", counted, raising=False)
+    return calls
+
+
+def test_two_child_vertices_take_no_sort(monkeypatch):
+    # the class-id and colored-id kernels order two children by one comparison; they change
+    # no output, so only this count fails if that case is dropped
+    rng = random.Random(29)
+    edges, leaves = [], [0]
+    while len(leaves) < 40:  # a random full binary tree: every internal vertex has two children at 0
+        x = leaves.pop(rng.randrange(len(leaves)))
+        leaves += [len(edges) + 1, len(edges) + 2]
+        edges += [(x, len(edges) + 1), (x, len(edges) + 2)]
+    perms = [rng.sample(range(n), n) for n in (31, len(edges) + 1)]
+    complete, full = relabel(kary_tree(31, 2), perms[0]), relabel(Tree.from_edges(len(edges) + 1, edges), perms[1])
+    expected = reference_analysis(root_at(full, perms[1][0]))
+    calls = count_sorts(monkeypatch)
+    rt = root_at(full, perms[1][0])
+    assert analysis_fields(rt) == expected
+    assert any(an_kids != kids for an_kids, kids in zip(expected[1], rt.children))  # some pair swapped
+    an = TreeAnalysis.at_center(complete)
+    assert an.roots == (perms[0][0],) and all(len(kids) in (0, 2) for kids in an.children)
+    coloring = construct_distinguishing(complete)
+    assert verify_distinguishing(complete, coloring)
+    assert not verify_distinguishing(complete, Coloring(complete.n, 0))
+    assert calls == []
+
+    # the center of a 3-leg spider still sorts its three children: in the analysis, then in
+    # the check inside the construction and in the verification
+    t = relabel(spider(40, 3), rng.sample(range(40), 40))
+    TreeAnalysis.at_center(t)
+    assert calls == [3]
+    assert verify_distinguishing(t, construct_distinguishing(t))
+    assert calls == [3, 3, 3]
 
 
 def rooted_types(max_n):

@@ -107,6 +107,24 @@ def test_combinadic_seeded_ranks_match_reference():
                     combinadic_unrank(bad, universe, k)
 
 
+def test_combinadic_k3_to_12_matches_reference():
+    # each element is searched only among the i integers from floor((i! rank)^(1/i));
+    # the reference binary-searches the whole range, about log2(universe) comb calls per
+    # element, so most cases take small universes and a seeded few reach 2^700
+    rng = random.Random(29)
+    cases = []
+    for j in range(20_000):
+        k = rng.randint(3, 12)
+        universe = k + rng.randrange(1 << (rng.randint(25, 700) if j % 400 == 0 else rng.randint(1, 20)))
+        cases.append((rng.randrange(comb(universe, k)), universe, k))
+    for k in range(3, 13):
+        for universe in (k, k + 1, (1 << 700) - 1):
+            cases += [(0, universe, k), (comb(universe, k) - 1, universe, k)]
+    assert max(u for _, u, _ in cases).bit_length() == 700
+    for rank, universe, k in cases:
+        assert combinadic_unrank(rank, universe, k) == reference_combinadic_unrank(rank, universe, k), (rank, universe, k)
+
+
 def test_unrank_path_comb_calls_linear(monkeypatch):
     # the closed forms make two comb calls per vertex on a path (one digit
     # capacity, one range check); binary search made hundreds
