@@ -18,6 +18,7 @@ center do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb, factorial, isqrt
 
 from .asym import _a_product, a_by_class, asym_of
@@ -86,7 +87,8 @@ def _unrank_into(an: TreeAnalysis, a: list[int], x: int, index: int, colors: lis
     Iterative so deep chains cannot hit the recursion limit. ``order(runs, kids)``,
     if given, reorders the twin classes (and children) wherever the index is nonzero.
     Digits that need no decoding skip ``combinadic_unrank``: with nothing left of
-    the index every run takes sub-indices 0..mu-1, and a lone branch takes its digit.
+    the index every run takes sub-indices 0..mu-1 (all children take 0 at once when
+    every run is a single branch), and a lone branch takes its digit.
     """
     children, sigs, ids = an.children, an.sigs, an.ids
     stack = [(x, index)]
@@ -102,6 +104,9 @@ def _unrank_into(an: TreeAnalysis, a: list[int], x: int, index: int, colors: lis
             continue
         runs = sigs[ids[v]]
         if not k:
+            if len(runs) == len(kids):  # every run a single branch
+                stack.extend(zip(kids, repeat(0)))
+                continue
             pos = 0
             for _, mu in runs:
                 stack.extend(zip(kids[pos : pos + mu], range(mu)))
@@ -175,15 +180,16 @@ def _colored_ids(an: TreeAnalysis, colors, order, ids, table: dict) -> bool:
     """Write the colored class id of every vertex of ``order`` (children first) into ``ids``.
 
     An id is interned in ``table`` from the vertex's color and its children's
-    sorted ids, so ids drawn from one table are equal iff a color-preserving
-    isomorphism maps one branch onto the other. Returns False at the first
-    vertex whose twins collide (two children with equal ids), True otherwise.
+    sorted ids (a leaf from its color alone), so ids drawn from one table are
+    equal iff a color-preserving isomorphism maps one branch onto the other.
+    Returns False at the first vertex whose twins collide (two children with
+    equal ids), True otherwise.
     """
     children, setdefault = an.children, table.setdefault
     for v in order:
         kids = children[v]
-        if not kids:
-            ids[v] = setdefault((colors[v],), len(table))
+        if not kids:  # a leaf's key is its color character, never equal to a tuple key
+            ids[v] = setdefault(colors[v], len(table))
         elif len(kids) == 1:
             ids[v] = setdefault((colors[v], ids[kids[0]]), len(table))
         elif len(kids) == 2:  # the sorted key by one comparison

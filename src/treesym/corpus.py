@@ -10,7 +10,7 @@ from .asym import GroupOrderBound, _a_product, a_at_root, a_by_class, asym_of
 from .autom import aut_order_of, motion, motion_of
 from .canon import TreeAnalysis, _toward_center
 from .coloring import OneEndedTruncation, construct_of, one_ended_truncation
-from .trees import Tree, serialize_edge_list
+from .trees import Tree, _build_adjacency, serialize_edge_list
 
 ALL_TREES_MAX = 12
 LOBED_EXTREMAL_MAX = 26  # lobed_extremal(m) has m/2 * 2^(m/2) + 1 vertices: 106,497 at m = 26
@@ -38,10 +38,11 @@ def tree_from_pruefer(n: int, seq) -> Tree:
     Linear pointer decoder: ``ptr`` scans upward, once in all, for the next
     unused leaf. A vertex that the current entry turns into a leaf is the
     smallest leaf exactly when it lies below ``ptr``, so it goes next
-    without a scan. The edge list is the same as the rescan decoder's.
+    without a scan. The edge list is the same as the rescan decoder's, and
+    it is a tree by construction, so it is not validated again.
     """
     if n == 1:
-        return Tree.from_edges(1, [])
+        return Tree(1, _build_adjacency(1, []))
     seq = list(seq)
     if len(seq) != n - 2 or any(not 0 <= a < n for a in seq):
         raise ValueError("sequence must have length n-2 with entries in 0..n-1")
@@ -62,7 +63,7 @@ def tree_from_pruefer(n: int, seq) -> Tree:
                 ptr += 1
             leaf = ptr
     edges.append((leaf, n - 1))
-    return Tree.from_edges(n, edges)
+    return Tree(n, _build_adjacency(n, edges))
 
 
 def random_tree(rng: random.Random, n: int) -> Tree:
@@ -86,7 +87,7 @@ def all_trees(n: int) -> Iterator[Tree]:
     seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while seq is not None:
         seq = _free_tree_jump(seq)
-        yield Tree.from_edges(n, _level_edges(seq))
+        yield Tree(n, _build_adjacency(n, _level_edges(seq)))  # every vertex after 0 has one earlier parent
         seq = _next_level_sequence(seq)
 
 

@@ -21,13 +21,15 @@ class Tree:
 
     Adjacency lists are sorted ascending and symmetric; :meth:`from_edges`
     and ``parse_edge_list`` validate the structure (connected, acyclic, no
-    self-loops, no duplicate edges).
+    self-loops, no duplicate edges). ``corpus.tree_from_pruefer`` and
+    ``corpus.all_trees`` skip the checks: their edges form a tree by
+    construction.
 
-    A tree is immutable because its center analysis
-    (:meth:`canon.TreeAnalysis.at_center`) is computed once and kept on the
-    instance, shared by every public function called on it. The memo is not
-    a field, so ``==``, ``hash`` and ``repr`` do not see it, and pickling or
-    copying a tree leaves it behind.
+    A tree is immutable because its center (:func:`center`) and its center
+    analysis (:meth:`canon.TreeAnalysis.at_center`) are computed once and
+    kept on the instance, shared by every public function called on it. The
+    memos are not fields, so ``==``, ``hash`` and ``repr`` do not see them,
+    and pickling or copying a tree leaves them behind.
     """
 
     n: int
@@ -229,14 +231,21 @@ Center = VertexCenter | EdgeCenter
 
 
 def center(t: Tree) -> Center:
-    """The middle vertex, or middle edge, of a longest path: the center lies on every one (Jordan 1869)."""
-    # a BFS ends at a farthest vertex, which ends a longest path; a BFS from there ends at its other end
-    order, parent = _bfs(t.adj, _bfs(t.adj, 0)[0][-1])
-    path = [order[-1]]
-    while parent[path[-1]] >= 0:
-        path.append(parent[path[-1]])
-    mid = len(path) // 2
-    return VertexCenter(path[mid]) if len(path) % 2 else EdgeCenter(*sorted(path[mid - 1 : mid + 1]))
+    """The middle vertex, or middle edge, of a longest path: the center lies on every one (Jordan 1869).
+
+    Found on the first call for ``t`` and kept on ``t``, like its center analysis.
+    """
+    c = t.__dict__.get("_center")
+    if c is None:
+        # a BFS ends at a farthest vertex, which ends a longest path; a BFS from there ends at its other end
+        order, parent = _bfs(t.adj, _bfs(t.adj, 0)[0][-1])
+        path = [order[-1]]
+        while parent[path[-1]] >= 0:
+            path.append(parent[path[-1]])
+        mid = len(path) // 2
+        c = VertexCenter(path[mid]) if len(path) % 2 else EdgeCenter(*sorted(path[mid - 1 : mid + 1]))
+        object.__setattr__(t, "_center", c)
+    return c
 
 
 def _center_ends(c: Center) -> tuple[int, ...]:

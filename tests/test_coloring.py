@@ -643,6 +643,122 @@ def test_unrank_into_matches_reference_on_seeded_corpora():
         assert_unranking_matches_reference(an, a_by_class(an), rng)
 
 
+def previous_unrank_into(an, a, x, index, colors, order=None):
+    """The unranking kernel whose zero index gave every run a slice and a range, kept as the reference."""
+    children, sigs, ids = an.children, an.sigs, an.ids
+    stack = [(x, index)]
+    while stack:
+        v, k = stack.pop()
+        colors[v] = "0" if k & 1 else "1"
+        k >>= 1
+        kids = children[v]
+        if not kids:
+            if k:
+                raise AssertionError("index not fully consumed")
+            continue
+        runs = sigs[ids[v]]
+        if not k:
+            pos = 0
+            for _, mu in runs:
+                stack.extend(zip(kids[pos : pos + mu], range(mu)))
+                pos += mu
+            continue
+        if order and len(runs) > 1:
+            runs, kids = order(runs, kids)
+        pos = 0
+        for c, mu in runs:
+            if mu == 1:
+                k, digit = divmod(k, a[c])
+                stack.append((kids[pos], digit))
+            else:
+                k, digit = divmod(k, comb(a[c], mu))
+                stack.extend(zip(kids[pos : pos + mu], combinadic_unrank(digit, a[c], mu)))
+            pos += mu
+        if k:
+            raise AssertionError("index not fully consumed")
+
+
+def assert_low_indices_match_previous_kernel(an, a, starts):
+    # index 0 from each start whose branch has a coloring, and at a root the indices below 4,
+    # whose digits are all zero below the top
+    n = an.rt.tree.n
+    for x in starts:
+        for index in range(min(4 if x in an.roots else 1, a[an.ids[x]])):
+            for order in (None, reversed_classes):
+                got, want = [None] * n, [None] * n
+                previous_unrank_into(an, a, x, index, want, order)
+                _unrank_into(an, a, x, index, got, order)
+                assert got == want, (an.rt.tree.adj, an.roots, x, index, order)
+
+
+def test_zero_index_matches_previous_kernel_small():
+    for t in trees_up_to(9):
+        for an in analyses_at_every_root(t):
+            assert_low_indices_match_previous_kernel(an, a_by_class(an), range(t.n))
+
+
+def test_zero_index_matches_previous_kernel_on_seeded_corpora():
+    rng = random.Random(39)
+    for t in relabeled_families(40, (4, 9, 40, 150, 600, 2000)):
+        for an in (TreeAnalysis.at_center(t), TreeAnalysis.of(root_at(t, rng.randrange(t.n)))):
+            starts = set(an.roots) | {rng.randrange(t.n) for _ in range(5)}
+            assert_low_indices_match_previous_kernel(an, a_by_class(an), starts)
+
+
+def previous_colored_ids(an, colors, order, ids, table):
+    """The colored-id kernel that filed a leaf under a one-item tuple, kept as the reference."""
+    children, setdefault = an.children, table.setdefault
+    for v in order:
+        kids = children[v]
+        if not kids:
+            ids[v] = setdefault((colors[v],), len(table))
+        elif len(kids) == 1:
+            ids[v] = setdefault((colors[v], ids[kids[0]]), len(table))
+        elif len(kids) == 2:
+            a, b = ids[kids[0]], ids[kids[1]]
+            if a == b:
+                return False
+            ids[v] = setdefault((colors[v], a, b) if a < b else (colors[v], b, a), len(table))
+        else:
+            key = sorted([ids[c] for c in kids])
+            if len(set(key)) < len(key):
+                return False
+            ids[v] = setdefault((colors[v], *key), len(table))
+    return True
+
+
+def pinned_colorings(n):
+    """Every coloring of n vertices as bits, unpinned and pinned at each vertex ("2")."""
+    for mask in range(1 << n):
+        bits = Coloring(n, mask).bits()
+        yield bits
+        for w in range(n):
+            yield f"{bits[:w]}2{bits[w + 1:]}"
+
+
+def assert_colored_ids_match_previous_kernel(an, colors, table, ref_table):
+    n = an.rt.tree.n
+    ids, ref_ids = [-1] * n, [-1] * n
+    order = an.rt.bfs_order[::-1]
+    assert coloring_module._colored_ids(an, colors, order, ids, table) == previous_colored_ids(
+        an, colors, order, ref_ids, ref_table
+    )
+    assert ids == ref_ids, (an.rt.tree.adj, an.roots, colors)
+    assert len(table) == len(ref_table)
+
+
+def test_colored_ids_match_previous_kernel_on_every_pinned_coloring():
+    # each coloring on its own table, and on one table shared by every tree, rooting and
+    # coloring, as treelike_distinguish shares one across components
+    table, ref_table = {}, {}
+    for t in trees_up_to(7):
+        for an in analyses_at_every_root(t):
+            for colors in pinned_colorings(t.n):
+                assert_colored_ids_match_previous_kernel(an, colors, {}, {})
+                assert_colored_ids_match_previous_kernel(an, colors, table, ref_table)
+    assert len(table) > 1000
+
+
 def reference_extend_ray_coloring(tr, ray_colors):
     """The previous extension: one rooting at v_i, cut at v_{i+1}, per ray vertex v_1..v_D."""
     tree = tr.tree

@@ -28,6 +28,7 @@ from treesym import (
     unrooted_code,
     verify_distinguishing,
 )
+from treesym import corpus as corpus_module
 from treesym.cli import main
 from treesym.corpus import LOBED_EXTREMAL_MAX, all_trees, caterpillar, random_tree
 
@@ -111,10 +112,10 @@ def reference_pruefer_edges(n, seq):
 
 
 def decoded_edges(monkeypatch, n, seq):
-    """The edge list tree_from_pruefer hands to Tree.from_edges, in order."""
+    """The edge list tree_from_pruefer hands to the adjacency builder, in order."""
     seen = []
-    build = Tree.from_edges
-    monkeypatch.setattr(Tree, "from_edges", lambda n, edges: seen.append(list(edges)) or build(n, edges))
+    build = corpus_module._build_adjacency
+    monkeypatch.setattr(corpus_module, "_build_adjacency", lambda n, edges: seen.append(list(edges)) or build(n, edges))
     try:
         tree_from_pruefer(n, seq)
     finally:
@@ -133,10 +134,28 @@ def test_pruefer_decoder_matches_reference(monkeypatch):
         assert decoded_edges(monkeypatch, n, seq) == reference_pruefer_edges(n, seq)
 
 
-@pytest.mark.parametrize("n, seq", [(4, [0]), (4, [0, 1, 2]), (4, [0, 4]), (4, [-1, 0]), (0, []), (-1, [])])
+@pytest.mark.parametrize("n, seq", [(4, [0]), (4, [0, 1, 2]), (4, [0, 4]), (4, [-1, 0]), (0, []), (-1, []), (0, [0, 0])])
 def test_pruefer_rejects_invalid(n, seq):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^sequence must have length n-2 with entries in 0\.\.n-1$"):
         tree_from_pruefer(n, seq)
+
+
+def assert_built_as_validated(t):
+    assert t == Tree.from_edges(t.n, list(t.edges()))
+
+
+def test_unvalidated_builds_equal_validated_builds():
+    # tree_from_pruefer and all_trees skip Tree.from_edges: every sequence for n <= 7, 2,000 seeded
+    # sequences up to n = 300 and every free tree up to n = 10 must come out as from_edges builds them
+    for n in range(1, 8):
+        for i in range(n ** max(n - 2, 0)):
+            assert_built_as_validated(tree_from_pruefer(n, [i // n**j % n for j in range(n - 2)]))
+    rng = random.Random(30)
+    for _ in range(2000):
+        assert_built_as_validated(random_tree(rng, rng.randint(1, 300)))
+    for n in range(1, 11):
+        for t in all_trees(n):
+            assert_built_as_validated(t)
 
 
 def test_random_tree_deterministic():
@@ -237,9 +256,11 @@ def test_generate_matches_reference_on_every_field_combination():
         (lambda: lobed_extremal(28), "m = 28 exceeds cap 26"),
         (lambda: lobed_extremal(40), "m = 40 exceeds cap 26"),
         (lambda: lobed_extremal(10**9), "m = 1000000000 exceeds cap 26"),
+        (lambda: next(all_trees(0)), "n must be at least 1"),
+        (lambda: next(all_trees(-1)), "n must be at least 1"),
     ],
     ids=["random-0", "random-negative", "caterpillar-0", "spider-no-legs", "spider-short",
-         "lobed-28", "lobed-40", "lobed-1e9"],
+         "lobed-28", "lobed-40", "lobed-1e9", "all-trees-0", "all-trees-negative"],
 )
 def test_family_arguments_name_what_is_wrong(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -16,7 +17,11 @@ from treesym import (
     Tree,
     VertexCenter,
     all_trees,
+    asym_unrooted,
+    aut_order,
     center,
+    construct_distinguishing,
+    motion,
     parse_edge_list,
     parse_graph_edge_list,
     relabel,
@@ -24,7 +29,11 @@ from treesym import (
     serialize_edge_list,
     spider,
     tree_from_pruefer,
+    unrank_unrooted,
+    unrooted_code,
+    verify_distinguishing,
 )
+from treesym import trees as trees_module
 
 from .conftest import path, random_trees, relabeled_families, sample_roots, star, trees_up_to, trees_with_permutation
 
@@ -162,6 +171,51 @@ def test_center_is_the_last_peeled_layer():
     assert kinds == {(1, VertexCenter), (2, EdgeCenter), (3, VertexCenter), (4, VertexCenter), (4, EdgeCenter)}
     hostile = [EdgeCenter(49_999, 50_000), VertexCenter(50_000), VertexCenter(0), VertexCenter(0)]
     assert [center(t) for t in trees[-4:]] == hostile
+
+
+def center_corpus() -> list[Tree]:
+    """Both center kinds at n = 1, 2, 7, 8, a star with a = 0, and relabeled families up to n = 40."""
+    return [path(1), path(2), path(7), path(8), star(6)] + relabeled_families(23, (4, 9, 40))
+
+
+def test_center_is_found_once_per_tree(monkeypatch):
+    # every public function that needs the center reads the one kept on the tree:
+    # two BFS sweeps in all, whichever function is called first
+    sweeps = []
+    bfs = trees_module._bfs
+    monkeypatch.setattr(trees_module, "_bfs", lambda adj, start: sweeps.append(start) or bfs(adj, start))
+    calls = [
+        center,
+        aut_order,
+        motion,
+        asym_unrooted,
+        construct_distinguishing,
+        lambda t: asym_unrooted(t) and unrank_unrooted(t, asym_unrooted(t) - 1),
+        lambda t: verify_distinguishing(t, Coloring(t.n, 0)),
+        unrooted_code,
+    ]
+    rng = random.Random(23)
+    for t in center_corpus():
+        fresh = Tree(t.n, t.adj)
+        rng.shuffle(calls)
+        sweeps.clear()
+        for call in calls:
+            call(fresh)
+        assert len(sweeps) == 2, fresh.adj
+
+
+def test_kept_center_is_invisible_and_left_behind_by_copies():
+    for t in center_corpus():
+        warm, cold = Tree(t.n, t.adj), Tree(t.n, t.adj)
+        c = center(warm)
+        assert center(warm) is c
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        copies = [pickle.loads(pickle.dumps(warm)), copy.copy(warm), copy.deepcopy(warm), dataclasses.replace(warm)]
+        for twin in copies:
+            assert twin == warm and twin is not warm
+            assert "_center" not in twin.__dict__
+            assert center(twin) == c
 
 
 def test_root_at_examples(p3, p4, k1):
