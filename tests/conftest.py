@@ -1,10 +1,19 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from treesym import Tree, all_trees, kary_tree, relabel, spider, tree_from_pruefer
 from treesym import trees as trees_module
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for child interpreters that import treesym."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
 
 
 @pytest.fixture

@@ -10,6 +10,8 @@ import pytest
 from treesym import ConjectureReport, CorpusSpec, EdgeListParseError, generate, serialize_edge_list
 from treesym.cli import main
 
+from .conftest import subprocess_env
+
 P3 = "3\n0 1\n0 2\n"
 P3_PATH = "3\n0 1\n1 2\n"
 K2 = "2\n0 1\n"
@@ -177,16 +179,12 @@ def test_color_range_is_checked_at_both_ends(tree_file, capsys, argv, code, line
 def test_color_count_past_the_end_fails_without_a_scan():
     # a(P60) = 576460751766552576 = 2**59 - 2**29: a count one past it is refused from its last index
     # alone; a check of every index would not finish
-    import os
     import subprocess
-    from pathlib import Path
 
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     path60 = "60\n" + "".join(f"{i} {i + 1}\n" for i in range(59))
     proc = subprocess.run(
         [sys.executable, "-m", "treesym.cli", "color", "--count", "576460751766552577", "-"],
-        input=path60, capture_output=True, text=True, env=env, timeout=30,
+        input=path60, capture_output=True, text=True, env=subprocess_env(), timeout=30,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "index out of range [0, 576460751766552576)\n")
 
@@ -667,17 +665,13 @@ def test_numbers_are_plain_decimals(capsys, monkeypatch, text, argv, message):
 
 
 def test_closed_stdout_exits_0_quietly():
-    # a reader that stops early, as `treesym corpus --all-trees 10 | head -1` does; this output
+    # a reader that stops early, as `treesym corpus --all-trees 12 | head -1` does; this output
     # outgrows a pipe buffer, so the writer is still writing when the pipe closes
-    import os
     import subprocess
-    from pathlib import Path
 
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.Popen(
         [sys.executable, "-m", "treesym.cli", "corpus", "--all-trees", "12"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
     )
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()

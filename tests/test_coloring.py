@@ -1,6 +1,5 @@
 import hashlib
 import inspect
-import os
 import random
 import re
 import subprocess
@@ -8,7 +7,6 @@ import sys
 import time
 import tracemalloc
 from math import comb
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +39,7 @@ from treesym.asym import a_by_class, asym_of
 from treesym.canon import TreeAnalysis, colored_subtree_codes, colored_unrooted_code, subtree_codes
 from treesym.coloring import _colored_key, _to_coloring, _unrank_into, _whiten_branch, distinguishes, unrank_of
 
-from .conftest import path, random_trees, relabeled_families, star, trees_up_to
+from .conftest import path, random_trees, relabeled_families, star, subprocess_env, trees_up_to
 from .test_treelike import gadget_graph
 
 
@@ -359,9 +357,7 @@ def test_construct_raises_under_optimize():
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=subprocess_env(), capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
 
 

@@ -1,10 +1,8 @@
-import os
 import random
 import re
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -32,7 +30,7 @@ from treesym import corpus as corpus_module
 from treesym.cli import main
 from treesym.corpus import LOBED_EXTREMAL_MAX, all_trees, caterpillar, random_tree
 
-from .conftest import trees_up_to
+from .conftest import subprocess_env, trees_up_to
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
 
@@ -73,9 +71,9 @@ def test_import_loads_only_the_standard_library():
         "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
         "print('networkx' in sys.modules, sorted(new - set(sys.stdlib_module_names) - {'treesym'}))"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True, timeout=60
+    )
     assert (proc.returncode, proc.stdout) == (0, "False []\n"), proc.stderr
 
 
@@ -422,3 +420,26 @@ def test_random_truncations_satisfy_hypothesis_and_extend():
             assert tr.tree.delta <= 1 << (m.moved // 2)
         ext = extend_ray_coloring(tr, colors)
         assert verify_distinguishing(tr.tree, ext, pinned=tr.ray[-1])
+
+
+def test_random_truncation_rejects_and_gives_up():
+    class Greedy(random.Random):
+        """Scripted draws: the longest ray, twin paths of order 2 (motion 4), the most families at every vertex."""
+
+        candidates = 0
+
+        def randint(self, a, b):
+            return b
+
+        def choice(self, seq):
+            self.candidates += 1
+            return seq[0]
+
+        def random(self):
+            return 0.99
+
+    # max_lobe 11 hangs 5 twin pairs at each ray vertex: degree 7 > 2^(4/2), so every candidate is rejected
+    rng = Greedy()
+    with pytest.raises(RuntimeError, match="could not generate a hypothesis-satisfying truncation"):
+        random_one_ended_truncation(rng, max_ray=4, max_lobe=11)
+    assert rng.candidates == 500

@@ -56,8 +56,10 @@ def test_orbit_reps_are_distinguishing_minima(p4):
 
 
 def test_regular_action_asserted():
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="regular action violated"):
         OrbitReport(2, 4, distinguishing_count=3, orbit_count=1, aut_order=2, orbit_reps=())
+    with pytest.raises(AssertionError, match=r"total colorings must be 2\^n"):
+        OrbitReport(2, 3, distinguishing_count=2, orbit_count=1, aut_order=2, orbit_reps=())
 
 
 def test_brute_motion_examples(p3, p4, asym7):
