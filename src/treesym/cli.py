@@ -86,8 +86,8 @@ def cmd_analyze(args) -> int:
     print(f"max degree:         {t.delta}")
     print(f"center:             {center_txt}")
     print(f"motion:             {report['motion']}")
-    print(f"|Aut|:              {aut}")
-    print(f"a (unrooted):       {a}")
+    print(f"|Aut|:              {report['aut_order']}")
+    print(f"a (unrooted):       {report['a']}")
     print(f"2-distinguishable:  {'yes' if a > 0 else 'no'}")
     if report["group_order_bound"] is not None:
         chk = report["group_order_bound"]
@@ -168,13 +168,9 @@ def cmd_corpus(args) -> int:
         report = run_theorem_suite(trees)
         inconsistent = [{"check": "conjecture-consistency", "tree": serialize_edge_list(t)}
                         for t in trees if not conjecture_check(t).consistent]
-        payload = {"schema": SCHEMA, "suite": report.to_json()}
-        payload["conjecture"] = {
-            "consistent": not inconsistent,
-            "counterexamples": inconsistent,
-        }
         if args.json:
-            print(json.dumps(payload, indent=2))
+            conjecture = {"consistent": not inconsistent, "counterexamples": inconsistent}
+            print(json.dumps({"schema": SCHEMA, "suite": report.to_json(), "conjecture": conjecture}, indent=2))
         else:
             print(report.summary())
             print(f"conjecture consistent: {not inconsistent}")

@@ -7,6 +7,8 @@ later criteria reuse the heavy work done by the oracle-equivalence run.
 import random
 import time
 
+import pytest
+
 from treesym import (
     Tree,
     asym_rooted,
@@ -235,11 +237,12 @@ def test_criterion_8_unranking_bijection():
     )
 
 
-def test_criterion_9_ray_extension():
+@pytest.mark.parametrize("seed, count", [(424242, 100), (7, 200)])
+def test_criterion_9_ray_extension(seed, count):
     start = time.perf_counter()
-    rng = random.Random(424242)
+    rng = random.Random(seed)
     failures = 0
-    for _ in range(100):
+    for _ in range(count):
         tr, colors = random_one_ended_truncation(rng, max_ray=20, max_lobe=6)
         ext = extend_ray_coloring(tr, colors)
         if not verify_distinguishing(tr.tree, ext, pinned=tr.ray[-1]):
@@ -250,7 +253,7 @@ def test_criterion_9_ray_extension():
     assert failures == 0
     print(
         "PASS criterion 9: ray-extension coloring verified with pinned endpoint on "
-        f"100 seeded truncations, 0 failures ({elapsed:.1f}s)"
+        f"{count} truncations of seed {seed}, 0 failures ({elapsed:.1f}s)"
     )
 
 

@@ -8,7 +8,10 @@ import tracemalloc
 import pytest
 
 from treesym import ConjectureReport, CorpusSpec, EdgeListParseError, generate, serialize_edge_list
+from treesym.asym import asym_of
+from treesym.autom import aut_order_of
 from treesym.cli import main
+from treesym.corpus import SuiteReport
 
 from .conftest import subprocess_env
 
@@ -84,6 +87,33 @@ def test_parse_error_exit_2(tree_file, capsys):
 def int_str_limit():
     get = getattr(sys, "get_int_max_str_digits", None)
     return get() if get else None
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+def test_analyze_converts_each_big_number_to_decimal_once(tree_file, capsys, monkeypatch, mode):
+    # |Aut| and a(T) can run to tens of thousands of digits, and each int -> str conversion of one is quadratic
+    argv = ("analyze", tree_file("9\n0 1\n0 5\n1 2\n1 3\n3 4\n5 6\n6 7\n5 8\n"), *mode)
+    expected = run(capsys, *argv)
+    converted = []
+
+    class Counted(int):
+        def __str__(self):
+            converted.append(self.name)
+            return int.__repr__(self)
+
+        def __format__(self, spec):
+            converted.append(self.name)
+            return format(int(self), spec)
+
+    def counted(name, value):
+        number = Counted(value)
+        number.name = name
+        return number
+
+    monkeypatch.setattr("treesym.cli.aut_order_of", lambda an: counted("aut", aut_order_of(an)))
+    monkeypatch.setattr("treesym.cli.asym_of", lambda an, a: counted("a", asym_of(an, a)))
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0 and sorted(converted) == ["a", "aut"]
 
 
 def test_analyze_star_with_huge_aut(tree_file, capsys):
@@ -242,6 +272,13 @@ def test_corpus_check_json(capsys):
     assert code == 0
     assert data["suite"]["ok"] is True
     assert data["conjecture"]["consistent"] is True
+
+
+def test_corpus_check_text_builds_no_json_payload(capsys, monkeypatch):
+    expected = run(capsys, "corpus", "--all-trees", "6", "--check")
+    monkeypatch.setattr(SuiteReport, "to_json", lambda self: pytest.fail("text mode built the JSON payload"))
+    assert run(capsys, "corpus", "--all-trees", "6", "--check") == expected
+    assert expected[0] == 0
 
 
 def test_corpus_check_names_a_failing_check_and_its_tree(capsys, monkeypatch):

@@ -1010,6 +1010,19 @@ def test_extend_roots_the_tree_a_constant_number_of_times(monkeypatch):
     assert verify_distinguishing(tr.tree, ext, pinned=tr.ray[-1])
 
 
+@pytest.mark.parametrize("kernel, frame", [("_colored_ids", "branch_id"), ("distinguishes", "extend_ray_coloring")])
+def test_extend_guards_raise_by_statement(monkeypatch, kernel, frame):
+    # ray 0-1-2 with a leaf 3 at 1: at v_1 the back branch {0} has the twin {3}, so branch_id compares their
+    # colored ids before the final check runs. Each guard is a raise statement, which python -O keeps
+    tr = one_ended_truncation(Tree.from_edges(4, [(0, 1), (1, 2), (1, 3)]), [0, 1, 2])
+    assert extend_ray_coloring(tr, (False, True, False)).bits() == "0101"
+    monkeypatch.setattr(coloring_module, kernel, lambda *args: False)
+    with pytest.raises(AssertionError, match="^extended coloring is not distinguishing$") as info:
+        extend_ray_coloring(tr, (False, True, False))
+    assert info.traceback[-1].name == frame
+    assert str(info.traceback[-1].statement).strip().startswith("raise AssertionError(")
+
+
 def test_colored_ids_read_only_bits_characters(monkeypatch):
     # one color alphabet inside the library: the "0" (white) and "1" (black) of Coloring.bits(), a pin as "2"
     seen = set()
