@@ -1,24 +1,23 @@
 """Distinguishing 2-colorings: unranking, construction, verification, ray extension.
 
-The unranking realizes the counting product a(T,w) = 2 * prod C(a(x), mu(x))
-as an explicit bijection: one low-order bit picks the root color (0 = black),
-then each similarity class consumes one mixed-radix digit that is decoded in
-the combinatorial number system (colexicographic) into an unordered set of
-mu distinct sub-coloring classes, handed to the twins in ascending vertex-id
-order. The classes at a vertex consume their digits in class-id order (see
-:mod:`treesym.canon`), which is the same order at any two twins, so twins
-given different sub-indices always decode to inequivalent colorings.
+The unranking realizes the counting product a(T,w) = 2 * prod C(a(x), mu(x)) as an explicit
+bijection: one low-order bit picks the root color (0 = black), then each similarity class consumes
+one mixed-radix digit that is decoded in the combinatorial number system (colexicographic) into an
+unordered set of mu distinct sub-coloring classes, handed to the twins in ascending vertex-id
+order. The classes at a vertex consume their digits in class-id order (see :mod:`treesym.canon`),
+which is the same order at any two twins, so twins given different sub-indices always decode to
+inequivalent colorings. A vertex's color depends only on its own sub-index, so one top-down pass
+over the rooting's BFS order decodes the whole tree, and zero sub-indices are never written.
 
-Verification interns a colored class id per vertex from its color and its
-children's colored ids: a color-preserving non-identity automorphism exists
-iff two twins somewhere share a colored id, or the two halves of an edge
-center do.
+Verification interns a colored class id per vertex from its color and its children's colored ids:
+a color-preserving non-identity automorphism exists iff two twins somewhere share a colored id, or
+the two halves of an edge center do.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
 from math import comb, factorial, isqrt
 
 from .asym import _a_product, a_by_class, asym_of
@@ -81,50 +80,55 @@ def _iroot(x: int, k: int) -> int:
         y = z
 
 
-def _unrank_into(an: TreeAnalysis, a: list[int], x: int, index: int, colors: list[str | None], order=None):
-    """Write the index-th inequivalent distinguishing coloring of x's branch.
+def _branch(children, x: int) -> list[int]:
+    """The vertices of x's branch, each parent before its children."""
+    order = [x]
+    for v in order:
+        order.extend(children[v])
+    return order
 
-    Iterative so deep chains cannot hit the recursion limit. ``order(runs, kids)``,
-    if given, reorders the twin classes (and children) wherever the index is nonzero.
-    Digits that need no decoding skip ``combinadic_unrank``: with nothing left of
-    the index every run takes sub-indices 0..mu-1 (all children take 0 at once when
-    every run is a single branch), and a lone branch takes its digit.
+
+def _unrank_down(an: TreeAnalysis, a: list[int], top, sub, colors: list[str | None], order=None):
+    """Color ``top``'s vertices (parents first) by their sub-indices, writing their children's into ``sub``.
+
+    Unset entries of ``sub`` read 0, so a zero index writes only positions 1..mu-1 of
+    its twin runs: nothing where every run is a single branch. ``order(runs, kids)``,
+    if given, reorders the twin classes (and children) of a nonzero index with two or more runs.
     """
     children, sigs, ids = an.children, an.sigs, an.ids
-    stack = [(x, index)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        v, k = pop()
+    for v in top:
+        k = sub[v]
         colors[v] = "0" if k & 1 else "1"
         k >>= 1
         kids = children[v]
-        if not kids:
-            if k:
-                raise AssertionError("index not fully consumed")
-            continue
-        runs = sigs[ids[v]]
         if not k:
-            if len(runs) == len(kids):  # every run a single branch
-                stack.extend(zip(kids, repeat(0)))
-                continue
-            pos = 0
-            for _, mu in runs:
-                stack.extend(zip(kids[pos : pos + mu], range(mu)))
-                pos += mu
+            if len(sigs[ids[v]]) < len(kids):  # a twin run takes sub-indices 0..mu-1, its first left unset
+                for p in range(1, len(kids)):
+                    if ids[kids[p]] == ids[kids[p - 1]]:
+                        sub[kids[p]] = sub[kids[p - 1]] + 1
             continue
+        runs = sigs[ids[v]]  # a leaf's is empty, so what is left of its index raises below
         if order and len(runs) > 1:
             runs, kids = order(runs, kids)
         pos = 0
         for c, mu in runs:
             if mu == 1:
-                k, digit = divmod(k, a[c])
-                push((kids[pos], digit))
+                k, sub[kids[pos]] = divmod(k, a[c])
             else:
                 k, digit = divmod(k, comb(a[c], mu))
-                stack.extend(zip(kids[pos : pos + mu], combinadic_unrank(digit, a[c], mu)))
+                for y, s in zip(kids[pos : pos + mu], combinadic_unrank(digit, a[c], mu)):
+                    sub[y] = s
             pos += mu
         if k:
             raise AssertionError("index not fully consumed")
+
+
+def _unrank_into(an: TreeAnalysis, a: list[int], x: int, index: int, colors: list[str | None], order=None):
+    """Write the index-th inequivalent distinguishing coloring of x's branch.
+
+    One ``_unrank_down`` pass over the branch with its sub-indices in a dict: linear in the branch.
+    """
+    _unrank_down(an, a, _branch(an.children, x), defaultdict(int, {x: index}), colors, order)
 
 
 def _to_coloring(colors: list[str | None]) -> Coloring:
@@ -140,11 +144,13 @@ def unrank_of(an: TreeAnalysis, a: list[int], index: int) -> Coloring:
     if not (0 <= index < total):
         raise IndexError(f"index {index} out of range [0, {total})")
     colors: list[str | None] = [None] * an.rt.tree.n
+    sub = [0] * len(colors)
     roots = iter(an.roots)
     for c, mu in _center_runs(an):  # decoded like any vertex's twin runs, less the root's color bit
         index, digit = divmod(index, comb(a[c], mu))
-        for sub, r in zip(combinadic_unrank(digit, a[c], mu), roots):  # digits first, or zip drops a root
-            _unrank_into(an, a, r, sub, colors)
+        for s, r in zip(combinadic_unrank(digit, a[c], mu), roots):  # digits first, or zip drops a root
+            sub[r] = s
+    _unrank_down(an, a, an.rt.bfs_order, sub, colors)  # an edge center's cut root follows its half's root
     return _to_coloring(colors)
 
 
@@ -382,10 +388,8 @@ def extend_ray_coloring(tr: OneEndedTruncation, ray_colors) -> Coloring:
 
     def branch_id(x, table):
         """Colored id of x's branch; a twin collision in it would fail the final check too."""
-        order, branch = [x], {}
-        for v in order:
-            order.extend(an.children[v])
-        if not _colored_ids(an, colors, reversed(order), branch, table):
+        branch: dict = {}
+        if not _colored_ids(an, colors, reversed(_branch(an.children, x)), branch, table):
             raise AssertionError("extended coloring is not distinguishing")
         return branch[x]
 
@@ -425,11 +429,8 @@ def extend_ray_coloring(tr: OneEndedTruncation, ray_colors) -> Coloring:
 
 
 def _whiten_branch(an: TreeAnalysis, x: int, colors):
-    stack = [x]
-    while stack:
-        v = stack.pop()
+    for v in _branch(an.children, x):
         colors[v] = "0"
-        stack.extend(an.children[v])
 
 
 def to_dot(t: Tree, coloring: Coloring | None = None) -> str:
@@ -437,10 +438,7 @@ def to_dot(t: Tree, coloring: Coloring | None = None) -> str:
     lines = ["graph tree {", "  node [shape=circle];"]
     bits = coloring.bits() if coloring is not None else "0" * t.n
     for v in range(t.n):
-        if bits[v] == "1":
-            lines.append(f"  {v} [style=filled fillcolor=black fontcolor=white];")
-        else:
-            lines.append(f"  {v};")
+        lines.append(f"  {v} [style=filled fillcolor=black fontcolor=white];" if bits[v] == "1" else f"  {v};")
     for u, v in sorted(t.edges()):
         lines.append(f"  {u} -- {v};")
     lines.append("}")

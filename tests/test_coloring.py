@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import repeat
 from math import comb
 
 import pytest
@@ -17,11 +18,13 @@ from treesym import (
     Tree,
     asym_rooted,
     asym_unrooted,
+    aut_order,
     brute_asym,
     combinadic_unrank,
     construct_distinguishing,
     enumerate_automorphisms,
     extend_ray_coloring,
+    kary_tree,
     one_ended_truncation,
     random_one_ended_truncation,
     random_tree,
@@ -29,6 +32,7 @@ from treesym import (
     root_at,
     spider,
     to_dot,
+    tree_from_pruefer,
     treelike_distinguish,
     unrank_distinguishing,
     unrank_unrooted,
@@ -36,7 +40,7 @@ from treesym import (
 )
 from treesym import coloring as coloring_module
 from treesym.asym import a_by_class, asym_of
-from treesym.canon import TreeAnalysis, colored_subtree_codes, colored_unrooted_code, subtree_codes
+from treesym.canon import TreeAnalysis, _center_runs, colored_subtree_codes, colored_unrooted_code, subtree_codes
 from treesym.coloring import _colored_key, _to_coloring, _unrank_into, _whiten_branch, distinguishes, unrank_of
 
 from .conftest import path, random_trees, relabeled_families, star, subprocess_env, trees_up_to
@@ -640,11 +644,16 @@ def test_unrank_into_matches_reference_on_seeded_corpora():
 
 
 def previous_unrank_into(an, a, x, index, colors, order=None):
-    """The unranking kernel whose zero index gave every run a slice and a range, kept as the reference."""
+    """The stack kernel that the one top-down pass replaced, kept as the reference.
+
+    It pushed (vertex, sub-index) pairs and popped them depth first, one pair per
+    vertex, zero sub-indices included.
+    """
     children, sigs, ids = an.children, an.sigs, an.ids
     stack = [(x, index)]
+    pop, push = stack.pop, stack.append
     while stack:
-        v, k = stack.pop()
+        v, k = pop()
         colors[v] = "0" if k & 1 else "1"
         k >>= 1
         kids = children[v]
@@ -654,6 +663,9 @@ def previous_unrank_into(an, a, x, index, colors, order=None):
             continue
         runs = sigs[ids[v]]
         if not k:
+            if len(runs) == len(kids):  # every run a single branch
+                stack.extend(zip(kids, repeat(0)))
+                continue
             pos = 0
             for _, mu in runs:
                 stack.extend(zip(kids[pos : pos + mu], range(mu)))
@@ -665,13 +677,24 @@ def previous_unrank_into(an, a, x, index, colors, order=None):
         for c, mu in runs:
             if mu == 1:
                 k, digit = divmod(k, a[c])
-                stack.append((kids[pos], digit))
+                push((kids[pos], digit))
             else:
                 k, digit = divmod(k, comb(a[c], mu))
                 stack.extend(zip(kids[pos : pos + mu], combinadic_unrank(digit, a[c], mu)))
             pos += mu
         if k:
             raise AssertionError("index not fully consumed")
+
+
+def previous_unrank_of(an, a, index):
+    """``unrank_of`` before the one pass: the center digits, then the stack kernel once per root."""
+    colors = [None] * an.rt.tree.n
+    roots = iter(an.roots)
+    for c, mu in _center_runs(an):
+        index, digit = divmod(index, comb(a[c], mu))
+        for sub, r in zip(combinadic_unrank(digit, a[c], mu), roots):
+            previous_unrank_into(an, a, r, sub, colors)
+    return _to_coloring(colors)
 
 
 def assert_low_indices_match_previous_kernel(an, a, starts):
@@ -699,6 +722,129 @@ def test_zero_index_matches_previous_kernel_on_seeded_corpora():
         for an in (TreeAnalysis.at_center(t), TreeAnalysis.of(root_at(t, rng.randrange(t.n)))):
             starts = set(an.roots) | {rng.randrange(t.n) for _ in range(5)}
             assert_low_indices_match_previous_kernel(an, a_by_class(an), starts)
+
+
+def whole_tree_indices(an, a, rng):
+    """0, 1, the largest multiplicity, two random indices and the last index, where in range."""
+    total = asym_of(an, a)
+    mu_max = max((mu for sig in an.sigs for _, mu in sig), default=1)
+    if not total:
+        return []
+    return sorted(i for i in {0, 1, mu_max, rng.randrange(total), rng.randrange(total), total - 1} if i < total)
+
+
+def assert_unrank_of_matches_stack_kernel(an, a, rng):
+    indices = whole_tree_indices(an, a, rng)
+    for index in indices:
+        got, want = unrank_of(an, a, index), previous_unrank_of(an, a, index)
+        assert got.bits() == want.bits(), (an.rt.tree.adj, an.roots, index)
+    return len(indices)
+
+
+def test_unrank_of_matches_stack_kernel_at_every_root_small():
+    rng = random.Random(41)
+    cases = 0
+    for t in trees_up_to(10):
+        for an in analyses_at_every_root(t):
+            cases += assert_unrank_of_matches_stack_kernel(an, a_by_class(an), rng)
+    assert cases > 7000
+
+
+def edge_centered_pair(rng: random.Random, m: int, iso: bool) -> Tree:
+    """Two rooted halves of equal height joined at their roots, so the joining edge is the center.
+
+    With ``iso`` the second half is a copy of the first; without, it is the first with one
+    more leaf hung below a vertex above the lowest level, so it keeps the height and is larger.
+    """
+    half = tree_from_pruefer(m, [rng.randrange(m) for _ in range(m - 2)]) if m > 2 else path(m)
+    rt = root_at(half, rng.randrange(m))
+    depth = [0] * m
+    for v in rt.bfs_order[1:]:
+        depth[v] = depth[rt.parent[v]] + 1
+    edges = [(v, rt.parent[v]) for v in rt.bfs_order[1:]]
+    edges += [(u + m, v + m) for u, v in edges] + [(rt.root, rt.root + m)]
+    n = 2 * m
+    if not iso:
+        edges.append((rng.choice([v for v in range(m) if depth[v] < max(depth)]) + m, n))
+        n += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Tree.from_edges(n, edges), perm)
+
+
+def test_unrank_of_matches_stack_kernel_on_seeded_corpora():
+    rng = random.Random(42)
+    halves = set()
+    for n in (4, 9, 40, 150, 600, 2000):
+        family = [path(n), kary_tree(n, 2)] + [spider(n, legs) for legs in range(3, 13) if legs < n]
+        family += [edge_centered_pair(rng, n // 2, iso) for iso in (True, False)]
+        for t in family:
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            t = relabel(t, perm)
+            for an in (TreeAnalysis.at_center(t), TreeAnalysis.of(root_at(t, rng.randrange(t.n)))):
+                if len(an.roots) == 2:
+                    halves.add(an.iso_halves)
+                assert_unrank_of_matches_stack_kernel(an, a_by_class(an), rng)
+    assert halves == {True, False}
+
+
+class WriteCountingList(list):
+    """A list that counts the items written into it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.writes = 0
+
+    def __setitem__(self, i, value):
+        self.writes += 1
+        super().__setitem__(i, value)
+
+
+def zero_index_writes(t: Tree) -> int:
+    """Sub-index writes of the one-pass kernel over the whole tree at index 0, center digits aside."""
+    an = TreeAnalysis.at_center(t)
+    a = a_by_class(an)
+    start = [0] * t.n
+    if an.iso_halves:  # index 0's center digit hands the halves 0 and 1
+        start[an.roots[1]] = 1
+    sub, colors = WriteCountingList(start), [None] * t.n
+    coloring_module._unrank_down(an, a, an.rt.bfs_order, sub, colors)
+    assert _to_coloring(colors) == unrank_of(an, a, 0)
+    return sub.writes
+
+
+def test_zero_index_writes_only_twin_positions():
+    edges, n = [], 1  # a spider with legs of lengths 1..60: asymmetric
+    for length in range(1, 61):
+        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
+        n += length
+    spider_1_to_60 = Tree.from_edges(n, edges)
+    assert aut_order(spider_1_to_60) == 1
+    asym7 = Tree.from_edges(7, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (5, 6)])
+    for t in (spider_1_to_60, asym7, path(2000)):  # the even path's halves take their digits before the pass
+        assert zero_index_writes(t) == 0, t.n
+    assert zero_index_writes(path(2001)) == 1  # the odd path's two arms are one twin pair
+    for h in range(2, 12):  # a perfect binary tree: one write per twin pair
+        assert zero_index_writes(kary_tree(2**h - 1, 2)) == 2 ** (h - 1) - 1
+
+
+def test_branch_unranking_allocates_nothing_tree_sized():
+    t = path(100_001)
+    an = TreeAnalysis.at_center(t)
+    a = a_by_class(an)
+    x = next(v for v in an.rt.bfs_order if an.rt.subtree_size[v] == 10)
+    for index in (0, 1, a[an.ids[x]] - 1):
+        got, want = [None] * t.n, [None] * t.n
+        tracemalloc.start()
+        try:
+            _unrank_into(an, a, x, index, got)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000  # a list of n items alone would take 800 kB
+        previous_unrank_into(an, a, x, index, want)
+        assert got == want
 
 
 def previous_colored_ids(an, colors, order, ids, table):
