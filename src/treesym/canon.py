@@ -199,8 +199,8 @@ def _toward_center(an: TreeAnalysis, vals: list[int], product) -> list[int]:
     """b(x) for every vertex x: the value of the branch at x toward the center, rooted at x's parent p.
 
     The top-down form of ``_at_root``'s walk: b is 1 at a vertex center and the other half's value
-    at an edge center, and b(x) = b(p) * product(p's runs less one x-class), once per distinct
-    child class of p. Keeps one value per vertex and no run table.
+    at an edge center, and b(x) = b(p) * product(p's runs less one x-class). p's children are sorted
+    by class id, so a run of twins is consecutive and pays one product. One value per vertex, no run table.
     """
     ids, sigs = an.ids, an.sigs
     b = [1] * an.rt.tree.n
@@ -208,10 +208,12 @@ def _toward_center(an: TreeAnalysis, vals: list[int], product) -> list[int]:
         u, v = an.roots
         b[u], b[v] = vals[ids[v]], vals[ids[u]]
     for p in an.rt.bfs_order:
-        for k, run in groupby(an.children[p], key=ids.__getitem__):
-            value = b[p] * product(vals, sigs[ids[p]], k)
-            for x in run:
-                b[x] = value
+        k = -1
+        for x in an.children[p]:
+            if ids[x] != k:
+                k = ids[x]
+                value = b[p] * product(vals, sigs[ids[p]], k)
+            b[x] = value
     return b
 
 

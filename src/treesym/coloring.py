@@ -28,19 +28,17 @@ from .trees import Coloring, RootedTree, Tree, _bfs, _check_root, _cut, root_at
 def combinadic_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
     """rank -> the rank-th k-subset of {0..universe-1} in colexicographic order.
 
-    Decodes rank = sum C(c_i, i) with c_1 < ... < c_k. The two sizes that
-    unranking meets most take closed forms: for k = 1 the subset is (rank,),
-    and for k = 2 the top element is the largest c with c(c-1)/2 <= rank,
-    c = (1 + isqrt(8 rank + 1)) // 2, and the rest is a k = 1 digit. Larger
-    k find each element c_i, the largest c with C(c, i) <= rank, among i
-    candidates: (c-i+1)^i <= i! C(c, i) <= c^i puts it in [r, r+i-1] for
-    r = floor((i! rank)^(1/i)), so huge universes (a-values reach 2^n) cost
-    one integer root and O(k log k) ``comb`` calls.
+    Decodes rank = sum C(c_i, i) with c_1 < ... < c_k. For k = 2, the size
+    unranking meets most, the top element is the largest c with
+    c(c-1)/2 <= rank, c = (1 + isqrt(8 rank + 1)) // 2, and the rest is the
+    rank left. Other k find each element c_i, the largest c with
+    C(c, i) <= rank, among i candidates: (c-i+1)^i <= i! C(c, i) <= c^i puts
+    it in [r, r+i-1] for r = floor((i! rank)^(1/i)), so huge universes
+    (a-values reach 2^n) cost one integer root and O(k log k) ``comb`` calls.
+    At i = 1 that window is the one candidate rank, so k = 1 gives (rank,).
     """
     if k < 0 or universe < 0 or rank < 0 or rank >= comb(universe, k):
         raise ValueError(f"rank {rank} out of range for C({universe}, {k})")
-    if k == 1:
-        return (rank,)
     if k == 2:
         c = (1 + isqrt(8 * rank + 1)) // 2
         return (rank - c * (c - 1) // 2, c)

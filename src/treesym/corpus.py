@@ -283,7 +283,9 @@ def run_theorem_suite(trees: Iterable[Tree]) -> SuiteReport:
     2-distinguishable and the constructed coloring must verify; at each
     center root w with deg(w) < 2^(m/2), a(T,w) >= 2 * 2^(m/2). The group
     bound |Aut| * a <= 2^n applies whenever a > 0. Asymmetric trees pass
-    the degree hypothesis vacuously and must achieve a = 2^n.
+    the degree hypothesis vacuously and must achieve a = 2^n. Each tree's
+    checks are (name, passed) pairs in order, None for a skipped check;
+    every failed one is a counterexample, in the same order.
     """
     report = SuiteReport()
     for t in trees:
@@ -292,41 +294,26 @@ def run_theorem_suite(trees: Iterable[Tree]) -> SuiteReport:
         mot = motion_of(an)
         aut = aut_order_of(an)
         a = asym_of(an, a_cls)
-        checks: list[tuple[str, str]] = []
-
-        def record(name: str, passed: bool):
-            checks.append((name, "pass" if passed else "fail"))
-            if not passed:
-                report.counterexamples.append({"check": name, "tree": serialize_edge_list(t)})
-
-        def check_construct():
-            # construct_of raises AssertionError on a coloring that does not verify
-            record("construct-verifies", construct_of(an, a_cls) is not None)
-
         if mot.is_asymmetric:
-            hypothesis = "vacuous-asymmetric"
-            record("asymmetric-a-equals-2^n", a == 1 << t.n)
-            check_construct()
+            hypothesis, checks = "vacuous-asymmetric", [("asymmetric-a-equals-2^n", a == 1 << t.n)]
+        elif t.delta <= (threshold := 1 << (mot.moved // 2)):
+            hypothesis, checks = "met", [("two-distinguishable", a > 0)]
         else:
-            m = mot.moved
-            threshold = 1 << (m // 2)
-            if t.delta <= threshold:
-                hypothesis = "met"
-                record("two-distinguishable", a > 0)
-                check_construct()
-                for w in an.roots:
-                    if t.degree(w) < threshold:
-                        record("rooted-lower-bound", a_at_root(an, a_cls, w) >= 2 * threshold)
-            else:
-                hypothesis = "not-met"
-                checks.append(("two-distinguishable", "skip"))
+            hypothesis, checks = "not-met", [("two-distinguishable", None)]
+        if hypothesis != "not-met":
+            # construct_of raises AssertionError on a coloring that does not verify
+            checks.append(("construct-verifies", construct_of(an, a_cls) is not None))
+        if hypothesis == "met":
+            checks += [("rooted-lower-bound", a_at_root(an, a_cls, w) >= 2 * threshold)
+                       for w in an.roots if t.degree(w) < threshold]
         if a > 0:
-            record("group-order-bound", GroupOrderBound.of(t.n, aut, a).holds)
+            checks.append(("group-order-bound", GroupOrderBound.of(t.n, aut, a).holds))
             if aut == 1:
-                record("group-order-bound-equality", aut * a == 1 << t.n)
-        report.records.append(
-            TreeRecord(t.n, t.delta, mot.to_json(), aut, a, hypothesis, tuple(checks))
-        )
+                checks.append(("group-order-bound-equality", aut * a == 1 << t.n))
+        outcomes = tuple((name, "skip" if passed is None else "pass" if passed else "fail") for name, passed in checks)
+        report.records.append(TreeRecord(t.n, t.delta, mot.to_json(), aut, a, hypothesis, outcomes))
+        report.counterexamples += ({"check": name, "tree": serialize_edge_list(t)} for name, outcome in outcomes
+                                   if outcome == "fail")
     return report
 
 

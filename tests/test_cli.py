@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -296,6 +297,29 @@ def test_corpus_check_names_a_failing_check_and_its_tree(capsys, monkeypatch):
     assert f"checks failed:    {suite['counts']['checks_failed']}" in out.splitlines()
     assert [line for line in out.splitlines() if line.startswith("COUNTEREXAMPLE")] == [
         f"COUNTEREXAMPLE [construct-verifies]: {t!r}" for t in failed
+    ]
+
+
+def test_corpus_check_names_failures_of_three_checks_in_order(capsys, monkeypatch):
+    # counterexamples follow the checks' order within a tree and the trees' order across the corpus; the first
+    # tree on 6 vertices has an edge center, so both of its center roots fail the rooted bound
+    monkeypatch.setattr("treesym.corpus.construct_of", lambda an, a: None)
+    monkeypatch.setattr("treesym.corpus.a_at_root", lambda an, a, w: 0)
+    monkeypatch.setattr("treesym.corpus.GroupOrderBound.of", lambda n, aut, a: SimpleNamespace(holds=False))
+    trees = [serialize_edge_list(t) for t in generate(CorpusSpec("all-trees", n=6))]
+    want = [("construct-verifies", 0), ("rooted-lower-bound", 0), ("rooted-lower-bound", 0), ("group-order-bound", 0),
+            ("group-order-bound", 1), ("group-order-bound", 2),
+            ("construct-verifies", 3), ("rooted-lower-bound", 3), ("group-order-bound", 3)]
+    code, out, _ = run(capsys, "corpus", "--all-trees", "6", "--check", "--json")
+    assert code == 5
+    suite = json.loads(out)["suite"]
+    assert suite["ok"] is False and suite["counts"]["checks_failed"] == len(want)
+    assert suite["counterexamples"] == [{"check": check, "tree": trees[i]} for check, i in want]
+    code, out, _ = run(capsys, "corpus", "--all-trees", "6", "--check")
+    assert code == 5
+    assert f"checks failed:    {len(want)}" in out.splitlines()
+    assert [line for line in out.splitlines() if line.startswith("COUNTEREXAMPLE")] == [
+        f"COUNTEREXAMPLE [{check}]: {trees[i]!r}" for check, i in want
     ]
 
 

@@ -96,10 +96,11 @@ def test_combinadic_k2_every_rank_matches_reference():
 
 
 def test_combinadic_seeded_ranks_match_reference():
+    # k = 1 also runs up to 2^4000: it takes the i-wide window like k >= 3, which gives (rank,) in one step
     rng = random.Random(11)
-    for k in (1, 2, 3):
-        universes = [k, k + 1, 60, 1 << 64, 1 << 3000]
-        universes += [rng.randint(k, 1 << rng.randint(2, 3000)) for _ in range(10)]
+    for k, bits in ((1, 3000), (2, 3000), (3, 3000), (1, 4000)):
+        universes = [k, k + 1, 60, 1 << 64, 1 << bits]
+        universes += [rng.randint(k, 1 << rng.randint(2, bits)) for _ in range(10)]
         for universe in universes:
             total = comb(universe, k)
             for rank in {0, total - 1, rng.randrange(total)}:

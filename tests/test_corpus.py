@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,8 +28,11 @@ from treesym import (
     verify_distinguishing,
 )
 from treesym import corpus as corpus_module
+from treesym.asym import a_by_class, asym_of
+from treesym.autom import aut_order_of, motion_of
+from treesym.canon import TreeAnalysis
 from treesym.cli import main
-from treesym.corpus import LOBED_EXTREMAL_MAX, all_trees, caterpillar, random_tree
+from treesym.corpus import LOBED_EXTREMAL_MAX, SuiteReport, TreeRecord, all_trees, caterpillar, random_tree
 
 from .conftest import subprocess_env, trees_up_to
 
@@ -394,6 +398,110 @@ def test_theorem_suite_extremal_record():
     assert rec.a == 2
     assert rec.delta == 4
     assert dict(rec.checks)["two-distinguishable"] == "pass"
+
+
+def reference_run_theorem_suite(trees) -> SuiteReport:
+    """The suite with one ``record`` closure per tree, which appends each outcome and counterexample as it goes.
+
+    Kept as the reference. It reads ``construct_of``, ``a_at_root`` and ``GroupOrderBound``
+    through the corpus module, so a test that patches them there patches both suites.
+    """
+    report = SuiteReport()
+    for t in trees:
+        an = TreeAnalysis.at_center(t)
+        a_cls = a_by_class(an)
+        mot = motion_of(an)
+        aut = aut_order_of(an)
+        a = asym_of(an, a_cls)
+        checks: list[tuple[str, str]] = []
+
+        def record(name: str, passed: bool):
+            checks.append((name, "pass" if passed else "fail"))
+            if not passed:
+                report.counterexamples.append({"check": name, "tree": serialize_edge_list(t)})
+
+        def check_construct():
+            record("construct-verifies", corpus_module.construct_of(an, a_cls) is not None)
+
+        if mot.is_asymmetric:
+            hypothesis = "vacuous-asymmetric"
+            record("asymmetric-a-equals-2^n", a == 1 << t.n)
+            check_construct()
+        else:
+            m = mot.moved
+            threshold = 1 << (m // 2)
+            if t.delta <= threshold:
+                hypothesis = "met"
+                record("two-distinguishable", a > 0)
+                check_construct()
+                for w in an.roots:
+                    if t.degree(w) < threshold:
+                        record("rooted-lower-bound", corpus_module.a_at_root(an, a_cls, w) >= 2 * threshold)
+            else:
+                hypothesis = "not-met"
+                checks.append(("two-distinguishable", "skip"))
+        if a > 0:
+            record("group-order-bound", corpus_module.GroupOrderBound.of(t.n, aut, a).holds)
+            if aut == 1:
+                record("group-order-bound-equality", aut * a == 1 << t.n)
+        report.records.append(TreeRecord(t.n, t.delta, mot.to_json(), aut, a, hypothesis, tuple(checks)))
+    return report
+
+
+def suite_corpus() -> list[Tree]:
+    """Every free tree up to 9 vertices, the lobed extremal trees, stars, spiders and the 525 seeded Pruefer
+    trees of order 10..40 that the CLI checks run under -O: asymmetric trees, met and not-met hypotheses."""
+    trees = trees_up_to(9) + [lobed_extremal(m) for m in (2, 4, 6, 8)]
+    trees += [spider(n, n - 1) for n in range(2, 20)]
+    trees += [spider(1 + legs * length, legs) for length in (1, 2, 3, 4) for legs in range(2, 12)]
+    for n in range(10, 41, 5):
+        trees += generate(CorpusSpec("random-prufer", n=n, count=75, seed=n))
+    return trees
+
+
+SUITE_CORPUS = suite_corpus()
+
+
+def assert_suite_matches_reference(trees) -> SuiteReport:
+    got, want = run_theorem_suite(trees), reference_run_theorem_suite(trees)
+    assert got.records == want.records
+    assert got.to_json() == want.to_json()
+    assert got.counterexamples == want.counterexamples
+    assert got.summary() == want.summary()
+    return got
+
+
+CHECK_NAMES = ("asymmetric-a-equals-2^n", "two-distinguishable", "construct-verifies", "rooted-lower-bound",
+               "group-order-bound", "group-order-bound-equality")
+
+
+def test_theorem_suite_matches_reference():
+    assert len(SUITE_CORPUS) == len(trees_up_to(9)) + 4 + 18 + 40 + 525
+    report = assert_suite_matches_reference(SUITE_CORPUS)
+    assert report.ok
+    assert {rec.hypothesis for rec in report.records} == {"met", "not-met", "vacuous-asymmetric"}
+    outcomes = {name: {o for rec in report.records for n, o in rec.checks if n == name} for name in CHECK_NAMES}
+    assert outcomes == {name: {"pass"} for name in CHECK_NAMES} | {"two-distinguishable": {"pass", "skip"}}
+
+
+FORCED = {  # corpus attribute -> (replacement, the check it fails)
+    "construct_of": (lambda an, a: None, "construct-verifies"),
+    "a_at_root": (lambda an, a, w: 0, "rooted-lower-bound"),
+    "GroupOrderBound": (SimpleNamespace(of=lambda n, aut, a: SimpleNamespace(holds=False)), "group-order-bound"),
+}
+
+
+@pytest.mark.parametrize("forced", [(name,) for name in FORCED] + [tuple(FORCED)], ids="+".join)
+def test_theorem_suite_matches_reference_on_forced_failures(monkeypatch, forced):
+    # the counterexamples come in check order within a tree and in stream order across trees
+    for name in forced:
+        monkeypatch.setattr(corpus_module, name, FORCED[name][0])
+    report = assert_suite_matches_reference(SUITE_CORPUS)
+    failed = [(name, serialize_edge_list(t)) for t, rec in zip(SUITE_CORPUS, report.records)
+              for name, outcome in rec.checks if outcome == "fail"]
+    assert [(ce["check"], ce["tree"]) for ce in report.counterexamples] == failed
+    assert {name for name, _ in failed} == {FORCED[name][1] for name in forced}
+    assert report.counts()["checks_failed"] == len(failed)
 
 
 def test_conjecture_examples(k13, p4):

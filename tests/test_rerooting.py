@@ -47,7 +47,7 @@ from treesym.canon import TreeAnalysis, _at_root, _runs, _toward_center
 from treesym.cli import main
 from treesym.corpus import all_trees, kary_tree, random_tree, spider
 
-from .conftest import branch_runs, path, relabeled_families, trees_up_to
+from .conftest import branch_runs, path, relabeled_families, star, trees_up_to
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,6 +340,56 @@ def test_run_table_rerooting_matches_sorted_keys_wide():
     assert t.n == 1061
     assert len(set(branches(reference_center_rerooting(t), 0))) == 106
     assert_same_run_tables(t)
+
+
+def previous_toward_center(an: TreeAnalysis, vals: list[int], product) -> list[int]:
+    """``_toward_center`` with one ``groupby`` per vertex over its children's class ids, kept as the reference."""
+    ids, sigs = an.ids, an.sigs
+    b = [1] * an.rt.tree.n
+    if len(an.roots) == 2:
+        u, v = an.roots
+        b[u], b[v] = vals[ids[v]], vals[ids[u]]
+    for p in an.rt.bfs_order:
+        for k, run in groupby(an.children[p], key=ids.__getitem__):
+            value = b[p] * product(vals, sigs[ids[p]], k)
+            for x in run:
+                b[x] = value
+    return b
+
+
+def assert_toward_center_matches_previous(t: Tree) -> None:
+    # the same values from the same products, in the same order: one per run of twins
+    an = TreeAnalysis.at_center(t)
+    for by_class, product in ((a_by_class, _a_product), (aut_by_class, _aut_product)):
+        vals = by_class(an)
+
+        def logged(calls):
+            def counting(vals, runs, drop):
+                calls.append((runs, drop))
+                return product(vals, runs, drop)
+
+            return counting
+
+        new_calls, old_calls = [], []
+        assert _toward_center(an, vals, logged(new_calls)) == previous_toward_center(an, vals, logged(old_calls)), t.adj
+        assert new_calls == old_calls, t.adj
+
+
+def test_toward_center_matches_previous_small():
+    trees = trees_up_to(10)
+    assert {len(TreeAnalysis.at_center(t).roots) for t in trees} == {1, 2}  # vertex and edge centers
+    for t in trees:
+        assert_toward_center_matches_previous(t)
+
+
+@pytest.mark.parametrize("name,t", SEEDED, ids=[name for name, _ in SEEDED])
+def test_toward_center_matches_previous_seeded(name, t):
+    assert_toward_center_matches_previous(t)
+
+
+def test_toward_center_matches_previous_wide():
+    for t in [star(n) for n in (2, 3, 4, 50, 400)] + [joined_at_one_root([10]), joined_at_one_root([11, 12], copies=8)]:
+        assert_toward_center_matches_previous(t)
 
 
 def test_all_roots_outputs_match_the_rerooting_reference(monkeypatch, capsys):
