@@ -70,6 +70,7 @@ class TreeAnalysis:
     twin classes of any vertex of class c as (child class, multiplicity)
     pairs in ascending class order, so the children of x split into runs of
     those lengths. ``reps[c]`` is the first vertex (bottom-up) of class c.
+    ``asym.a_by_class`` may keep the a-value of every class on the analysis.
     """
 
     rt: RootedTree

@@ -67,7 +67,7 @@ def _iroot(x: int, k: int) -> int:
     Newton's method from above, started just over the root of x's top half,
     where it needs few steps.
     """
-    if x < 2:
+    if x < 2 or k == 1:
         return x
     s = x.bit_length() // (2 * k)  # half the bits of the root
     y = (_iroot(x >> k * s, k) + 1) << s if s else 1 << -(-x.bit_length() // k)

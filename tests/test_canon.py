@@ -568,6 +568,47 @@ def test_dropped_trees_are_collected():
     assert most <= 10  # 1 on Python 3.11
 
 
+def pruefer_20k() -> Tree:
+    return tree_from_pruefer(20_000, random.Random(35).choices(range(20_000), k=19_998))
+
+
+@pytest.mark.parametrize("make", [pruefer_20k, lambda: kary_tree(20_000, 2)], ids=["prufer", "binary"])
+def test_a_values_within_budget_are_kept(make):
+    # at most 64 bits per class on average: the list is kept on the center analysis and shared
+    t = make()
+    an = TreeAnalysis.at_center(t)
+    a = a_by_class(an)
+    assert sum(map(int.bit_length, a)) <= 64 * len(an.sigs)
+    assert a_by_class(an) is a
+    assert a_by_class(TreeAnalysis.at_center(t)) is a
+
+
+def test_a_values_of_a_long_path_are_not_kept():
+    # a path's values are about n^2/8 bits, far over 64 bits per class
+    an = TreeAnalysis.at_center(path(20_000))
+    a = a_by_class(an)
+    assert "_a" not in an.__dict__
+    again = a_by_class(an)
+    assert again is not a and again == a
+
+
+def test_kept_a_values_keep_linear_memory():
+    # a random tree this large has three leaves at one vertex, so a(T) = 0, but its class values are kept
+    t = pruefer_20k()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert asym_unrooted(t) == 0
+        assert construct_distinguishing(t) is None
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert "_a" in TreeAnalysis.at_center(t).__dict__
+    assert kept < 6.2 * 10**6  # 3.1 MB on Python 3.11, doubled
+
+
 def reference_unrooted_code(t: Tree) -> bytes:
     """The code as written before it read the center ends from ``center``: through the center analysis."""
     return min(subtree_codes(root_at(t, w))[w] for w in TreeAnalysis.at_center(t).roots)

@@ -110,6 +110,24 @@ def test_combinadic_seeded_ranks_match_reference():
                     combinadic_unrank(bad, universe, k)
 
 
+def test_first_root_returns_at_once(monkeypatch):
+    # the first root of x is x itself, with no halving of x's bits
+    real = coloring_module._iroot
+    calls = []
+
+    def counting(x, k):
+        calls.append(k)
+        return real(x, k)
+
+    monkeypatch.setattr(coloring_module, "_iroot", counting)
+    rng = random.Random(35)
+    seeded = [rng.getrandbits(rng.randint(1, 4000)) for _ in range(200)]
+    for x in [0, 1, 2, 3, 1 << 64, (1 << 4000) - 1, 1 << 4000] + seeded:
+        calls.clear()
+        assert coloring_module._iroot(x, 1) == x
+        assert calls == [1]
+
+
 def test_combinadic_k3_to_12_matches_reference():
     # each element is searched only among the i integers from floor((i! rank)^(1/i));
     # the reference binary-searches the whole range, about log2(universe) comb calls per

@@ -593,6 +593,58 @@ def test_rooted_numbers_reuse_the_center_analysis(monkeypatch):
     assert calls == []
 
 
+def assert_rooted_loop_matches_every_root(t: Tree, rng: random.Random) -> None:
+    # the first call, at a random root, computes the class values and may keep them; the rest may read them
+    first = rng.randrange(t.n)
+    order = [first] + [w for w in range(t.n) if w != first]
+    got = {w: asym_rooted(root_at(t, w)) for w in order}
+    assert tuple(got[w] for w in range(t.n)) == asym_at_every_root(Tree(t.n, t.adj)), t.adj
+
+
+def test_rooted_loop_matches_every_root_small():
+    rng = random.Random(35)
+    for t in trees_up_to(10):
+        assert_rooted_loop_matches_every_root(t, rng)
+
+
+def test_rooted_loop_matches_every_root_on_paths():
+    # a path's values pass 64 bits per class on average from n = 247 on, so both sides of the budget
+    rng = random.Random(36)
+    kept = set()
+    for n in range(1, 601):
+        t = path(n)
+        assert_rooted_loop_matches_every_root(t, rng)
+        kept.add("_a" in TreeAnalysis.at_center(t).__dict__)
+    assert kept == {True, False}
+
+
+@pytest.mark.parametrize("name,t", SEEDED, ids=[name for name, _ in SEEDED])
+def test_rooted_loop_matches_every_root_seeded(name, t):
+    assert_rooted_loop_matches_every_root(t, random.Random(name))
+
+
+class CountingSigs(tuple):
+    """A class table that counts the loops over it, which ``a_by_class`` makes and the rooted walk does not."""
+
+    loops = 0
+
+    def __iter__(self):
+        CountingSigs.loops += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("make,loops", [(lambda: spider(301, 3), 1), (lambda: path(300), 300)], ids=["spider", "path"])
+def test_rooted_loop_computes_class_values_once_within_budget(monkeypatch, make, loops):
+    # the spider's legs of 100 keep 5,449 bits over 101 classes; the path's 150 classes hold 11,475 bits
+    t = make()
+    an = TreeAnalysis.at_center(t)
+    object.__setattr__(an, "sigs", CountingSigs(an.sigs))
+    monkeypatch.setattr(CountingSigs, "loops", 0)
+    for w in range(t.n):
+        asym_rooted(root_at(t, w))
+    assert CountingSigs.loops == loops
+
+
 def traced_peak(run) -> int:
     tracemalloc.start()
     try:
