@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .canon import TreeAnalysis
 from .coloring import _colored_key
 from .oracle import MAX_GRAPH_VERTICES, _apply, _moved, brute_graph_aut
-from .trees import Coloring, EdgeListParseError, Tree, _adjacency, _bfs, _build_adjacency, _check_root, read_edge_lines
+from .trees import Coloring, EdgeListParseError, Tree, _adjacency, _bfs, _build_adjacency, _check_root, _union_find, read_edge_lines
 
 
 @dataclass(frozen=True)
@@ -99,25 +99,13 @@ class ForestExtraction:
 def extract_forest(g: RootedGraph) -> ForestExtraction:
     """Edges yx with y on all shortest x-to-root paths; verified acyclic and spanning.
 
-    The components are the union-find classes of those edges, and an edge
-    whose ends are already in one class would close a cycle.
+    The components are the classes of ``trees._union_find`` over those edges,
+    which also names the first edge whose ends already share a class: a cycle.
     """
-    parent = list(range(g.n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]  # path halving
-        return v
-
-    edges = []
-    for x, ys in enumerate(_preds(g)):
-        if len(ys) == 1:
-            y = ys[0]
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                raise AssertionError("forest extraction produced a cycle")
-            parent[rx] = ry
-            edges.append((min(x, y), max(x, y)))
+    edges = [(min(x, ys[0]), max(x, ys[0])) for x, ys in enumerate(_preds(g)) if len(ys) == 1]
+    closing, find = _union_find(g.n, edges)
+    if closing >= 0:
+        raise AssertionError("forest extraction produced a cycle")
     members: dict[int, list[int]] = {}
     for v in range(g.n):  # ascending, so classes come in order of their least vertex
         members.setdefault(find(v), []).append(v)

@@ -181,32 +181,43 @@ def read_edge_lines(text: str):
     return n, edges
 
 
+def _union_find(n: int, edges):
+    """Union ``edges`` in order: the index of the first that closes a cycle (or -1), and the class-root ``find``."""
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving (Tarjan and van Leeuwen, J. ACM 1984)
+        return v
+
+    for k, (u, v) in enumerate(edges):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return k, find
+        parent[ru] = rv
+    return -1, find
+
+
 def parse_edge_list(text: str) -> Tree:
     """Parse "n" followed by one "u v" edge per line into a validated Tree.
 
-    Tolerates blank lines and CRLF. Errors carry line numbers: duplicate
-    edges, out-of-range ids and cycles (reported at the closing edge);
-    too few edges are rejected first.
+    Accepted by ``Tree.from_edges``' rule: n - 1 edges that a BFS from 0
+    connects. Tolerates blank lines and CRLF. Errors carry line numbers:
+    duplicate edges, out-of-range ids and cycles (reported at the closing
+    edge); too few edges are rejected first.
     """
     n, edges = read_edge_lines(text)
     # Checked before anything is sized by n, so a huge header fails fast.
     if len(edges) < n - 1:
         raise EdgeListParseError(f"edge count {len(edges)} != n-1 = {n - 1}")
-    # Union-find so a cycle is reported at the line that closes it. More than
-    # n-1 edges always close one, and n-1 acyclic edges span the vertices.
-    parent = list(range(n))
-    for k, (u, v) in enumerate(edges):
-        ru, rv = u, v
-        while parent[ru] != ru:
-            parent[ru] = ru = parent[parent[ru]]  # path halving
-        while parent[rv] != rv:
-            parent[rv] = rv = parent[parent[rv]]
-        if ru == rv:
-            line_no, raw = [(j, r) for j, r in enumerate(text.splitlines(), 1) if r.split()][k + 1]
-            u, v = map(int, raw.split())
-            raise EdgeListParseError(f"cycle detected at edge ({u}, {v})", line_no)
-        parent[ru] = rv
-    return Tree(n, _build_adjacency(n, edges))
+    if len(edges) == n - 1:
+        adj = _build_adjacency(n, edges)
+        if len(_bfs(adj, 0)[0]) == n:
+            return Tree(n, adj)
+    # More than n - 1 edges, or n - 1 that leave a vertex unreached, close a cycle: find its line.
+    line_no, raw = [(j, r) for j, r in enumerate(text.splitlines(), 1) if r.split()][_union_find(n, edges)[0] + 1]
+    u, v = map(int, raw.split())
+    raise EdgeListParseError(f"cycle detected at edge ({u}, {v})", line_no)
 
 
 def serialize_edge_list(t: Tree) -> str:

@@ -27,6 +27,7 @@ from treesym import (
     spider,
     tree_from_pruefer,
 )
+from treesym.trees import read_edge_lines
 
 REFERENCE_MAX_INPUT_DIGITS = 4300
 REFERENCE_ECHO_CHARS = 40
@@ -238,8 +239,31 @@ def non_edge(rng, n, edges):
     return None
 
 
+def chord(n, edges):
+    """The first non-edge, in lexicographic order, between two vertices other than 0."""
+    present = {(min(u, v), max(u, v)) for u, v in edges}
+    return next((u, v) for u in range(1, n) for v in range(u + 1, n) if (u, v) not in present)
+
+
+def leaf_zero_with_a_chord(rng, n, edges):
+    """The edges relabeled so that 0 is a leaf, 0's edge left out, and a chord that closes a cycle (n >= 4).
+
+    With the chord in place of 0's edge there are n - 1 edges, and a BFS from 0 reaches only 0.
+    """
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    leaf = degree.index(1)
+    swap = {0: leaf, leaf: 0}
+    edges = [(swap.get(u, u), swap.get(v, v)) for u, v in edges]
+    k = next(k for k, e in enumerate(edges) if 0 in e)
+    a, b = chord(n, edges)
+    return edges[:k] + edges[k + 1 :], k, ((a, b) if rng.random() < 0.5 else (b, a))
+
+
 def mutations(rng, n, edges, lines):
-    """One-line mutations of a valid text's lines, each a new list of lines."""
+    """Mutations of a valid text's lines, each a new list of lines: one or two lines changed, or a chord for an edge."""
     idx = edge_line_indices(lines)
     out = []
 
@@ -319,6 +343,12 @@ def mutations(rng, n, edges, lines):
         new[first] = f"{u} {u}"
         new[later] = "x y"
         out.append(new)
+    # n - 1 edges, one a chord, that a BFS from 0 does not span: vertex 0's
+    # only edge replaced by the chord, the chord first, the chord last
+    if n >= 4:
+        rest, k, c = leaf_zero_with_a_chord(rng, n, edges)
+        for order in (rest[:k] + [c] + rest[k:], [c] + rest, rest + [c]):
+            out.append(render(rng, str(n), order))
     return out
 
 
@@ -360,6 +390,62 @@ def test_mutated_texts_fail_alike(kind):
             lines = render(rng, str(n), edges)
             for mutated in mutations(rng, n, edges, lines):
                 assert_same(join(rng, mutated), n)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_parse_edge_list_accepts_exactly_what_tree_from_edges_accepts(kind):
+    # one rule accepts a tree: Tree.from_edges on the edges the reader returns
+    rng = random.Random(303 + KINDS.index(kind))
+    for n in SIZES:
+        edges = family_edges(rng, kind, n)
+        lines = render(rng, str(n), edges)
+        for mutated in [lines] + mutations(rng, n, edges, lines):
+            text = join(rng, mutated)
+            try:
+                read = read_edge_lines(text)
+            except EdgeListParseError:
+                continue
+            parsed, built = outcome(parse_edge_list, text), outcome(Tree.from_edges, *read)
+            assert parsed == built if isinstance(parsed, Tree) else not isinstance(built, Tree)
+
+
+def test_a_tree_costs_one_bfs_and_a_cycle_one_union_find(monkeypatch):
+    from treesym import trees
+
+    calls = []
+
+    def counted(name):
+        real = getattr(trees, name)
+
+        def counting(*args):
+            calls.append(name)
+            return real(*args)
+
+        return counting
+
+    for name in ("_bfs", "_union_find"):
+        monkeypatch.setattr(trees, name, counted(name))
+    rng = random.Random(404)
+    for n in SIZES:
+        for kind in KINDS:
+            edges = family_edges(rng, kind, n)
+            calls.clear()
+            t = parse_edge_list(join(rng, render(rng, token(rng, n), edges)))
+            assert calls == ["_bfs"], (n, kind)
+            assert t == Tree.from_edges(n, edges)
+            if n < 4:
+                continue
+            # one edge too many goes straight to the union-find
+            calls.clear()
+            with pytest.raises(EdgeListParseError, match="cycle detected"):
+                parse_edge_list(join(rng, render(rng, str(n), edges + [chord(n, edges)])))
+            assert calls == ["_union_find"], (n, kind)
+            # n - 1 edges, one of them a chord: the BFS misses a vertex, then the union-find names the line
+            rest, k, c = leaf_zero_with_a_chord(rng, n, edges)
+            calls.clear()
+            with pytest.raises(EdgeListParseError, match="cycle detected"):
+                parse_edge_list(join(rng, render(rng, str(n), rest[:k] + [c] + rest[k:])))
+            assert calls == ["_bfs", "_union_find"], (n, kind)
 
 
 def test_only_a_text_with_a_suspect_character_has_its_numbers_checked(monkeypatch):
