@@ -148,6 +148,10 @@ def input_errors() -> None:
         ("٣\n0 1\n1 2\n", "analyze -", "error: line 1: expected vertex count, got '٣'"),
         ("3\n0 1\n0_0 2\n", "analyze -", "error: line 3: non-integer vertex id in '0_0 2'"),
         ("3\n+0 1\n0 2\n", "analyze -", "error: line 2: non-integer vertex id in '+0 1'"),
+        # main lifts int's digit limit for output; an input id still may not pass 4,300 digits
+        (f"3\n0 1\n{'1' * 4301} 2\n", "analyze -",
+         f"error: line 3: non-integer vertex id in '{'1' * 40}'... (cut, 4303 characters)"),
+        ("3\n0 1\n1 0\n", "analyze -", "error: line 3: duplicate edge (0, 1)"),  # n - 1 edges, one a duplicate
         ("", "corpus --caterpillar 0", "error: n must be at least 1"),
         ("", "corpus --spider 5 0", "error: legs must be at least 1"),
         ("", "corpus --lobed-extremal 40", "error: m = 40 exceeds cap 26"),

@@ -25,11 +25,11 @@ class Tree:
     ``corpus.all_trees`` skip the checks: their edges form a tree by
     construction.
 
-    A tree is immutable because its center (:func:`center`) and its center
-    analysis (:meth:`canon.TreeAnalysis.at_center`) are computed once and
-    kept on the instance, shared by every public function called on it. The
-    memos are not fields, so ``==``, ``hash`` and ``repr`` do not see them,
-    and pickling or copying a tree leaves them behind.
+    A tree is immutable because its center (:func:`center`; a parsed tree
+    arrives with it) and its center analysis (:meth:`canon.TreeAnalysis.at_center`)
+    are computed once and kept on the instance, shared by every public
+    function called on it. The memos are not fields, so ``==``, ``hash`` and
+    ``repr`` do not see them, and pickling or copying a tree leaves them behind.
     """
 
     n: int
@@ -135,42 +135,48 @@ def _cut(x, show=str) -> str:
     return f"{show(text[:_ECHO_CHARS])}... (cut, {len(text)} characters)"
 
 
-def read_edge_lines(text: str):
-    """Shared reader for edge-list text: returns (n, [(u, v), ...]), u < v, one per non-blank line after the header.
-
-    Validates header, id ranges, self-loops and duplicates with line numbers,
-    each edge once. Connectivity and count rules are left to the callers.
-    Numbers are plain decimals (``_is_decimal``): in an ASCII text without
-    ``_`` or ``+``, ``int`` reads nothing else, so only another text has each
-    number checked.
-    """
+def _header(text: str):
+    """The lines of an edge-list text, whether it is plain, the header's index and n: both readers' header rule."""
     lines = text.splitlines()
-    suspect = not text.isascii() or "_" in text or "+" in text
     i = next((i for i, raw in enumerate(lines) if raw.strip()), None)
     if i is None:
         raise EdgeListParseError("empty input: expected vertex count on first line")
+    # int reads only plain decimals (_is_decimal) in an ASCII text without "_" or "+", and only short ones where no
+    # line passes the digit limit: only another text has its tokens checked (_ints)
+    plain = text.isascii() and "_" not in text and "+" not in text and max(map(len, lines)) <= _MAX_INPUT_DIGITS
     header = lines[i].strip()
     try:
-        if len(header) > _MAX_INPUT_DIGITS or suspect and not _is_decimal(header):
-            raise ValueError
-        n = int(header)
+        (n,) = _ints([header], plain)
     except ValueError:
         raise EdgeListParseError(f"expected vertex count, got {_cut(header, repr)}", i + 1) from None
     if n <= 0:
         raise EdgeListParseError("vertex count must be at least 1", i + 1)
+    return lines, plain, i, n
+
+
+def _ints(tokens: list[str], plain: bool) -> list[int]:
+    """The numbers of a line's tokens, or ``ValueError``: both readers' token rule."""
+    if not plain and not all(len(x) <= _MAX_INPUT_DIGITS and _is_decimal(x) for x in tokens):
+        raise ValueError
+    return list(map(int, tokens))
+
+
+def read_edge_lines(text: str):
+    """Shared reader for edge-list text: returns (n, [(u, v), ...]), u < v, one per non-blank line after the header.
+
+    Validates header, ids, id ranges, self-loops and duplicates with line
+    numbers, each edge once. Connectivity and count rules are left to the
+    callers; ``parse_edge_list`` reads only a text it rejects this way.
+    """
+    lines, plain, i, n = _header(text)
     edges, seen = [], set()
     for line_no, raw in enumerate(lines[i + 1 :], i + 2):
-        parts = raw.split()
+        if not (parts := raw.split()):
+            continue
         if len(parts) != 2:
-            if not parts:
-                continue
             raise EdgeListParseError(f"expected 'u v', got {_cut(raw.strip(), repr)}", line_no)
         try:
-            if len(raw) > _MAX_INPUT_DIGITS and max(map(len, parts)) > _MAX_INPUT_DIGITS:
-                raise ValueError  # a line within the limit holds no over-long token
-            if suspect and not (_is_decimal(parts[0]) and _is_decimal(parts[1])):
-                raise ValueError
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _ints(parts, plain)
         except ValueError:
             raise EdgeListParseError(f"non-integer vertex id in {_cut(raw.strip(), repr)}", line_no) from None
         key = (u, v) if u < v else (v, u)
@@ -199,21 +205,41 @@ def _union_find(n: int, edges):
 
 
 def parse_edge_list(text: str) -> Tree:
-    """Parse "n" followed by one "u v" edge per line into a validated Tree.
+    """Parse "n" followed by one "u v" edge per line into a validated Tree, its center kept.
 
-    Accepted by ``Tree.from_edges``' rule: n - 1 edges that a BFS from 0
-    connects. Tolerates blank lines and CRLF. Errors carry line numbers:
-    duplicate edges, out-of-range ids and cycles (reported at the closing
-    edge); too few edges are rejected first.
+    One pass reads the lines straight into sorted adjacency lists and accepts by ``Tree.from_edges``'
+    rule: n - 1 in-range edges that a BFS from 0 spans are a tree, since a self-loop or a duplicate
+    would leave at most n - 2 distinct edges, too few to connect n vertices. That BFS is ``center``'s
+    first sweep. Tolerates blank lines and CRLF. Only a rejected text is read again, by
+    ``read_edge_lines``, to name its fault.
     """
-    n, edges = read_edge_lines(text)
-    # Checked before anything is sized by n, so a huge header fails fast.
+    lines, plain, i, n = _header(text)
+    if len(lines) - i - 1 >= n - 1:  # else too few lines for n - 1 edges, seen before anything is sized by n
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for parts in filter(None, map(str.split, lines[i + 1 :])):
+            try:
+                x, y = parts
+                if plain:
+                    u, v = int(x), int(y)  # as _ints reads them
+                else:
+                    u, v = _ints(parts, False)
+            except ValueError:
+                break
+            if not (0 <= u < n and 0 <= v < n):
+                break
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        else:  # every line read
+            for k, row in enumerate(nbrs):  # each list gives way to its tuple: never both in full
+                row.sort()
+                nbrs[k] = tuple(row)
+            adj = tuple(nbrs)
+            order = _bfs(adj, 0)[0] if sum(map(len, adj)) == 2 * n - 2 else ()  # a BFS only over n - 1 edges
+            if len(order) == n:
+                return _with_center(Tree(n, adj), order[-1])
+    n, edges = read_edge_lines(text)  # raises at the first faulty line
     if len(edges) < n - 1:
         raise EdgeListParseError(f"edge count {len(edges)} != n-1 = {n - 1}")
-    if len(edges) == n - 1:
-        adj = _build_adjacency(n, edges)
-        if len(_bfs(adj, 0)[0]) == n:
-            return Tree(n, adj)
     # More than n - 1 edges, or n - 1 that leave a vertex unreached, close a cycle: find its line.
     line_no, raw = [(j, r) for j, r in enumerate(text.splitlines(), 1) if r.split()][_union_find(n, edges)[0] + 1]
     u, v = map(int, raw.split())
@@ -244,19 +270,23 @@ Center = VertexCenter | EdgeCenter
 def center(t: Tree) -> Center:
     """The middle vertex, or middle edge, of a longest path: the center lies on every one (Jordan 1869).
 
-    Found on the first call for ``t`` and kept on ``t``, like its center analysis.
+    Found on the first call for ``t``, or by ``parse_edge_list``, and kept on ``t`` like its center analysis.
     """
-    c = t.__dict__.get("_center")
-    if c is None:
-        # a BFS ends at a farthest vertex, which ends a longest path; a BFS from there ends at its other end
-        order, parent = _bfs(t.adj, _bfs(t.adj, 0)[0][-1])
-        path = [order[-1]]
-        while parent[path[-1]] >= 0:
-            path.append(parent[path[-1]])
-        mid = len(path) // 2
-        c = VertexCenter(path[mid]) if len(path) % 2 else EdgeCenter(*sorted(path[mid - 1 : mid + 1]))
-        object.__setattr__(t, "_center", c)
-    return c
+    if "_center" not in t.__dict__:
+        _with_center(t, _bfs(t.adj, 0)[0][-1])  # a BFS ends at a farthest vertex, which ends a longest path
+    return t.__dict__["_center"]
+
+
+def _with_center(t: Tree, far: int) -> Tree:
+    """``t`` with its center kept, from ``far``, an end of a longest path: a BFS from there ends at the other end."""
+    order, parent = _bfs(t.adj, far)
+    path = [order[-1]]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    mid = len(path) // 2
+    c = VertexCenter(path[mid]) if len(path) % 2 else EdgeCenter(*sorted(path[mid - 1 : mid + 1]))
+    object.__setattr__(t, "_center", c)
+    return t
 
 
 def _center_ends(c: Center) -> tuple[int, ...]:

@@ -7,11 +7,13 @@ are kept here with those constructors inlined as they were and with their
 own copies of the helpers, so that a change to ``treesym.trees`` cannot move
 them too. Both sides must return equal trees and graphs, or raise the same
 exception type with the same text and ``.line``. A number is a plain decimal
-on both sides: the reference checks every token, the reader only the tokens
-of a text that is not ASCII or holds ``_`` or ``+``.
+on both sides: the reference checks every token, the readers only the tokens
+of a text that is not ASCII, holds ``_`` or ``+``, or has a line longer than
+4,300 characters.
 """
 
 import random
+import sys
 import time
 import tracemalloc
 
@@ -21,6 +23,7 @@ from treesym import (
     EdgeListParseError,
     RootedGraph,
     Tree,
+    center,
     kary_tree,
     parse_edge_list,
     parse_graph_edge_list,
@@ -28,6 +31,8 @@ from treesym import (
     tree_from_pruefer,
 )
 from treesym.trees import read_edge_lines
+
+from .test_trees import reference_center
 
 REFERENCE_MAX_INPUT_DIGITS = 4300
 REFERENCE_ECHO_CHARS = 40
@@ -173,6 +178,14 @@ def assert_same(text, n):
     assert outcome(parse_edge_list, text) == outcome(reference_parse_edge_list, text)
     for root in (0, n):
         assert outcome(parse_graph_edge_list, text, root) == outcome(reference_parse_graph_edge_list, text, root)
+
+
+def assert_accepted(text, n):
+    """``assert_same`` on a text both sides accept, and the center that the parse keeps is the peeled one."""
+    t = parse_edge_list(text)
+    assert t == reference_parse_edge_list(text)
+    assert t.__dict__["_center"] == reference_center(t)
+    assert_same(text, n)
 
 
 # -- inputs ----------------------------------------------------------------
@@ -352,19 +365,63 @@ def mutations(rng, n, edges, lines):
     return out
 
 
+def token_rule_texts(rng, n, edges):
+    """Texts of the tree ``edges`` that the token rules accept, and texts with n - 1 edge lines, one of them faulty.
+
+    Accepted: "-0" for 0, a zero-padded header, form feeds between lines, no-break spaces between ids, and one
+    line padded past 4,300 characters around short ids. Rejected: an id zero-padded to 4,301 digits (only the
+    digit guard rejects it once the limit is lifted), a self-loop, an id equal to n, an id of -1, and a duplicate
+    of another edge (n >= 3).
+    """
+    edge_lines = [f"{u} {v}" for u, v in edges]
+    k = rng.randrange(len(edge_lines)) if edge_lines else 0
+    padded = [str(n)] + edge_lines
+    padded[k + 1 if edge_lines else 0] += " " * 4400
+
+    def text(header, lines, newline="\n"):
+        return newline.join([header] + lines) + newline
+
+    accepted = [
+        text(str(n), [" ".join("-0" if x == "0" else x for x in line.split()) for line in edge_lines]),
+        text("00000" + str(n), edge_lines),
+        text(str(n), edge_lines, "\x0c"),
+        text(str(n), [line.replace(" ", "\u00a0") for line in edge_lines]),
+        text(padded[0], padded[1:]),
+    ]
+    if not edge_lines:
+        return accepted, []
+    u, v = edges[k]
+    faults = [(k, f"{str(u).zfill(4301)} {v}"), (k, f"{u} {u}"), (k, f"{u} {n}"), (k, f"-1 {v}")]
+    if len(edge_lines) >= 2:
+        faults.append(((k + 1) % len(edge_lines), f"{v} {u}"))  # the duplicate goes on another edge's line
+    return accepted, [text(str(n), edge_lines[:j] + [fault] + edge_lines[j + 1 :]) for j, fault in faults]
+
+
 SIZES = (1, 2, 3, 4, 7, 30, 200, 4000)
 KINDS = ("path", "spider", "binary", "pruefer")
 
 
 def test_valid_texts_parse_alike():
     rng = random.Random(20251)
+    limit = sys.get_int_max_str_digits()
     for n in SIZES:
         for kind in KINDS:
             edges = family_edges(rng, kind, n)
             text = join(rng, render(rng, token(rng, n), edges))
-            t = parse_edge_list(text)
-            assert t == reference_parse_edge_list(text) == Tree.from_edges(n, edges)
-            assert_same(text, n)
+            assert parse_edge_list(text) == Tree.from_edges(n, edges)
+            assert_accepted(text, n)
+            accepted, rejected = token_rule_texts(rng, n, edges)
+            for text in accepted:
+                assert_accepted(text, n)
+            # cli.main lifts int's digit limit for its output: the input rules must not move with it
+            for digits in (limit, 0):
+                sys.set_int_max_str_digits(digits)
+                try:
+                    for text in rejected:
+                        assert isinstance(outcome(parse_edge_list, text), tuple), text[:80]
+                        assert_same(text, n)
+                finally:
+                    sys.set_int_max_str_digits(limit)
 
 
 def test_long_lines_within_and_over_the_digit_limit():
@@ -409,7 +466,7 @@ def test_parse_edge_list_accepts_exactly_what_tree_from_edges_accepts(kind):
             assert parsed == built if isinstance(parsed, Tree) else not isinstance(built, Tree)
 
 
-def test_a_tree_costs_one_bfs_and_a_cycle_one_union_find(monkeypatch):
+def test_a_tree_and_its_center_cost_two_bfs_and_a_cycle_one_union_find(monkeypatch):
     from treesym import trees
 
     calls = []
@@ -431,7 +488,10 @@ def test_a_tree_costs_one_bfs_and_a_cycle_one_union_find(monkeypatch):
             edges = family_edges(rng, kind, n)
             calls.clear()
             t = parse_edge_list(join(rng, render(rng, token(rng, n), edges)))
-            assert calls == ["_bfs"], (n, kind)
+            # the acceptance BFS from 0 is the center's first sweep; the parse runs the second and keeps the center
+            assert calls == ["_bfs", "_bfs"], (n, kind)
+            assert center(t) == reference_center(t)
+            assert calls == ["_bfs", "_bfs"], (n, kind)
             assert t == Tree.from_edges(n, edges)
             if n < 4:
                 continue
@@ -472,8 +532,9 @@ def test_only_a_text_with_a_suspect_character_has_its_numbers_checked(monkeypatc
 
 # -- hostile sizes ---------------------------------------------------------
 
-# tracemalloc peaks of parse_edge_list on these 1.2 MB texts (n = 10**5,
-# Python 3.11: path 32.0 MB, star 31.7 MB, spider 32.0 MB), doubled
+# tracemalloc peaks of parse_edge_list on these 1.2 MB texts (n = 10**5, Python 3.11), read in one pass
+# straight into adjacency lists: path 21.7 MB, star 22.5 MB, spider 21.7 MB. The bound, set at twice the
+# 32 MB that an earlier reader took, is kept
 HOSTILE_PEAK = 64 << 20
 
 
