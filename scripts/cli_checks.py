@@ -95,9 +95,10 @@ def same_output_under_O() -> None:
 
 
 def corpora_parse_back() -> None:
-    # tree_from_pruefer and all_trees build their trees without validating the edges: every tree the
-    # corpus command prints must pass the validating parser and round-trip through serialize_edge_list
-    for args, want in (("--random-prufer 300 --count 20 --seed 3", 20), ("--all-trees 9", 47)):
+    # every corpus family builds its trees without validating the edges: every tree the corpus
+    # command prints must pass the validating parser and round-trip through serialize_edge_list
+    for args, want in (("--random-prufer 300 --count 20 --seed 3", 20), ("--all-trees 9", 47), ("--spider 60 4", 1),
+                       ("--kary 100 3", 1), ("--caterpillar 80 --count 20 --seed 3", 20), ("--lobed-extremal 8", 1)):
         trees = json_out("corpus", *args.split())["trees"]
         expect(len(trees) == want, f"corpus {args}: {len(trees)} trees, want {want}")
         for tree in trees:

@@ -161,8 +161,9 @@ def kary_tree(n: int, arity: int) -> Tree:
     """Complete arity-ary tree on n vertices filled in breadth-first order."""
     if arity < 1:
         raise ValueError("arity must be at least 1")
-    edges = [(child, (child - 1) // arity) for child in range(1, n)]
-    return Tree.from_edges(n, edges)
+    if n < 1:
+        raise ValueError("vertex count must be at least 1")
+    return Tree(n, _build_adjacency(n, [(child, (child - 1) // arity) for child in range(1, n)]))
 
 
 def caterpillar(n: int, rng: random.Random) -> Tree:
@@ -175,7 +176,7 @@ def caterpillar(n: int, rng: random.Random) -> Tree:
     edges = [(i, i + 1) for i in range(spine_len - 1)]
     for v in range(spine_len, n):
         edges.append((rng.randrange(spine_len), v))
-    return Tree.from_edges(n, edges)
+    return Tree(n, _build_adjacency(n, edges))
 
 
 def spider(n: int, legs: int) -> Tree:
@@ -186,7 +187,7 @@ def spider(n: int, legs: int) -> Tree:
         raise ValueError("need n >= legs + 1")
     base, extra = divmod(n - 1, legs)
     starts = {1 + i * base + min(i, extra) for i in range(legs)}  # leg i has base + (i < extra) vertices
-    return Tree.from_edges(n, [(0 if v in starts else v - 1, v) for v in range(1, n)])
+    return Tree(n, _build_adjacency(n, [(0 if v in starts else v - 1, v) for v in range(1, n)]))
 
 
 def generate(spec: CorpusSpec) -> Iterator[Tree]:
@@ -395,7 +396,7 @@ def random_one_ended_truncation(
                     edges.append((prev, nxt))
                     prev = nxt
                     nxt += 1
-        t = Tree.from_edges(nxt, edges)
+        t = Tree(nxt, _build_adjacency(nxt, edges))
         mot = motion(t)
         if not mot.is_asymmetric and t.delta > (1 << (mot.moved // 2)):
             continue

@@ -114,7 +114,7 @@ def extract_forest(g: RootedGraph) -> ForestExtraction:
 
 def _component_tree(g: ForestExtraction, members: tuple[int, ...]) -> Tree:
     local = {v: i for i, v in enumerate(members)}
-    return Tree.from_edges(len(members), [(local[u], local[v]) for u, v in g.edges if u in local and v in local])
+    return Tree(len(members), _build_adjacency(len(members), [(local[u], local[v]) for u, v in g.edges if u in local and v in local]))
 
 
 def treelike_distinguish(g: RootedGraph) -> Coloring | None:

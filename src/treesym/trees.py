@@ -19,16 +19,15 @@ class EdgeListParseError(ValueError):
 class Tree:
     """Unrooted tree on dense vertex ids 0..n-1.
 
-    Adjacency lists are sorted ascending and symmetric; :meth:`from_edges`
-    and ``parse_edge_list`` validate the structure (connected, acyclic, no
-    self-loops, no duplicate edges). ``corpus.tree_from_pruefer`` and
-    ``corpus.all_trees`` skip the checks: their edges form a tree by
-    construction.
+    Adjacency lists are sorted ascending and symmetric; :meth:`from_edges` and ``parse_edge_list``
+    validate the structure (connected, acyclic, no self-loops, no duplicate edges). The trees treesym
+    makes itself skip the checks, their edges a tree by construction: ``corpus.tree_from_pruefer``,
+    ``all_trees``, ``kary_tree``, ``caterpillar``, ``spider``, ``lobed_extremal`` and
+    ``random_one_ended_truncation``, and ``treelike``'s forest components.
 
-    A tree is immutable because its center (:func:`center`; a parsed tree
-    arrives with it) and its center analysis (:meth:`canon.TreeAnalysis.at_center`)
-    are computed once and kept on the instance, shared by every public
-    function called on it. The memos are not fields, so ``==``, ``hash`` and
+    A tree is immutable because its center (:func:`center`; a parsed tree arrives with it) and its
+    center analysis (:meth:`canon.TreeAnalysis.at_center`) are computed once and kept on the instance,
+    shared by every public function called on it. The memos are not fields, so ``==``, ``hash`` and
     ``repr`` do not see them, and pickling or copying a tree leaves them behind.
     """
 
@@ -40,6 +39,7 @@ class Tree:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Tree":
+        """A tree on edges from outside treesym, each edge checked; ``ValueError`` if they do not form one."""
         if n <= 0:
             raise ValueError("vertex count must be at least 1")
         edges = list(edges)
@@ -176,7 +176,7 @@ def read_edge_lines(text: str):
         if len(parts) != 2:
             raise EdgeListParseError(f"expected 'u v', got {_cut(raw.strip(), repr)}", line_no)
         try:
-            u, v = _ints(parts, plain)
+            u, v = (int(parts[0]), int(parts[1])) if plain else _ints(parts, False)  # as the accepting pass reads them
         except ValueError:
             raise EdgeListParseError(f"non-integer vertex id in {_cut(raw.strip(), repr)}", line_no) from None
         key = (u, v) if u < v else (v, u)

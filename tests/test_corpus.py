@@ -33,8 +33,11 @@ from treesym.autom import aut_order_of, motion_of
 from treesym.canon import TreeAnalysis
 from treesym.cli import main
 from treesym.corpus import LOBED_EXTREMAL_MAX, SuiteReport, TreeRecord, all_trees, caterpillar, random_tree
+from treesym.oracle import brute_graph_aut
+from treesym.treelike import RootedGraph, _component_tree, extract_forest, treelike_distinguish
 
 from .conftest import subprocess_env, trees_up_to
+from .test_treelike import cycle, differential_graphs, grid
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
 
@@ -146,9 +149,35 @@ def assert_built_as_validated(t):
     assert t == Tree.from_edges(t.n, list(t.edges()))
 
 
+def generated_families():
+    """Every generator's trees that skip Tree.from_edges, but for tree_from_pruefer and all_trees."""
+    for n in range(2, 60):
+        for legs in range(1, n):
+            yield spider(n, legs)
+    for n in range(1, 61):
+        for arity in range(1, 6):
+            yield kary_tree(n, arity)
+    rng = random.Random(38)
+    for _ in range(200):
+        yield caterpillar(rng.randint(1, 300), rng)
+    for m in range(2, 13, 2):
+        yield lobed_extremal(m)
+    for _ in range(100):
+        yield random_one_ended_truncation(rng)[0].tree
+
+
+def component_trees():
+    """``treelike._component_tree`` on every forest component of tests/test_treelike.py's graphs."""
+    for g in [*differential_graphs(), cycle(4), cycle(7, 3), grid(6), grid(5, 12)]:
+        forest = extract_forest(g)
+        for members in forest.components:
+            yield _component_tree(forest, members)
+
+
 def test_unvalidated_builds_equal_validated_builds():
-    # tree_from_pruefer and all_trees skip Tree.from_edges: every sequence for n <= 7, 2,000 seeded
-    # sequences up to n = 300 and every free tree up to n = 10 must come out as from_edges builds them
+    # every tree treesym makes itself skips Tree.from_edges: every sequence for n <= 7, 2,000 seeded
+    # sequences up to n = 300, every free tree up to n = 10, the other families and the tree-like
+    # forest's components must come out as from_edges builds them
     for n in range(1, 8):
         for i in range(n ** max(n - 2, 0)):
             assert_built_as_validated(tree_from_pruefer(n, [i // n**j % n for j in range(n - 2)]))
@@ -158,6 +187,27 @@ def test_unvalidated_builds_equal_validated_builds():
     for n in range(1, 11):
         for t in all_trees(n):
             assert_built_as_validated(t)
+    for t in generated_families():
+        assert_built_as_validated(t)
+    for t in component_trees():
+        assert_built_as_validated(t)
+
+
+def test_generated_trees_build_no_checked_adjacency(monkeypatch):
+    # Tree.from_edges checks each edge in trees._adjacency: no generator, and no tree-like forest
+    # component, goes through it
+    from treesym import trees
+
+    calls = []
+    real = trees._adjacency
+    monkeypatch.setattr(trees, "_adjacency", lambda n, edges: calls.append(n) or real(n, edges))
+    built = sum(1 for _ in generated_families()) + sum(1 for _ in component_trees())
+    # two 4-cycles joined at the root: its forest is the star of the root and the two far corners
+    g = RootedGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)], 0)
+    assert calls == [] and built > 3000
+    assert len(brute_graph_aut(g.adj)) > 1 and len(extract_forest(g).components) >= 2
+    treelike_distinguish(g)
+    assert calls == []
 
 
 def test_random_tree_deterministic():
@@ -260,9 +310,13 @@ def test_generate_matches_reference_on_every_field_combination():
         (lambda: lobed_extremal(10**9), "m = 1000000000 exceeds cap 26"),
         (lambda: next(all_trees(0)), "n must be at least 1"),
         (lambda: next(all_trees(-1)), "n must be at least 1"),
+        (lambda: kary_tree(0, 2), "vertex count must be at least 1"),
+        (lambda: kary_tree(-1, 2), "vertex count must be at least 1"),
+        (lambda: kary_tree(0, 0), "arity must be at least 1"),  # the arity is checked first
     ],
     ids=["random-0", "random-negative", "caterpillar-0", "spider-no-legs", "spider-short",
-         "lobed-28", "lobed-40", "lobed-1e9", "all-trees-0", "all-trees-negative"],
+         "lobed-28", "lobed-40", "lobed-1e9", "all-trees-0", "all-trees-negative", "kary-0", "kary-negative",
+         "kary-0-no-arity"],
 )
 def test_family_arguments_name_what_is_wrong(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -339,7 +393,7 @@ def test_caterpillar_valid():
     rng = random.Random(1)
     for _ in range(50):
         t = caterpillar(rng.randint(1, 20), rng)
-        assert t.n >= 1  # Tree.from_edges validated it
+        assert_built_as_validated(t)
 
 
 def test_generators_emit_valid_trees():

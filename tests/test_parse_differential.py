@@ -530,6 +530,29 @@ def test_only_a_text_with_a_suspect_character_has_its_numbers_checked(monkeypatc
         assert exc.value.line == line and calls, text
 
 
+def test_a_plain_text_reads_its_edge_ids_inline(monkeypatch):
+    # a plain text's ids are read as the accepting pass reads them: only the header goes through
+    # trees._ints, and a text that is not plain has every line's tokens checked there
+    from treesym import trees
+
+    calls = []
+    real = trees._ints
+
+    def counting(tokens, plain):
+        calls.append(plain)
+        return real(tokens, plain)
+
+    monkeypatch.setattr(trees, "_ints", counting)
+    for text, plain in (("4\n0 1\n\n-0 2\n0 3\n", True), ("4\n0 1\n0\u00a02\n0 3\n", False),
+                        (f"4\n0 1\n0 2{' ' * 4400}\n0 3\n", False)):
+        calls.clear()
+        assert read_edge_lines(text) == (4, [(0, 1), (0, 2), (0, 3)])
+        assert calls == [plain] * (1 if plain else 4), text
+    calls.clear()
+    assert parse_graph_edge_list("4\n0 1\n1 2\n2 3\n3 0\n") == reference_parse_graph_edge_list("4\n0 1\n1 2\n2 3\n3 0\n")
+    assert calls == [True]
+
+
 # -- hostile sizes ---------------------------------------------------------
 
 # tracemalloc peaks of parse_edge_list on these 1.2 MB texts (n = 10**5, Python 3.11), read in one pass
