@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial, prod
 from operator import ne
 
-from .autom import ASYMMETRIC, AutomorphismLimitExceeded, Motion, _automorphisms, enumerate_automorphisms
+from .autom import AutomorphismLimitExceeded, Motion, _automorphisms, enumerate_automorphisms
 from .trees import Tree
 
 MAX_ORACLE_VERTICES = 16
@@ -62,6 +63,12 @@ def _moved(sigma) -> int:
     return sum(map(ne, sigma, range(len(sigma))))
 
 
+def _moved_points(sigma) -> tuple[int, list[tuple[int, int]]]:
+    """The support of ``sigma`` as a mask, and each point it moves as a (bit, image bit) pair."""
+    pairs = [(1 << i, 1 << y) for i, y in enumerate(sigma) if i != y]
+    return sum(bit for bit, _ in pairs), pairs
+
+
 def _apply(sigma, mask: int) -> int:
     """The image of the vertex set ``mask`` under the permutation ``sigma`` (bit i goes to bit sigma[i])."""
     out = 0
@@ -97,47 +104,40 @@ def brute_asym(t: Tree, pinned: int | None = None, aut_limit: int = DEFAULT_AUT_
     """Count distinguishing sets and their orbits by full enumeration.
 
     A subset is distinguishing iff no non-identity automorphism (fixing
-    ``pinned`` when given) maps it to itself; a distinguishing subset is an
-    orbit representative iff no automorphism maps it to a smaller bit
-    pattern. Automorphisms are scanned in ascending order of moved-vertex
-    count so that fixed subsets bail out early on small twin swaps.
+    ``pinned`` when given) maps it to itself, and then an orbit representative
+    iff none maps it to a smaller bit pattern. Automorphisms are scanned in the
+    backtracker's order, each through its moved points, built when the scan
+    first reaches it: one fixes S, or maps it lower, iff it does so to S's moved
+    part. The identity moves nothing, and is dropped by that value.
     """
     if t.n > MAX_ORACLE_VERTICES:
         raise OracleSizeError(f"n = {t.n} exceeds oracle cap {MAX_ORACLE_VERTICES}")
-    auts = sorted(_budgeted_automorphisms(t, aut_limit, pinned), key=_moved)
-    others = auts[1:]  # the identity moves nothing, so it sorts first
+    auts = list(_budgeted_automorphisms(t, aut_limit, pinned))
+    moved: list = []  # the (support, pairs) of each non-identity automorphism the scan has reached
+    fresh = (moved.append(m) or m for m in map(_moved_points, auts) if m[0])  # builds and keeps the next one
 
     dist_count = 0
     reps: list[int] = []
     for mask in range(1 << t.n):
         below = False  # some automorphism maps the mask to a smaller pattern
-        for sigma in others:
-            image = _apply(sigma, mask)
-            if image == mask:
+        for support, pairs in chain(moved, fresh):
+            image = 0
+            for bit, to in pairs:
+                if mask & bit:
+                    image |= to
+            if image == (part := mask & support):
                 break
-            below = below or image < mask
+            below = below or image < part
         else:
             dist_count += 1
             if not below:
                 reps.append(mask)
-    return OrbitReport(
-        n=t.n,
-        total_colorings=1 << t.n,
-        distinguishing_count=dist_count,
-        orbit_count=len(reps),
-        aut_order=len(auts),
-        orbit_reps=tuple(reps),
-    )
+    return OrbitReport(t.n, 1 << t.n, dist_count, len(reps), len(auts), tuple(reps))
 
 
 def brute_motion(t: Tree, aut_limit: int = DEFAULT_AUT_LIMIT) -> Motion:
     """Minimum moved-vertex count over enumerated non-identity automorphisms."""
-    best: int | None = None
-    for sigma in _budgeted_automorphisms(t, aut_limit):
-        moved = _moved(sigma)
-        if moved and (best is None or moved < best):
-            best = moved
-    return ASYMMETRIC if best is None else Motion(best)
+    return Motion(min(filter(None, map(_moved, _budgeted_automorphisms(t, aut_limit))), default=None))
 
 
 def brute_graph_aut(

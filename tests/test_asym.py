@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,12 +9,16 @@ from treesym import (
     asym_rooted,
     asym_unrooted,
     aut_order,
+    aut_order_rooted,
     brute_asym,
     group_order_bound_check,
     is_2_distinguishable,
+    kary_tree,
     lobed_extremal,
     motion,
     root_at,
+    spider,
+    tree_from_pruefer,
 )
 
 from .conftest import random_trees, trees_up_to
@@ -84,6 +90,19 @@ def test_oracle_equivalence_exhaustive_small():
         assert rep.distinguishing_count == rep.orbit_count * rep.aut_order
         for w in range(t.n):
             assert brute_asym(t, pinned=w).orbit_count == asym_rooted(root_at(t, w))
+
+
+def test_oracle_at_every_root_past_n_10():
+    # the closed forms against the census beyond the exhaustive n <= 10 corpus: seeded trees of order 11-13,
+    # a spider and the ternary tree of depth 2 (|Aut| = 1,296), unpinned and at every root
+    rng = random.Random(3911)
+    trees = [tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]) for n in (11, 11, 11, 12, 12, 12, 13, 13, 13, 13)]
+    for t in [*trees, spider(12, 3), kary_tree(13, 3)]:
+        rep = brute_asym(t)
+        assert (rep.orbit_count, rep.aut_order) == (asym_unrooted(t), aut_order(t)), t.edges()
+        for w in range(t.n):
+            rep, rt = brute_asym(t, pinned=w), root_at(t, w)
+            assert (rep.orbit_count, rep.aut_order) == (asym_rooted(rt), aut_order_rooted(rt)), (t.edges(), w)
 
 
 def test_rooted_dominates_unrooted():

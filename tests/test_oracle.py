@@ -15,12 +15,15 @@ from treesym import (
     brute_motion,
     enumerate_automorphisms,
     exists_automorphism,
+    kary_tree,
     root_at,
+    spider,
+    tree_from_pruefer,
 )
 from treesym import autom as autom_module
 from treesym import oracle as oracle_module
 from treesym.autom import ASYMMETRIC, _automorphisms
-from treesym.oracle import DEFAULT_AUT_LIMIT, MAX_ORACLE_VERTICES, OrbitReport, _apply, _moved
+from treesym.oracle import DEFAULT_AUT_LIMIT, MAX_ORACLE_VERTICES, OrbitReport, _apply, _budgeted_automorphisms, _moved
 from treesym.trees import _bfs, _check_root
 
 from .conftest import path, star, trees_up_to
@@ -677,6 +680,37 @@ def reference_two_scan_brute_asym(t, pinned=None, aut_limit=DEFAULT_AUT_LIMIT):
     return OrbitReport(t.n, 1 << t.n, dist_count, orbit_count, len(auts), tuple(reps))
 
 
+def reference_sorted_brute_asym(t: Tree, pinned: int | None = None, aut_limit: int = DEFAULT_AUT_LIMIT) -> OrbitReport:
+    """brute_asym as it was before the scan in the backtracker's order: the automorphisms sorted by moved count, the
+    identity dropped as the first of them, and one ``_apply`` call per (coloring, automorphism) check."""
+    if t.n > MAX_ORACLE_VERTICES:
+        raise OracleSizeError(f"n = {t.n} exceeds oracle cap {MAX_ORACLE_VERTICES}")
+    auts = sorted(_budgeted_automorphisms(t, aut_limit, pinned), key=_moved)
+    others = auts[1:]  # the identity moves nothing, so it sorts first
+
+    dist_count = 0
+    reps: list[int] = []
+    for mask in range(1 << t.n):
+        below = False  # some automorphism maps the mask to a smaller pattern
+        for sigma in others:
+            image = _apply(sigma, mask)
+            if image == mask:
+                break
+            below = below or image < mask
+        else:
+            dist_count += 1
+            if not below:
+                reps.append(mask)
+    return OrbitReport(
+        n=t.n,
+        total_colorings=1 << t.n,
+        distinguishing_count=dist_count,
+        orbit_count=len(reps),
+        aut_order=len(auts),
+        orbit_reps=tuple(reps),
+    )
+
+
 def reference_brute_motion(t, aut_limit=DEFAULT_AUT_LIMIT):
     """brute_motion as it was written before the shared automorphism budget: its own try around the scan."""
     best = None
@@ -783,12 +817,78 @@ def test_refusal_keeps_the_order_of_errors():
 
 
 def test_direct_permutation_reads_match_image_tables():
-    # the 8- and 9-vertex stars are the big-group trees of corpus --check; the rest are small
+    # _moved, _apply and the census's moved points against image tables. The 8- and 9-vertex stars are the
+    # big-group trees of corpus --check; the rest are small
     trees = [star(8), star(9), *trees_up_to(6)]
     rng = random.Random(5)
     for t in trees:
         for sigma in enumerate_automorphisms(t):
             assert _moved(sigma) == _reference_moved(sigma)
+            support, pairs = oracle_module._moved_points(sigma)
+            assert len(pairs) == _moved(sigma) and support == sum(1 << i for i in range(t.n) if sigma[i] != i)
             tbl = _mask_images(sigma)
             for mask in [0, (1 << t.n) - 1, *(rng.getrandbits(t.n) for _ in range(8))]:
                 assert _apply(sigma, mask) == _apply_table(tbl, mask), (t.edges(), sigma, mask)
+                # the census's read: the moved part's image, with every point off the support where it was
+                assert sum(to for bit, to in pairs if mask & bit) | (mask & ~support) == _apply(sigma, mask)
+
+
+def pruefer_trees(sizes, seed: int) -> list[Tree]:
+    rng = random.Random(seed)
+    return [tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]) for n in sizes]
+
+
+def assert_census_matches_sorted_scan(t: Tree, pinned: int | None = None) -> None:
+    got, want = brute_asym(t, pinned=pinned), reference_sorted_brute_asym(t, pinned=pinned)
+    assert dataclasses.astuple(got) == dataclasses.astuple(want), (t.edges(), pinned)
+
+
+def test_census_matches_sorted_scan_on_all_small_trees():
+    for t in trees_up_to(10):
+        for pinned in [None, *range(t.n)] if t.n <= 9 else [None]:
+            assert_census_matches_sorted_scan(t, pinned)
+
+
+def test_census_matches_sorted_scan_on_seeded_trees_and_big_groups():
+    for t in pruefer_trees([n for n in range(11, 15) for _ in range(3)], seed=39):
+        for pinned in (None, 0, t.n - 1):
+            assert_census_matches_sorted_scan(t, pinned)
+    for t in (star(9), star(10), kary_tree(15, 2), spider(13, 4)):
+        assert_census_matches_sorted_scan(t)
+
+
+@pytest.mark.parametrize("where", ["last", "middle"])
+def test_the_identity_is_dropped_wherever_the_stream_lists_it(monkeypatch, where):
+    # the backtracker lists the identity first; the census must drop it by what it is (it moves nothing), or a
+    # coloring read against it is fixed, every census reads 0 and 0 = 0 * |Aut| passes the regular-action check
+    trees = [*trees_up_to(7), kary_tree(15, 2), spider(13, 4), *pruefer_trees([11, 12], seed=7)]
+    cases = [(t, pinned) for t in trees for pinned in ([None, *range(t.n)] if t.n <= 7 else [None, 0])]
+    wants = [reference_sorted_brute_asym(t, pinned=pinned) for t, pinned in cases]
+    positions = []
+
+    def reordered(t, aut_limit, pinned=None):
+        auts = list(_budgeted_automorphisms(t, aut_limit, pinned))
+        identity = auts.pop(auts.index(tuple(range(t.n))))
+        positions.append(len(auts) if where == "last" else (len(auts) + 1) // 2)
+        auts.insert(positions[-1], identity)
+        return iter(auts)
+
+    monkeypatch.setattr(oracle_module, "_budgeted_automorphisms", reordered)
+    for (t, pinned), want in zip(cases, wants):
+        assert dataclasses.astuple(brute_asym(t, pinned=pinned)) == dataclasses.astuple(want), (t.edges(), pinned)
+    # every census read the reordered stream, and in most of them the identity was not first
+    assert len(positions) == len(cases) and sum(map(bool, positions)) > len(cases) // 2
+
+
+def test_census_builds_the_moved_points_of_five_star_automorphisms(monkeypatch):
+    # the 9-vertex star's 40,319 non-identity automorphisms, in the backtracker's order: the swaps of its last
+    # three leaves come first, and 5 of them fix every coloring; a sort by moved count reads _moved of all 40,320
+    built, counted = [], []
+    build, moved = oracle_module._moved_points, oracle_module._moved
+    monkeypatch.setattr(oracle_module, "_moved_points", lambda sigma: built.append(sigma) or build(sigma))
+    monkeypatch.setattr(oracle_module, "_moved", lambda sigma: counted.append(sigma) or moved(sigma))
+    report = brute_asym(star(9))
+    assert (report.aut_order, report.distinguishing_count) == (40_320, 0)
+    assert 1 <= len([sigma for sigma in built if sigma != tuple(range(9))]) <= 5
+    assert len(built) == len(set(built)) and counted == []
+
