@@ -72,6 +72,14 @@ def star(n: int) -> str:
     return f"{n}\n" + "".join(f"0 {v}\n" for v in range(1, n))
 
 
+def cherries(leaves: int) -> str:
+    """A center with ``leaves`` leaves and two cherries (a vertex with two leaves): leaves! * 8 automorphisms."""
+    edges = [(0, v) for v in range(1, leaves + 1)]
+    for c in (leaves + 1, leaves + 4):
+        edges += [(0, c), (c, c + 1), (c, c + 2)]
+    return f"{leaves + 7}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
 def same_output_under_O() -> None:
     # -O strips assert statements, so no answer may rest on one. The commands reach every kernel; pin 3
     # breaks TREE9's one swap (exit 0), its center 0 does not (exit 4); color --index 200 (of a = 240) decodes
@@ -108,11 +116,13 @@ def corpora_parse_back() -> None:
 
 def star_oracle_censuses() -> None:
     # 8! and 9! automorphisms, no distinguishing set: sibling leaves go as one permutation, so both finish at once.
-    # The 10-star child peaks at 60.7-64.0 MB on 3.10-3.13 (68.0 MB before the census read moved points in the
-    # backtracker's order): it may not outgrow 68 MB. On the 15-vertex complete binary tree every distinguishing
+    # The census counts the automorphisms it never reads without keeping them: the 10-star child peaks at 16.8 MB
+    # (63.7 MB when the census kept the list), and so does the 15-vertex tree with 8! * 8 = 322,560 automorphisms
+    # (68.2 MB); each may not outgrow 30 MB. On the 15-vertex complete binary tree every distinguishing
     # set is read against all 127 non-identity automorphisms, and the lower-image test picks the 2 representatives
     cases = [(f"{n}-star", star(n), math.factorial(n - 1), 0) for n in (9, 10)]
     cases.append(("15-vertex binary tree", serialize_edge_list(kary_tree(15, 2)), 128, 2))
+    cases.append(("15-vertex cherry tree", cherries(8), 322560, 0))
     peaks = {}
     for name, stdin, aut_order, orbits in cases:
         r = cli("oracle", "-", stdin=stdin, timeout=20)
@@ -120,7 +130,17 @@ def star_oracle_censuses() -> None:
         expect(r.code == 0 and not r.err and all(s in r.out for s in want),
                f"oracle on the {name}: exit {r.code}, stdout {r.out[:300]!r}, stderr {r.err!r}; want {want}")
         peaks[name] = r.peak_mb
-    expect(peaks["10-star"] <= 68, f"oracle on the 10-star: peak RSS {peaks['10-star']:.1f} MB, want at most 68 MB")
+    for name in ("10-star", "15-vertex cherry tree"):
+        expect(peaks[name] <= 30, f"oracle on the {name}: peak RSS {peaks[name]:.1f} MB, want at most 30 MB")
+
+
+def cherry16_past_budget() -> None:
+    # 9! * 8 = 2,903,040 automorphisms, past the 2,000,000 budget, though the sibling leaves alone (9! * 4) are not:
+    # the search lists 2,000,000 before it refuses (about 5 s). Keeping that list took the child to 371.5 MB
+    r = cli("oracle", "-", stdin=cherries(9), timeout=20)
+    expect((r.code, r.out, r.err) == (2, "", "error: automorphism count exceeds limit 2000000\n"),
+           f"oracle on the 16-vertex cherry tree: {r[:3]}, want exit 2 and the budget message")
+    expect(r.peak_mb <= 30, f"oracle on the 16-vertex cherry tree: peak RSS {r.peak_mb:.1f} MB, want at most 30 MB")
 
 
 def star12_refused() -> None:
@@ -164,6 +184,10 @@ def input_errors() -> None:
         ("", "corpus --caterpillar 0", "error: n must be at least 1"),
         ("", "corpus --spider 5 0", "error: legs must be at least 1"),
         ("", "corpus --lobed-extremal 40", "error: m = 40 exceeds cap 26"),
+        # a value the caller gave is quoted to 40 characters, as an edge-list id is
+        (TREE9, f"analyze --root {'9' * 4300} -", f"error: root {'9' * 40}... (cut, 4300 characters) out of range 0..8"),
+        ("", f"corpus --random-prufer 5 --count -{'9' * 4299}",
+         f"error: --count must be non-negative, got -{'9' * 39}... (cut, 4300 characters)"),
     ):
         r = cli(*cmd.split(), stdin=stdin, timeout=10)
         expect(r[:3] == (2, "", message + "\n"), f"treesym {cmd} on {stdin!r}: {r[:3]}, want exit 2, {message!r}")
@@ -200,9 +224,10 @@ def pinned_verification() -> None:
     expect(not bad and codes == {0, 4}, f"verify --pin against the brute check: {bad}; exits {sorted(codes)}")
 
 
-# the 10-star oracle child peaks at up to 64 MB just before the 12-star's 60 MB ceiling: only a per-child peak holds
+# the checks the tier-1 suite runs too, each in a fresh interpreter (tests/test_cli_checks.py)
 FAST = (same_output_under_O, corpora_parse_back, star_oracle_censuses, star12_refused, closed_stdout, input_errors)
-CHECKS = FAST + (one_root_against_all_roots, pinned_verification)  # the per-vertex sweeps start 285 children
+# the per-vertex sweeps start 285 children; the over-budget census lists 2,000,000 automorphisms
+CHECKS = FAST + (one_root_against_all_roots, pinned_verification, cherry16_past_budget)
 
 
 def main() -> None:

@@ -23,7 +23,7 @@ from .coloring import to_dot, unrank_of, verify_distinguishing
 from .corpus import FAMILIES, CorpusSpec, conjecture_check, generate, run_theorem_suite
 from .oracle import MAX_GRAPH_VERTICES, brute_asym
 from .treelike import extract_forest, is_treelike, parse_graph_edge_list, treelike_distinguish
-from .trees import Coloring, EdgeListParseError, Tree, _is_decimal, parse_edge_list, root_at, serialize_edge_list
+from .trees import Coloring, EdgeListParseError, Tree, _cut, _ints, parse_edge_list, root_at, serialize_edge_list
 
 SCHEMA = 1
 CORPUS_FLAGS = ("all-trees", "random-prufer", "caterpillar", "lobed-extremal", "kary", "spider")  # in precedence order
@@ -99,7 +99,7 @@ def cmd_analyze(args) -> int:
 
 def _check_count(args) -> None:
     if args.count is not None and args.count < 0:
-        raise EdgeListParseError(f"--count must be non-negative, got {args.count}")
+        raise EdgeListParseError(f"--count must be non-negative, got {_cut(args.count)}")
 
 
 def cmd_color(args) -> int:
@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
     if coloring.n != t.n:
         raise EdgeListParseError(f"coloring length {coloring.n} != n = {t.n}")
     if args.pin is not None and not (0 <= args.pin < t.n):
-        raise EdgeListParseError(f"pin {args.pin} out of range 0..{t.n - 1}")
+        raise EdgeListParseError(f"pin {_cut(args.pin)} out of range 0..{t.n - 1}")
     ok = verify_distinguishing(t, coloring, pinned=args.pin)
     print("true" if ok else "false")
     return 0 if ok else 4
@@ -211,13 +211,11 @@ def cmd_treelike(args) -> int:
 
 
 def _ascii_int(text: str) -> int:
-    """``int`` for an option, on a plain decimal only (``trees._is_decimal``), with argparse's message."""
-    if _is_decimal(text):
-        try:
-            return int(text)
-        except ValueError:  # past Python's int <-> str digit limit
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    """``int`` for an option, by the edge-list token rule (``trees._ints``), with argparse's message."""
+    try:
+        return _ints([text], False)[0]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_cut(text, repr)}") from None
 
 
 @functools.cache

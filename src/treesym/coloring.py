@@ -263,7 +263,7 @@ def one_ended_truncation(tree: Tree, ray) -> OneEndedTruncation:
         raise ValueError("ray must be a nonempty sequence of distinct vertices")
     for v in ray:
         if not (0 <= v < tree.n):
-            raise ValueError(f"ray vertex {v} out of range")
+            raise ValueError(f"ray vertex {_cut(v)} out of range")
     for a, b in zip(ray, ray[1:]):
         if b not in tree.adj[a]:
             raise ValueError(f"ray vertices {a}, {b} are not adjacent")

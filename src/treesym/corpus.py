@@ -10,7 +10,7 @@ from .asym import GroupOrderBound, _a_product, a_at_root, a_by_class, asym_of
 from .autom import aut_order_of, motion, motion_of
 from .canon import TreeAnalysis, _toward_center
 from .coloring import OneEndedTruncation, construct_of, one_ended_truncation
-from .trees import Tree, _build_adjacency, serialize_edge_list
+from .trees import Tree, _build_adjacency, _cut, serialize_edge_list
 
 ALL_TREES_MAX = 12
 LOBED_EXTREMAL_MAX = 26  # lobed_extremal(m) has m/2 * 2^(m/2) + 1 vertices: 106,497 at m = 26
@@ -41,11 +41,11 @@ def tree_from_pruefer(n: int, seq) -> Tree:
     without a scan. The edge list is the same as the rescan decoder's, and
     it is a tree by construction, so it is not validated again.
     """
+    seq = list(seq)
+    if len(seq) != n - 2 + (n == 1) or any(not 0 <= a < n for a in seq):  # K1 has the empty sequence
+        raise ValueError("sequence must have length n-2 with entries in 0..n-1")
     if n == 1:
         return Tree(1, _build_adjacency(1, []))
-    seq = list(seq)
-    if len(seq) != n - 2 or any(not 0 <= a < n for a in seq):
-        raise ValueError("sequence must have length n-2 with entries in 0..n-1")
     deg = [1] * n
     for a in seq:
         deg[a] += 1
@@ -152,7 +152,7 @@ def lobed_extremal(m: int) -> Tree:
     if m < 2 or m % 2 != 0:
         raise ValueError("m must be an even integer >= 2")
     if m > LOBED_EXTREMAL_MAX:
-        raise ValueError(f"m = {m} exceeds cap {LOBED_EXTREMAL_MAX}")
+        raise ValueError(f"m = {_cut(m)} exceeds cap {LOBED_EXTREMAL_MAX}")
     half = m // 2
     return spider(1 + half * (1 << half), 1 << half)
 
@@ -193,7 +193,7 @@ def spider(n: int, legs: int) -> Tree:
 def generate(spec: CorpusSpec) -> Iterator[Tree]:
     """Deterministic stream of trees for one family spec."""
     if spec.family not in FAMILIES:
-        raise ValueError(f"unknown family {spec.family!r}; expected one of {tuple(FAMILIES)}")
+        raise ValueError(f"unknown family {_cut(spec.family, repr)}; expected one of {tuple(FAMILIES)}")
     required = FAMILIES[spec.family]
     if any(getattr(spec, name) is None for name in required):
         raise ValueError(f"{spec.family} requires {' and '.join(required)}")

@@ -9,11 +9,11 @@ validated against these results, never the other way around.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from math import factorial, prod
-from operator import ne
+from operator import itemgetter, ne
 
 from .autom import AutomorphismLimitExceeded, Motion, _automorphisms, enumerate_automorphisms
 from .trees import Tree
@@ -112,7 +112,8 @@ def brute_asym(t: Tree, pinned: int | None = None, aut_limit: int = DEFAULT_AUT_
     """
     if t.n > MAX_ORACLE_VERTICES:
         raise OracleSizeError(f"n = {t.n} exceeds oracle cap {MAX_ORACLE_VERTICES}")
-    auts = list(_budgeted_automorphisms(t, aut_limit, pinned))
+    tally = count()  # counts every automorphism the search yields, the identity too
+    auts = map(itemgetter(0), zip(_budgeted_automorphisms(t, aut_limit, pinned), tally))
     moved: list = []  # the (support, pairs) of each non-identity automorphism the scan has reached
     fresh = (moved.append(m) or m for m in map(_moved_points, auts) if m[0])  # builds and keeps the next one
 
@@ -132,7 +133,8 @@ def brute_asym(t: Tree, pinned: int | None = None, aut_limit: int = DEFAULT_AUT_
             dist_count += 1
             if not below:
                 reps.append(mask)
-    return OrbitReport(t.n, 1 << t.n, dist_count, len(reps), len(auts), tuple(reps))
+    deque(auts, 0)  # counts, and drops, those the scan never reached; a search past the budget raises here
+    return OrbitReport(t.n, 1 << t.n, dist_count, len(reps), next(tally), tuple(reps))
 
 
 def brute_motion(t: Tree, aut_limit: int = DEFAULT_AUT_LIMIT) -> Motion:

@@ -318,7 +318,7 @@ class RootedTree:
 
 def _check_root(n: int, w: int) -> None:
     if not (0 <= w < n):
-        raise ValueError(f"root {w} out of range 0..{n - 1}")
+        raise ValueError(f"root {_cut(w)} out of range 0..{n - 1}")
 
 
 def root_at(t: Tree, w: int) -> RootedTree:

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from treesym import ConjectureReport, CorpusSpec, EdgeListParseError, generate, serialize_edge_list
+from treesym import ConjectureReport, CorpusSpec, EdgeListParseError, generate, parse_edge_list, serialize_edge_list
 from treesym.asym import asym_of
 from treesym.autom import aut_order_of
 from treesym.cli import main
@@ -705,10 +705,8 @@ def test_non_ascii_digits_in_integer_options_are_rejected(tree_file, capsys, arg
         ("1_0\n0 1\n", ("treelike", "-"), "error: line 1: expected vertex count, got '1_0'"),
         (P3_PATH, ("analyze", "-", "--root", "0_1"), "error: argument --root: invalid int value: '0_1'"),
         ("", ("corpus", "--random-prufer", "5", "--seed", "+1"), "error: argument --seed: invalid int value: '+1'"),
-        pytest.param(
-            P3_PATH, ("color", "-", "--index", "1" * 4301), f"error: argument --index: invalid int value: '{'1' * 4301}'",
-            marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int <-> str digit limit"),
-        ),
+        (P3_PATH, ("color", "-", "--index", "1" * 4301),
+         f"error: argument --index: invalid int value: '{'1' * 40}'... (cut, 4301 characters)"),
     ],
     ids=["underscore-id", "plus-id", "underscore-header", "underscore-root", "plus-seed", "past-digit-limit"],
 )
@@ -723,6 +721,72 @@ def test_numbers_are_plain_decimals(capsys, monkeypatch, text, argv, message):
         code = exc.code
     out, err = capsys.readouterr()
     assert (code, out) == (2, "") and err.endswith(message + "\n"), err
+
+
+@pytest.fixture(params=["limit", "no-limit"])
+def digit_limit(request):
+    """Python's int <-> str digit limit as it is, and lifted (3.10.0-3.10.6 have none)."""
+    limit = int_str_limit()
+    if request.param == "no-limit" and limit is not None:
+        sys.set_int_max_str_digits(0)
+    yield request.param
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+OPTION_TOKENS = ["0", "2", "-0", "-1", "007", "1" * 4300, "-" + "1" * 4299, "-" + "1" * 4300, "1" * 4301, "0" * 4301,
+                 "-", "--1", "+1", "1_0", "0x1", "1.0", "1e3", "١", "３", "-٣", "²"]
+
+
+def test_an_option_takes_exactly_the_numbers_an_edge_list_takes(tree_file, capsys, digit_limit):
+    # one token rule (trees._ints) for both, whether or not Python's digit limit is lifted
+    path = tree_file(P3)
+    for token in OPTION_TOKENS:
+        try:
+            parse_edge_list(f"2\n0 {token}\n")
+            as_id = True
+        except EdgeListParseError as exc:
+            as_id = "non-integer vertex id" not in str(exc)
+        try:
+            code = main(["color", path, f"--index={token}"])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code != 2) == as_id, (digit_limit, token[:50], code, err[-200:])
+        if not as_id:
+            assert out == "" and "invalid int value" in err and len(err.encode()) < 300, (token[:50], err)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("analyze", "TREE", "--root", "9" * 4300), f"root {'9' * 40}... (cut, 4300 characters) out of range 0..2"),
+        (("color", "TREE", "--root", "9" * 4300), f"root {'9' * 40}... (cut, 4300 characters) out of range 0..2"),
+        (("verify", "TREE", "--coloring", "000", "--pin", "9" * 4300),
+         f"pin {'9' * 40}... (cut, 4300 characters) out of range 0..2"),
+        (("color", "TREE", "--count", "-" + "9" * 4299),
+         f"--count must be non-negative, got -{'9' * 39}... (cut, 4300 characters)"),
+        (("corpus", "--random-prufer", "5", "--count", "-" + "9" * 4299),
+         f"--count must be non-negative, got -{'9' * 39}... (cut, 4300 characters)"),
+        (("corpus", "--lobed-extremal", "9" * 4299 + "8"), f"m = {'9' * 40}... (cut, 4300 characters) exceeds cap 26"),
+        (("verify", "TREE", "--coloring", "000", "--pin", "9" * 4301),
+         f"argument --pin: invalid int value: '{'9' * 40}'... (cut, 4301 characters)"),
+        (("treelike", "TREE", "--root", "9" * 4301),
+         f"argument --root: invalid int value: '{'9' * 40}'... (cut, 4301 characters)"),
+    ],
+    ids=["analyze-root", "color-root", "verify-pin", "color-count", "corpus-count", "lobed-extremal",
+         "past-the-token-rule-pin", "past-the-token-rule-root"],
+)
+def test_long_option_values_are_quoted_cut(tree_file, capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    argv = [tree_file(P3) if a == "TREE" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects an option with a usage message
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.endswith(f"error: {message}\n"), err[-300:]
+    assert len(err.encode()) <= 200, err
 
 
 def test_closed_stdout_exits_0_quietly():

@@ -32,7 +32,7 @@ from treesym.asym import a_by_class, asym_of
 from treesym.autom import aut_order_of, motion_of
 from treesym.canon import TreeAnalysis
 from treesym.cli import main
-from treesym.corpus import LOBED_EXTREMAL_MAX, SuiteReport, TreeRecord, all_trees, caterpillar, random_tree
+from treesym.corpus import FAMILIES, LOBED_EXTREMAL_MAX, SuiteReport, TreeRecord, all_trees, caterpillar, random_tree
 from treesym.oracle import brute_graph_aut
 from treesym.treelike import RootedGraph, _component_tree, extract_forest, treelike_distinguish
 
@@ -139,7 +139,9 @@ def test_pruefer_decoder_matches_reference(monkeypatch):
         assert decoded_edges(monkeypatch, n, seq) == reference_pruefer_edges(n, seq)
 
 
-@pytest.mark.parametrize("n, seq", [(4, [0]), (4, [0, 1, 2]), (4, [0, 4]), (4, [-1, 0]), (0, []), (-1, []), (0, [0, 0])])
+@pytest.mark.parametrize(
+    "n, seq", [(4, [0]), (4, [0, 1, 2]), (4, [0, 4]), (4, [-1, 0]), (0, []), (-1, []), (0, [0, 0]), (1, [5, 7]), (1, [0])]
+)
 def test_pruefer_rejects_invalid(n, seq):
     with pytest.raises(ValueError, match=r"^sequence must have length n-2 with entries in 0\.\.n-1$"):
         tree_from_pruefer(n, seq)
@@ -308,6 +310,9 @@ def test_generate_matches_reference_on_every_field_combination():
         (lambda: lobed_extremal(28), "m = 28 exceeds cap 26"),
         (lambda: lobed_extremal(40), "m = 40 exceeds cap 26"),
         (lambda: lobed_extremal(10**9), "m = 1000000000 exceeds cap 26"),
+        (lambda: lobed_extremal(10**300), f"m = 1{'0' * 39}... (cut, 301 characters) exceeds cap 26"),
+        (lambda: next(generate(CorpusSpec("x" * 500))),  # 616 characters with the family quoted in full
+         f"unknown family '{'x' * 40}'... (cut, 500 characters); expected one of {tuple(FAMILIES)}"),
         (lambda: next(all_trees(0)), "n must be at least 1"),
         (lambda: next(all_trees(-1)), "n must be at least 1"),
         (lambda: kary_tree(0, 2), "vertex count must be at least 1"),
@@ -315,7 +320,7 @@ def test_generate_matches_reference_on_every_field_combination():
         (lambda: kary_tree(0, 0), "arity must be at least 1"),  # the arity is checked first
     ],
     ids=["random-0", "random-negative", "caterpillar-0", "spider-no-legs", "spider-short",
-         "lobed-28", "lobed-40", "lobed-1e9", "all-trees-0", "all-trees-negative", "kary-0", "kary-negative",
+         "lobed-28", "lobed-40", "lobed-1e9", "lobed-1e300", "long-family", "all-trees-0", "all-trees-negative", "kary-0", "kary-negative",
          "kary-0-no-arity"],
 )
 def test_family_arguments_name_what_is_wrong(make, message):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -892,3 +893,35 @@ def test_census_builds_the_moved_points_of_five_star_automorphisms(monkeypatch):
     assert 1 <= len([sigma for sigma in built if sigma != tuple(range(9))]) <= 5
     assert len(built) == len(set(built)) and counted == []
 
+
+
+def test_census_keeps_no_automorphism_it_never_reads():
+    # the 9-vertex star's 40,320 automorphisms are counted as the search lists them: the census reads 5, and
+    # keeping the list of all of them peaked at 4.65 MiB
+    brute_asym(star(9))
+    tracemalloc.start()
+    try:
+        report = brute_asym(star(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.aut_order, report.distinguishing_count) == (40_320, 0)
+    assert peak <= 0.5 * 2**20, peak
+
+
+def test_a_census_that_stops_reading_still_refuses_past_the_budget(images_listed, monkeypatch):
+    # a center with 3 leaves and two claws of 3 leaves: 432 automorphisms, of which sibling leaves alone make 216,
+    # so a budget of 431 is not refused at once. The scan reads 6 of them, as every coloring is fixed by one; the
+    # rest are still listed, counted and refused past the budget
+    claws = [(0, 4), (4, 5), (4, 6), (4, 7), (0, 8), (8, 9), (8, 10), (8, 11)]
+    t = Tree.from_edges(12, [(0, 1), (0, 2), (0, 3), *claws])
+    built = []
+    build = oracle_module._moved_points
+    monkeypatch.setattr(oracle_module, "_moved_points", lambda sigma: built.append(sigma) or build(sigma))
+    want = reference_sorted_brute_asym(t)
+    images_listed.clear()
+    assert brute_asym(t, aut_limit=432) == want and want.aut_order == 432
+    assert len(images_listed) == 432 and len(built) == 6
+    images_listed.clear()
+    budget = (OracleSizeError, "automorphism count exceeds limit 431", AutomorphismLimitExceeded)
+    assert oracle_outcome(brute_asym, t, aut_limit=431) == budget and len(images_listed) == 431
