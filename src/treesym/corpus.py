@@ -353,10 +353,15 @@ def conjecture_check(t: Tree) -> ConjectureReport:
     when b(w) = 0. The witness is the first violating (w, x), in vertex order,
     then in ``adj[w]`` order. The two sides always agree
     (``ConjectureReport``), so this tests ``canon._toward_center``.
+
+    Only b's zeros are read, so b comes from class values capped at Delta + 1,
+    each product read as nonzero: every run is shorter than the cap, so each
+    zero test stays exact, and b holds small ints where exact values reach n bits.
     """
     an = TreeAnalysis.at_center(t)
     a = a_by_class(an)
-    b = _toward_center(an, a, _a_product)
+    cap = t.delta + 1
+    b = _toward_center(an, [min(x, cap) for x in a], lambda vals, runs, k: _a_product(vals, runs, k) > 0)
     ids, sigs, parent, roots = an.ids, an.sigs, an.rt.parent, an.roots
     violation = None
     for w in range(t.n):

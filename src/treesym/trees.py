@@ -129,6 +129,14 @@ def _is_decimal(text: str) -> bool:
 
 
 def _cut(x, show=str) -> str:
+    """``show(str(x))``, or its first 40 characters and the length when longer; a long int is never converted whole."""
+    if isinstance(x, int) and x.bit_length() > 4 * _ECHO_CHARS:  # at least 49 digits: quoted from its leading ones
+        sign, a = "-" * (x < 0), abs(x)
+        digits = int(a.bit_length() * 0.30102999566398120) - 1  # log10(2): a little below the digit count
+        while 10**digits <= a:
+            digits += 1
+        lead = a // 10 ** (digits - _ECHO_CHARS + len(sign))
+        return f"{show(sign + str(lead))}... (cut, {len(sign) + digits} characters)"
     text = str(x)
     if len(text) <= _ECHO_CHARS:
         return show(text)

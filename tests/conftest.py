@@ -114,26 +114,6 @@ def trees_up_to(max_n: int) -> list[Tree]:
     return out
 
 
-def branch_runs(sig: tuple[tuple[int, int], ...], add: int = -1, drop: int = -1) -> tuple[tuple[int, int], ...]:
-    """The run table ``sig`` with one more branch of class ``add`` and one fewer of class ``drop`` (-1: none).
-
-    The run-table editor the library used before every table came from ``canon._runs``; the
-    reference kernels of ``test_class_kernels`` and ``test_rerooting`` build their tables with it.
-    """
-    out = []
-    for k, mu in sig:
-        if 0 <= add < k:
-            out.append((add, 1))
-        mu += (k == add) - (k == drop)
-        if add <= k:
-            add = -1
-        if mu:
-            out.append((k, mu))
-    if add >= 0:
-        out.append((add, 1))
-    return tuple(out)
-
-
 @st.composite
 def random_trees(draw, min_n: int = 1, max_n: int = 10):
     n = draw(st.integers(min_n, max_n))

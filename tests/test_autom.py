@@ -1,6 +1,5 @@
 import operator
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +19,12 @@ from treesym import (
     tree_from_pruefer,
 )
 from treesym.asym import asym_at_every_root, asym_rooted
-from treesym.canon import TreeAnalysis
+from treesym.autom import _aut_product, aut_by_class
+from treesym.canon import TreeAnalysis, _toward_center
 from treesym.trees import EdgeCenter, center
 
 from .conftest import random_trees, trees_up_to, trees_with_permutation
+from .reference import reference_aut_order_rooted
 
 
 def test_aut_order_examples(k13, p4, asym7):
@@ -112,36 +113,22 @@ def test_exhaustive_oracle_equivalence_small():
         else:
             assert motion(t) == ASYMMETRIC
         assert (motion(t) == ASYMMETRIC) == (aut_order(t) == 1)
-        by_orbit = reference_aut_order_rooted(t)
         for w in range(t.n):
-            assert aut_order_rooted(root_at(t, w)) == by_orbit[w] == sum(
+            rt = root_at(t, w)
+            assert aut_order_rooted(rt) == reference_aut_order_rooted(rt) == sum(
                 1 for s in enumerate_automorphisms(t, pinned=w)
             )
 
 
-def reference_aut_order_rooted(t) -> list[int]:
-    """|Aut(T,w)| at every w by orbit-stabilizer: |Aut(T)| over the size of w's orbit.
-
-    Automorphisms keep the center, so two vertices share an orbit iff the
-    class ids on their paths up to the center's ends agree.
-    """
-    an = TreeAnalysis.at_center(t)
-    paths = []
-    for x in range(t.n):
-        ids = [an.ids[x]]
-        while x not in an.roots:
-            x = an.rt.parent[x]
-            ids.append(an.ids[x])
-        paths.append(tuple(ids))
-    order, orbit = aut_order(t), Counter(paths)
-    return [order // orbit[p] for p in paths]
-
-
 def test_rooted_values_build_no_rooting(table_builds):
-    # a(T,w) and |Aut(T,w)| at one root read the kept center table, never the rooting's own tables
+    # a(T,w) and |Aut(T,w)| at one root read the kept center table, never the rooting's own tables; the
+    # all-roots pass gives the same values
     rng = random.Random(2000)
     t = tree_from_pruefer(2000, [rng.randrange(2000) for _ in range(1998)])
-    a_ref, aut_ref = asym_at_every_root(t), reference_aut_order_rooted(t)
+    an = TreeAnalysis.at_center(t)
+    vals = aut_by_class(an)
+    a_ref = asym_at_every_root(t)
+    aut_ref = [vals[c] * b for c, b in zip(an.ids, _toward_center(an, vals, _aut_product))]
     assert table_builds == [TreeAnalysis.at_center(t).rt.root]  # the kept center table's one rooting
     table_builds.clear()
     assert [asym_rooted(root_at(t, w)) for w in range(t.n)] == list(a_ref)

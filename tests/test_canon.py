@@ -6,7 +6,7 @@ import sys
 import tracemalloc
 import weakref
 from collections import Counter
-from itertools import groupby, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -51,6 +51,13 @@ from .conftest import (
     trees_with_permutation,
 )
 
+from .reference import (
+    reference_analysis,
+    reference_colored_unrooted_code,
+    reference_subtree_codes,
+    reference_unrooted_code,
+)
+
 
 def brute_isomorphic(t1: Tree, t2: Tree) -> bool:
     """Oracle: search all vertex bijections for an edge-preserving one."""
@@ -93,20 +100,6 @@ def test_codes_interned_within_tree(k14):
     rt = root_at(k14, 0)
     codes = subtree_codes(rt)
     assert codes[1] is codes[2] is codes[3] is codes[4]
-
-
-def reference_subtree_codes(rt) -> tuple[bytes, ...]:
-    """``subtree_codes`` with its own loop, before the colored codes shared it (the reference)."""
-    codes: list[bytes] = [b""] * rt.tree.n
-    interned: dict[bytes, bytes] = {}
-    for v in reversed(rt.bfs_order):
-        kids = rt.children[v]
-        if not kids:
-            raw = b"()"
-        else:
-            raw = b"(" + b"".join(sorted(codes[c] for c in kids)) + b")"
-        codes[v] = interned.setdefault(raw, raw)
-    return tuple(codes)
 
 
 def test_subtree_codes_match_reference():
@@ -268,35 +261,6 @@ def test_twin_classes_are_child_orbits():
             for i, a in enumerate(reps):
                 for b in reps[i + 1 :]:
                     assert not exists_automorphism(t.adj, pinned=y, forced={a: b})
-
-
-def reference_analysis(rt, cut=None):
-    """The ``TreeAnalysis.of`` that sorted and mapped every key and grouped runs with ``groupby``.
-
-    Returns (roots, children, ids, sigs, reps).
-    """
-    children = list(rt.children)
-    roots = (rt.root,)
-    if cut is not None:
-        children[rt.root] = tuple(c for c in children[rt.root] if c != cut)
-        roots = (rt.root, cut)
-    ids = [0] * rt.tree.n
-    index = {}
-    sigs = []
-    reps = []
-    cls = ids.__getitem__
-    for x in reversed(rt.bfs_order):
-        kids = children[x]
-        if len(kids) > 1:
-            kids = children[x] = tuple(sorted(kids, key=cls))
-        key = tuple(map(cls, kids))
-        cid = index.get(key)
-        if cid is None:
-            cid = index[key] = len(sigs)
-            sigs.append(tuple((k, len(list(run))) for k, run in groupby(key)))
-            reps.append(x)
-        ids[x] = cid
-    return roots, tuple(children), tuple(ids), tuple(sigs), tuple(reps)
 
 
 def analysis_fields(rt, cut=None):
@@ -607,15 +571,6 @@ def test_kept_a_values_keep_linear_memory():
         tracemalloc.stop()
     assert "_a" in TreeAnalysis.at_center(t).__dict__
     assert kept < 6.2 * 10**6  # 3.1 MB on Python 3.11, doubled
-
-
-def reference_unrooted_code(t: Tree) -> bytes:
-    """The code as written before it read the center ends from ``center``: through the center analysis."""
-    return min(subtree_codes(root_at(t, w))[w] for w in TreeAnalysis.at_center(t).roots)
-
-
-def reference_colored_unrooted_code(t: Tree, coloring: Coloring) -> bytes:
-    return min(colored_subtree_codes(root_at(t, w), coloring)[w] for w in TreeAnalysis.at_center(t).roots)
 
 
 def center_ends_corpus() -> list[Tree]:

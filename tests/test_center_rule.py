@@ -6,69 +6,24 @@ isomorphic halves; the library reads one run table instead.
 """
 
 import random
-from math import comb, factorial
 
 import pytest
 
 from treesym import Tree, kary_tree, relabel, root_at, spider, tree_from_pruefer
 from treesym.asym import a_by_class, asym_of
-from treesym.autom import ASYMMETRIC, Motion, aut_by_class, aut_order_of, motion_of
+from treesym.autom import aut_by_class, aut_order_of, motion_of
 from treesym.canon import TreeAnalysis
-from treesym.coloring import _to_coloring, _unrank_into, combinadic_unrank, unrank_of
+from treesym.coloring import unrank_of
 
 from .conftest import path, relabeled_families, trees_up_to
-
-
-def reference_aut_by_class(an):
-    vals = []
-    for sig in an.sigs:
-        acc = 1
-        for k, mu in sig:
-            acc *= factorial(mu) * vals[k] ** mu
-        vals.append(acc)
-    return vals
-
-
-def reference_asym_of(an, a):
-    if len(an.roots) == 1:
-        return a[an.ids[an.roots[0]]]
-    a_u, a_v = (a[an.ids[r]] for r in an.roots)
-    return comb(a_u, 2) if an.iso_halves else a_u * a_v
-
-
-def reference_aut_order_of(an):
-    vals = reference_aut_by_class(an)
-    order = 1
-    for r in an.roots:
-        order *= vals[an.ids[r]]
-    return 2 * order if an.iso_halves else order
-
-
-def reference_motion_of(an):
-    size = an.rt.subtree_size
-    candidates = [2 * size[an.reps[k]] for sig in an.sigs for k, mu in sig if mu >= 2]
-    if an.iso_halves:
-        candidates.append(an.rt.tree.n)
-    return Motion(min(candidates)) if candidates else ASYMMETRIC
-
-
-def reference_unrank_of(an, a, index):
-    total = reference_asym_of(an, a)
-    if not (0 <= index < total):
-        raise IndexError(f"index {index} out of range [0, {total})")
-    colors = [None] * an.rt.tree.n
-    if len(an.roots) == 1:
-        _unrank_into(an, a, an.roots[0], index, colors)
-        return _to_coloring(colors)
-    u, v = an.roots
-    a_u = a[an.ids[u]]
-    if an.iso_halves:
-        s_u, s_v = combinadic_unrank(index, a_u, 2)
-    else:
-        s_u, s_v = index % a_u, index // a_u
-    _unrank_into(an, a, u, s_u, colors)
-    _unrank_into(an, a, v, s_v, colors)
-    return _to_coloring(colors)
+from .reference import (
+    reference_asym_of,
+    reference_aut_order_of,
+    reference_aut_product,
+    reference_by_class,
+    reference_motion_of,
+    reference_unrank_of,
+)
 
 
 def center_kind(an) -> str:
@@ -82,10 +37,12 @@ def assert_matches_reference(an, rng) -> int:
     a = a_by_class(an)
     total = reference_asym_of(an, a)
     assert asym_of(an, a) == total
-    assert aut_by_class(an) == reference_aut_by_class(an)
+    assert aut_by_class(an) == reference_by_class(an, reference_aut_product)
     assert aut_order_of(an) == reference_aut_order_of(an)
     assert motion_of(an) == reference_motion_of(an)
-    indices = {i for i in (0, 1, total - 1, rng.randrange(total)) if i < total} if total else set()
+    mu_max = max((mu for sig in an.sigs for _, mu in sig), default=1)
+    indices = {0, 1, mu_max, total - 1, rng.randrange(total), rng.randrange(total)} if total else set()
+    indices = {i for i in indices if i < total}
     for index in indices:
         assert unrank_of(an, a, index) == reference_unrank_of(an, a, index), (an.rt.tree.adj, an.roots, index)
     for index in (-1, total):
@@ -105,9 +62,10 @@ def test_center_rule_matches_reference_on_all_small_trees():
     kinds = {}
     for t0 in trees_up_to(10):
         for t in (t0, relabeled(t0, rng), relabeled(t0, rng)):
-            for an in (TreeAnalysis.at_center(t), TreeAnalysis.of(root_at(t, rng.randrange(t.n)))):
+            roots = range(t.n) if t is t0 else [rng.randrange(t.n)]  # every root of each tree once
+            for an in (TreeAnalysis.at_center(t), *(TreeAnalysis.of(root_at(t, w)) for w in roots)):
                 kinds[center_kind(an)] = kinds.get(center_kind(an), 0) + assert_matches_reference(an, rng)
-    assert min(kinds.values()) > 100 and len(kinds) == 3
+    assert min(kinds.values()) > 100 and len(kinds) == 3 and sum(kinds.values()) > 7000
 
 
 def bounded_degree_tree(rng, n: int) -> Tree:
@@ -132,14 +90,40 @@ def doubled(rng, half: int) -> Tree:
     return relabeled(Tree.from_edges(2 * half, edges), rng)
 
 
+def edge_centered_pair(rng: random.Random, m: int, iso: bool) -> Tree:
+    """Two rooted halves of equal height joined at their roots, so the joining edge is the center.
+
+    With ``iso`` the second half is a copy of the first; without, it is the first with one
+    more leaf hung below a vertex above the lowest level, so it keeps the height and is larger.
+    """
+    half = tree_from_pruefer(m, [rng.randrange(m) for _ in range(m - 2)]) if m > 2 else path(m)
+    rt = root_at(half, rng.randrange(m))
+    depth = [0] * m
+    for v in rt.bfs_order[1:]:
+        depth[v] = depth[rt.parent[v]] + 1
+    edges = [(v, rt.parent[v]) for v in rt.bfs_order[1:]]
+    edges += [(u + m, v + m) for u, v in edges] + [(rt.root, rt.root + m)]
+    n = 2 * m
+    if not iso:
+        edges.append((rng.choice([v for v in range(m) if depth[v] < max(depth)]) + m, n))
+        n += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Tree.from_edges(n, edges), perm)
+
+
 def test_center_rule_matches_reference_on_seeded_large_trees():
     rng = random.Random(52)
     trees = relabeled_families(53, (100, 501, 2000))
     trees += [relabeled(bounded_degree_tree(rng, rng.randrange(100, 2001)), rng) for _ in range(24)]
     trees += [doubled(rng, rng.randrange(50, 1001)) for _ in range(8)]
     trees += [relabeled(t, rng) for t in (path(1000), path(1001), spider(1201, 4), kary_tree(1500, 3))]
+    analyses = [TreeAnalysis.at_center(t) for t in trees]
+    for n in (4, 9, 40, 150, 600, 2000):  # these also at a random root
+        family = [relabeled(t, rng) for t in (path(n), kary_tree(n, 2), *(spider(n, k) for k in range(3, 13) if k < n))]
+        for t in family + [edge_centered_pair(rng, n // 2, iso) for iso in (True, False)]:
+            analyses += [TreeAnalysis.at_center(t), TreeAnalysis.of(root_at(t, rng.randrange(t.n)))]
     unranked = {}
-    for t in trees:
-        an = TreeAnalysis.at_center(t)
+    for an in analyses:
         unranked[center_kind(an)] = unranked.get(center_kind(an), 0) + assert_matches_reference(an, rng)
     assert unranked["vertex"] >= 20 and unranked["edge"] >= 20 and unranked["iso-halves"] >= 20

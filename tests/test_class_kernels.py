@@ -1,63 +1,37 @@
-"""The class-value kernels against the ones they replaced, kept here as the reference.
+"""The class-value kernels against the ones they replaced, kept as the reference.
 
 ``reference_a_product`` and ``reference_aut_product`` are the earlier products over a
-run table: they took one fewer branch only as a table edited by ``branch_runs``, and
+run table: they took one fewer branch only as a table with that branch removed, and
 paid ``comb``, ``factorial`` and a power on a run of one. ``reference_by_class`` calls
-the product once per class, as ``a_by_class`` did. ``reference_at_root`` is the earlier
-walk to the center, one edited table and one product per step. The new kernels drop the
-branch in place, read a run of one directly, run ``a_by_class`` as one loop and fold the
-steps through an only child into one power; every value must be the same.
+the product once per class, as ``a_by_class`` did. The new kernels drop the branch in
+place, read a run of one directly and run ``a_by_class`` as one loop; every value must be
+the same. The walk to the center, ``_at_root``, is checked against the tree analysed at
+each root in ``test_rerooting``; here only its count of products is.
 """
 
 import random
-from math import comb, factorial
 
 import pytest
 
-from treesym import Tree, caterpillar, relabel, spider
+from treesym import Tree, caterpillar, relabel, root_at, spider
 from treesym.asym import _a_product, a_by_class
 from treesym.autom import _aut_product, aut_by_class
 from treesym.canon import TreeAnalysis, _at_root
 
-from .conftest import branch_runs, path, trees_up_to
+from .conftest import path, trees_up_to
+from .reference import reference_a_product, reference_aut_product, reference_by_class
 from .test_rerooting import SEEDED, joined_at_one_root
 
 
-def reference_a_product(a, pairs):
-    acc = 2
-    for k, mu in pairs:
-        acc *= comb(a[k], mu)
-        if acc == 0:
-            break
-    return acc
+def without(sig, drop):
+    """The run table ``sig`` less one branch of class ``drop`` (-1: none)."""
+    return tuple((k, mu - (k == drop)) for k, mu in sig if mu - (k == drop))
 
 
-def reference_aut_product(vals, sig):
-    acc = 1
-    for k, mu in sig:
-        acc *= factorial(mu) * vals[k] ** mu
-    return acc
-
-
-def reference_by_class(an, product):
-    vals = []
-    for sig in an.sigs:
-        vals.append(product(vals, sig))
-    return vals
-
-
-def reference_at_root(an, vals, product, w):
-    ids, sigs, parent, roots = an.ids, an.sigs, an.rt.parent, an.roots
-    acc = vals[ids[w]]
-    x = w
-    while x not in roots:
-        p = parent[x]
-        acc *= product(vals, branch_runs(sigs[ids[p]], -1, ids[x]))
-        x = p
-    for r in roots:
-        if r != x:
-            acc *= vals[ids[r]]
-    return acc
+def at_root(t, w, reference):
+    """The reference value of the tree analysed at root w."""
+    at_w = TreeAnalysis.of(root_at(t, w))
+    return reference_by_class(at_w, reference)[at_w.ids[w]]
 
 
 KERNELS = ((a_by_class, _a_product, reference_a_product), (aut_by_class, _aut_product, reference_aut_product))
@@ -70,9 +44,7 @@ def assert_kernels_match_reference(t: Tree) -> None:
         assert by_class(an) == vals, t.adj
         for sig in an.sigs:
             for drop in (-1, *(k for k, _ in sig)):
-                assert product(vals, sig, drop) == reference(vals, branch_runs(sig, -1, drop)), (t.adj, sig, drop)
-        for w in range(t.n):
-            assert _at_root(an, vals, product, w) == reference_at_root(an, vals, reference, w), (t.adj, w)
+                assert product(vals, sig, drop) == reference(vals, without(sig, drop)), (t.adj, sig, drop)
 
 
 def test_kernels_match_reference_up_to_10():
@@ -125,7 +97,7 @@ def test_chain_steps_cost_one_product_per_root(n, most):
 
             def counting(vals, runs, drop=-1):
                 calls.append(runs)
-                return reference(vals, branch_runs(runs, -1, drop))
+                return reference(vals, without(runs, drop))
 
-            assert _at_root(an, vals, counting, w) == reference_at_root(an, vals, reference, w)
+            assert _at_root(an, vals, counting, w) == at_root(t, w, reference)
             assert len(calls) <= most, (n, w, len(calls))

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import math
@@ -15,6 +14,7 @@ from treesym.cli import main
 from treesym.corpus import SuiteReport
 
 from .conftest import subprocess_env
+from .reference import reference_build_parser, reference_corpus_spec
 
 P3 = "3\n0 1\n0 2\n"
 P3_PATH = "3\n0 1\n1 2\n"
@@ -522,79 +522,6 @@ def test_in_process_calls_share_one_parser(tree_file, capsys, monkeypatch):
     assert shared[4][1] == "true\n" and shared[5][1] == "false\n"
     assert "unrecognized arguments: --bogus" in shared[1][2]
     assert shared[2][1].startswith("usage: treesym")
-
-
-def reference_build_parser():
-    """The CLI parser as it was built before the family loop: one hand-written flag per corpus family."""
-    from treesym import cli
-
-    parser = argparse.ArgumentParser(
-        prog="treesym",
-        description="Symmetry invariants of finite trees and distinguishing 2-colorings.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full invariant report for one tree")
-    p.add_argument("file", help="edge-list file or - for stdin")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--root", type=int, default=None, help="also report a(T,w) for this root")
-    p.add_argument("--all-roots", action="store_true", help="report a(T,w) for every root")
-    p.set_defaults(func=cli.cmd_analyze)
-
-    p = sub.add_parser("color", help="emit distinguishing colorings")
-    p.add_argument("file")
-    p.add_argument("--index", type=int, default=0, help="class index to unrank (default 0)")
-    p.add_argument("--count", type=int, default=None, help="emit classes 0..count-1 instead")
-    p.add_argument("--root", type=int, default=None, help="color the rooted tree (T,w)")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of 0/1 strings")
-    p.set_defaults(func=cli.cmd_color)
-
-    p = sub.add_parser("verify", help="check whether a coloring is distinguishing")
-    p.add_argument("file")
-    p.add_argument("--coloring", required=True, help="0/1 string in vertex order")
-    p.add_argument("--pin", type=int, default=None, help="only automorphisms fixing this vertex")
-    p.set_defaults(func=cli.cmd_verify)
-
-    p = sub.add_parser("oracle", help="brute-force orbit census (n <= 16)")
-    p.add_argument("file")
-    p.set_defaults(func=cli.cmd_oracle)
-
-    p = sub.add_parser("corpus", help="generate tree families and run the property suite")
-    p.add_argument("--all-trees", type=int, default=None, metavar="N")
-    p.add_argument("--random-prufer", type=int, default=None, metavar="N")
-    p.add_argument("--caterpillar", type=int, default=None, metavar="N")
-    p.add_argument("--lobed-extremal", type=int, default=None, metavar="M")
-    p.add_argument("--kary", type=int, nargs=2, default=None, metavar=("N", "ARITY"))
-    p.add_argument("--spider", type=int, nargs=2, default=None, metavar=("N", "ARITY"))
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--check", action="store_true", help="run the theorem and conjecture suite")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cli.cmd_corpus)
-
-    p = sub.add_parser("treelike", help="tree-like test, forest extraction, distinguishing")
-    p.add_argument("file")
-    p.add_argument("--root", type=int, default=0)
-    p.set_defaults(func=cli.cmd_treelike)
-
-    return parser
-
-
-def reference_corpus_spec(args) -> CorpusSpec:
-    """_corpus_spec as it was written before the family loop: one branch per family, in precedence order."""
-    if args.all_trees is not None:
-        return CorpusSpec("all-trees", n=args.all_trees)
-    if args.random_prufer is not None:
-        return CorpusSpec("random-prufer", n=args.random_prufer, count=args.count, seed=args.seed)
-    if args.caterpillar is not None:
-        return CorpusSpec("caterpillar", n=args.caterpillar, count=args.count, seed=args.seed)
-    if args.lobed_extremal is not None:
-        return CorpusSpec("lobed-extremal", m=args.lobed_extremal)
-    if args.kary is not None:
-        return CorpusSpec("kary", n=args.kary[0], arity=args.kary[1])
-    if args.spider is not None:
-        return CorpusSpec("spider", n=args.spider[0], arity=args.spider[1])
-    raise EdgeListParseError("choose a corpus family (e.g. --all-trees 8)")
 
 
 def corpus_outcome(spec_of, args):

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from itertools import repeat
 from math import comb
 
 import pytest
@@ -32,7 +31,6 @@ from treesym import (
     root_at,
     spider,
     to_dot,
-    tree_from_pruefer,
     treelike_distinguish,
     unrank_distinguishing,
     unrank_unrooted,
@@ -40,10 +38,21 @@ from treesym import (
 )
 from treesym import coloring as coloring_module
 from treesym.asym import a_by_class, asym_of
-from treesym.canon import TreeAnalysis, _center_runs, colored_subtree_codes, colored_unrooted_code, subtree_codes
-from treesym.coloring import _colored_key, _to_coloring, _unrank_into, _whiten_branch, distinguishes, unrank_of
+from treesym.canon import TreeAnalysis, colored_subtree_codes, colored_unrooted_code, subtree_codes
+from treesym.coloring import _colored_key, _to_coloring, _unrank_into, distinguishes, unrank_of
 
 from .conftest import path, random_trees, relabeled_families, star, subprocess_env, trees_up_to
+from .reference import (
+    reference_colored_ids,
+    reference_colored_key,
+    reference_colored_subtree_codes,
+    reference_combinadic_unrank,
+    reference_extend_ray_coloring,
+    reference_lobes,
+    reference_to_dot,
+    reference_unrank_into,
+    reference_verify_pinned,
+)
 from .test_treelike import gadget_graph
 
 
@@ -66,27 +75,6 @@ def test_combinadic_huge_universe():
     picked = combinadic_unrank(12345678901234567890, universe, 3)
     assert len(picked) == 3 and len(set(picked)) == 3
     assert all(0 <= x < universe for x in picked)
-
-
-def reference_combinadic_unrank(rank, universe, k):
-    """The binary-search decoder for every k, kept as the reference."""
-    if k < 0 or universe < 0 or rank < 0 or rank >= comb(universe, k):
-        raise ValueError(f"rank {rank} out of range for C({universe}, {k})")
-    out = []
-    hi = universe - 1
-    for i in range(k, 0, -1):
-        lo = i - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if comb(mid, i) <= rank:
-                lo = mid
-            else:
-                hi = mid - 1
-        out.append(lo)
-        rank -= comb(lo, i)
-        hi = lo - 1
-    out.reverse()
-    return tuple(out)
 
 
 def test_combinadic_k2_every_rank_matches_reference():
@@ -262,13 +250,6 @@ def test_verify_pinned(p3):
 def test_verify_length_mismatch(p3):
     with pytest.raises(ValueError):
         verify_distinguishing(p3, Coloring.from_bits("01"))
-
-
-def reference_verify_pinned(t, coloring, w):
-    """The pinned check that analysed the rooting at the pin, kept as the reference."""
-    if coloring.n != t.n:
-        raise ValueError("coloring length does not match tree")
-    return distinguishes(TreeAnalysis.of(root_at(t, w)), coloring)
 
 
 def test_verify_pinned_matches_rooting_at_the_pin_small():
@@ -501,58 +482,6 @@ def test_extend_outputs_digest_on_twin_lobes():
     assert digest == "b36596f0d37c9f086cd8634a9f62fd80473310dcb59d59f374d72f3cd03db3aa"
 
 
-def reference_unrank_into(an, a, x, index, colors, order=None):
-    """The unranking kernel that decoded every digit through ``combinadic_unrank``, kept as the reference."""
-    stack = [(x, index)]
-    while stack:
-        v, k = stack.pop()
-        colors[v] = "0" if k & 1 else "1"
-        k >>= 1
-        kids = an.children[v]
-        runs = an.sigs[an.ids[v]]
-        if k and order and len(runs) > 1:
-            runs, kids = order(runs, kids)
-        pos = 0
-        for c, mu in runs:
-            cap = comb(a[c], mu)
-            digit = k % cap
-            k //= cap
-            chosen = combinadic_unrank(digit, a[c], mu)
-            stack.extend(zip(kids[pos : pos + mu], chosen))
-            pos += mu
-        if k:
-            raise AssertionError("index not fully consumed")
-
-
-def reference_colored_ids(an, colors, top, table):
-    """The colored-id kernel that walked one BFS per branch into a dict, kept as the reference."""
-    order = [top]
-    for v in order:
-        order.extend(an.children[v])
-    ids = {}
-    collide = False
-    for v in reversed(order):
-        kids = sorted(ids[c] for c in an.children[v])
-        if len(kids) > 1 and len(set(kids)) < len(kids):
-            collide = True
-        ids[v] = table.setdefault((colors[v], *kids), len(table))
-    return ids, collide
-
-
-def reference_colored_key(an, coloring, table):
-    """Sorted colored ids of the roots, one branch walk per root, or None (the reference)."""
-    colors = coloring.bits()
-    top_ids = []
-    for r in an.roots:
-        ids, collide = reference_colored_ids(an, colors, r, table)
-        if collide:
-            return None
-        top_ids.append(ids[r])
-    if len(top_ids) == 2 and top_ids[0] == top_ids[1]:
-        return None
-    return tuple(sorted(top_ids))
-
-
 def reversed_classes(runs, kids):
     """An ``order`` callback that hands the twin classes (and their children) over last first."""
     groups, pos = [], 0
@@ -625,19 +554,22 @@ def test_colored_keys_from_one_table_match_reference():
     assert len(set(pairs.values())) == len(pairs) > 1000
 
 
-def unranking_cases(an, a, rng):
-    """(root, index) pairs: 0, 1, the largest multiplicity, random indices, and the first index out of range."""
+def unranking_cases(an, a, rng, starts):
+    """(start, index) pairs: at a root 0 to 3, 1, the largest multiplicity, random indices and the first index out
+    of range; at any other start whose branch has a coloring, index 0. A zero digit writes only twin positions."""
     mu_max = max((mu for sig in an.sigs for _, mu in sig), default=1)
-    for r in an.roots:
-        total = a[an.ids[r]]
-        if total:
-            for index in {0, 1, mu_max, rng.randrange(total), rng.randrange(total), total}:
-                yield r, index
+    for x in starts:
+        total = a[an.ids[x]]
+        if x in an.roots and total:
+            for index in {0, 1, 2, 3, mu_max, rng.randrange(total), rng.randrange(total), total}:
+                yield x, index
+        elif total:
+            yield x, 0
 
 
-def assert_unranking_matches_reference(an, a, rng):
+def assert_unranking_matches_reference(an, a, rng, starts):
     n = an.rt.tree.n
-    for r, index in unranking_cases(an, a, rng):
+    for r, index in unranking_cases(an, a, rng, starts):
         for order in (None, reversed_classes):
             got, want = [None] * n, [None] * n
             try:
@@ -654,160 +586,15 @@ def test_unrank_into_matches_reference_small():
     rng = random.Random(36)
     for t in trees_up_to(9):
         for an in analyses_at_every_root(t):
-            assert_unranking_matches_reference(an, a_by_class(an), rng)
+            assert_unranking_matches_reference(an, a_by_class(an), rng, range(t.n))
 
 
 def test_unrank_into_matches_reference_on_seeded_corpora():
     rng = random.Random(37)
     for t in relabeled_families(38, (4, 9, 40, 150, 600, 2000)):
-        an = TreeAnalysis.at_center(t)
-        assert_unranking_matches_reference(an, a_by_class(an), rng)
-
-
-def previous_unrank_into(an, a, x, index, colors, order=None):
-    """The stack kernel that the one top-down pass replaced, kept as the reference.
-
-    It pushed (vertex, sub-index) pairs and popped them depth first, one pair per
-    vertex, zero sub-indices included.
-    """
-    children, sigs, ids = an.children, an.sigs, an.ids
-    stack = [(x, index)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        v, k = pop()
-        colors[v] = "0" if k & 1 else "1"
-        k >>= 1
-        kids = children[v]
-        if not kids:
-            if k:
-                raise AssertionError("index not fully consumed")
-            continue
-        runs = sigs[ids[v]]
-        if not k:
-            if len(runs) == len(kids):  # every run a single branch
-                stack.extend(zip(kids, repeat(0)))
-                continue
-            pos = 0
-            for _, mu in runs:
-                stack.extend(zip(kids[pos : pos + mu], range(mu)))
-                pos += mu
-            continue
-        if order and len(runs) > 1:
-            runs, kids = order(runs, kids)
-        pos = 0
-        for c, mu in runs:
-            if mu == 1:
-                k, digit = divmod(k, a[c])
-                push((kids[pos], digit))
-            else:
-                k, digit = divmod(k, comb(a[c], mu))
-                stack.extend(zip(kids[pos : pos + mu], combinadic_unrank(digit, a[c], mu)))
-            pos += mu
-        if k:
-            raise AssertionError("index not fully consumed")
-
-
-def previous_unrank_of(an, a, index):
-    """``unrank_of`` before the one pass: the center digits, then the stack kernel once per root."""
-    colors = [None] * an.rt.tree.n
-    roots = iter(an.roots)
-    for c, mu in _center_runs(an):
-        index, digit = divmod(index, comb(a[c], mu))
-        for sub, r in zip(combinadic_unrank(digit, a[c], mu), roots):
-            previous_unrank_into(an, a, r, sub, colors)
-    return _to_coloring(colors)
-
-
-def assert_low_indices_match_previous_kernel(an, a, starts):
-    # index 0 from each start whose branch has a coloring, and at a root the indices below 4,
-    # whose digits are all zero below the top
-    n = an.rt.tree.n
-    for x in starts:
-        for index in range(min(4 if x in an.roots else 1, a[an.ids[x]])):
-            for order in (None, reversed_classes):
-                got, want = [None] * n, [None] * n
-                previous_unrank_into(an, a, x, index, want, order)
-                _unrank_into(an, a, x, index, got, order)
-                assert got == want, (an.rt.tree.adj, an.roots, x, index, order)
-
-
-def test_zero_index_matches_previous_kernel_small():
-    for t in trees_up_to(9):
-        for an in analyses_at_every_root(t):
-            assert_low_indices_match_previous_kernel(an, a_by_class(an), range(t.n))
-
-
-def test_zero_index_matches_previous_kernel_on_seeded_corpora():
-    rng = random.Random(39)
-    for t in relabeled_families(40, (4, 9, 40, 150, 600, 2000)):
         for an in (TreeAnalysis.at_center(t), TreeAnalysis.of(root_at(t, rng.randrange(t.n)))):
             starts = set(an.roots) | {rng.randrange(t.n) for _ in range(5)}
-            assert_low_indices_match_previous_kernel(an, a_by_class(an), starts)
-
-
-def whole_tree_indices(an, a, rng):
-    """0, 1, the largest multiplicity, two random indices and the last index, where in range."""
-    total = asym_of(an, a)
-    mu_max = max((mu for sig in an.sigs for _, mu in sig), default=1)
-    if not total:
-        return []
-    return sorted(i for i in {0, 1, mu_max, rng.randrange(total), rng.randrange(total), total - 1} if i < total)
-
-
-def assert_unrank_of_matches_stack_kernel(an, a, rng):
-    indices = whole_tree_indices(an, a, rng)
-    for index in indices:
-        got, want = unrank_of(an, a, index), previous_unrank_of(an, a, index)
-        assert got.bits() == want.bits(), (an.rt.tree.adj, an.roots, index)
-    return len(indices)
-
-
-def test_unrank_of_matches_stack_kernel_at_every_root_small():
-    rng = random.Random(41)
-    cases = 0
-    for t in trees_up_to(10):
-        for an in analyses_at_every_root(t):
-            cases += assert_unrank_of_matches_stack_kernel(an, a_by_class(an), rng)
-    assert cases > 7000
-
-
-def edge_centered_pair(rng: random.Random, m: int, iso: bool) -> Tree:
-    """Two rooted halves of equal height joined at their roots, so the joining edge is the center.
-
-    With ``iso`` the second half is a copy of the first; without, it is the first with one
-    more leaf hung below a vertex above the lowest level, so it keeps the height and is larger.
-    """
-    half = tree_from_pruefer(m, [rng.randrange(m) for _ in range(m - 2)]) if m > 2 else path(m)
-    rt = root_at(half, rng.randrange(m))
-    depth = [0] * m
-    for v in rt.bfs_order[1:]:
-        depth[v] = depth[rt.parent[v]] + 1
-    edges = [(v, rt.parent[v]) for v in rt.bfs_order[1:]]
-    edges += [(u + m, v + m) for u, v in edges] + [(rt.root, rt.root + m)]
-    n = 2 * m
-    if not iso:
-        edges.append((rng.choice([v for v in range(m) if depth[v] < max(depth)]) + m, n))
-        n += 1
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return relabel(Tree.from_edges(n, edges), perm)
-
-
-def test_unrank_of_matches_stack_kernel_on_seeded_corpora():
-    rng = random.Random(42)
-    halves = set()
-    for n in (4, 9, 40, 150, 600, 2000):
-        family = [path(n), kary_tree(n, 2)] + [spider(n, legs) for legs in range(3, 13) if legs < n]
-        family += [edge_centered_pair(rng, n // 2, iso) for iso in (True, False)]
-        for t in family:
-            perm = list(range(t.n))
-            rng.shuffle(perm)
-            t = relabel(t, perm)
-            for an in (TreeAnalysis.at_center(t), TreeAnalysis.of(root_at(t, rng.randrange(t.n)))):
-                if len(an.roots) == 2:
-                    halves.add(an.iso_halves)
-                assert_unrank_of_matches_stack_kernel(an, a_by_class(an), rng)
-    assert halves == {True, False}
+            assert_unranking_matches_reference(an, a_by_class(an), rng, starts)
 
 
 class WriteCountingList(list):
@@ -864,30 +651,8 @@ def test_branch_unranking_allocates_nothing_tree_sized():
         finally:
             tracemalloc.stop()
         assert peak < 20_000  # a list of n items alone would take 800 kB
-        previous_unrank_into(an, a, x, index, want)
+        reference_unrank_into(an, a, x, index, want)
         assert got == want
-
-
-def previous_colored_ids(an, colors, order, ids, table):
-    """The colored-id kernel that filed a leaf under a one-item tuple, kept as the reference."""
-    children, setdefault = an.children, table.setdefault
-    for v in order:
-        kids = children[v]
-        if not kids:
-            ids[v] = setdefault((colors[v],), len(table))
-        elif len(kids) == 1:
-            ids[v] = setdefault((colors[v], ids[kids[0]]), len(table))
-        elif len(kids) == 2:
-            a, b = ids[kids[0]], ids[kids[1]]
-            if a == b:
-                return False
-            ids[v] = setdefault((colors[v], a, b) if a < b else (colors[v], b, a), len(table))
-        else:
-            key = sorted([ids[c] for c in kids])
-            if len(set(key)) < len(key):
-                return False
-            ids[v] = setdefault((colors[v], *key), len(table))
-    return True
 
 
 def pinned_colorings(n):
@@ -899,75 +664,28 @@ def pinned_colorings(n):
             yield f"{bits[:w]}2{bits[w + 1:]}"
 
 
-def assert_colored_ids_match_previous_kernel(an, colors, table, ref_table):
-    n = an.rt.tree.n
-    ids, ref_ids = [-1] * n, [-1] * n
-    order = an.rt.bfs_order[::-1]
-    assert coloring_module._colored_ids(an, colors, order, ids, table) == previous_colored_ids(
-        an, colors, order, ref_ids, ref_table
-    )
-    assert ids == ref_ids, (an.rt.tree.adj, an.roots, colors)
-    assert len(table) == len(ref_table)
-
-
 def test_colored_ids_match_previous_kernel_on_every_pinned_coloring():
-    # each coloring on its own table, and on one table shared by every tree, rooting and
-    # coloring, as treelike_distinguish shares one across components
-    table, ref_table = {}, {}
+    # against the branch walk: the same twin collision, and ids equal iff the walk's are (``pairs`` maps one to the
+    # other). Each coloring on its own table, and on one table shared by every tree, rooting and coloring, as
+    # treelike_distinguish shares one across components; the walk's ids come from one shared table
+    table, ref_table, shared = {}, {}, {}
     for t in trees_up_to(7):
         for an in analyses_at_every_root(t):
             for colors in pinned_colorings(t.n):
-                assert_colored_ids_match_previous_kernel(an, colors, {}, {})
-                assert_colored_ids_match_previous_kernel(an, colors, table, ref_table)
-    assert len(table) > 1000
-
-
-def reference_extend_ray_coloring(tr, ray_colors):
-    """The previous extension: one rooting at v_i, cut at v_{i+1}, per ray vertex v_1..v_D."""
-    tree = tr.tree
-    ray = tr.ray
-    ray_colors = tuple(bool(b) for b in ray_colors)
-    if len(ray_colors) != len(ray):
-        raise ValueError("ray coloring length must match the ray")
-    colors = [None] * tree.n
-    for v, black in zip(ray, ray_colors):
-        colors[v] = "1" if black else "0"
-
-    for i in range(1, len(ray)):
-        v_i = ray[i]
-        an = TreeAnalysis.of(root_at(tree, v_i), cut=ray[i + 1] if i + 1 < len(ray) else None)
-        a = a_by_class(an)
-        back = ray[i - 1]
-        for cls in an.classes_at(v_i):
-            avail = a[an.ids[cls.rep]]
-            if back in cls.members:
-                others = [m for m in cls.members if m != back]
-                if not others:
-                    continue
-                if avail < cls.multiplicity:
-                    raise LobeAssignmentError(v_i, cls.rep, cls.multiplicity, avail)
-                table = {}
-                back_id = reference_colored_ids(an, colors, back, table)[0][back]
-                next_index = 0
-                for m in others:
-                    while True:
-                        reference_unrank_into(an, a, m, next_index, colors)
-                        next_index += 1
-                        if reference_colored_ids(an, colors, m, table)[0][m] != back_id:
-                            break
-            else:
-                if avail < cls.multiplicity:
-                    raise LobeAssignmentError(v_i, cls.rep, cls.multiplicity, avail)
-                if cls.multiplicity == 1 and avail == 1 << an.rt.subtree_size[cls.rep]:
-                    _whiten_branch(an, cls.rep, colors)
-                    continue
-                for j, m in enumerate(cls.members):
-                    reference_unrank_into(an, a, m, j, colors)
-
-    result = _to_coloring(colors)
-    if not verify_distinguishing(tree, result, pinned=ray[-1]):
-        raise AssertionError("extended coloring is not distinguishing")
-    return result
+                ref_ids, collide = {}, False
+                for r in an.roots:
+                    branch, at_r = reference_colored_ids(an, colors, r, ref_table)
+                    ref_ids.update(branch)
+                    collide = collide or at_r
+                fresh = {}
+                for own, pairs in (({}, fresh), (table, shared)):
+                    ids = [-1] * t.n
+                    ok = coloring_module._colored_ids(an, colors, an.rt.bfs_order[::-1], ids, own)
+                    assert ok is not collide, (t.adj, an.roots, colors)
+                    for v, ref in ref_ids.items() if ok else ():
+                        assert pairs.setdefault(ids[v], ref) == ref, (t.adj, an.roots, colors)
+                assert len(set(fresh.values())) == len(fresh), (t.adj, an.roots, colors)
+    assert len(set(shared.values())) == len(shared) > 1000
 
 
 def extension_outcome(extend, tr, colors):
@@ -1098,27 +816,6 @@ def test_suffix_classes_form_a_tail():
             else:
                 missed += 1
     assert found > 500 and missed > 5000  # both outcomes occur
-
-
-def reference_lobes(tree, ray):
-    """The lobes by one DFS over the non-ray edges from each ray vertex (the reference)."""
-    ray_edges = {frozenset(e) for e in zip(ray, ray[1:])}
-    comp = [-1] * tree.n
-    lobes = []
-    for i, anchor in enumerate(ray):
-        assert comp[anchor] == -1
-        stack, members = [anchor], [anchor]
-        comp[anchor] = i
-        while stack:
-            u = stack.pop()
-            for w in tree.adj[u]:
-                if frozenset((u, w)) not in ray_edges and comp[w] == -1:
-                    comp[w] = i
-                    members.append(w)
-                    stack.append(w)
-        lobes.append(tuple(sorted(members)))
-    assert -1 not in comp
-    return tuple(lobes)
 
 
 def leaf_rays(t: Tree):
@@ -1259,29 +956,6 @@ def test_to_dot(k2):
     dot = to_dot(k2, Coloring.from_bits("10"))
     assert "0 [style=filled" in dot
     assert "0 -- 1;" in dot
-
-
-def reference_to_dot(t: Tree, coloring: Coloring | None = None) -> str:
-    """``to_dot`` with one ``is_black`` mask shift per vertex."""
-    lines = ["graph tree {", "  node [shape=circle];"]
-    for v in range(t.n):
-        if coloring is not None and coloring.is_black(v):
-            lines.append(f"  {v} [style=filled fillcolor=black fontcolor=white];")
-        else:
-            lines.append(f"  {v};")
-    for u, v in sorted(t.edges()):
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def reference_colored_subtree_codes(rt, coloring: Coloring) -> tuple[bytes, ...]:
-    """``colored_subtree_codes`` with one ``is_black`` mask shift per vertex."""
-    codes: list[bytes] = [b""] * rt.tree.n
-    for v in reversed(rt.bfs_order):
-        col = b"1" if coloring.is_black(v) else b"0"
-        codes[v] = b"(" + col + b"".join(sorted(codes[c] for c in rt.children[v])) + b")"
-    return tuple(codes)
 
 
 def test_colored_outputs_match_per_vertex_reference():

@@ -28,15 +28,13 @@ from treesym import (
     verify_distinguishing,
 )
 from treesym import corpus as corpus_module
-from treesym.asym import a_by_class, asym_of
-from treesym.autom import aut_order_of, motion_of
-from treesym.canon import TreeAnalysis
 from treesym.cli import main
-from treesym.corpus import FAMILIES, LOBED_EXTREMAL_MAX, SuiteReport, TreeRecord, all_trees, caterpillar, random_tree
+from treesym.corpus import FAMILIES, LOBED_EXTREMAL_MAX, SuiteReport, all_trees, caterpillar, random_tree
 from treesym.oracle import brute_graph_aut
 from treesym.treelike import RootedGraph, _component_tree, extract_forest, treelike_distinguish
 
 from .conftest import subprocess_env, trees_up_to
+from .reference import reference_generate, reference_pruefer_edges, reference_run_theorem_suite, reference_spider
 from .test_treelike import cycle, differential_graphs, grid
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
@@ -92,28 +90,6 @@ def test_all_trees_cap():
 def test_pruefer_decode_golden():
     t = tree_from_pruefer(5, [0, 0, 1])
     assert sorted(t.edges()) == [(0, 1), (0, 2), (0, 3), (1, 4)]
-
-
-def reference_pruefer_edges(n, seq):
-    """The quadratic decoder (rescan for the smallest leaf), kept as the reference."""
-    if n == 1:
-        return []
-    if n == 2:
-        return [(0, 1)]
-    deg = [1] * n
-    for a in seq:
-        deg[a] += 1
-    edges = []
-    for a in seq:
-        for j in range(n):
-            if deg[j] == 1:
-                edges.append((a, j))
-                deg[a] -= 1
-                deg[j] -= 1
-                break
-    u, v = (j for j in range(n) if deg[j] == 1)
-    edges.append((u, v))
-    return edges
 
 
 def decoded_edges(monkeypatch, n, seq):
@@ -240,42 +216,6 @@ def test_generate_validates():
         list(generate(CorpusSpec("lobed-extremal", m=3)))
 
 
-def reference_generate(spec: CorpusSpec):
-    """generate() as it was written before the family table: one presence check per family."""
-    families = ("random-prufer", "all-trees", "kary", "caterpillar", "lobed-extremal", "spider")
-    if spec.family not in families:
-        raise ValueError(f"unknown family {spec.family!r}; expected one of {families}")
-    if spec.family == "all-trees":
-        if spec.n is None:
-            raise ValueError("all-trees requires n")
-        yield from all_trees(spec.n)
-        return
-    if spec.family == "lobed-extremal":
-        if spec.m is None:
-            raise ValueError("lobed-extremal requires m")
-        yield lobed_extremal(spec.m)
-        return
-    if spec.family == "kary":
-        if spec.n is None or spec.arity is None:
-            raise ValueError("kary requires n and arity")
-        yield kary_tree(spec.n, spec.arity)
-        return
-    if spec.family == "spider":
-        if spec.n is None or spec.arity is None:
-            raise ValueError("spider requires n and arity")
-        yield spider(spec.n, spec.arity)
-        return
-    if spec.n is None:
-        raise ValueError(f"{spec.family} requires n")
-    count = spec.count if spec.count is not None else 1
-    rng = random.Random(spec.seed)
-    for _ in range(count):
-        if spec.family == "random-prufer":
-            yield random_tree(rng, spec.n)
-        else:
-            yield caterpillar(spec.n, rng)
-
-
 def trees_or_error(gen):
     try:
         return list(gen)
@@ -370,21 +310,6 @@ def test_kary_and_spider_shapes():
     assert sorted(s.degree(v) for v in range(1, 7)) == [1, 1, 1, 2, 2, 2]
 
 
-def reference_spider(n: int, legs: int) -> Tree:
-    """The previous leg-by-leg build: each leg a path from the center, the first ``extra`` one longer."""
-    base, extra = divmod(n - 1, legs)
-    edges = []
-    nxt = 1
-    for i in range(legs):
-        length = base + (1 if i < extra else 0)
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return Tree.from_edges(n, edges)
-
-
 def test_spider_matches_leg_by_leg_build():
     # every n < 60 with every leg count, lobed_extremal(26)'s spider and two benchmark sizes
     sizes = [(n, legs) for n in range(2, 60) for legs in range(1, n)]
@@ -457,54 +382,6 @@ def test_theorem_suite_extremal_record():
     assert rec.a == 2
     assert rec.delta == 4
     assert dict(rec.checks)["two-distinguishable"] == "pass"
-
-
-def reference_run_theorem_suite(trees) -> SuiteReport:
-    """The suite with one ``record`` closure per tree, which appends each outcome and counterexample as it goes.
-
-    Kept as the reference. It reads ``construct_of``, ``a_at_root`` and ``GroupOrderBound``
-    through the corpus module, so a test that patches them there patches both suites.
-    """
-    report = SuiteReport()
-    for t in trees:
-        an = TreeAnalysis.at_center(t)
-        a_cls = a_by_class(an)
-        mot = motion_of(an)
-        aut = aut_order_of(an)
-        a = asym_of(an, a_cls)
-        checks: list[tuple[str, str]] = []
-
-        def record(name: str, passed: bool):
-            checks.append((name, "pass" if passed else "fail"))
-            if not passed:
-                report.counterexamples.append({"check": name, "tree": serialize_edge_list(t)})
-
-        def check_construct():
-            record("construct-verifies", corpus_module.construct_of(an, a_cls) is not None)
-
-        if mot.is_asymmetric:
-            hypothesis = "vacuous-asymmetric"
-            record("asymmetric-a-equals-2^n", a == 1 << t.n)
-            check_construct()
-        else:
-            m = mot.moved
-            threshold = 1 << (m // 2)
-            if t.delta <= threshold:
-                hypothesis = "met"
-                record("two-distinguishable", a > 0)
-                check_construct()
-                for w in an.roots:
-                    if t.degree(w) < threshold:
-                        record("rooted-lower-bound", corpus_module.a_at_root(an, a_cls, w) >= 2 * threshold)
-            else:
-                hypothesis = "not-met"
-                checks.append(("two-distinguishable", "skip"))
-        if a > 0:
-            record("group-order-bound", corpus_module.GroupOrderBound.of(t.n, aut, a).holds)
-            if aut == 1:
-                record("group-order-bound-equality", aut * a == 1 << t.n)
-        report.records.append(TreeRecord(t.n, t.delta, mot.to_json(), aut, a, hypothesis, tuple(checks)))
-    return report
 
 
 def suite_corpus() -> list[Tree]:

@@ -20,150 +20,21 @@ import tracemalloc
 import pytest
 
 from treesym import (
+    Coloring,
     EdgeListParseError,
-    RootedGraph,
     Tree,
     center,
     kary_tree,
     parse_edge_list,
     parse_graph_edge_list,
+    root_at,
     spider,
     tree_from_pruefer,
+    verify_distinguishing,
 )
-from treesym.trees import read_edge_lines
+from treesym.trees import _cut, read_edge_lines
 
-from .test_trees import reference_center
-
-REFERENCE_MAX_INPUT_DIGITS = 4300
-REFERENCE_ECHO_CHARS = 40
-
-
-def reference_cut(x, show=str) -> str:
-    text = str(x)
-    if len(text) <= REFERENCE_ECHO_CHARS:
-        return show(text)
-    return f"{show(text[:REFERENCE_ECHO_CHARS])}... (cut, {len(text)} characters)"
-
-
-def reference_parse_int(token: str) -> int:
-    if len(token) > REFERENCE_MAX_INPUT_DIGITS:
-        raise ValueError(f"integer longer than {REFERENCE_MAX_INPUT_DIGITS} characters")
-    if not (token.isascii() and token.removeprefix("-").isdigit()):
-        raise ValueError(f"not a plain decimal: {token!r}")
-    return int(token)
-
-
-def reference_check_edge(n, u, v, seen):
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(
-            f"vertex id out of range 0..{reference_cut(n - 1)} in edge ({reference_cut(u)}, {reference_cut(v)})"
-        )
-    if u == v:
-        raise ValueError(f"self-loop at vertex {reference_cut(u)}")
-    key = (u, v) if u < v else (v, u)
-    if key in seen:
-        raise ValueError(f"duplicate edge ({reference_cut(key[0])}, {reference_cut(key[1])})")
-    seen.add(key)
-
-
-def reference_adjacency(n, edges):
-    seen = set()
-    nbrs = [[] for _ in range(n)]
-    for u, v in edges:
-        reference_check_edge(n, u, v, seen)
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return tuple(tuple(sorted(a)) for a in nbrs)
-
-
-def reference_reached(adj, start):
-    seen = {start}
-    order = [start]
-    for u in order:
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-    return len(order)
-
-
-def reference_read_edge_lines(text):
-    lines = text.splitlines()
-    header_idx = None
-    n = None
-    for i, raw in enumerate(lines):
-        if raw.strip() == "":
-            continue
-        try:
-            n = reference_parse_int(raw.strip())
-        except ValueError:
-            raise EdgeListParseError(f"expected vertex count, got {reference_cut(raw.strip(), repr)}", i + 1)
-        header_idx = i
-        break
-    if n is None:
-        raise EdgeListParseError("empty input: expected vertex count on first line")
-    if n <= 0:
-        raise EdgeListParseError("vertex count must be at least 1", header_idx + 1)
-    out = []
-    seen = set()
-    for i in range(header_idx + 1, len(lines)):
-        raw = lines[i].strip()
-        if raw == "":
-            continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise EdgeListParseError(f"expected 'u v', got {reference_cut(raw, repr)}", i + 1)
-        try:
-            u, v = reference_parse_int(parts[0]), reference_parse_int(parts[1])
-        except ValueError:
-            raise EdgeListParseError(f"non-integer vertex id in {reference_cut(raw, repr)}", i + 1)
-        try:
-            reference_check_edge(n, u, v, seen)
-        except ValueError as exc:
-            raise EdgeListParseError(str(exc), i + 1) from None
-        out.append((i + 1, u, v))
-    return n, out
-
-
-def reference_parse_edge_list(text):
-    n, rows = reference_read_edge_lines(text)
-    if len(rows) < n - 1:
-        raise EdgeListParseError(f"edge count {len(rows)} != n-1 = {n - 1}")
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = []
-    for line_no, u, v in rows:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise EdgeListParseError(f"cycle detected at edge ({u}, {v})", line_no)
-        parent[ru] = rv
-        edges.append((u, v))
-    # Tree.from_edges as it was: count, per-edge checks, connectivity
-    if len(edges) != n - 1:
-        raise ValueError(f"edge count {len(edges)} != n-1 = {n - 1}")
-    adj = reference_adjacency(n, edges)
-    if reference_reached(adj, 0) != n:
-        raise ValueError("edges do not form a connected tree")
-    return Tree(n, adj)
-
-
-def reference_parse_graph_edge_list(text, root=0):
-    n, rows = reference_read_edge_lines(text)
-    if len(rows) < n - 1:
-        raise EdgeListParseError("graph is disconnected")
-    # RootedGraph.from_edges as it was: root range, per-edge checks, connectivity
-    if not (0 <= root < n):
-        raise ValueError(f"root {root} out of range 0..{n - 1}")
-    adj = reference_adjacency(n, [(u, v) for _, u, v in rows])
-    if reference_reached(adj, root) != n:
-        raise ValueError("graph is disconnected")
-    return RootedGraph(n, adj, root)
+from .reference import reference_center, reference_cut, reference_parse_edge_list, reference_parse_graph_edge_list
 
 
 def outcome(parse, *args):
@@ -422,6 +293,36 @@ def test_valid_texts_parse_alike():
                         assert_same(text, n)
                 finally:
                     sys.set_int_max_str_digits(limit)
+
+
+def test_cut_counts_a_long_int_without_str():
+    # a long int is quoted from its leading digits and its digit count, never converted whole: outside main, where
+    # the digit limit holds, a root or pin past 4,300 digits gets the root message. Every quote equals the whole
+    # string's cut, with the limit held and lifted (inside main)
+    rng = random.Random(47)
+    values = [10**5000, -(10**5000), 10**5000 - 1, 1 - 10**5000, 10**48, 10**49 - 1, -(10**48), 2**160, -(2**161)]
+    values += [sign * rng.getrandbits(rng.randint(1, 20000)) for sign in (1, -1) for _ in range(100)]
+    values += [0, -1, 10**39, 10**40, -(10**39), True, "x" * 40, "x" * 41, "-" * 4400]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [(reference_cut(x), reference_cut(x, repr)) for x in values]
+        roots = [f"root {reference_cut(w)} out of range 0..1" for w in (10**5000, -(10**5000))]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    k2 = Tree.from_edges(2, [(0, 1)])
+    for digits in (4300, 0):
+        sys.set_int_max_str_digits(digits)
+        try:
+            assert [(_cut(x), _cut(x, repr)) for x in values] == want
+            with pytest.raises(ValueError) as exc:
+                root_at(k2, 10**5000)
+            assert str(exc.value) == roots[0]
+            with pytest.raises(ValueError) as exc:
+                verify_distinguishing(k2, Coloring(2, 1), pinned=-(10**5000))
+            assert str(exc.value) == roots[1]
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_long_lines_within_and_over_the_digit_limit():

@@ -4,24 +4,19 @@ import tracemalloc
 import pytest
 
 from treesym import (
-    Coloring,
-    ForestExtraction,
     RootedGraph,
-    Tree,
     asym_unrooted,
     brute_graph_aut,
-    colored_unrooted_code,
     extract_forest,
     is_treelike,
     parse_graph_edge_list,
     treelike_distinguish,
-    unrooted_code,
-    verify_distinguishing,
 )
 from treesym import treelike
 from treesym.canon import center
 
 from .conftest import path, trees_up_to
+from .reference import reference_extract_forest, reference_treelike_distinguish
 
 
 def cycle(n: int, root: int = 0) -> RootedGraph:
@@ -111,41 +106,6 @@ def test_forest_spanning_and_acyclic_random():
         assert sum(len(c) - 1 for c in fx.components) == len(fx.edges)
 
 
-def reference_extract_forest(g: RootedGraph) -> ForestExtraction:
-    """The previous extraction: one scan of all forest edges per component."""
-    preds = treelike._preds(g)
-    edges = []
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for x in range(g.n):
-        if len(preds[x]) == 1:
-            y = preds[x][0]
-            edges.append((min(x, y), max(x, y)))
-            nbrs[x].append(y)
-            nbrs[y].append(x)
-    comp = [-1] * g.n
-    components = []
-    for v in range(g.n):
-        if comp[v] != -1:
-            continue
-        cid = len(components)
-        comp[v] = cid
-        stack = [v]
-        members = [v]
-        while stack:
-            u = stack.pop()
-            for w in nbrs[u]:
-                if comp[w] == -1:
-                    comp[w] = cid
-                    members.append(w)
-                    stack.append(w)
-        components.append(tuple(sorted(members)))
-    for members in components:
-        inside = sum(1 for u, v in edges if comp[u] == comp[v] == comp[members[0]])
-        if inside != len(members) - 1:
-            raise AssertionError("forest extraction produced a cycle")
-    return ForestExtraction(tuple(sorted(edges)), tuple(components))
-
-
 def grid(side: int, root: int = 0) -> RootedGraph:
     edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
     edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
@@ -233,63 +193,6 @@ def test_from_edges_rejects_an_empty_vertex_count(n):
 
 def test_distinguish_cycle4_absent():
     assert treelike_distinguish(cycle(4)) is None
-
-
-def reference_treelike_distinguish(g: RootedGraph) -> Coloring | None:
-    """The previous search: re-verify and bytes-code every mask tried, codes kept per shape."""
-    auts = brute_graph_aut(g.adj)
-    if len(auts) == 1:
-        return Coloring(g.n, 0)
-    forest = extract_forest(g)
-    adjsets = [set(a) for a in g.adj]
-    chosen_masks = []
-    used_codes: dict[bytes, set[bytes]] = {}
-    root_deg = len(g.adj[g.root])
-    for members in sorted(forest.components, key=lambda ms: (g.root not in ms, ms)):
-        local = {v: i for i, v in enumerate(members)}
-        tree = Tree.from_edges(len(members), [(local[u], local[v]) for u, v in forest.edges if u in local and v in local])
-        holds_root = g.root in local
-        taken = used_codes.setdefault(unrooted_code(tree), set())
-        pick = None
-        for mask in range(1 << tree.n):
-            cand = Coloring(tree.n, mask)
-            if not verify_distinguishing(tree, cand):
-                continue
-            if not reference_admissible(cand, members, adjsets, holds_root, root_deg):
-                continue
-            code = colored_unrooted_code(tree, cand)
-            if code in taken:
-                continue
-            pick = (cand, code)
-            break
-        if pick is None:
-            return None
-        taken.add(pick[1])
-        chosen_masks.append((members, pick[0].mask))
-    mask = 0
-    for members, local_mask in chosen_masks:
-        for i, v in enumerate(members):
-            if local_mask >> i & 1:
-                mask |= 1 << v
-    for sigma in auts:
-        if all(sigma[i] == i for i in range(g.n)):
-            continue
-        image = 0
-        for v in range(g.n):
-            if mask >> v & 1:
-                image |= 1 << sigma[v]
-        if image == mask:
-            return None
-    return Coloring(g.n, mask)
-
-
-def reference_admissible(cand, members, adjsets, holds_root, root_deg):
-    if holds_root and root_deg == 1:
-        return True
-    member_set = set(members)
-    inside = {v for i, v in enumerate(members) if cand.is_black(i)}
-    buried = sum(1 for v in inside if not any(w in member_set and w not in inside for w in adjsets[v]))
-    return buried <= 1 if holds_root else buried == 0
 
 
 def shuffled_graph(rng: random.Random, n: int) -> RootedGraph:

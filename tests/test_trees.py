@@ -5,7 +5,6 @@ import pickle
 import random
 import time
 import tracemalloc
-from collections import deque
 
 import pytest
 from hypothesis import given
@@ -36,6 +35,7 @@ from treesym import (
 from treesym import trees as trees_module
 
 from .conftest import path, random_trees, relabeled_families, sample_roots, star, trees_up_to, trees_with_permutation
+from .reference import reference_bits, reference_center, reference_mask, reference_root_at
 
 
 @pytest.mark.parametrize("parse", [parse_edge_list, parse_graph_edge_list])
@@ -128,30 +128,6 @@ def test_center_relabel_invariant(tp):
         assert c2 == EdgeCenter(u, v)
 
 
-def reference_center(t: Tree):
-    """The previous peel: a removed table, and a final scan for the vertices left."""
-    n = t.n
-    if n == 1:
-        return VertexCenter(0)
-    deg = [len(a) for a in t.adj]
-    removed = [False] * n
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        nxt = []
-        for u in layer:
-            removed[u] = True
-            for v in t.adj[u]:
-                if not removed[v]:
-                    deg[v] -= 1
-                    if deg[v] == 1:
-                        nxt.append(v)
-        remaining -= len(layer)
-        layer = nxt
-    live = sorted(v for v in range(n) if not removed[v])
-    return VertexCenter(live[0]) if len(live) == 1 else EdgeCenter(*live)
-
-
 def test_center_is_the_last_peeled_layer():
     # every tree with n <= 12 and three relabelings of each, seeded trees up to n = 2000,
     # n = 1, 2, 3 with both center kinds, and hostile sizes: 10^5- and (10^5 + 1)-vertex
@@ -229,30 +205,6 @@ def test_root_at_examples(p3, p4, k1):
 
     rt = root_at(p4, 0)
     assert rt.subtree_size == (4, 3, 2, 1)
-
-
-def reference_root_at(t, w):
-    """The queue-based rooting that ``root_at`` replaced: (parent, children, subtree_size, bfs_order)."""
-    parent = [None] * t.n
-    children = [()] * t.n
-    order = []
-    queue = deque([w])
-    seen = [False] * t.n
-    seen[w] = True
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        kids = tuple(v for v in t.adj[u] if not seen[v])
-        children[u] = kids
-        for v in kids:
-            seen[v] = True
-            parent[v] = u
-            queue.append(v)
-    size = [1] * t.n
-    for u in reversed(order):
-        for v in children[u]:
-            size[u] += size[v]
-    return tuple(parent), tuple(children), tuple(size), tuple(order)
 
 
 TABLES = ("parent", "children", "subtree_size", "bfs_order")
@@ -357,18 +309,6 @@ def test_coloring_from_bits_quotes_at_most_40_characters(bits, shown):
     with pytest.raises(ValueError) as exc:
         Coloring.from_bits(bits)
     assert str(exc.value) == f"expected a nonempty 0/1 string, got {shown}"
-
-
-def reference_bits(c: Coloring) -> str:
-    return "".join("1" if c.mask >> v & 1 else "0" for v in range(c.n))
-
-
-def reference_mask(bits: str) -> int:
-    mask = 0
-    for v, ch in enumerate(bits):
-        if ch == "1":
-            mask |= 1 << v
-    return mask
 
 
 def test_coloring_conversions_match_per_vertex_code():
