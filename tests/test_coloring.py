@@ -31,6 +31,7 @@ from treesym import (
     root_at,
     spider,
     to_dot,
+    tree_from_pruefer,
     treelike_distinguish,
     unrank_distinguishing,
     unrank_unrooted,
@@ -53,6 +54,7 @@ from .reference import (
     reference_unrank_into,
     reference_verify_pinned,
 )
+from .test_center_rule import assert_matches_reference as assert_center_rule_matches_reference, relabeled
 from .test_treelike import gadget_graph
 
 
@@ -586,15 +588,74 @@ def test_unrank_into_matches_reference_small():
     rng = random.Random(36)
     for t in trees_up_to(9):
         for an in analyses_at_every_root(t):
-            assert_unranking_matches_reference(an, a_by_class(an), rng, range(t.n))
+            assert_unranking_matches_reference(an, a_by_class(an), rng, an.roots)
+
+
+def test_zero_index_matches_previous_kernel_small():
+    # index 0 from every start below the roots
+    rng = random.Random(39)
+    for t in trees_up_to(9):
+        for an in analyses_at_every_root(t):
+            assert_unranking_matches_reference(an, a_by_class(an), rng, set(range(t.n)) - set(an.roots))
 
 
 def test_unrank_into_matches_reference_on_seeded_corpora():
     rng = random.Random(37)
     for t in relabeled_families(38, (4, 9, 40, 150, 600, 2000)):
         for an in (TreeAnalysis.at_center(t), TreeAnalysis.of(root_at(t, rng.randrange(t.n)))):
-            starts = set(an.roots) | {rng.randrange(t.n) for _ in range(5)}
+            assert_unranking_matches_reference(an, a_by_class(an), rng, an.roots)
+
+
+def test_zero_index_matches_previous_kernel_on_seeded_corpora():
+    rng = random.Random(39)
+    for t in relabeled_families(40, (4, 9, 40, 150, 600, 2000)):
+        for an in (TreeAnalysis.at_center(t), TreeAnalysis.of(root_at(t, rng.randrange(t.n)))):
+            starts = {rng.randrange(t.n) for _ in range(5)} - set(an.roots)
             assert_unranking_matches_reference(an, a_by_class(an), rng, starts)
+
+
+def test_unrank_of_matches_stack_kernel_at_every_root_small():
+    rng = random.Random(41)
+    cases = 0
+    for t in trees_up_to(10):
+        for an in analyses_at_every_root(t):
+            cases += assert_center_rule_matches_reference(an, rng)
+    assert cases > 7000
+
+
+def edge_centered_pair(rng: random.Random, m: int, iso: bool) -> Tree:
+    """Two rooted halves of equal height joined at their roots, so the joining edge is the center.
+
+    With ``iso`` the second half is a copy of the first; without, it is the first with one
+    more leaf hung below a vertex above the lowest level, so it keeps the height and is larger.
+    """
+    half = tree_from_pruefer(m, [rng.randrange(m) for _ in range(m - 2)]) if m > 2 else path(m)
+    rt = root_at(half, rng.randrange(m))
+    depth = [0] * m
+    for v in rt.bfs_order[1:]:
+        depth[v] = depth[rt.parent[v]] + 1
+    edges = [(v, rt.parent[v]) for v in rt.bfs_order[1:]]
+    edges += [(u + m, v + m) for u, v in edges] + [(rt.root, rt.root + m)]
+    n = 2 * m
+    if not iso:
+        edges.append((rng.choice([v for v in range(m) if depth[v] < max(depth)]) + m, n))
+        n += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Tree.from_edges(n, edges), perm)
+
+
+def test_unrank_of_matches_stack_kernel_on_seeded_corpora():
+    rng = random.Random(42)
+    halves = set()
+    for n in (4, 9, 40, 150, 600, 2000):
+        family = [relabeled(t, rng) for t in (path(n), kary_tree(n, 2), *(spider(n, k) for k in range(3, 13) if k < n))]
+        for t in family + [edge_centered_pair(rng, n // 2, iso) for iso in (True, False)]:
+            for an in (TreeAnalysis.at_center(t), TreeAnalysis.of(root_at(t, rng.randrange(t.n)))):
+                if len(an.roots) == 2:
+                    halves.add(an.iso_halves)
+                assert_center_rule_matches_reference(an, rng)
+    assert halves == {True, False}
 
 
 class WriteCountingList(list):

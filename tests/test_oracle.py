@@ -266,8 +266,19 @@ def test_leaf_blocks_match_vertex_search_on_all_trees_in_order():
         for pinned in [None, *range(t.n)]:
             ref = listed(t.adj, pinned=pinned)
             assert list(enumerate_automorphisms(t, pinned=pinned)) == ref, (t.edges(), pinned)
-            if t.n <= 9:  # the oracle's list wraps the same search, so smaller trees show the wrapper
-                assert brute_graph_aut(t.adj, pinned=pinned) == ref, (t.edges(), pinned)
+
+
+def test_backtracker_matches_references_on_all_trees_in_order():
+    # the oracle's list wraps the same search as the tree enumeration, so smaller trees show the wrapper
+    for t in trees_up_to(9):
+        for pinned in [None, *range(t.n)]:
+            assert brute_graph_aut(t.adj, pinned=pinned) == listed(t.adj, pinned=pinned), (t.edges(), pinned)
+
+
+def test_graph_aut_matches_tree_enumeration():
+    for t in trees_up_to(7):
+        for pinned in [None, *range(t.n)]:
+            assert set(brute_graph_aut(t.adj, pinned=pinned)) == set(enumerate_automorphisms(t, pinned=pinned))
 
 
 def test_leaf_blocks_match_vertex_search_on_leafy_families():
