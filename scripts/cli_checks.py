@@ -155,6 +155,16 @@ def star12_refused() -> None:
         expect(r.peak_mb < 60, f"{cmd} on the 12-star: peak RSS {r.peak_mb:.1f} MB, want under 60 MB")
 
 
+def k66_treelike_streamed() -> None:
+    # K_{6,6}: 2 * 6!^2 automorphisms and no sibling leaves, so the search runs to the 500,000 limit and treelike
+    # reports no coloring; it reads them as a stream (89 MB peak RSS when it listed them)
+    k66 = "12\n" + "".join(f"{u} {v}\n" for u in range(6) for v in range(6, 12))
+    r = cli("treelike", "-", stdin=k66, timeout=60)
+    expect(r.code == 0 and not r.err and '"coloring": null' in r.out,
+           f"treelike on K_{{6,6}}: exit {r.code}, stderr {r.err!r}")
+    expect(r.peak_mb <= 30, f"treelike on K_{{6,6}}: peak RSS {r.peak_mb:.1f} MB, want at most 30 MB")
+
+
 def closed_stdout() -> None:
     # a reader that stops after one line: the writer stops quietly, with exit 0. These 308,730 bytes
     # outgrow a 64 KiB pipe buffer, so the writer is still writing when the pipe closes
@@ -225,7 +235,8 @@ def pinned_verification() -> None:
 
 
 # the checks the tier-1 suite runs too, each in a fresh interpreter (tests/test_cli_checks.py)
-FAST = (same_output_under_O, corpora_parse_back, star_oracle_censuses, star12_refused, closed_stdout, input_errors)
+FAST = (same_output_under_O, corpora_parse_back, star_oracle_censuses, star12_refused, k66_treelike_streamed,
+        closed_stdout, input_errors)
 # the per-vertex sweeps start 285 children; the over-budget census lists 2,000,000 automorphisms
 CHECKS = FAST + (one_root_against_all_roots, pinned_verification, cherry16_past_budget)
 

@@ -127,9 +127,19 @@ ROWS = [
     ("extend_ray_coloring: the suffix lookup stops at a one-vertex S_D", "src/treesym/coloring.py",
      "        if suffix[k] < 0:  # S_{k-1}", "        if suffix[k] <= 0:  # S_{k-1}",
      ["tests/test_coloring.py::test_extend_matches_reference_on_pooled_lobes"]),
+    ("extend_ray_coloring: the suffix lookup stops after S_{D-1}", "src/treesym/coloring.py",
+     "        if suffix[k] < 0:  # S_{k-1}", "        if suffix[k] < 0 or k < end:  # S_{k-1}",
+     ["tests/test_coloring.py::test_extend_failure_read_from_a_suffix_class_past_s_d_minus_1"]),
     ("extend_ray_coloring: classes in ascending order", "src/treesym/coloring.py",
      "groups.sort(key=lambda g: g[0], reverse=True)", "groups.sort(key=lambda g: g[0])",
      ["tests/test_coloring.py::test_extend_matches_reference_on_pooled_lobes"]),
+    # treelike
+    ("treelike_distinguish: the identity kept in the stream", "src/treesym/treelike.py",
+     " if sigma != identity)", ")",
+     ["tests/test_treelike.py::test_distinguish_matches_reference"]),
+    ("treelike_distinguish: the search not drained", "src/treesym/treelike.py",
+     "    deque(others, 0)", "    pass",
+     ["tests/test_treelike.py::test_distinguish_past_the_limit_raises"]),
     # trees
     ("parse_edge_list: more than n - 1 edges accepted", "src/treesym/trees.py",
      "if sum(map(len, adj)) == 2 * n - 2 else ()", "if sum(map(len, adj)) >= 2 * n - 2 else ()",

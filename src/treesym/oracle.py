@@ -13,13 +13,14 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, count
 from math import factorial, prod
-from operator import itemgetter, ne
+from operator import itemgetter
 
 from .autom import AutomorphismLimitExceeded, Motion, _automorphisms, enumerate_automorphisms
 from .trees import Tree
 
 MAX_ORACLE_VERTICES = 16
 MAX_GRAPH_VERTICES = 12  # the cap of _graph_search, so of every graph automorphism search
+_GRAPH_AUT_LIMIT = 500_000  # brute_graph_aut's default, and treelike_distinguish's
 DEFAULT_AUT_LIMIT = 2_000_000
 
 
@@ -59,24 +60,10 @@ class OrbitReport:
         }
 
 
-def _moved(sigma) -> int:
-    return sum(map(ne, sigma, range(len(sigma))))
-
-
 def _moved_points(sigma) -> tuple[int, list[tuple[int, int]]]:
     """The support of ``sigma`` as a mask, and each point it moves as a (bit, image bit) pair."""
     pairs = [(1 << i, 1 << y) for i, y in enumerate(sigma) if i != y]
     return sum(bit for bit, _ in pairs), pairs
-
-
-def _apply(sigma, mask: int) -> int:
-    """The image of the vertex set ``mask`` under the permutation ``sigma`` (bit i goes to bit sigma[i])."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << sigma[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def _refuse_past(search, adj, pinned, limit):
@@ -138,14 +125,14 @@ def brute_asym(t: Tree, pinned: int | None = None, aut_limit: int = DEFAULT_AUT_
 
 
 def brute_motion(t: Tree, aut_limit: int = DEFAULT_AUT_LIMIT) -> Motion:
-    """Minimum moved-vertex count over enumerated non-identity automorphisms."""
-    return Motion(min(filter(None, map(_moved, _budgeted_automorphisms(t, aut_limit))), default=None))
+    """Minimum moved-vertex count over enumerated non-identity automorphisms, read through their moved points."""
+    return Motion(min((len(pairs) for sup, pairs in map(_moved_points, _budgeted_automorphisms(t, aut_limit)) if sup), default=None))
 
 
 def brute_graph_aut(
     adj,
     pinned: int | None = None,
-    limit: int = 500_000,
+    limit: int = _GRAPH_AUT_LIMIT,
     forced: dict[int, int] | None = None,
 ) -> list[tuple[int, ...]]:
     """All adjacency-preserving permutations of a connected simple graph.

@@ -5,17 +5,19 @@ lies on all shortest x-to-root paths, i.e. a child of which it is the only
 parent in the BFS shortest-path DAG. The edges realizing that condition form
 a forest F; the distinguishing procedure colors F's components pairwise
 inequivalently under admissibility restrictions and then verifies the union
-against the brute-force automorphism list. On finite inputs success is
-verified, never assumed.
+against the graph's automorphisms, read once as a stream from the oracle's
+backtracker. On finite inputs success is verified, never assumed.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .canon import TreeAnalysis
-from .coloring import _colored_key
-from .oracle import MAX_GRAPH_VERTICES, _apply, _moved, brute_graph_aut
+from .coloring import _colored_key, _to_coloring
+from .oracle import _GRAPH_AUT_LIMIT, MAX_GRAPH_VERTICES, _graph_search
 from .trees import Coloring, EdgeListParseError, Tree, _adjacency, _bfs, _build_adjacency, _check_root, _union_find, read_edge_lines
 
 
@@ -126,20 +128,31 @@ def treelike_distinguish(g: RootedGraph) -> Coloring | None:
     chosen vertex. Each component takes the first such mask, in ascending
     order, whose colored key (one center analysis per component, one id
     table per call) no earlier component has taken. The union is accepted
-    only if no non-identity graph automorphism preserves it. Absence is a
-    valid outcome: the procedure's guarantee needs infinite components, so
-    here it is exploratory.
+    only if no non-identity graph automorphism preserves it. The search is
+    read once and kept nowhere, and drained to its end, so a group past the
+    limit raises whatever the outcome. Absence is a valid outcome: the
+    procedure's guarantee needs infinite components, so here it is exploratory.
     """
     if g.n > MAX_GRAPH_VERTICES:
         raise ValueError(f"n = {g.n} exceeds cap {MAX_GRAPH_VERTICES}")
-    auts = brute_graph_aut(g.adj)
-    if len(auts) == 1:
+    identity = tuple(range(g.n))
+    others = (sigma for sigma in _graph_search(g.adj, None, _GRAPH_AUT_LIMIT, None) if sigma != identity)
+    first = next(others, None)
+    if first is None:
         return Coloring(g.n, 0)
+    colors = _forest_colors(g)
+    kept = colors is None or any([colors[y] for y in sigma] == colors for sigma in chain((first,), others))
+    deque(others, 0)  # a search past the limit raises here
+    return None if kept else _to_coloring(colors)
+
+
+def _forest_colors(g: RootedGraph) -> list[str | None] | None:
+    """Each component's first admissible mask with an untaken colored key, as bits() characters; None if one has none."""
     forest = extract_forest(g)
     adjsets = [set(a) for a in g.adj]
     table: dict = {}
     taken: set[tuple[int, ...]] = set()
-    mask = 0
+    colors: list[str | None] = [None] * g.n
     root_deg = len(g.adj[g.root])
     for members in sorted(forest.components, key=lambda ms: (g.root not in ms, ms)):
         an = TreeAnalysis.at_center(_component_tree(forest, members))
@@ -152,10 +165,9 @@ def treelike_distinguish(g: RootedGraph) -> Coloring | None:
         else:
             return None
         taken.add(key)
-        mask |= _apply(members, local)
-    if any(_moved(sigma) and _apply(sigma, mask) == mask for sigma in auts):
-        return None
-    return Coloring(g.n, mask)
+        for v, ch in zip(members, bits):
+            colors[v] = ch
+    return colors
 
 
 def _admissible(bits: str, members, adjsets, holds_root: bool, root_deg: int) -> bool:

@@ -369,7 +369,7 @@ class Coloring:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("coloring needs at least one vertex")
-        if not (0 <= self.mask < (1 << self.n)):
+        if self.mask < 0 or self.mask >> self.n:  # no 2^n built for the check
             raise ValueError("mask out of range for vertex count")
 
     @staticmethod

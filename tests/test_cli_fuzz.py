@@ -199,11 +199,11 @@ HUGE = 10**5
     ids=["path", "star"],
 )
 def test_treelike_on_a_huge_path_and_star_completes(monkeypatch, edges, witnesses):
-    # past the n <= 12 cap no coloring is searched for, so the graph automorphisms are never listed
-    def no_listing(*args, **kwargs):
-        raise AssertionError("brute_graph_aut called past the vertex cap")
+    # past the n <= 12 cap no coloring is searched for, so the graph automorphisms are never searched
+    def no_search(*args, **kwargs):
+        raise AssertionError("graph automorphisms searched past the vertex cap")
 
-    monkeypatch.setattr(treelike, "brute_graph_aut", no_listing)
+    monkeypatch.setattr(treelike, "_graph_search", no_search)
     text = f"{HUGE}\n" + "".join(f"{u} {v}\n" for u, v in edges)
     code, out, err = run_main(["treelike", "-"], text)
     assert (code, err) == (0, "")

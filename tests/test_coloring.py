@@ -438,6 +438,21 @@ def test_extend_failure_certificate():
     assert err.ray_vertex == 1
 
 
+def test_extend_failure_read_from_a_suffix_class_past_s_d_minus_1():
+    # v_1 = 19 carries a copy of S_2 (the branch at 3; a = 0, three twin leaves) and three cherries (a = 2), with
+    # the lobe ids below the ray ids. Both classes fail at v_1, and the one reported is the one whose last vertex
+    # from v_1 comes later: the class at 3, whose last vertices lie in S_2. With the suffix lookup stopped after
+    # S_{D-1}, S_2 is no class, and the cherries are reported instead (9, 3, 2)
+    edges = [(18, 19), (19, 20), (20, 21), (21, 22), (22, 0), (22, 1), (22, 2), (19, 3), (3, 4), (4, 5), (5, 6),
+             (5, 7), (5, 8), (19, 9), (9, 10), (9, 11), (19, 12), (12, 13), (12, 14), (19, 15), (15, 16), (15, 17)]
+    tr = one_ended_truncation(Tree.from_edges(23, edges), [18, 19, 20, 21, 22])
+    for extend in (extend_ray_coloring, reference_extend_ray_coloring):
+        with pytest.raises(LobeAssignmentError) as exc:
+            extend(tr, (1, 0, 1, 0, 1))
+        err = exc.value
+        assert (err.ray_vertex, err.branch_rep, err.needed, err.available) == (19, 3, 1, 0)
+
+
 # Twin-class digit order depends on the rooting: class ids are numbered by
 # first appearance bottom-up. These two tests pin the ray extension's output,
 # so rooting once at v_D instead of once per ray vertex cannot pass unnoticed.

@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 import subprocess
@@ -28,6 +29,7 @@ from treesym import (
     verify_distinguishing,
 )
 from treesym import corpus as corpus_module
+from treesym import trees as trees_module
 from treesym.cli import main
 from treesym.corpus import FAMILIES, LOBED_EXTREMAL_MAX, SuiteReport, all_trees, caterpillar, random_tree
 from treesym.oracle import brute_graph_aut
@@ -53,6 +55,14 @@ def test_all_trees_pairwise_non_isomorphic():
                 assert not is_isomorphic(a, b)
 
 
+def decoded_tree(n: int, seq) -> Tree:
+    """``tree_from_pruefer(n, seq)``, checked to be a tree (n - 1 edges that one BFS spans) before any code
+    is read from it: the rooting behind a code never ends on a cycle."""
+    t = tree_from_pruefer(n, seq)
+    assert sum(map(len, t.adj)) == 2 * n - 2 and len(trees_module._bfs(t.adj, 0)[0]) == n, (n, seq)
+    return t
+
+
 def test_all_trees_complete_vs_pruefer_dedup():
     # independent completeness check: decode every Pruefer sequence, dedup by code
     for n in range(1, 9):
@@ -60,7 +70,7 @@ def test_all_trees_complete_vs_pruefer_dedup():
             seqs = [[]]
         else:
             seqs = [[(i // n**j) % n for j in range(n - 2)] for i in range(n ** (n - 2))]
-        codes = {unrooted_code(tree_from_pruefer(n, s)) for s in seqs}
+        codes = {unrooted_code(decoded_tree(n, s)) for s in seqs}
         assert codes == {unrooted_code(t) for t in all_trees(n)}
 
 
@@ -384,7 +394,8 @@ def test_theorem_suite_extremal_record():
     assert dict(rec.checks)["two-distinguishable"] == "pass"
 
 
-def suite_corpus() -> list[Tree]:
+@functools.cache  # built on first use, so a fault in a generator fails the tests that use it, not collection
+def suite_corpus() -> tuple[Tree, ...]:
     """Every free tree up to 9 vertices, the lobed extremal trees, stars, spiders and the 525 seeded Pruefer
     trees of order 10..40 that the CLI checks run under -O: asymmetric trees, met and not-met hypotheses."""
     trees = trees_up_to(9) + [lobed_extremal(m) for m in (2, 4, 6, 8)]
@@ -392,10 +403,7 @@ def suite_corpus() -> list[Tree]:
     trees += [spider(1 + legs * length, legs) for length in (1, 2, 3, 4) for legs in range(2, 12)]
     for n in range(10, 41, 5):
         trees += generate(CorpusSpec("random-prufer", n=n, count=75, seed=n))
-    return trees
-
-
-SUITE_CORPUS = suite_corpus()
+    return tuple(trees)  # one corpus shared by every caller, so none may change it
 
 
 def assert_suite_matches_reference(trees) -> SuiteReport:
@@ -412,8 +420,8 @@ CHECK_NAMES = ("asymmetric-a-equals-2^n", "two-distinguishable", "construct-veri
 
 
 def test_theorem_suite_matches_reference():
-    assert len(SUITE_CORPUS) == len(trees_up_to(9)) + 4 + 18 + 40 + 525
-    report = assert_suite_matches_reference(SUITE_CORPUS)
+    assert len(suite_corpus()) == len(trees_up_to(9)) + 4 + 18 + 40 + 525
+    report = assert_suite_matches_reference(suite_corpus())
     assert report.ok
     assert {rec.hypothesis for rec in report.records} == {"met", "not-met", "vacuous-asymmetric"}
     outcomes = {name: {o for rec in report.records for n, o in rec.checks if n == name} for name in CHECK_NAMES}
@@ -432,8 +440,8 @@ def test_theorem_suite_matches_reference_on_forced_failures(monkeypatch, forced)
     # the counterexamples come in check order within a tree and in stream order across trees
     for name in forced:
         monkeypatch.setattr(corpus_module, name, FORCED[name][0])
-    report = assert_suite_matches_reference(SUITE_CORPUS)
-    failed = [(name, serialize_edge_list(t)) for t, rec in zip(SUITE_CORPUS, report.records)
+    report = assert_suite_matches_reference(suite_corpus())
+    failed = [(name, serialize_edge_list(t)) for t, rec in zip(suite_corpus(), report.records)
               for name, outcome in rec.checks if outcome == "fail"]
     assert [(ce["check"], ce["tree"]) for ce in report.counterexamples] == failed
     assert {name for name, _ in failed} == {FORCED[name][1] for name in forced}

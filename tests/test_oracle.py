@@ -23,7 +23,7 @@ from treesym import (
 from treesym import autom as autom_module
 from treesym import oracle as oracle_module
 from treesym.autom import _automorphisms
-from treesym.oracle import OrbitReport, _apply, _budgeted_automorphisms, _moved
+from treesym.oracle import OrbitReport, _budgeted_automorphisms
 
 from .conftest import path, star, trees_up_to
 from .reference import (
@@ -512,20 +512,19 @@ def test_refusal_keeps_the_order_of_errors():
 
 
 def test_direct_permutation_reads_match_image_tables():
-    # _moved, _apply and the census's moved points against image tables. The 8- and 9-vertex stars are the
-    # big-group trees of corpus --check; the rest are small
+    # the moved points that the census and brute_motion read, against image tables. The 8- and 9-vertex stars
+    # are the big-group trees of corpus --check; the rest are small
     trees = [star(8), star(9), *trees_up_to(6)]
     rng = random.Random(5)
     for t in trees:
         for sigma in enumerate_automorphisms(t):
-            assert _moved(sigma) == _reference_moved(sigma)
             support, pairs = oracle_module._moved_points(sigma)
-            assert len(pairs) == _moved(sigma) and support == sum(1 << i for i in range(t.n) if sigma[i] != i)
+            assert len(pairs) == _reference_moved(sigma) and support == sum(1 << i for i in range(t.n) if sigma[i] != i)
             tbl = _mask_images(sigma)
             for mask in [0, (1 << t.n) - 1, *(rng.getrandbits(t.n) for _ in range(8))]:
-                assert _apply(sigma, mask) == _apply_table(tbl, mask), (t.edges(), sigma, mask)
                 # the census's read: the moved part's image, with every point off the support where it was
-                assert sum(to for bit, to in pairs if mask & bit) | (mask & ~support) == _apply(sigma, mask)
+                got = sum(to for bit, to in pairs if mask & bit) | (mask & ~support)
+                assert got == _apply_table(tbl, mask), (t.edges(), sigma, mask)
 
 
 def pruefer_trees(sizes, seed: int) -> list[Tree]:
@@ -566,15 +565,14 @@ def test_the_identity_is_dropped_wherever_the_stream_lists_it(monkeypatch, where
 
 def test_census_builds_the_moved_points_of_five_star_automorphisms(monkeypatch):
     # the 9-vertex star's 40,319 non-identity automorphisms, in the backtracker's order: the swaps of its last
-    # three leaves come first, and 5 of them fix every coloring; a sort by moved count reads _moved of all 40,320
-    built, counted = [], []
-    build, moved = oracle_module._moved_points, oracle_module._moved
+    # three leaves come first, and 5 of them fix every coloring; a sort by moved count reads all 40,320
+    built = []
+    build = oracle_module._moved_points
     monkeypatch.setattr(oracle_module, "_moved_points", lambda sigma: built.append(sigma) or build(sigma))
-    monkeypatch.setattr(oracle_module, "_moved", lambda sigma: counted.append(sigma) or moved(sigma))
     report = brute_asym(star(9))
     assert (report.aut_order, report.distinguishing_count) == (40_320, 0)
     assert 1 <= len([sigma for sigma in built if sigma != tuple(range(9))]) <= 5
-    assert len(built) == len(set(built)) and counted == []
+    assert len(built) == len(set(built))
 
 
 

@@ -1,9 +1,11 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from treesym import (
+    AutomorphismLimitExceeded,
     RootedGraph,
     asym_unrooted,
     brute_graph_aut,
@@ -260,6 +262,68 @@ def test_distinguish_matches_reference():
         assert got == summary(reference_treelike_distinguish(g)), (g.n, g.adj, g.root)
         found += got is not None and got[1] != 0
     assert found > 300  # the corpus exercises the search, not only the asymmetric shortcut
+
+
+def complete_bipartite(a: int, b: int, root: int) -> RootedGraph:
+    return RootedGraph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)], root)
+
+
+def distinguish_outcome(distinguish, g):
+    try:
+        return summary(distinguish(g))
+    except AutomorphismLimitExceeded as exc:
+        return type(exc).__name__, exc.limit, str(exc)
+
+
+@pytest.mark.parametrize("a, b", [(3, 3), (4, 4), (5, 6)])
+def test_distinguish_matches_reference_on_complete_bipartite_graphs(a, b):
+    # 72, 1,152 and 86,400 automorphisms, none of them kept by the stream
+    for root in (0, a + b - 1):
+        g = complete_bipartite(a, b, root)
+        assert distinguish_outcome(treelike_distinguish, g) == distinguish_outcome(reference_treelike_distinguish, g)
+
+
+def test_distinguish_past_the_limit_raises():
+    # K_{6,6} has 2 * 6!^2 = 1,036,800 automorphisms and no sibling leaves, so the search reads 500,000 first;
+    # its forest is a 7-vertex star and five singletons, so the coloring search gives up long before that
+    g = complete_bipartite(6, 6, 0)
+    assert distinguish_outcome(treelike_distinguish, g) == (
+        "AutomorphismLimitExceeded", 500_000, "automorphism count exceeds limit 500000")
+
+
+def test_distinguish_keeps_no_automorphism(monkeypatch):
+    # K_{5,6}'s 86,400 automorphisms come from one search; listing them peaked at 11.2 MiB
+    searches = []
+    search = treelike._graph_search
+    monkeypatch.setattr(treelike, "_graph_search", lambda *args: searches.append(args) or search(*args))
+    g = complete_bipartite(5, 6, 0)
+    tracemalloc.start()
+    try:
+        got = treelike_distinguish(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is None and len(searches) == 1
+    assert peak <= 1 << 20, peak
+
+
+def test_distinguish_drains_the_search_past_a_lowered_limit(monkeypatch):
+    # with the limit one below |Aut|, every graph whose group is not trivial raises, whether no admissible
+    # mask exists, the scan stops at an automorphism that keeps the colors, or the scan reads them all
+    rng = random.Random(42)
+    graphs = [gadget_graph(rng) for _ in range(150)] + [shuffled_graph(rng, rng.randint(2, 9)) for _ in range(150)]
+    kinds = Counter()
+    for g in graphs:
+        order = len(brute_graph_aut(g.adj))
+        if order == 1:
+            continue
+        want = summary(reference_treelike_distinguish(g))
+        kinds["no mask" if treelike._forest_colors(g) is None else "kept" if want is None else "distinguished"] += 1
+        monkeypatch.setattr(treelike, "_GRAPH_AUT_LIMIT", order - 1)
+        assert distinguish_outcome(treelike_distinguish, g)[:2] == ("AutomorphismLimitExceeded", order - 1)
+        monkeypatch.setattr(treelike, "_GRAPH_AUT_LIMIT", order)
+        assert distinguish_outcome(treelike_distinguish, g) == want
+    assert min(kinds["no mask"], kinds["kept"], kinds["distinguished"]) >= 10, kinds
 
 
 def test_distinguish_analyses_each_component_once(monkeypatch):

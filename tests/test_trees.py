@@ -295,6 +295,31 @@ def test_coloring_rejects_bad_input():
         Coloring(2, 5)
 
 
+def test_coloring_mask_range_check_builds_no_power_of_two():
+    for mask in (8, -1):
+        with pytest.raises(ValueError, match="^mask out of range for vertex count$"):
+            Coloring(3, mask)
+    assert Coloring(3, 7).bits() == "111"
+    # every int mask is accepted exactly when 0 <= mask < 2^n, on both sides of each bound
+    for n in (1, 2, 3, 7, 64, 1000):
+        for mask in (0, 1, -1, (1 << n) - 1, 1 << n, (1 << n) + 1, -(1 << n), 1 << (n + 64), -(1 << (n + 64))):
+            try:
+                accepted = Coloring(n, mask).mask == mask
+            except ValueError as exc:
+                assert str(exc) == "mask out of range for vertex count"
+                accepted = False
+            assert accepted == (0 <= mask < 1 << n), (n, mask)
+    # at 30 bits per 4-byte digit, 2^(10^12) would take 124 GiB and 2^(10^8) 12.7 MiB
+    tracemalloc.start()
+    try:
+        Coloring(10**12, 0)
+        Coloring(10**8, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 @pytest.mark.parametrize(
     "bits, shown",
     [
