@@ -215,6 +215,30 @@ def one_root_against_all_roots() -> None:
             expect(one == {w: every[w]}, f"{name}: --root {w} gives {one}, --all-roots gives {every[w]}")
 
 
+def one_root_costs_its_depth() -> None:
+    # a single rooted query walks from w to the center once: the pointers that jump chains of only children
+    # (canon._chain_pointers) are made by that walk, so analyze --root 0 stays within 1.25x (plus 0.1 s) of analyze
+    # on a 10^5-vertex path, whose vertex 0 is 50,000 steps from the center, and on a 10^5-vertex Pruefer tree.
+    # A child writes the texts: every later child's peak RSS counts this process's size, which must stay small
+    make = ("import random, sys; from treesym import Tree, serialize_edge_list, tree_from_pruefer; n = 10**5; "
+            "t = Tree.from_edges(n, [(i, i + 1) for i in range(n - 1)]) if sys.argv[1] == 'path' else "
+            "tree_from_pruefer(n, random.Random(5).choices(range(n), k=n - 2)); "
+            "sys.stdout.write(serialize_edge_list(t))")
+    for name in ("path", "Pruefer tree"):
+        text = subprocess.run([sys.executable, "-c", make, name], capture_output=True, text=True, check=True).stdout
+        best = {}
+        for args in (("analyze", "--json", "-"), ("analyze", "--root", "0", "--json", "-")):
+            times = []
+            for _ in range(3):
+                start = time.monotonic()
+                r = cli(*args, stdin=text)
+                times.append(time.monotonic() - start)
+                expect(r.code == 0 and not r.err, f"treesym {' '.join(args)} on the {name}: exit {r.code}, {r.err!r}")
+            best[args[1]] = min(times)
+        expect(best["--root"] <= 1.25 * best["--json"] + 0.1,
+               f"analyze --root 0 on the {name}: {best['--root']:.2f} s, analyze {best['--json']:.2f} s")
+
+
 def pinned_verification() -> None:
     # verify --pin w gives w a third color: its exit (0: distinguishing, 4: not) matches a brute check over
     # the automorphisms fixing w, for five colorings at every pin. The relabeled binary tree (128 automorphisms)
@@ -237,8 +261,8 @@ def pinned_verification() -> None:
 # the checks the tier-1 suite runs too, each in a fresh interpreter (tests/test_cli_checks.py)
 FAST = (same_output_under_O, corpora_parse_back, star_oracle_censuses, star12_refused, k66_treelike_streamed,
         closed_stdout, input_errors)
-# the per-vertex sweeps start 285 children; the over-budget census lists 2,000,000 automorphisms
-CHECKS = FAST + (one_root_against_all_roots, pinned_verification, cherry16_past_budget)
+# the per-vertex sweeps start 285 children, the timed queries 14; the over-budget census lists 2,000,000 automorphisms
+CHECKS = FAST + (one_root_against_all_roots, one_root_costs_its_depth, pinned_verification, cherry16_past_budget)
 
 
 def main() -> None:

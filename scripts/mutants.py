@@ -42,6 +42,18 @@ ROWS = [
      "acc *= product(vals, ()) ** chain", "acc *= product(vals, ()) ** (chain + 1)",
      ["tests/test_census.py::test_census_identities_over_every_free_tree",
       "tests/test_rerooting.py::test_rooted_numbers_match_reference_up_to_11"]),
+    ("_chain_pointers: the step count off by one", "src/treesym/canon.py",
+     "enumerate(reversed(run), k + 1)", "enumerate(reversed(run), k)",
+     ["tests/test_rerooting.py::test_rooted_walk_matches_every_root_on_chains_in_any_order"]),
+    ("_chain_pointers: a met entry's steps dropped", "src/treesym/canon.py",
+     "else (tops[x], steps[x])", "else (tops[x], 0)",
+     ["tests/test_rerooting.py::test_rooted_walk_matches_every_root_on_chains_in_any_order"]),
+    ("_chain_pointers: pointers to the met vertex, not the top of its run", "src/treesym/canon.py",
+     "else (tops[x], steps[x])", "else (x, 0)",
+     ["tests/test_rerooting.py::test_chain_pointers_name_the_top_of_each_run"]),
+    ("_chain_pointers: filed entries climbed again", "src/treesym/canon.py",
+     "while tops[x] is None and x not in roots", "while x not in roots",
+     ["tests/test_rerooting.py::test_rooted_loop_climbs_each_vertex_once"]),
     ("_toward_center: an edge center's halves swapped", "src/treesym/canon.py",
      "b[u], b[v] = vals[ids[v]], vals[ids[u]]", "b[u], b[v] = vals[ids[u]], vals[ids[v]]",
      ["tests/test_rerooting.py::test_a_at_every_root_matches_rooted_small"]),
@@ -61,7 +73,7 @@ ROWS = [
      "            acc *= a[k] if mu == 1 else comb(a[k] + 1, mu)\n",
      ["tests/test_asym.py::test_oracle_equivalence_exhaustive_small"]),
     ("a_by_class: values kept past the budget", "src/treesym/asym.py",
-     "<= 64 * len(a):", "<= 64 * len(a) or True:",
+     "<= 64 * an.rt.tree.n:", "<= 64 * an.rt.tree.n or True:",
      ["tests/test_canon.py::test_a_values_of_a_long_path_are_not_kept"]),
     ("conjecture_check: values capped at 1", "src/treesym/corpus.py",
      "cap = t.delta + 1", "cap = 1",
@@ -161,6 +173,9 @@ ROWS = [
     ("_rooting: a leaf root has no children", "src/treesym/trees.py",
      "if len(kids) == 1 and u != w:  # a leaf", "if len(kids) == 1:  # a leaf",
      ["tests/test_trees.py::test_root_at_matches_reference"]),
+    ("_rooting: a disconnected graph rooted in part", "src/treesym/trees.py",
+     "if len(order) != t.n:", "if len(order) > t.n:",
+     ["tests/test_trees.py::test_rooting_an_unchecked_non_tree_raises"]),
     ("_cut: one digit too few for a power of ten", "src/treesym/trees.py",
      "while 10**digits <= a:", "while 10**digits < a:",
      ["tests/test_parse_differential.py::test_cut_counts_a_long_int_without_str"]),

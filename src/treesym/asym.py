@@ -37,9 +37,9 @@ def _a_product(a: list[int], runs, drop: int = -1) -> int:
 def a_by_class(an: TreeAnalysis) -> list[int]:
     """a(T^x, x) of every class, in one pass over the class table: ``_a_product`` inline, with no drop.
 
-    The list is kept on ``an`` when its values average at most 64 bits per class, so it costs
-    O(classes) words like ``sigs``, and later calls return the same list, which callers share and
-    must not mutate. Larger values (a path's are about n^2/8 bits) are recomputed on every call.
+    The list is kept on ``an`` when its values total at most 64 bits per vertex, O(n) words like ``ids``,
+    and later calls return it, shared and not to be mutated. Larger values (a path's are about n^2/8
+    bits, over the budget from n = 507 on) are recomputed on every call.
     """
     a = an.__dict__.get("_a")
     if a is not None:
@@ -52,7 +52,7 @@ def a_by_class(an: TreeAnalysis) -> list[int]:
             if not acc:
                 break
         a.append(acc)
-    if sum(map(int.bit_length, a)) <= 64 * len(a):
+    if sum(map(int.bit_length, a)) <= 64 * an.rt.tree.n:
         object.__setattr__(an, "_a", a)
     return a
 
@@ -84,8 +84,8 @@ def a_values(rt: RootedTree) -> tuple[int, ...]:
 def asym_rooted(rt: RootedTree) -> int:
     """a(T,w): inequivalent distinguishing sets under the root stabilizer, from the tree's center analysis.
 
-    Over every root of one tree the class values are computed once, where ``a_by_class`` keeps them
-    (values of at most 64 bits per class on average), and once per call otherwise.
+    Over every root of one tree the class values are computed once where ``a_by_class`` keeps them (at
+    most 64 bits per vertex), once per call otherwise, and each run of only children is climbed once.
     """
     an = TreeAnalysis.at_center(rt.tree)
     return a_at_root(an, a_by_class(an), rt.root)

@@ -70,7 +70,7 @@ class TreeAnalysis:
     twin classes of any vertex of class c as (child class, multiplicity)
     pairs in ascending class order, so the children of x split into runs of
     those lengths. ``reps[c]`` is the first vertex (bottom-up) of class c.
-    ``asym.a_by_class`` may keep the a-value of every class on the analysis.
+    ``asym.a_by_class`` may keep the a-value of every class on the analysis, and ``_chain_pointers`` its pointers.
     """
 
     rt: RootedTree
@@ -174,26 +174,45 @@ def _at_root(an: TreeAnalysis, vals: list[int], product, w: int) -> int:
     that branch is taller than every other branch at w: it is a run of one, and b(x) = b(p) *
     product(p's runs less x), from 1 at a vertex center, or the other half at an edge center, down
     the path to w. Where x is p's only child that product is ``product(vals, ())``, so such chain
-    steps are counted and paid with one power.
+    steps are counted, jumped by ``_chain_pointers``, and paid with one power.
     """
     _check_root(an.rt.tree.n, w)
     ids, sigs, children, parent, roots = an.ids, an.sigs, an.children, an.rt.parent, an.roots
-    acc = vals[ids[w]]
-    chain = 0
-    x = w
+    tops, steps = an.__dict__.get("_up", (None, None))
+    acc, chain, x = vals[ids[w]], 0, w
     while x not in roots:
         p = parent[x]
         if len(children[p]) == 1:
-            chain += 1
+            if tops is None or tops[x] is None:
+                tops, steps = _chain_pointers(an, x)
+            chain, x = chain + steps[x], tops[x]
         else:
             acc *= product(vals, sigs[ids[p]], ids[x])
-        x = p
+            x = p
     if chain:
         acc *= product(vals, ()) ** chain
     for r in roots:
         if r != x:
             acc *= vals[ids[r]]
     return acc
+
+
+def _chain_pointers(an: TreeAnalysis, x: int) -> tuple[list, list]:
+    """Per vertex, the top of its run of only-child parents and the steps to it, kept on ``an``; x's run filed first.
+
+    Path compression (Tarjan and van Leeuwen, J. ACM 1984): only the first walk through a vertex climbs it.
+    """
+    if "_up" not in an.__dict__:  # made when a walk first meets a run: a query at a center end makes none
+        object.__setattr__(an, "_up", ([None] * an.rt.tree.n, [0] * an.rt.tree.n))
+    (tops, steps), parent, children, roots = an._up, an.rt.parent, an.children, an.roots
+    run = []
+    while tops[x] is None and x not in roots and len(children[parent[x]]) == 1:
+        run.append(x)
+        x = parent[x]
+    top, k = (x, 0) if tops[x] is None else (tops[x], steps[x])
+    for k, v in enumerate(reversed(run), k + 1):
+        tops[v], steps[v] = top, k
+    return tops, steps
 
 
 def _toward_center(an: TreeAnalysis, vals: list[int], product) -> list[int]:

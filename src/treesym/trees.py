@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 
 class EdgeListParseError(ValueError):
@@ -335,11 +336,9 @@ def root_at(t: Tree, w: int) -> RootedTree:
 
 
 def _rooting(t: Tree, w: int) -> dict[str, tuple]:
-    """The tables of ``t`` rooted at ``w``, by name, from one BFS."""
-    parent = [None] * t.n
-    children = [()] * t.n
-    order = [w]
-    for u in order:
+    """The tables of ``t`` rooted at ``w``, by name, from one BFS; ``ValueError`` unless it takes exactly n vertices."""
+    parent, children, order = [None] * t.n, [()] * t.n, [w]
+    for u in islice(order, t.n):  # a cycle would keep the walk going
         kids = t.adj[u]
         if len(kids) == 1 and u != w:  # a leaf
             continue
@@ -349,6 +348,8 @@ def _rooting(t: Tree, w: int) -> dict[str, tuple]:
         for v in kids:
             parent[v] = u
         order += kids
+    if len(order) != t.n:  # more on a cycle, fewer when disconnected
+        raise ValueError("edges do not form a connected tree")
     size = [1] * t.n
     for v in order[:0:-1]:
         size[parent[v]] += size[v]

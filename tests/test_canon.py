@@ -538,7 +538,7 @@ def pruefer_20k() -> Tree:
 
 @pytest.mark.parametrize("make", [pruefer_20k, lambda: kary_tree(20_000, 2)], ids=["prufer", "binary"])
 def test_a_values_within_budget_are_kept(make):
-    # at most 64 bits per class on average: the list is kept on the center analysis and shared
+    # at most 64 bits per class on average, so within 64 bits per vertex: the list is kept on the center analysis
     t = make()
     an = TreeAnalysis.at_center(t)
     a = a_by_class(an)

@@ -27,9 +27,12 @@ from treesym import (
     asym_unrooted,
     aut_order_rooted,
     conjecture_check,
+    construct_distinguishing,
     relabel,
     root_at,
+    run_theorem_suite,
     serialize_edge_list,
+    verify_distinguishing,
 )
 from treesym.asym import _a_product, a_at_root, a_by_class
 from treesym.autom import _aut_product, aut_by_class
@@ -390,7 +393,7 @@ def test_rooted_loop_matches_every_root_small():
 
 
 def test_rooted_loop_matches_every_root_on_paths():
-    # a path's values pass 64 bits per class on average from n = 247 on, so both sides of the budget
+    # a path's values pass 64 bits per vertex at n = 501, 503, 505 and from n = 507 on, so both sides of the budget
     rng = random.Random(36)
     kept = set()
     for n in range(1, 601):
@@ -415,9 +418,11 @@ class CountingSigs(tuple):
         return super().__iter__()
 
 
-@pytest.mark.parametrize("make,loops", [(lambda: spider(301, 3), 1), (lambda: path(300), 300)], ids=["spider", "path"])
+@pytest.mark.parametrize("make,loops", [(lambda: spider(301, 3), 1), (lambda: path(300), 1), (lambda: path(600), 600)],
+                         ids=["spider", "path", "path_past_budget"])
 def test_rooted_loop_computes_class_values_once_within_budget(monkeypatch, make, loops):
-    # the spider's legs of 100 keep 5,449 bits over 101 classes; the path's 150 classes hold 11,475 bits
+    # the budget is 64 bits per vertex: the spider's 101 classes keep 5,449 bits (of 19,264), path(300)'s 150 classes
+    # 11,475 (of 19,200); path(600)'s 300 classes hold 45,450 bits, past its 38,400, so every call recomputes them
     t = make()
     an = TreeAnalysis.at_center(t)
     object.__setattr__(an, "sigs", CountingSigs(an.sigs))
@@ -425,6 +430,110 @@ def test_rooted_loop_computes_class_values_once_within_budget(monkeypatch, make,
     for w in range(t.n):
         asym_rooted(root_at(t, w))
     assert CountingSigs.loops == loops
+
+
+def broom(handle: int, bristles: int) -> Tree:
+    """A path of ``handle`` vertices with ``bristles`` leaves at its last vertex."""
+    edges = [(i, i + 1) for i in range(handle - 1)] + [(handle - 1, handle + j) for j in range(bristles)]
+    return Tree.from_edges(handle + bristles, edges)
+
+
+def hairy_caterpillar(spine: int, hair: int) -> Tree:
+    """A path of ``spine`` vertices with a path of ``hair`` vertices hanging from each spine vertex."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    for i in range(spine):
+        first = spine + i * hair
+        edges += [(i, first)] + [(v, v + 1) for v in range(first, first + hair - 1)]
+    return Tree.from_edges(spine * (hair + 1), edges)
+
+
+def chain_corpus() -> list[Tree]:
+    """Paths, 1-3-leg spiders, caterpillars with long hairs and brooms, relabeled, on both sides of the budget."""
+    rng = random.Random(43)
+    trees = [path(n) for n in (*range(1, 30), 499, 500, 501, 506, 507, 600)]
+    trees += [spider(n, legs) for n in (7, 40, 301, 900, 1200) for legs in (1, 2, 3)]
+    trees += [hairy_caterpillar(s, h) for s, h in ((2, 1), (3, 20), (5, 31), (12, 8), (4, 150), (3, 300))]
+    trees += [broom(h, b) for h, b in ((1, 3), (2, 2), (30, 3), (200, 5), (600, 2))]
+    return [shuffled(rng, t) for t in trees]
+
+
+def assert_walk_matches_every_root(t: Tree, rng: random.Random) -> bool:
+    """The rooted walk at every vertex of a fresh tree, in a shuffled order; whether the class a-values were kept."""
+    order = list(range(t.n))
+    rng.shuffle(order)  # the first query, which makes the pointers, climbs from anywhere
+    got = {w: (asym_rooted(root_at(t, w)), aut_order_rooted(root_at(t, w))) for w in order}
+    fresh = Tree(t.n, t.adj)
+    an = TreeAnalysis.at_center(fresh)
+    aut = aut_by_class(an)
+    want = zip(asym_at_every_root(fresh), (aut[c] * b for c, b in zip(an.ids, _toward_center(an, aut, _aut_product))))
+    assert [got[w] for w in range(t.n)] == list(want), t.adj
+    if t.n <= 40:
+        for w in range(t.n):
+            rt = root_at(fresh, w)
+            assert got[w] == (reference_asym_rooted(rt), reference_aut_order_rooted(rt)), (t.adj, w)
+    return "_a" in TreeAnalysis.at_center(t).__dict__
+
+
+def test_rooted_walk_matches_every_root_on_chains_in_any_order():
+    rng = random.Random(44)
+    kept = {assert_walk_matches_every_root(t, rng) for t in chain_corpus()}
+    assert kept == {True, False}
+
+
+def test_chain_pointers_name_the_top_of_each_run():
+    # after a query at every root, every vertex whose parent has no other child, and no other vertex, has an
+    # entry: the top of its run of only-child parents (a center end, or a vertex with siblings) and the steps to it
+    rng = random.Random(45)
+    for t in chain_corpus():
+        order = list(range(t.n))
+        rng.shuffle(order)
+        for w in order:
+            asym_rooted(root_at(t, w))
+        an = TreeAnalysis.at_center(t)
+        parent, children, roots = an.rt.parent, an.children, an.roots
+        tops, steps = an.__dict__.get("_up", ([None] * t.n, [0] * t.n))
+        for v in range(t.n):
+            y, k = v, 0
+            while y not in roots and len(children[parent[y]]) == 1:
+                y, k = parent[y], k + 1
+            assert (tops[v], steps[v]) == ((y, k) if k else (None, 0)), (t.adj, v)
+
+
+class CountingParent(tuple):
+    """A parent table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        CountingParent.reads += 1
+        return super().__getitem__(v)
+
+
+def test_rooted_loop_climbs_each_vertex_once(monkeypatch):
+    # one parent at a time, a loop over every root of a path climbs n^2/4 steps; the pointers let it climb each
+    # vertex once, and a later walk jumps its run in one step
+    for t in (path(1001), spider(1000, 3), broom(1000, 2)):
+        an = TreeAnalysis.at_center(t)
+        object.__setattr__(an.rt, "parent", CountingParent(an.rt.parent))
+        monkeypatch.setattr(CountingParent, "reads", 0)
+        for w in an.rt.bfs_order:  # each walk climbs one new vertex, then meets an entry
+            aut_order_rooted(root_at(t, w))
+        assert CountingParent.reads <= 4 * t.n
+
+
+@pytest.mark.parametrize("make", [lambda: path(301), lambda: spider(301, 3), lambda: hairy_caterpillar(5, 20)],
+                         ids=["path", "spider", "caterpillar"])
+def test_only_a_rooted_walk_makes_chain_pointers(make):
+    # the unrooted numbers, the coloring, its checks and both corpus scans read no chain; a walk up from a leaf does
+    t = make()
+    coloring = construct_distinguishing(t)
+    assert verify_distinguishing(t, coloring) and asym_unrooted(t) > 0
+    verify_distinguishing(t, coloring, pinned=t.n - 1)
+    run_theorem_suite([t])
+    conjecture_check(t)
+    assert "_up" not in TreeAnalysis.at_center(t).__dict__
+    asym_rooted(root_at(t, t.n - 1))
+    assert "_up" in TreeAnalysis.at_center(t).__dict__
 
 
 def traced_peak(run) -> int:

@@ -251,6 +251,16 @@ def test_root_out_of_range(p3, table_builds):
     assert table_builds == []
 
 
+@pytest.mark.parametrize("adj", [((1, 2), (0, 2), (0, 1)), ((1,), (0,), (3,), (2,))], ids=["triangle", "two_edges"])
+def test_rooting_an_unchecked_non_tree_raises(adj):
+    # Tree(n, adj) checks nothing: the rooting walk, which never ended on a cycle and rooted one part of a
+    # disconnected graph, raises Tree.from_edges' message when it does not take exactly n vertices
+    t = Tree(len(adj), adj)
+    for run in (aut_order, asym_unrooted, motion, lambda t: root_at(t, 1).bfs_order):
+        with pytest.raises(ValueError, match="^edges do not form a connected tree$"):
+            run(t)
+
+
 def test_rooting_survives_copy_and_pickle():
     rng = random.Random(5)
     for t in [path(1), path(2)] + relabeled_families(41, (4, 30)):
