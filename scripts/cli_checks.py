@@ -217,8 +217,9 @@ def one_root_against_all_roots() -> None:
 
 def one_root_costs_its_depth() -> None:
     # a single rooted query walks from w to the center once: the pointers that jump chains of only children
-    # (canon._chain_pointers) are made by that walk, so analyze --root 0 stays within 1.25x (plus 0.1 s) of analyze
-    # on a 10^5-vertex path, whose vertex 0 is 50,000 steps from the center, and on a 10^5-vertex Pruefer tree.
+    # (canon._chain_pointers) come from one top-down pass the first time a walk meets a chain, so analyze --root 0
+    # stays within 1.25x (plus 0.1 s) of analyze on a 10^5-vertex path, whose vertex 0 is 50,000 steps from the
+    # center, and on a 10^5-vertex Pruefer tree.
     # A child writes the texts: every later child's peak RSS counts this process's size, which must stay small
     make = ("import random, sys; from treesym import Tree, serialize_edge_list, tree_from_pruefer; n = 10**5; "
             "t = Tree.from_edges(n, [(i, i + 1) for i in range(n - 1)]) if sys.argv[1] == 'path' else "

@@ -42,18 +42,19 @@ ROWS = [
      "acc *= product(vals, ()) ** chain", "acc *= product(vals, ()) ** (chain + 1)",
      ["tests/test_census.py::test_census_identities_over_every_free_tree",
       "tests/test_rerooting.py::test_rooted_numbers_match_reference_up_to_11"]),
-    ("_chain_pointers: the step count off by one", "src/treesym/canon.py",
-     "enumerate(reversed(run), k + 1)", "enumerate(reversed(run), k)",
-     ["tests/test_rerooting.py::test_rooted_walk_matches_every_root_on_chains_in_any_order"]),
-    ("_chain_pointers: a met entry's steps dropped", "src/treesym/canon.py",
-     "else (tops[x], steps[x])", "else (tops[x], 0)",
-     ["tests/test_rerooting.py::test_rooted_walk_matches_every_root_on_chains_in_any_order"]),
-    ("_chain_pointers: pointers to the met vertex, not the top of its run", "src/treesym/canon.py",
-     "else (tops[x], steps[x])", "else (x, 0)",
-     ["tests/test_rerooting.py::test_chain_pointers_name_the_top_of_each_run"]),
-    ("_chain_pointers: filed entries climbed again", "src/treesym/canon.py",
-     "while tops[x] is None and x not in roots", "while x not in roots",
+    ("_at_root: the pointers made again at every chain step", "src/treesym/canon.py",
+     "if tops is None:", "if True:",
      ["tests/test_rerooting.py::test_rooted_loop_climbs_each_vertex_once"]),
+    ("_chain_pointers: the step count off by one", "src/treesym/canon.py",
+     "steps[p] + 1", "steps[p]",
+     ["tests/test_rerooting.py::test_rooted_walk_matches_every_root_on_chains_in_any_order"]),
+    ("_chain_pointers: pointers to the parent, not the top of its run", "src/treesym/canon.py",
+     "= tops[p], steps[p]", "= p, steps[p]",
+     ["tests/test_rerooting.py::test_chain_pointers_name_the_top_of_each_run"]),
+    ("_chain_pointers: a center end does not stop a run", "src/treesym/canon.py",
+     "if x not in roots and len(children[p := parent[x]]) == 1:", "if len(children[p := parent[x]]) == 1:",
+     ["tests/test_rerooting.py::test_rooted_walk_matches_every_root_on_chains_in_any_order",
+      "tests/test_rerooting.py::test_rooted_loop_climbs_each_vertex_once"]),
     ("_toward_center: an edge center's halves swapped", "src/treesym/canon.py",
      "b[u], b[v] = vals[ids[v]], vals[ids[u]]", "b[u], b[v] = vals[ids[u]], vals[ids[v]]",
      ["tests/test_rerooting.py::test_a_at_every_root_matches_rooted_small"]),
@@ -68,9 +69,8 @@ ROWS = [
      "        mu -= k == drop\n        acc *= a[k]", "        acc *= a[k]",
      ["tests/test_census.py::test_census_identities_over_every_free_tree",
       "tests/test_rerooting.py::test_rooted_numbers_match_reference_up_to_11"]),
-    ("a_by_class: C(a + 1, mu) for a twin run", "src/treesym/asym.py",
-     "            acc *= a[k] if mu == 1 else comb(a[k], mu)\n",
-     "            acc *= a[k] if mu == 1 else comb(a[k] + 1, mu)\n",
+    ("_a_product: C(a + 1, mu) for a twin run", "src/treesym/asym.py",
+     "comb(a[k], mu)  # C(a, 1) = a", "comb(a[k] + 1, mu)  # C(a, 1) = a",
      ["tests/test_asym.py::test_oracle_equivalence_exhaustive_small"]),
     ("a_by_class: values kept past the budget", "src/treesym/asym.py",
      "<= 64 * an.rt.tree.n:", "<= 64 * an.rt.tree.n or True:",

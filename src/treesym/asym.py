@@ -35,7 +35,7 @@ def _a_product(a: list[int], runs, drop: int = -1) -> int:
 
 
 def a_by_class(an: TreeAnalysis) -> list[int]:
-    """a(T^x, x) of every class, in one pass over the class table: ``_a_product`` inline, with no drop.
+    """a(T^x, x) of every class, in one pass over the class table: ``_a_product`` of each class's runs.
 
     The list is kept on ``an`` when its values total at most 64 bits per vertex, O(n) words like ``ids``,
     and later calls return it, shared and not to be mutated. Larger values (a path's are about n^2/8
@@ -46,12 +46,7 @@ def a_by_class(an: TreeAnalysis) -> list[int]:
         return a
     a = []
     for sig in an.sigs:
-        acc = 2
-        for k, mu in sig:
-            acc *= a[k] if mu == 1 else comb(a[k], mu)
-            if not acc:
-                break
-        a.append(acc)
+        a.append(_a_product(a, sig))
     if sum(map(int.bit_length, a)) <= 64 * an.rt.tree.n:
         object.__setattr__(an, "_a", a)
     return a
@@ -85,7 +80,7 @@ def asym_rooted(rt: RootedTree) -> int:
     """a(T,w): inequivalent distinguishing sets under the root stabilizer, from the tree's center analysis.
 
     Over every root of one tree the class values are computed once where ``a_by_class`` keeps them (at
-    most 64 bits per vertex), once per call otherwise, and each run of only children is climbed once.
+    most 64 bits per vertex), once per call otherwise, and each run of only children is jumped by pointers made once.
     """
     an = TreeAnalysis.at_center(rt.tree)
     return a_at_root(an, a_by_class(an), rt.root)

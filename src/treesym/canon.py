@@ -174,7 +174,7 @@ def _at_root(an: TreeAnalysis, vals: list[int], product, w: int) -> int:
     that branch is taller than every other branch at w: it is a run of one, and b(x) = b(p) *
     product(p's runs less x), from 1 at a vertex center, or the other half at an edge center, down
     the path to w. Where x is p's only child that product is ``product(vals, ())``, so such chain
-    steps are counted, jumped by ``_chain_pointers``, and paid with one power.
+    steps are counted, jumped in one step by ``_chain_pointers``, and paid with one power.
     """
     _check_root(an.rt.tree.n, w)
     ids, sigs, children, parent, roots = an.ids, an.sigs, an.children, an.rt.parent, an.roots
@@ -183,8 +183,8 @@ def _at_root(an: TreeAnalysis, vals: list[int], product, w: int) -> int:
     while x not in roots:
         p = parent[x]
         if len(children[p]) == 1:
-            if tops is None or tops[x] is None:
-                tops, steps = _chain_pointers(an, x)
+            if tops is None:  # made the first time a walk meets a chain: a query at a center end makes none
+                tops, steps = _chain_pointers(an)
             chain, x = chain + steps[x], tops[x]
         else:
             acc *= product(vals, sigs[ids[p]], ids[x])
@@ -197,21 +197,14 @@ def _at_root(an: TreeAnalysis, vals: list[int], product, w: int) -> int:
     return acc
 
 
-def _chain_pointers(an: TreeAnalysis, x: int) -> tuple[list, list]:
-    """Per vertex, the top of its run of only-child parents and the steps to it, kept on ``an``; x's run filed first.
-
-    Path compression (Tarjan and van Leeuwen, J. ACM 1984): only the first walk through a vertex climbs it.
-    """
-    if "_up" not in an.__dict__:  # made when a walk first meets a run: a query at a center end makes none
-        object.__setattr__(an, "_up", ([None] * an.rt.tree.n, [0] * an.rt.tree.n))
-    (tops, steps), parent, children, roots = an._up, an.rt.parent, an.children, an.roots
-    run = []
-    while tops[x] is None and x not in roots and len(children[parent[x]]) == 1:
-        run.append(x)
-        x = parent[x]
-    top, k = (x, 0) if tops[x] is None else (tops[x], steps[x])
-    for k, v in enumerate(reversed(run), k + 1):
-        tops[v], steps[v] = top, k
+def _chain_pointers(an: TreeAnalysis) -> tuple[list, list]:
+    """Per vertex, the top of its run of only-child parents (itself if none) and the steps to it, in one top-down pass."""
+    parent, children, roots = an.rt.parent, an.children, an.roots
+    tops, steps = list(range(an.rt.tree.n)), [0] * an.rt.tree.n
+    for x in an.rt.bfs_order:  # x's parent p comes first: where x is p's only child, x is one step past p
+        if x not in roots and len(children[p := parent[x]]) == 1:
+            tops[x], steps[x] = tops[p], steps[p] + 1
+    object.__setattr__(an, "_up", (tops, steps))
     return tops, steps
 
 

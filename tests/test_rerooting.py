@@ -36,7 +36,7 @@ from treesym import (
 )
 from treesym.asym import _a_product, a_at_root, a_by_class
 from treesym.autom import _aut_product, aut_by_class
-from treesym.canon import TreeAnalysis, _at_root, _toward_center
+from treesym.canon import TreeAnalysis, _at_root, _chain_pointers, _toward_center
 from treesym.cli import main
 from treesym.corpus import all_trees, caterpillar, kary_tree, random_tree, spider
 
@@ -481,22 +481,17 @@ def test_rooted_walk_matches_every_root_on_chains_in_any_order():
 
 
 def test_chain_pointers_name_the_top_of_each_run():
-    # after a query at every root, every vertex whose parent has no other child, and no other vertex, has an
-    # entry: the top of its run of only-child parents (a center end, or a vertex with siblings) and the steps to it
-    rng = random.Random(45)
+    # every vertex's entry is the top of its run of only-child parents (a center end, or a vertex with siblings)
+    # and the steps to it: (v, 0) at a center end and where v's parent has other children
     for t in chain_corpus():
-        order = list(range(t.n))
-        rng.shuffle(order)
-        for w in order:
-            asym_rooted(root_at(t, w))
         an = TreeAnalysis.at_center(t)
         parent, children, roots = an.rt.parent, an.children, an.roots
-        tops, steps = an.__dict__.get("_up", ([None] * t.n, [0] * t.n))
+        tops, steps = _chain_pointers(an)
         for v in range(t.n):
             y, k = v, 0
             while y not in roots and len(children[parent[y]]) == 1:
                 y, k = parent[y], k + 1
-            assert (tops[v], steps[v]) == ((y, k) if k else (None, 0)), (t.adj, v)
+            assert (tops[v], steps[v]) == (y, k), (t.adj, v)
 
 
 class CountingParent(tuple):
@@ -510,13 +505,13 @@ class CountingParent(tuple):
 
 
 def test_rooted_loop_climbs_each_vertex_once(monkeypatch):
-    # one parent at a time, a loop over every root of a path climbs n^2/4 steps; the pointers let it climb each
-    # vertex once, and a later walk jumps its run in one step
+    # one parent at a time, a loop over every root of a path climbs n^2/4 steps; the pointers, made in one pass
+    # that reads each parent once, let every walk jump each run of only children in one step
     for t in (path(1001), spider(1000, 3), broom(1000, 2)):
         an = TreeAnalysis.at_center(t)
         object.__setattr__(an.rt, "parent", CountingParent(an.rt.parent))
         monkeypatch.setattr(CountingParent, "reads", 0)
-        for w in an.rt.bfs_order:  # each walk climbs one new vertex, then meets an entry
+        for w in an.rt.bfs_order:  # the first walk that meets a run makes the pointers
             aut_order_rooted(root_at(t, w))
         assert CountingParent.reads <= 4 * t.n
 
