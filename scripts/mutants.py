@@ -5,8 +5,9 @@ A row is (name, file, old text, new text, pytest node ids). The old text must oc
 once in the file. Every node id is first run once on an unmutated copy, and that run must
 pass. Then each row runs on its own copy of ``src/``, ``tests/`` and ``scripts/``, with that
 copy's ``src`` first on PYTHONPATH, so ``conftest.ROOT`` and every child interpreter import the
-mutant. A row whose tests still pass is a surviving mutant (DeMillo, Lipton and Sayward, "Hints
-on test data selection", IEEE Computer 1978): the suite does not see that fault.
+mutant. Each node id of a row runs in its own pytest call, and every one of them must fail or
+time out. A row with a node id that still passes is a surviving mutant (DeMillo, Lipton and
+Sayward, "Hints on test data selection", IEEE Computer 1978): that test does not see the fault.
 
 Standard library only (pytest runs in the child processes), no options: ``python scripts/mutants.py``
 prints one line per row and exits 1 on a survivor, on an old text that does not occur exactly once,
@@ -203,7 +204,7 @@ def copy_checkout(dest: Path) -> None:
 def run_pytest(where: Path, node_ids) -> tuple[int | None, str]:
     """pytest's exit code on ``node_ids`` in the copy ``where`` (None on a timeout) and its output."""
     env = dict(os.environ, PYTHONPATH=str(where / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *node_ids]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *node_ids]
     try:
         done = subprocess.run(cmd, cwd=where, env=env, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
@@ -212,7 +213,7 @@ def run_pytest(where: Path, node_ids) -> tuple[int | None, str]:
 
 
 def check_row(row) -> tuple[bool, str]:
-    """(ok, report line) for one row: ok when the old text occurs once and the node ids fail on the mutant."""
+    """(ok, report line) for one row: ok when the old text occurs once and each node id fails on the mutant."""
     name, file, old, new, node_ids = row
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         where = Path(tmp)
@@ -223,12 +224,14 @@ def check_row(row) -> tuple[bool, str]:
             return False, f"BAD TEXT  {name}: the old text occurs {text.count(old)} times in {file}"
         path.write_text(text.replace(old, new), encoding="utf-8")
         start = time.perf_counter()
-        code, _ = run_pytest(where, node_ids)
+        codes = [run_pytest(where, [node])[0] for node in node_ids]
     took = f"{time.perf_counter() - start:5.1f} s"
-    if code == 0:
-        return False, f"SURVIVED  {name} ({took})"
+    survivors = [node for node, code in zip(node_ids, codes) if code == 0]
+    if survivors:
+        return False, f"SURVIVED  {name} ({took}; passes: {', '.join(survivors)})"
     # the unmutated run collected every node id, so any failure here, a collection error too, is the mutant's
-    return True, f"killed    {name} ({took}, {'timed out' if code is None else f'pytest exit {code}'})"
+    exits = ", ".join("timed out" if code is None else f"pytest exit {code}" for code in codes)
+    return True, f"killed    {name} ({took}, {exits})"
 
 
 def main() -> int:

@@ -374,7 +374,7 @@ def extend_ray_coloring(tr: OneEndedTruncation, ray_colors) -> Coloring:
         return max(keys)
 
     def order(runs, kids):
-        many = [comb(a[c], mu) > 1 for c, mu in runs]
+        many = [a[c] > mu for c, mu in runs]
         if sum(many) < 2:
             return runs, kids
         groups, pos = [], 0

@@ -1,5 +1,7 @@
+import gc
 import os
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,28 @@ ROOT = Path(__file__).resolve().parent.parent
 def subprocess_env() -> dict[str, str]:
     """The environment with this checkout's ``src`` first on PYTHONPATH, for child interpreters that import treesym."""
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+
+
+def traced(run):
+    """``(run(), peak)``, with ``peak`` the ``tracemalloc`` peak in bytes while ``run`` runs."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def kept(run):
+    """``(run(), kept)``, with ``kept`` the bytes still allocated after ``run``, collected before and after."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = run()
+        gc.collect()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Shared exhaustive corpora and oracle censuses are cached at module level so
-later criteria reuse the heavy work done by the oracle-equivalence run.
+The small trees come from conftest's shared ``trees_up_to``, and oracle
+censuses are cached at module level so later criteria reuse the heavy work
+done by the oracle-equivalence run.
 """
 
 import random
@@ -29,21 +30,13 @@ from treesym import (
     unrank_distinguishing,
     verify_distinguishing,
 )
-from treesym.corpus import all_trees, random_tree
+from treesym.corpus import random_tree
 
-_CORPUS: dict[int, list[Tree]] = {}
+from .conftest import trees_up_to
+
 _ORACLE_UNPINNED: dict[tuple[int, int], object] = {}
 
 EXPECTED_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
-
-
-def corpus(max_n: int) -> list[Tree]:
-    out = []
-    for n in range(1, max_n + 1):
-        if n not in _CORPUS:
-            _CORPUS[n] = list(all_trees(n))
-        out.extend(_CORPUS[n])
-    return out
 
 
 def oracle_unpinned(key, t):
@@ -86,7 +79,7 @@ def test_criterion_2_extremal_family():
 
 def test_criterion_3_oracle_equivalence_n10():
     start = time.perf_counter()
-    trees = corpus(10)
+    trees = trees_up_to(10)
     per_n = [sum(1 for t in trees if t.n == n) for n in range(1, 11)]
     assert per_n == EXPECTED_COUNTS
     mismatches = 0
@@ -116,7 +109,7 @@ def test_criterion_3_oracle_equivalence_n10():
 
 def test_criterion_4_distinguishability_bound():
     start = time.perf_counter()
-    trees = corpus(10)
+    trees = trees_up_to(10)
     rng = random.Random(20260809)
     randoms = [random_tree(rng, rng.randint(1, 40)) for _ in range(10_000)]
     violations = 0
@@ -146,7 +139,7 @@ def test_criterion_4_distinguishability_bound():
 
 def test_criterion_5_rooted_lower_bound():
     start = time.perf_counter()
-    trees = corpus(10) + [lobed_extremal(m) for m in (2, 4, 6)]
+    trees = trees_up_to(10) + [lobed_extremal(m) for m in (2, 4, 6)]
     rng = random.Random(55)
     trees += [random_tree(rng, rng.randint(2, 24)) for _ in range(500)]
     violations = 0
@@ -173,7 +166,7 @@ def test_criterion_5_rooted_lower_bound():
 
 def test_criterion_6_group_order_bound_and_regular_action():
     start = time.perf_counter()
-    trees = corpus(10)
+    trees = trees_up_to(10)
     for idx, t in enumerate(trees):
         rep = oracle_unpinned((t.n, idx), t)
         # regular action re-checked explicitly (also asserted in the report type)
@@ -193,7 +186,7 @@ def test_criterion_6_group_order_bound_and_regular_action():
 def test_criterion_7_conjecture_finite_part():
     start = time.perf_counter()
     counterexamples = []
-    for t in corpus(10):
+    for t in trees_up_to(10):
         rep = conjecture_check(t)
         if not rep.consistent:
             counterexamples.append((t, rep))
@@ -207,7 +200,7 @@ def test_criterion_7_conjecture_finite_part():
 
 def test_criterion_8_unranking_bijection():
     start = time.perf_counter()
-    trees = corpus(9)
+    trees = trees_up_to(9)
     for t in trees:
         for w in range(t.n):
             rt = root_at(t, w)

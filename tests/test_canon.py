@@ -1,9 +1,7 @@
 import builtins
-import gc
 import pickle
 import random
 import sys
-import tracemalloc
 import weakref
 from collections import Counter
 from itertools import permutations
@@ -42,11 +40,13 @@ from treesym.canon import TreeAnalysis, colored_subtree_codes, colored_unrooted_
 from treesym.oracle import exists_automorphism
 
 from .conftest import (
+    kept,
     path,
     random_trees,
     relabeled_families,
     sample_roots,
     star,
+    traced,
     trees_up_to,
     trees_with_permutation,
 )
@@ -216,13 +216,8 @@ def test_is_isomorphic_on_long_paths_is_linear_in_memory():
     n = 5 * 10**4
     a, b = path(n), relabel(path(n), rng.sample(range(n), n))
     bent = Tree.from_edges(n, [(i, i + 1) for i in range(n - 2)] + [(1, n - 1)])
-    tracemalloc.start()
-    try:
-        assert is_isomorphic(a, b)
-        assert not is_isomorphic(b, bent)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    same, peak = traced(lambda: (is_isomorphic(a, b), is_isomorphic(b, bent)))
+    assert same == (True, False)
     assert peak < 60 * 10**6
 
 
@@ -374,14 +369,8 @@ def test_wide_vertex_of_distinct_classes():
 def test_rooting_and_analysis_of_huge_trees(shape, w, ceiling_mb):
     # iterative all the way down: no recursion limit, and memory linear in n
     t = shape(10**5)
-    tracemalloc.start()
-    try:
-        rt = root_at(t, w)
-        an = TreeAnalysis.of(rt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rt.subtree_size[w] == t.n
+    an, peak = traced(lambda: TreeAnalysis.of(root_at(t, w)))
+    assert an.rt.subtree_size[w] == t.n
     assert an.ids[w] == len(an.sigs) - 1
     assert peak < ceiling_mb * 10**6
 
@@ -505,17 +494,9 @@ def test_center_memo_keeps_linear_memory():
     # the memo holds one TreeAnalysis; keeping the a-values too would add the
     # n^2/8 bits of a path's a_by_class, another 7 MB here
     t = path(20_000)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        assert asym_unrooted(t) > 0
-        assert construct_distinguishing(t) is not None
-        gc.collect()
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert kept < 7.8 * 10**6  # 3.9 MB on Python 3.11, doubled
+    (a, coloring), held = kept(lambda: (asym_unrooted(t), construct_distinguishing(t)))
+    assert a > 0 and coloring is not None
+    assert held < 7.8 * 10**6  # 3.9 MB on Python 3.11, doubled
 
 
 def test_dropped_trees_are_collected():
@@ -559,18 +540,10 @@ def test_a_values_of_a_long_path_are_not_kept():
 def test_kept_a_values_keep_linear_memory():
     # a random tree this large has three leaves at one vertex, so a(T) = 0, but its class values are kept
     t = pruefer_20k()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        assert asym_unrooted(t) == 0
-        assert construct_distinguishing(t) is None
-        gc.collect()
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    (a, coloring), held = kept(lambda: (asym_unrooted(t), construct_distinguishing(t)))
+    assert a == 0 and coloring is None
     assert "_a" in TreeAnalysis.at_center(t).__dict__
-    assert kept < 6.2 * 10**6  # 3.1 MB on Python 3.11, doubled
+    assert held < 6.2 * 10**6  # 3.1 MB on Python 3.11, doubled
 
 
 def center_ends_corpus() -> list[Tree]:

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import sys
-import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +12,7 @@ from treesym.autom import aut_order_of
 from treesym.cli import main
 from treesym.corpus import SuiteReport
 
-from .conftest import subprocess_env
+from .conftest import subprocess_env, traced
 from .reference import reference_build_parser, reference_corpus_spec
 
 P3 = "3\n0 1\n0 2\n"
@@ -429,12 +428,7 @@ def test_out_of_range_arguments_are_input_errors(tree_file, capsys, argv, messag
 def test_lobed_extremal_past_the_cap_fails_before_building(capsys, m):
     main(["corpus", "--all-trees", "1"])  # build the shared parser outside the traced call
     capsys.readouterr()
-    tracemalloc.start()
-    try:
-        code = main(["corpus", "--lobed-extremal", str(m)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced(lambda: main(["corpus", "--lobed-extremal", str(m)]))
     assert (code, *capsys.readouterr()) == (2, "", f"error: m = {m} exceeds cap 26\n")
     assert peak < 1_000_000  # m = 28 would build 229,377 vertices
 

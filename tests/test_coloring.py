@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import time
-import tracemalloc
 from math import comb
 
 import pytest
@@ -42,7 +41,7 @@ from treesym.asym import a_by_class, asym_of
 from treesym.canon import TreeAnalysis, colored_subtree_codes, colored_unrooted_code, subtree_codes
 from treesym.coloring import _colored_key, _to_coloring, _unrank_into, distinguishes, unrank_of
 
-from .conftest import path, random_trees, relabeled_families, star, subprocess_env, trees_up_to
+from .conftest import path, random_trees, relabeled_families, star, subprocess_env, traced, trees_up_to
 from .reference import (
     reference_colored_ids,
     reference_colored_key,
@@ -720,12 +719,7 @@ def test_branch_unranking_allocates_nothing_tree_sized():
     x = next(v for v in an.rt.bfs_order if an.rt.subtree_size[v] == 10)
     for index in (0, 1, a[an.ids[x]] - 1):
         got, want = [None] * t.n, [None] * t.n
-        tracemalloc.start()
-        try:
-            _unrank_into(an, a, x, index, got)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced(lambda: _unrank_into(an, a, x, index, got))
         assert peak < 20_000  # a list of n items alone would take 800 kB
         reference_unrank_into(an, a, x, index, want)
         assert got == want
@@ -1018,12 +1012,7 @@ def test_extend_one_vertex_ray(t, ray):
 def test_extend_long_ray_is_iterative_and_linear():
     # D = 10^4, n = 35,559: out of reach for one rooting per ray vertex (x4.3 per doubling)
     tr, colors = hanging_path_ray(random.Random(10), 10**4 + 1)
-    tracemalloc.start()
-    try:
-        ext = extend_ray_coloring(tr, colors)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ext, peak = traced(lambda: extend_ray_coloring(tr, colors))
     assert all(ext.is_black(v) == black for v, black in zip(tr.ray, colors))
     assert peak < 41 * 10**6  # the tracemalloc peak on Python 3.11 is 20.6 MB
 

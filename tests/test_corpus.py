@@ -3,7 +3,6 @@ import random
 import re
 import subprocess
 import sys
-import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -35,7 +34,7 @@ from treesym.corpus import FAMILIES, LOBED_EXTREMAL_MAX, SuiteReport, all_trees,
 from treesym.oracle import brute_graph_aut
 from treesym.treelike import RootedGraph, _component_tree, extract_forest, treelike_distinguish
 
-from .conftest import subprocess_env, trees_up_to
+from .conftest import subprocess_env, traced, trees_up_to
 from .reference import reference_generate, reference_pruefer_edges, reference_run_theorem_suite, reference_spider
 from .test_treelike import cycle, differential_graphs, grid
 
@@ -280,13 +279,8 @@ def test_family_arguments_name_what_is_wrong(make, message):
 
 @pytest.mark.parametrize("m", [28, 40, 10**9])
 def test_lobed_extremal_past_the_cap_builds_nothing(m):
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=f"^m = {m} exceeds cap {LOBED_EXTREMAL_MAX}$"):
-            lobed_extremal(m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    exc, peak = traced(lambda: pytest.raises(ValueError, lobed_extremal, m))
+    exc.match(f"^m = {m} exceeds cap {LOBED_EXTREMAL_MAX}$")
     assert peak < 100_000  # m = 28 would build 229,377 vertices
 
 

@@ -1,6 +1,5 @@
 import dataclasses
 import random
-import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -25,7 +24,7 @@ from treesym import oracle as oracle_module
 from treesym.autom import _automorphisms
 from treesym.oracle import OrbitReport, _budgeted_automorphisms
 
-from .conftest import path, star, trees_up_to
+from .conftest import path, star, traced, trees_up_to
 from .reference import (
     _apply_table,
     _mask_images,
@@ -580,12 +579,7 @@ def test_census_keeps_no_automorphism_it_never_reads():
     # the 9-vertex star's 40,320 automorphisms are counted as the search lists them: the census reads 5, and
     # keeping the list of all of them peaked at 4.65 MiB
     brute_asym(star(9))
-    tracemalloc.start()
-    try:
-        report = brute_asym(star(9))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced(lambda: brute_asym(star(9)))
     assert (report.aut_order, report.distinguishing_count) == (40_320, 0)
     assert peak <= 0.5 * 2**20, peak
 

@@ -15,7 +15,6 @@ of a text that is not ASCII, holds ``_`` or ``+``, or has a line longer than
 import random
 import sys
 import time
-import tracemalloc
 
 import pytest
 
@@ -34,6 +33,7 @@ from treesym import (
 )
 from treesym.trees import _cut, read_edge_lines
 
+from .conftest import traced
 from .reference import reference_center, reference_cut, reference_parse_edge_list, reference_parse_graph_edge_list
 
 
@@ -475,12 +475,7 @@ def test_hostile_sizes_parse_within_memory(kind):
     else:
         edges = family_edges(rng, kind, n)
     text = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
-    tracemalloc.start()
-    try:
-        t = parse_edge_list(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    t, peak = traced(lambda: parse_edge_list(text))
     assert peak < HOSTILE_PEAK
     assert t == Tree.from_edges(n, edges)
 
@@ -489,15 +484,9 @@ def test_hostile_sizes_parse_within_memory(kind):
 def test_huge_valid_header_fails_fast(parse):
     # 4,300 digits is within the limit: the header parses, and the edge count rejects it
     text = "1" + "0" * 4299 + "\n0 1\n1 2\n2 3\n"
-    tracemalloc.start()
-    try:
-        start = time.perf_counter()
-        with pytest.raises(EdgeListParseError) as exc:
-            parse(text)
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    start = time.perf_counter()
+    exc, peak = traced(lambda: pytest.raises(EdgeListParseError, parse, text))
+    elapsed = time.perf_counter() - start
     assert exc.value.line is None
     assert elapsed < 1.0
     assert peak < 1 << 20

@@ -16,7 +16,6 @@ import io
 import json
 import random
 import sys
-import tracemalloc
 
 import pytest
 
@@ -40,7 +39,7 @@ from treesym.canon import TreeAnalysis, _at_root, _chain_pointers, _toward_cente
 from treesym.cli import main
 from treesym.corpus import all_trees, caterpillar, kary_tree, random_tree, spider
 
-from .conftest import path, relabeled_families, trees_up_to
+from .conftest import path, relabeled_families, traced, trees_up_to
 from .reference import (
     reference_asym_rooted,
     reference_aut_order_rooted,
@@ -531,31 +530,22 @@ def test_only_a_rooted_walk_makes_chain_pointers(make):
     assert "_up" in TreeAnalysis.at_center(t).__dict__
 
 
-def traced_peak(run) -> int:
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_all_roots_memory_is_linear_at_a_wide_vertex():
     # vertex 0 has 551 pairwise non-isomorphic branches; one run table per up
     # class took 20.5 MB there, against 0.5 MB for the whole center analysis
     t = joined_at_one_root([12])
     assert t.n == 6613 and len(t.adj[0]) == 551
     an = TreeAnalysis.at_center(t)
-    ceiling = traced_peak(lambda: TreeAnalysis.of(an.rt))
+    ceiling = traced(lambda: TreeAnalysis.of(an.rt))[1]
     for run in (asym_at_every_root, conjecture_check):
-        assert traced_peak(lambda: run(t)) < ceiling, run.__name__
+        assert traced(lambda: run(t))[1] < ceiling, run.__name__
 
 
 def test_conjecture_check_memory_on_a_long_spider():
     # a leg vertex's exact b(x) is the value of the rest of the tree, up to n bits: 305.2 MiB at this size
     # with exact values, 12.5 MiB capped (3.11), most of it the center analysis
     t = spider(50000, 6)
-    assert traced_peak(lambda: conjecture_check(t)) < 16 * 2**20
+    assert traced(lambda: conjecture_check(t))[1] < 16 * 2**20
 
 
 @pytest.fixture(scope="module")
@@ -568,9 +558,8 @@ def test_analyze_all_roots_on_a_wide_tree_of_twins(twins_text, monkeypatch, caps
     # tracemalloc peak 42 MB on Python 3.11, most of it the edge-list reader;
     # 58 MB with one run table per up class
     monkeypatch.setattr(sys, "stdin", io.StringIO(twins_text))
-    codes = []
-    peak = traced_peak(lambda: codes.append(main(["analyze", "-", "--all-roots", "--json"])))
+    code, peak = traced(lambda: main(["analyze", "-", "--all-roots", "--json"]))
     report = json.loads(capsys.readouterr().out)
-    assert codes == [0] and report["n"] == 73577
+    assert code == 0 and report["n"] == 73577
     assert report["roots"] == {str(w): "0" for w in range(73577)}
     assert peak < 50 * 2**20

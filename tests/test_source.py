@@ -4,6 +4,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+from .conftest import kept, traced
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "treesym"
 
 
@@ -34,3 +36,25 @@ def test_one_reference_per_kernel():
     assert len(defined) >= 40
     assert previous == [] and outside == []
     assert [name for name, count in defined.items() if count > 1] == []
+
+
+def test_one_memory_probe():
+    # every memory gate reads tracemalloc through conftest's traced or kept, so each gate measures the same way
+    tests = Path(__file__).resolve().parent
+    starts = []
+    for path in sorted(tests.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "tracemalloc.start":
+                starts.append(path.name)
+    assert starts == ["conftest.py"] * 2  # traced and kept
+
+
+def test_memory_probes_read_what_a_call_allocates():
+    # a probe that always read 0 would pass every peak < bound gate
+    _, peak = traced(lambda: bytearray(4 << 20))
+    assert peak >= 4 << 20
+    outside = []
+    _, held = kept(lambda: outside.append(bytearray(1 << 20)))
+    assert held >= 1 << 20
+    _, held = kept(lambda: len(bytearray(1 << 20)))
+    assert held < 64 << 10

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -17,7 +16,7 @@ from treesym import (
 from treesym import treelike
 from treesym.canon import center
 
-from .conftest import path, trees_up_to
+from .conftest import path, traced, trees_up_to
 from .reference import reference_extract_forest, reference_treelike_distinguish
 
 
@@ -297,12 +296,7 @@ def test_distinguish_keeps_no_automorphism(monkeypatch):
     search = treelike._graph_search
     monkeypatch.setattr(treelike, "_graph_search", lambda *args: searches.append(args) or search(*args))
     g = complete_bipartite(5, 6, 0)
-    tracemalloc.start()
-    try:
-        got = treelike_distinguish(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced(lambda: treelike_distinguish(g))
     assert got is None and len(searches) == 1
     assert peak <= 1 << 20, peak
 
@@ -355,12 +349,6 @@ def test_distinguish_analyses_each_component_once(monkeypatch):
 
 def test_from_edges_rejects_too_few_edges_before_allocating():
     # a huge vertex count with one edge must not size anything by n
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError) as exc:
-            RootedGraph.from_edges(10**9, [(0, 1)], 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    exc, peak = traced(lambda: pytest.raises(ValueError, RootedGraph.from_edges, 10**9, [(0, 1)], 0))
     assert (type(exc.value), str(exc.value)) == (ValueError, "graph is disconnected")
     assert peak < 1 << 16

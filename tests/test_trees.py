@@ -4,7 +4,6 @@ import itertools
 import pickle
 import random
 import time
-import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -34,20 +33,14 @@ from treesym import (
 )
 from treesym import trees as trees_module
 
-from .conftest import path, random_trees, relabeled_families, sample_roots, star, trees_up_to, trees_with_permutation
+from .conftest import path, random_trees, relabeled_families, sample_roots, star, traced, trees_up_to, trees_with_permutation
 from .reference import reference_bits, reference_center, reference_mask, reference_root_at
 
 
 @pytest.mark.parametrize("parse", [parse_edge_list, parse_graph_edge_list])
 def test_huge_header_fails_before_allocating(parse):
     # a one-line header must not size anything by n before the edges are counted
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError):
-            parse("1000000\n0 1\n")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced(lambda: pytest.raises(ValueError, parse, "1000000\n0 1\n"))
     assert peak < 1 << 20
 
 
@@ -320,13 +313,7 @@ def test_coloring_mask_range_check_builds_no_power_of_two():
                 accepted = False
             assert accepted == (0 <= mask < 1 << n), (n, mask)
     # at 30 bits per 4-byte digit, 2^(10^12) would take 124 GiB and 2^(10^8) 12.7 MiB
-    tracemalloc.start()
-    try:
-        Coloring(10**12, 0)
-        Coloring(10**8, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced(lambda: (Coloring(10**12, 0), Coloring(10**8, 5)))
     assert peak < 1 << 20, peak
 
 
