@@ -79,6 +79,9 @@ ROWS = [
     ("conjecture_check: values capped at 1", "src/treesym/corpus.py",
      "cap = t.delta + 1", "cap = 1",
      ["tests/test_rerooting.py::test_conjecture_scan_reads_a_of_t_w"]),
+    ("conjecture_check: exact class values", "src/treesym/corpus.py",
+     "a.append(min(_a_product(a, sig), cap))", "a.append(_a_product(a, sig))",
+     ["tests/test_rerooting.py::test_conjecture_check_memory_on_a_long_path"]),
     # autom
     ("_aut_product: mu for mu!", "src/treesym/autom.py",
      "factorial(mu) * vals[k] ** mu", "mu * vals[k] ** mu",

@@ -354,14 +354,16 @@ def conjecture_check(t: Tree) -> ConjectureReport:
     then in ``adj[w]`` order. The two sides always agree
     (``ConjectureReport``), so this tests ``canon._toward_center``.
 
-    Only b's zeros are read, so b comes from class values capped at Delta + 1,
-    each product read as nonzero: every run is shorter than the cap, so each
-    zero test stays exact, and b holds small ints where exact values reach n bits.
+    A class value is read only as zero or nonzero, or as a violation's a_x < mu <= Delta, so
+    the class values are built capped at Delta + 1, and b reads each product as nonzero: every run
+    is shorter than the cap, so each zero test stays exact, and a and b hold small ints, not n bits.
     """
     an = TreeAnalysis.at_center(t)
-    a = a_by_class(an)
     cap = t.delta + 1
-    b = _toward_center(an, [min(x, cap) for x in a], lambda vals, runs, k: _a_product(vals, runs, k) > 0)
+    a = []
+    for sig in an.sigs:
+        a.append(min(_a_product(a, sig), cap))
+    b = _toward_center(an, a, lambda vals, runs, k: _a_product(vals, runs, k) > 0)
     ids, sigs, parent, roots = an.ids, an.sigs, an.rt.parent, an.roots
     violation = None
     for w in range(t.n):

@@ -1,6 +1,9 @@
+import contextlib
 import gc
+import io
 import os
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from treesym import Tree, all_trees, kary_tree, relabel, spider, tree_from_pruefer
 from treesym import trees as trees_module
+from treesym.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,6 +42,20 @@ def kept(run):
         return out, tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+
+
+def run_cli(*argv: str, stdin: str = "") -> tuple[int, str, str]:
+    """``(code, stdout, stderr)`` of one ``main(argv)`` call on ``stdin``; argparse's ``SystemExit`` gives its code."""
+    out, err = io.StringIO(), io.StringIO()  # redirected, not read through capsys, so hypothesis tests can run it too
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin, newline="")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -114,11 +132,15 @@ def relabeled_families(seed: int, sizes) -> list[Tree]:
     out = []
     for n in sizes:
         pruefer = tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
-        for t in (path(n), star(n), spider(n, 3), kary_tree(n, 2), pruefer):
-            perm = list(range(n))
-            rng.shuffle(perm)
-            out.append(relabel(t, perm))
+        out += [relabeled(t, rng) for t in (path(n), star(n), spider(n, 3), kary_tree(n, 2), pruefer)]
     return out
+
+
+def relabeled(t: Tree, rng: random.Random) -> Tree:
+    """t with its vertex ids shuffled by ``rng``."""
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    return relabel(t, perm)
 
 
 def sample_roots(t: Tree, rng: random.Random) -> set[int]:

@@ -43,6 +43,7 @@ from .conftest import (
     kept,
     path,
     random_trees,
+    relabeled,
     relabeled_families,
     sample_roots,
     star,
@@ -442,9 +443,7 @@ def memo_corpus() -> list[Tree]:
     out = list(trees_up_to(9))
     for n in (10, 17, 64, 150, 300):
         for t in (tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]), spider(n, 3), path(n)):
-            perm = list(range(n))
-            rng.shuffle(perm)
-            out.append(relabel(t, perm))
+            out.append(relabeled(t, rng))
     return out
 
 
@@ -552,15 +551,10 @@ def center_ends_corpus() -> list[Tree]:
     out = []
     for t in trees_up_to(10):
         out.append(t)
-        for _ in range(2):
-            perm = list(range(t.n))
-            rng.shuffle(perm)
-            out.append(relabel(t, perm))
+        out += [relabeled(t, rng) for _ in range(2)]
     for n in (50, 51, 128, 257, 400):
         for t in (tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]), spider(n, 4), path(n)):
-            perm = list(range(n))
-            rng.shuffle(perm)
-            out.append(relabel(t, perm))
+            out.append(relabeled(t, rng))
     return out
 
 

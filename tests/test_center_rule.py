@@ -9,13 +9,13 @@ import random
 
 import pytest
 
-from treesym import Tree, kary_tree, relabel, root_at, spider, tree_from_pruefer
+from treesym import Tree, kary_tree, root_at, spider, tree_from_pruefer
 from treesym.asym import a_by_class, asym_of
 from treesym.autom import aut_by_class, aut_order_of, motion_of
 from treesym.canon import TreeAnalysis
 from treesym.coloring import unrank_of
 
-from .conftest import path, relabeled_families, trees_up_to
+from .conftest import path, relabeled, relabeled_families, trees_up_to
 from .reference import (
     reference_asym_of,
     reference_aut_order_of,
@@ -49,12 +49,6 @@ def assert_matches_reference(an, rng) -> int:
         with pytest.raises(IndexError, match=f"index {index} out of range"):
             unrank_of(an, a, index)
     return len(indices)
-
-
-def relabeled(t: Tree, rng) -> Tree:
-    perm = list(range(t.n))
-    rng.shuffle(perm)
-    return relabel(t, perm)
 
 
 def test_center_rule_matches_reference_on_all_small_trees():

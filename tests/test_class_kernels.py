@@ -13,12 +13,12 @@ import random
 
 import pytest
 
-from treesym import Tree, caterpillar, relabel, root_at, spider
+from treesym import Tree, caterpillar, root_at, spider
 from treesym.asym import _a_product, a_by_class
 from treesym.autom import _aut_product, aut_by_class
 from treesym.canon import TreeAnalysis, _at_root
 
-from .conftest import path, trees_up_to
+from .conftest import path, relabeled, trees_up_to
 from .reference import reference_a_product, reference_aut_product, reference_by_class
 from .test_rerooting import SEEDED, joined_at_one_root
 
@@ -51,10 +51,8 @@ def test_kernels_match_reference_up_to_10():
     # every tree with n <= 10 and one relabeled copy of each
     rng = random.Random(29)
     for t in trees_up_to(10):
-        perm = list(range(t.n))
-        rng.shuffle(perm)
         assert_kernels_match_reference(t)
-        assert_kernels_match_reference(relabel(t, perm))
+        assert_kernels_match_reference(relabeled(t, rng))
 
 
 @pytest.mark.parametrize("n", range(1, 41))

@@ -6,19 +6,18 @@ what is wrong in one ``error:`` line or an argparse usage message. Any other
 exception escaping ``main()`` fails the test.
 """
 
-import contextlib
-import io
 import json
 import re
-import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from treesym import treelike
-from treesym.cli import CORPUS_FLAGS, main
+from treesym.cli import CORPUS_FLAGS
 from treesym.corpus import FAMILIES
+
+from .conftest import run_cli
 
 
 def fuzz(examples):
@@ -33,23 +32,8 @@ BAD_TOKENS = ["x", "1.5", "0x1", "+1", "-0", "1e3", "٣", "9" * 5000, "000000000
 token = st.integers(-3, 14).map(str) | st.sampled_from(BAD_TOKENS)
 
 
-def run_main(argv, stdin=""):
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(stdin, newline="")
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
-
-
 def check_exit(argv, stdin=""):
-    code, out, err = run_main(argv, stdin)
+    code, out, err = run_cli(*argv, stdin=stdin)
     context = (argv, stdin[:300], code, out[:300], err[:300])
     assert code in {0, 2, 3, 4, 5}, context
     if code == 2:
@@ -205,7 +189,7 @@ def test_treelike_on_a_huge_path_and_star_completes(monkeypatch, edges, witnesse
 
     monkeypatch.setattr(treelike, "_graph_search", no_search)
     text = f"{HUGE}\n" + "".join(f"{u} {v}\n" for u, v in edges)
-    code, out, err = run_main(["treelike", "-"], text)
+    code, out, err = run_cli("treelike", "-", stdin=text)
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["coloring"] is None and report["treelike"] is False

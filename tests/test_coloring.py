@@ -41,7 +41,7 @@ from treesym.asym import a_by_class, asym_of
 from treesym.canon import TreeAnalysis, colored_subtree_codes, colored_unrooted_code, subtree_codes
 from treesym.coloring import _colored_key, _to_coloring, _unrank_into, distinguishes, unrank_of
 
-from .conftest import path, random_trees, relabeled_families, star, subprocess_env, traced, trees_up_to
+from .conftest import path, random_trees, relabeled, relabeled_families, star, subprocess_env, traced, trees_up_to
 from .reference import (
     reference_colored_ids,
     reference_colored_key,
@@ -53,7 +53,7 @@ from .reference import (
     reference_unrank_into,
     reference_verify_pinned,
 )
-from .test_center_rule import assert_matches_reference as assert_center_rule_matches_reference, relabeled
+from .test_center_rule import assert_matches_reference as assert_center_rule_matches_reference
 from .test_treelike import gadget_graph
 
 
@@ -199,9 +199,7 @@ def test_unrank_bijective_on_relabeled_trees():
     # seeded relabelings put twins' child classes in different vertex-id orders
     rng = random.Random(4)
     for base in trees_up_to(9):
-        perm = list(range(base.n))
-        rng.shuffle(perm)
-        t = relabel(base, perm)
+        t = relabeled(base, rng)
         for w in range(t.n):
             rt = root_at(t, w)
             a = asym_rooted(rt)
@@ -654,9 +652,7 @@ def edge_centered_pair(rng: random.Random, m: int, iso: bool) -> Tree:
     if not iso:
         edges.append((rng.choice([v for v in range(m) if depth[v] < max(depth)]) + m, n))
         n += 1
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return relabel(Tree.from_edges(n, edges), perm)
+    return relabeled(Tree.from_edges(n, edges), rng)
 
 
 def test_unrank_of_matches_stack_kernel_on_seeded_corpora():

@@ -29,12 +29,11 @@ from treesym import (
 )
 from treesym import corpus as corpus_module
 from treesym import trees as trees_module
-from treesym.cli import main
 from treesym.corpus import FAMILIES, LOBED_EXTREMAL_MAX, SuiteReport, all_trees, caterpillar, random_tree
 from treesym.oracle import brute_graph_aut
 from treesym.treelike import RootedGraph, _component_tree, extract_forest, treelike_distinguish
 
-from .conftest import subprocess_env, traced, trees_up_to
+from .conftest import run_cli, subprocess_env, traced, trees_up_to
 from .reference import reference_generate, reference_pruefer_edges, reference_run_theorem_suite, reference_spider
 from .test_treelike import cycle, differential_graphs, grid
 
@@ -363,13 +362,13 @@ def test_theorem_suite_clean_on_small_corpus():
     assert counts["checks_failed"] == 0
 
 
-def test_theorem_suite_fails_loudly_on_a_coloring_that_does_not_verify(monkeypatch, p4, capsys):
+def test_theorem_suite_fails_loudly_on_a_coloring_that_does_not_verify(monkeypatch, p4):
     # construct_of verifies its coloring, so the suite needs no second check to record a failure
     monkeypatch.setattr("treesym.coloring.distinguishes", lambda an, coloring: False)
     with pytest.raises(AssertionError, match="not distinguishing"):
         run_theorem_suite([p4])
-    assert main(["corpus", "--all-trees", "4", "--check"]) == 1
-    assert "internal error" in capsys.readouterr().err
+    code, _, err = run_cli("corpus", "--all-trees", "4", "--check")
+    assert code == 1 and "internal error" in err
 
 
 def test_theorem_suite_records_unmet_hypothesis(k13):

@@ -5,12 +5,11 @@ copies of the edge check; only the constructors' out-of-range message gained
 its ``0..n-1`` bound since.
 """
 
-import io
-
 import pytest
 
 from treesym import EdgeListParseError, RootedGraph, Tree, parse_edge_list, parse_graph_edge_list
-from treesym.cli import main
+
+from .conftest import run_cli
 
 CASES = {
     "out_of_range": (3, [(0, 1), (1, 3)]),
@@ -90,10 +89,7 @@ def test_every_entry_point_rejects_alike(case):
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_cli_stdin_stderr_unchanged(case, monkeypatch, capsys):
+def test_cli_stdin_stderr_unchanged(case):
     text = as_text(*CASES[case])
     for cmd, want in zip(("analyze", "treelike"), CLI_STDERR[case]):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        code = main([cmd, "-"])
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (2, "", want)
+        assert run_cli(cmd, "-", stdin=text) == (2, "", want)

@@ -27,7 +27,6 @@ from treesym import (
     aut_order_rooted,
     conjecture_check,
     construct_distinguishing,
-    relabel,
     root_at,
     run_theorem_suite,
     serialize_edge_list,
@@ -39,7 +38,7 @@ from treesym.canon import TreeAnalysis, _at_root, _chain_pointers, _toward_cente
 from treesym.cli import main
 from treesym.corpus import all_trees, caterpillar, kary_tree, random_tree, spider
 
-from .conftest import path, relabeled_families, traced, trees_up_to
+from .conftest import path, relabeled, relabeled_families, run_cli, traced, trees_up_to
 from .reference import (
     reference_asym_rooted,
     reference_aut_order_rooted,
@@ -61,18 +60,12 @@ def bounded(rng: random.Random, n: int) -> Tree:
     return Tree.from_edges(n, edges)
 
 
-def shuffled(rng: random.Random, t: Tree) -> Tree:
-    perm = list(range(t.n))
-    rng.shuffle(perm)
-    return relabel(t, perm)
-
-
 def small_corpus() -> list[Tree]:
     rng = random.Random(3)
     out = []
     for t in trees_up_to(10):
         out.append(t)
-        out.extend(shuffled(rng, t) for _ in range(3))
+        out.extend(relabeled(t, rng) for _ in range(3))
     return out
 
 
@@ -88,7 +81,7 @@ def seeded_corpus() -> list[tuple[str, Tree]]:
             ("bounded", bounded(rng, n)),
             ("prufer", random_tree(rng, n)),
         ):
-            out.append((f"{name}{n}", shuffled(rng, t)))
+            out.append((f"{name}{n}", relabeled(t, rng)))
     return out
 
 
@@ -189,20 +182,20 @@ def test_run_table_rerooting_matches_sorted_keys_wide():
     assert_every_root_matches_rooted(t)
 
 
-def test_all_roots_outputs_match_the_rooted_walk(monkeypatch, capsys):
+def test_all_roots_outputs_match_the_rooted_walk():
     # every tree with n <= 10 and one relabeling of each, the seeded corpus,
     # 40 random trees with n <= 400 and two wide vertices (106 and 550 child classes)
     rng = random.Random(23)
-    trees = [u for t in trees_up_to(10) for u in (t, shuffled(rng, t))] + [t for _, t in SEEDED]
+    trees = [u for t in trees_up_to(10) for u in (t, relabeled(t, rng))] + [t for _, t in SEEDED]
     trees += [random_tree(rng, rng.randint(2, 400)) for _ in range(40)]
     trees += [joined_at_one_root([10]), joined_at_one_root([12])]
     for t in trees:
         want = [asym_rooted(root_at(t, w)) for w in range(t.n)]
         assert asym_at_every_root(t) == tuple(want), t.adj
         assert conjecture_check(t) == reference_exact_conjecture_check(t), t.adj
-        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_edge_list(t)))
-        assert main(["analyze", "-", "--all-roots", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["roots"] == {str(w): str(a_w) for w, a_w in enumerate(want)}
+        code, out, _ = run_cli("analyze", "-", "--all-roots", "--json", stdin=serialize_edge_list(t))
+        assert code == 0
+        assert json.loads(out)["roots"] == {str(w): str(a_w) for w, a_w in enumerate(want)}
 
 
 def test_corpus_has_violations_and_clean_trees():
@@ -258,13 +251,9 @@ def test_conjecture_check_roots_the_tree_at_most_twice(monkeypatch):
 
 
 @pytest.mark.parametrize("make", [lambda: path(50), lambda: spider(40, 3)], ids=["path", "spider"])
-def test_all_roots_callers_root_the_tree_once(monkeypatch, capsys, make):
+def test_all_roots_callers_root_the_tree_once(monkeypatch, make):
     # the rerooting starts from the center analysis that the tree keeps, so
     # each caller makes the one center rooting and analysis in all
-    import io
-    import json
-    import sys
-
     calls = []
     real_root_at, real_of = root_at, TreeAnalysis.of
 
@@ -282,9 +271,9 @@ def test_all_roots_callers_root_the_tree_once(monkeypatch, capsys, make):
     monkeypatch.setattr(TreeAnalysis, "of", staticmethod(counting_of))
 
     def analyze_all_roots(t):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_edge_list(t)))
-        assert main(["analyze", "-", "--all-roots", "--json"]) == 0
-        assert len(json.loads(capsys.readouterr().out)["roots"]) == t.n
+        code, out, _ = run_cli("analyze", "-", "--all-roots", "--json", stdin=serialize_edge_list(t))
+        assert code == 0
+        assert len(json.loads(out)["roots"]) == t.n
 
     for run in (conjecture_check, asym_at_every_root, analyze_all_roots):
         calls.clear()
@@ -304,7 +293,7 @@ def test_rooted_numbers_match_reference_up_to_11():
     rng = random.Random(7)
     for t in trees_up_to(11):
         assert_rooted_numbers_match_reference(t)
-        assert_rooted_numbers_match_reference(shuffled(rng, t))
+        assert_rooted_numbers_match_reference(relabeled(t, rng))
 
 
 @pytest.mark.parametrize("name,t", SEEDED, ids=[name for name, _ in SEEDED])
@@ -453,7 +442,7 @@ def chain_corpus() -> list[Tree]:
     trees += [spider(n, legs) for n in (7, 40, 301, 900, 1200) for legs in (1, 2, 3)]
     trees += [hairy_caterpillar(s, h) for s, h in ((2, 1), (3, 20), (5, 31), (12, 8), (4, 150), (3, 300))]
     trees += [broom(h, b) for h, b in ((1, 3), (2, 2), (30, 3), (200, 5), (600, 2))]
-    return [shuffled(rng, t) for t in trees]
+    return [relabeled(t, rng) for t in trees]
 
 
 def assert_walk_matches_every_root(t: Tree, rng: random.Random) -> bool:
@@ -543,9 +532,17 @@ def test_all_roots_memory_is_linear_at_a_wide_vertex():
 
 def test_conjecture_check_memory_on_a_long_spider():
     # a leg vertex's exact b(x) is the value of the rest of the tree, up to n bits: 305.2 MiB at this size
-    # with exact values, 12.5 MiB capped (3.11), most of it the center analysis
+    # with exact values, 8.7 MiB capped (3.11), most of it the center analysis
     t = spider(50000, 6)
     assert traced(lambda: conjecture_check(t))[1] < 16 * 2**20
+
+
+def test_conjecture_check_memory_on_a_long_path():
+    # a path's exact class values total about n^2/8 bits: 41.25 MiB at this size with exact values,
+    # 0.59 MiB capped (3.11), with the center analysis built before the probe
+    t = path(50000)
+    TreeAnalysis.at_center(t)
+    assert traced(lambda: conjecture_check(t))[1] < 2 * 2**20
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import json
+import sys
 from collections import Counter
 from pathlib import Path
 
-from .conftest import kept, traced
+from .conftest import kept, run_cli, traced
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "treesym"
 
@@ -58,3 +60,30 @@ def test_memory_probes_read_what_a_call_allocates():
     assert held >= 1 << 20
     _, held = kept(lambda: len(bytearray(1 << 20)))
     assert held < 64 << 10
+
+
+def test_one_cli_runner():
+    # every in-process CLI call goes through conftest's run_cli, so each checks exit code, stdout and stderr
+    # the same way; two memory gates call main inside the probe, which must not count the runner's buffers
+    tests = Path(__file__).resolve().parent
+    calls, stdin_patches = [], []
+    for path in sorted(tests.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            func = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+            targets = map(ast.unparse, node.targets) if isinstance(node, ast.Assign) else ()
+            if func in ("main", "cli.main"):
+                calls.append(path.name)
+            if func.endswith("setattr") and "stdin" in ast.unparse(node) or "sys.stdin" in targets:
+                stdin_patches.append(path.name)
+    assert calls == ["test_cli.py", "test_rerooting.py"]
+    assert stdin_patches == ["test_rerooting.py"]
+
+
+def test_cli_runner_reads_stdin_stdout_and_stderr():
+    # a runner that dropped stdin or stderr would pass many assertions
+    stdin = sys.stdin
+    code, out, err = run_cli("analyze", "-", "--json", stdin="3\n0 1\n1 2\n")
+    assert (code, json.loads(out)["a"], err) == (0, "2", "")
+    code, out, err = run_cli("corpus", "--bogus")
+    assert (code, out) == (2, "") and err.startswith("usage: treesym")
+    assert sys.stdin is stdin
