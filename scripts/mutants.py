@@ -65,6 +65,12 @@ ROWS = [
     ("_toward_center: one product per child, not per run of twins", "src/treesym/canon.py",
      "if ids[x] != k:", "if True:",
      ["tests/test_rerooting.py::test_star_costs_one_product_per_distinct_class"]),
+    ("at_center: the analysis not kept", "src/treesym/canon.py",
+     'object.__setattr__(t, "_center_analysis", an)', "pass",
+     ["tests/test_canon.py::test_public_functions_share_one_center_analysis",
+      "tests/test_rerooting.py::test_rooted_numbers_reuse_the_center_analysis",
+      "tests/test_rerooting.py::test_all_roots_callers_root_the_tree_once[path]",
+      "tests/test_rerooting.py::test_all_roots_callers_root_the_tree_once[spider]"]),
     # asym
     ("_a_product: drop ignored", "src/treesym/asym.py",
      "        mu -= k == drop\n        acc *= a[k]", "        acc *= a[k]",
@@ -186,6 +192,12 @@ ROWS = [
     ("_ints: a token of exactly 4,300 digits refused", "src/treesym/trees.py",
      "len(x) <= _MAX_INPUT_DIGITS and", "len(x) < _MAX_INPUT_DIGITS and",
      ["tests/test_parse_differential.py::test_long_lines_within_and_over_the_digit_limit"]),
+    ("center: found again on every call", "src/treesym/trees.py",
+     'if "_center" not in t.__dict__:', "if True:",
+     ["tests/test_trees.py::test_center_is_found_once_per_tree"]),
+    ("parse_edge_list: a second BFS to accept", "src/treesym/trees.py",
+     "_with_center(Tree(n, adj), order[-1])", "_with_center(Tree(n, adj), _bfs(adj, 0)[0][-1])",
+     ["tests/test_parse_differential.py::test_a_tree_and_its_center_cost_two_bfs_and_a_cycle_one_union_find"]),
     # corpus
     ("tree_from_pruefer: the next leaf from the wrong side of the pointer", "src/treesym/corpus.py",
      "if deg[a] == 1 and a < ptr:", "if deg[a] == 1 and a > ptr:",
@@ -196,6 +208,10 @@ ROWS = [
     ("_free_tree_jump: equal halves not canonical", "src/treesym/corpus.py",
      "(len(left), left) <= (len(rest), rest)", "(len(left), left) < (len(rest), rest)",
      ["tests/test_corpus.py::test_all_trees_counts"]),
+    ("kary_tree: built through Tree.from_edges", "src/treesym/corpus.py",
+     "Tree(n, _build_adjacency(n, [(child, (child - 1) // arity) for child in range(1, n)]))",
+     "Tree.from_edges(n, [(child, (child - 1) // arity) for child in range(1, n)])",
+     ["tests/test_corpus.py::test_generated_trees_build_no_checked_adjacency"]),
 ]
 
 

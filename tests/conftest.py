@@ -58,13 +58,35 @@ def run_cli(*argv: str, stdin: str = "") -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def recorded(monkeypatch, *targets) -> list[tuple[str, tuple]]:
+    """``(name, args)`` of every call of the targets while patched, in call order; each call returns the real result.
+
+    A target ``(owner, name)`` is patched on that owner alone: a module, or a class whose staticmethod it is.
+    A bare function is patched in every ``treesym`` module that binds it under its own name.
+    """
+    calls: list[tuple[str, tuple]] = []
+
+    def patch(owner, name, real):
+        def recording(*args):
+            calls.append((name, args))
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, staticmethod(recording) if isinstance(owner, type) else recording)
+
+    for target in targets:
+        if callable(target):
+            for module in [m for key, m in sys.modules.items() if key.partition(".")[0] == "treesym"]:
+                if getattr(module, target.__name__, None) is target:
+                    patch(module, target.__name__, target)
+        else:
+            patch(*target, getattr(*target))
+    return calls
+
+
 @pytest.fixture
-def table_builds(monkeypatch) -> list[int]:
-    """The root of every rooting whose tables are built while the test runs."""
-    built: list[int] = []
-    build = trees_module._rooting
-    monkeypatch.setattr(trees_module, "_rooting", lambda t, w: built.append(w) or build(t, w))
-    return built
+def table_builds(monkeypatch) -> list[tuple[str, tuple]]:
+    """Every ``_rooting(t, w)`` call, a rooting whose tables are built, while the test runs."""
+    return recorded(monkeypatch, (trees_module, "_rooting"))
 
 
 # named fixtures for the small trees every module's examples use

@@ -1,7 +1,6 @@
 import builtins
 import pickle
 import random
-import sys
 import weakref
 from collections import Counter
 from itertools import permutations
@@ -43,6 +42,7 @@ from .conftest import (
     kept,
     path,
     random_trees,
+    recorded,
     relabeled,
     relabeled_families,
     sample_roots,
@@ -376,37 +376,12 @@ def test_rooting_and_analysis_of_huge_trees(shape, w, ceiling_mb):
     assert peak < ceiling_mb * 10**6
 
 
-def count_rootings(monkeypatch) -> list[tuple[str, int | None]]:
-    """Record every ``center``, ``root_at`` and ``TreeAnalysis.of`` call, with the root where there is one."""
-    calls: list[tuple[str, int | None]] = []
-
-    def counted(name, fn, root):
-        def wrapper(*args, **kwargs):
-            calls.append((name, root(*args)))
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    wrappers = {
-        center: counted("center", center, lambda t: None),
-        root_at: counted("root_at", root_at, lambda t, w: w),
-    }
-    for name, mod in list(sys.modules.items()):
-        if name == "treesym" or name.startswith("treesym."):
-            for attr, value in list(vars(mod).items()):
-                if callable(value) and value in wrappers:
-                    monkeypatch.setattr(mod, attr, wrappers[value])
-    analyse = TreeAnalysis.of
-    monkeypatch.setattr(TreeAnalysis, "of", staticmethod(counted("of", analyse, lambda rt, cut=None: rt.root)))
-    return calls
-
-
 def test_public_functions_share_one_center_analysis(monkeypatch):
     # without the memo on the tree these calls made 9 center, 9 root_at and 9 TreeAnalysis.of calls
     perm = list(range(40))
     random.Random(1).shuffle(perm)
     t = relabel(spider(40, 3), perm)
-    calls = count_rootings(monkeypatch)
+    calls = recorded(monkeypatch, center, root_at, (TreeAnalysis, "of"))
     assert aut_order(t) == 6
     assert motion(t).moved == 26
     a = asym_unrooted(t)
@@ -577,7 +552,7 @@ def test_codes_from_center_ends_match_reference_fresh_and_warm():
 def test_codes_take_the_center_from_center_alone(monkeypatch, t):
     # the codes read the ends from one center call, not from the center analysis, and leave no memo
     t = Tree.from_edges(t.n, t.edges())
-    calls = count_rootings(monkeypatch)
+    calls = recorded(monkeypatch, center, root_at, (TreeAnalysis, "of"))
     for code in (unrooted_code, lambda u: colored_unrooted_code(u, Coloring(u.n, 1))):
         assert code(t)
         names = Counter(name for name, _ in calls)

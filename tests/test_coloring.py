@@ -41,7 +41,17 @@ from treesym.asym import a_by_class, asym_of
 from treesym.canon import TreeAnalysis, colored_subtree_codes, colored_unrooted_code, subtree_codes
 from treesym.coloring import _colored_key, _to_coloring, _unrank_into, distinguishes, unrank_of
 
-from .conftest import path, random_trees, relabeled, relabeled_families, star, subprocess_env, traced, trees_up_to
+from .conftest import (
+    path,
+    random_trees,
+    recorded,
+    relabeled,
+    relabeled_families,
+    star,
+    subprocess_env,
+    traced,
+    trees_up_to,
+)
 from .reference import (
     reference_colored_ids,
     reference_colored_key,
@@ -101,20 +111,13 @@ def test_combinadic_seeded_ranks_match_reference():
 
 def test_first_root_returns_at_once(monkeypatch):
     # the first root of x is x itself, with no halving of x's bits
-    real = coloring_module._iroot
-    calls = []
-
-    def counting(x, k):
-        calls.append(k)
-        return real(x, k)
-
-    monkeypatch.setattr(coloring_module, "_iroot", counting)
+    calls = recorded(monkeypatch, (coloring_module, "_iroot"))
     rng = random.Random(35)
     seeded = [rng.getrandbits(rng.randint(1, 4000)) for _ in range(200)]
     for x in [0, 1, 2, 3, 1 << 64, (1 << 4000) - 1, 1 << 4000] + seeded:
         calls.clear()
         assert coloring_module._iroot(x, 1) == x
-        assert calls == [1]
+        assert [k for _, (_, k) in calls] == [1]
 
 
 def test_combinadic_k3_to_12_matches_reference():
@@ -140,16 +143,9 @@ def test_unrank_path_comb_calls_linear(monkeypatch):
     # capacity, one range check); binary search made hundreds
     t = path(2000)
     a = asym_unrooted(t)
-    calls = 0
-
-    def counting_comb(n, k):
-        nonlocal calls
-        calls += 1
-        return comb(n, k)
-
-    monkeypatch.setattr("treesym.coloring.comb", counting_comb)
+    calls = recorded(monkeypatch, (coloring_module, "comb"))
     c = unrank_unrooted(t, a - 1)
-    assert calls <= 4 * t.n
+    assert len(calls) <= 4 * t.n
     monkeypatch.undo()
     assert verify_distinguishing(t, c)
 
@@ -930,10 +926,7 @@ def test_extend_error_order_at_equal_depth():
 def test_extend_roots_the_tree_a_constant_number_of_times(monkeypatch):
     # one rooting per ray vertex made 50 root_at and 50 TreeAnalysis.of calls here
     tr, colors = hanging_path_ray(random.Random(3), 50)
-    calls = []
-    analyse = TreeAnalysis.of
-    monkeypatch.setattr("treesym.coloring.root_at", lambda *args: calls.append("root_at") or root_at(*args))
-    monkeypatch.setattr(TreeAnalysis, "of", staticmethod(lambda *args: calls.append("of") or analyse(*args)))
+    calls = recorded(monkeypatch, (coloring_module, "root_at"), (TreeAnalysis, "of"))
     ext = extend_ray_coloring(tr, colors)
     monkeypatch.undo()
     assert len(calls) <= 3

@@ -33,7 +33,7 @@ from treesym.corpus import FAMILIES, LOBED_EXTREMAL_MAX, SuiteReport, all_trees,
 from treesym.oracle import brute_graph_aut
 from treesym.treelike import RootedGraph, _component_tree, extract_forest, treelike_distinguish
 
-from .conftest import run_cli, subprocess_env, traced, trees_up_to
+from .conftest import recorded, run_cli, subprocess_env, traced, trees_up_to
 from .reference import reference_generate, reference_pruefer_edges, reference_run_theorem_suite, reference_spider
 from .test_treelike import cycle, differential_graphs, grid
 
@@ -102,14 +102,13 @@ def test_pruefer_decode_golden():
 
 def decoded_edges(monkeypatch, n, seq):
     """The edge list tree_from_pruefer hands to the adjacency builder, in order."""
-    seen = []
-    build = corpus_module._build_adjacency
-    monkeypatch.setattr(corpus_module, "_build_adjacency", lambda n, edges: seen.append(list(edges)) or build(n, edges))
+    seen = recorded(monkeypatch, (corpus_module, "_build_adjacency"))
     try:
         tree_from_pruefer(n, seq)
     finally:
         monkeypatch.undo()
-    return seen[0]
+    _, (_, edges) = seen[0]
+    return edges
 
 
 def test_pruefer_decoder_matches_reference(monkeypatch):
@@ -184,9 +183,7 @@ def test_generated_trees_build_no_checked_adjacency(monkeypatch):
     # component, goes through it
     from treesym import trees
 
-    calls = []
-    real = trees._adjacency
-    monkeypatch.setattr(trees, "_adjacency", lambda n, edges: calls.append(n) or real(n, edges))
+    calls = recorded(monkeypatch, (trees, "_adjacency"))
     built = sum(1 for _ in generated_families()) + sum(1 for _ in component_trees())
     # two 4-cycles joined at the root: its forest is the star of the root and the two far corners
     g = RootedGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)], 0)

@@ -24,7 +24,7 @@ from treesym import oracle as oracle_module
 from treesym.autom import _automorphisms
 from treesym.oracle import OrbitReport, _budgeted_automorphisms
 
-from .conftest import path, star, traced, trees_up_to
+from .conftest import path, recorded, star, traced, trees_up_to
 from .reference import (
     _apply_table,
     _mask_images,
@@ -338,12 +338,9 @@ def test_forced_leaf_inside_a_block_matches_vertex_search(adj):
 
 
 @pytest.fixture
-def candidate_lists(monkeypatch) -> list[int]:
-    """The length of every candidate list the automorphism search builds while the test runs."""
-    built: list[int] = []
-    perms = autom_module.permutations
-    monkeypatch.setattr(autom_module, "permutations", lambda out, r: built.append(len(out)) or perms(out, r))
-    return built
+def candidate_lists(monkeypatch) -> list[tuple[str, tuple]]:
+    """Every candidate list the automorphism search builds, as a ``permutations`` call, while the test runs."""
+    return recorded(monkeypatch, (autom_module, "permutations"))
 
 
 def test_leaf_blocks_bound_the_candidate_lists(candidate_lists):
@@ -565,12 +562,10 @@ def test_the_identity_is_dropped_wherever_the_stream_lists_it(monkeypatch, where
 def test_census_builds_the_moved_points_of_five_star_automorphisms(monkeypatch):
     # the 9-vertex star's 40,319 non-identity automorphisms, in the backtracker's order: the swaps of its last
     # three leaves come first, and 5 of them fix every coloring; a sort by moved count reads all 40,320
-    built = []
-    build = oracle_module._moved_points
-    monkeypatch.setattr(oracle_module, "_moved_points", lambda sigma: built.append(sigma) or build(sigma))
+    built = recorded(monkeypatch, (oracle_module, "_moved_points"))
     report = brute_asym(star(9))
     assert (report.aut_order, report.distinguishing_count) == (40_320, 0)
-    assert 1 <= len([sigma for sigma in built if sigma != tuple(range(9))]) <= 5
+    assert 1 <= len([sigma for _, (sigma,) in built if sigma != tuple(range(9))]) <= 5
     assert len(built) == len(set(built))
 
 
@@ -590,9 +585,7 @@ def test_a_census_that_stops_reading_still_refuses_past_the_budget(images_listed
     # rest are still listed, counted and refused past the budget
     claws = [(0, 4), (4, 5), (4, 6), (4, 7), (0, 8), (8, 9), (8, 10), (8, 11)]
     t = Tree.from_edges(12, [(0, 1), (0, 2), (0, 3), *claws])
-    built = []
-    build = oracle_module._moved_points
-    monkeypatch.setattr(oracle_module, "_moved_points", lambda sigma: built.append(sigma) or build(sigma))
+    built = recorded(monkeypatch, (oracle_module, "_moved_points"))
     want = reference_brute_asym(t)
     images_listed.clear()
     assert brute_asym(t, aut_limit=432) == want and want.aut_order == 432

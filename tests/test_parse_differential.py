@@ -33,7 +33,7 @@ from treesym import (
 )
 from treesym.trees import _cut, read_edge_lines
 
-from .conftest import traced
+from .conftest import recorded, traced
 from .reference import reference_center, reference_cut, reference_parse_edge_list, reference_parse_graph_edge_list
 
 
@@ -370,19 +370,7 @@ def test_parse_edge_list_accepts_exactly_what_tree_from_edges_accepts(kind):
 def test_a_tree_and_its_center_cost_two_bfs_and_a_cycle_one_union_find(monkeypatch):
     from treesym import trees
 
-    calls = []
-
-    def counted(name):
-        real = getattr(trees, name)
-
-        def counting(*args):
-            calls.append(name)
-            return real(*args)
-
-        return counting
-
-    for name in ("_bfs", "_union_find"):
-        monkeypatch.setattr(trees, name, counted(name))
+    calls = recorded(monkeypatch, (trees, "_bfs"), (trees, "_union_find"))
     rng = random.Random(404)
     for n in SIZES:
         for kind in KINDS:
@@ -390,9 +378,9 @@ def test_a_tree_and_its_center_cost_two_bfs_and_a_cycle_one_union_find(monkeypat
             calls.clear()
             t = parse_edge_list(join(rng, render(rng, token(rng, n), edges)))
             # the acceptance BFS from 0 is the center's first sweep; the parse runs the second and keeps the center
-            assert calls == ["_bfs", "_bfs"], (n, kind)
+            assert [name for name, _ in calls] == ["_bfs", "_bfs"], (n, kind)
             assert center(t) == reference_center(t)
-            assert calls == ["_bfs", "_bfs"], (n, kind)
+            assert [name for name, _ in calls] == ["_bfs", "_bfs"], (n, kind)
             assert t == Tree.from_edges(n, edges)
             if n < 4:
                 continue
@@ -400,13 +388,13 @@ def test_a_tree_and_its_center_cost_two_bfs_and_a_cycle_one_union_find(monkeypat
             calls.clear()
             with pytest.raises(EdgeListParseError, match="cycle detected"):
                 parse_edge_list(join(rng, render(rng, str(n), edges + [chord(n, edges)])))
-            assert calls == ["_union_find"], (n, kind)
+            assert [name for name, _ in calls] == ["_union_find"], (n, kind)
             # n - 1 edges, one of them a chord: the BFS misses a vertex, then the union-find names the line
             rest, k, c = leaf_zero_with_a_chord(rng, n, edges)
             calls.clear()
             with pytest.raises(EdgeListParseError, match="cycle detected"):
                 parse_edge_list(join(rng, render(rng, str(n), rest[:k] + [c] + rest[k:])))
-            assert calls == ["_bfs", "_union_find"], (n, kind)
+            assert [name for name, _ in calls] == ["_bfs", "_union_find"], (n, kind)
 
 
 def test_only_a_text_with_a_suspect_character_has_its_numbers_checked(monkeypatch):
@@ -414,14 +402,7 @@ def test_only_a_text_with_a_suspect_character_has_its_numbers_checked(monkeypatc
     # so a clean text, of any length, costs no per-token check
     from treesym import trees
 
-    calls = []
-    real = trees._is_decimal
-
-    def counting(text):
-        calls.append(text)
-        return real(text)
-
-    monkeypatch.setattr(trees, "_is_decimal", counting)
+    calls = recorded(monkeypatch, (trees, "_is_decimal"))
     assert parse_edge_list("4\n0 1\n-0 2\n0 3\n") == Tree.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert calls == []
     for text, line in (("4\n0 1\n0 2\n0 3\n+", 5), ("4\n0 1\n0 2\n0 3_\n", 4), ("4\n0 1\n0 2\n0 ٣\n", 4)):
@@ -436,22 +417,15 @@ def test_a_plain_text_reads_its_edge_ids_inline(monkeypatch):
     # trees._ints, and a text that is not plain has every line's tokens checked there
     from treesym import trees
 
-    calls = []
-    real = trees._ints
-
-    def counting(tokens, plain):
-        calls.append(plain)
-        return real(tokens, plain)
-
-    monkeypatch.setattr(trees, "_ints", counting)
+    calls = recorded(monkeypatch, (trees, "_ints"))
     for text, plain in (("4\n0 1\n\n-0 2\n0 3\n", True), ("4\n0 1\n0\u00a02\n0 3\n", False),
                         (f"4\n0 1\n0 2{' ' * 4400}\n0 3\n", False)):
         calls.clear()
         assert read_edge_lines(text) == (4, [(0, 1), (0, 2), (0, 3)])
-        assert calls == [plain] * (1 if plain else 4), text
+        assert [p for _, (_, p) in calls] == [plain] * (1 if plain else 4), text
     calls.clear()
     assert parse_graph_edge_list("4\n0 1\n1 2\n2 3\n3 0\n") == reference_parse_graph_edge_list("4\n0 1\n1 2\n2 3\n3 0\n")
-    assert calls == [True]
+    assert [p for _, (_, p) in calls] == [True]
 
 
 # -- hostile sizes ---------------------------------------------------------

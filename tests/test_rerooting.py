@@ -38,7 +38,7 @@ from treesym.canon import TreeAnalysis, _at_root, _chain_pointers, _toward_cente
 from treesym.cli import main
 from treesym.corpus import all_trees, caterpillar, kary_tree, random_tree, spider
 
-from .conftest import path, relabeled, relabeled_families, run_cli, traced, trees_up_to
+from .conftest import path, recorded, relabeled, relabeled_families, run_cli, traced, trees_up_to
 from .reference import (
     reference_asym_rooted,
     reference_aut_order_rooted,
@@ -234,18 +234,7 @@ def test_star_costs_one_product_per_distinct_class():
 
 def test_conjecture_check_roots_the_tree_at_most_twice(monkeypatch):
     # one rooting for the rerooting pass, one for a(T) at the center
-    import sys
-
-    calls = []
-    real = root_at
-
-    def counting(t, w):
-        calls.append(w)
-        return real(t, w)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("treesym") and getattr(module, "root_at", None) is real:
-            monkeypatch.setattr(module, "root_at", counting)
+    calls = recorded(monkeypatch, root_at)
     conjecture_check(path(50))
     assert 1 <= len(calls) <= 2
 
@@ -254,21 +243,7 @@ def test_conjecture_check_roots_the_tree_at_most_twice(monkeypatch):
 def test_all_roots_callers_root_the_tree_once(monkeypatch, make):
     # the rerooting starts from the center analysis that the tree keeps, so
     # each caller makes the one center rooting and analysis in all
-    calls = []
-    real_root_at, real_of = root_at, TreeAnalysis.of
-
-    def counting_root_at(t, w):
-        calls.append("root_at")
-        return real_root_at(t, w)
-
-    def counting_of(rt, cut=None):
-        calls.append("of")
-        return real_of(rt, cut)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("treesym") and getattr(module, "root_at", None) is real_root_at:
-            monkeypatch.setattr(module, "root_at", counting_root_at)
-    monkeypatch.setattr(TreeAnalysis, "of", staticmethod(counting_of))
+    calls = recorded(monkeypatch, root_at, (TreeAnalysis, "of"))
 
     def analyze_all_roots(t):
         code, out, _ = run_cli("analyze", "-", "--all-roots", "--json", stdin=serialize_edge_list(t))
@@ -278,7 +253,7 @@ def test_all_roots_callers_root_the_tree_once(monkeypatch, make):
     for run in (conjecture_check, asym_at_every_root, analyze_all_roots):
         calls.clear()
         run(make())
-        assert sorted(calls) == ["of", "root_at"], run.__name__
+        assert sorted(name for name, _ in calls) == ["of", "root_at"], run.__name__
 
 
 def assert_rooted_numbers_match_reference(t: Tree) -> None:
@@ -351,14 +326,7 @@ def test_rooted_numbers_reuse_the_center_analysis(monkeypatch):
     # once the tree holds its center analysis, no rooted number analyses another rooting
     t = spider(40, 3)
     TreeAnalysis.at_center(t)
-    calls = []
-    real_of = TreeAnalysis.of
-
-    def counting_of(rt, cut=None):
-        calls.append(rt.root)
-        return real_of(rt, cut)
-
-    monkeypatch.setattr(TreeAnalysis, "of", staticmethod(counting_of))
+    calls = recorded(monkeypatch, (TreeAnalysis, "of"))
     for w in range(t.n):
         rt = root_at(t, w)
         asym_rooted(rt)

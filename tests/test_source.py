@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .conftest import kept, run_cli, traced
+from .conftest import kept, recorded, run_cli, traced
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "treesym"
 
@@ -87,3 +87,40 @@ def test_cli_runner_reads_stdin_stdout_and_stderr():
     code, out, err = run_cli("corpus", "--bogus")
     assert (code, out) == (2, "") and err.startswith("usage: treesym")
     assert sys.stdin is stdin
+
+
+def test_one_call_recorder():
+    # every call-count gate patches its targets through conftest's recorded. Three recorders stay their own:
+    # test_canon's count_sorts shadows the builtin sorted, which no module binds, and test_coloring's
+    # _colored_ids and test_oracle's images_listed read what an iterator or a generator hands on
+    tests = Path(__file__).resolve().parent
+    found = []
+    for path in sorted(tests.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            func = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+            lambdas = [arg for arg in node.args if isinstance(arg, ast.Lambda)] if func.endswith("setattr") else []
+            appends = [n for arg in lambdas for n in ast.walk(arg) if getattr(n, "attr", None) == "append"]
+            modules = isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.modules"
+            if modules or func == "staticmethod" or appends or isinstance(node, ast.Nonlocal):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_call_recorder_records_each_call_and_restores_the_originals(monkeypatch, p3):
+    # a recorder that recorded nothing would pass every calls == [] gate
+    import treesym
+    from treesym import canon, cli, coloring, trees
+    from treesym.canon import TreeAnalysis
+
+    bfs, of, root_at = trees._bfs, vars(TreeAnalysis)["of"], trees.root_at
+    sweeps = recorded(monkeypatch, (trees, "_bfs"))
+    assert trees._bfs(p3.adj, 0) == bfs(p3.adj, 0) and sweeps == [("_bfs", (p3.adj, 0))]
+    analyses = recorded(monkeypatch, (TreeAnalysis, "of"))
+    rt = root_at(p3, 1)
+    assert isinstance(TreeAnalysis.of(rt), TreeAnalysis) and analyses == [("of", (rt,))]
+    rootings = recorded(monkeypatch, root_at)
+    assert canon.root_at(p3, 2).root == 2 and coloring.root_at(p3, 0).root == 0
+    assert rootings == [("root_at", (p3, 2)), ("root_at", (p3, 0))]
+    monkeypatch.undo()
+    assert trees._bfs is bfs and vars(TreeAnalysis)["of"] is of
+    assert [m.__name__ for m in (treesym, canon, cli, coloring, trees) if m.root_at is not root_at] == []

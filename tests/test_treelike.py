@@ -13,10 +13,9 @@ from treesym import (
     parse_graph_edge_list,
     treelike_distinguish,
 )
-from treesym import treelike
-from treesym.canon import center
+from treesym import canon, treelike
 
-from .conftest import path, traced, trees_up_to
+from .conftest import path, recorded, traced, trees_up_to
 from .reference import reference_extract_forest, reference_treelike_distinguish
 
 
@@ -292,9 +291,7 @@ def test_distinguish_past_the_limit_raises():
 
 def test_distinguish_keeps_no_automorphism(monkeypatch):
     # K_{5,6}'s 86,400 automorphisms come from one search; listing them peaked at 11.2 MiB
-    searches = []
-    search = treelike._graph_search
-    monkeypatch.setattr(treelike, "_graph_search", lambda *args: searches.append(args) or search(*args))
+    searches = recorded(monkeypatch, (treelike, "_graph_search"))
     g = complete_bipartite(5, 6, 0)
     got, peak = traced(lambda: treelike_distinguish(g))
     assert got is None and len(searches) == 1
@@ -322,27 +319,20 @@ def test_distinguish_drains_the_search_past_a_lowered_limit(monkeypatch):
 
 def test_distinguish_analyses_each_component_once(monkeypatch):
     # the per-mask verification re-centered the component once per mask tried
-    calls = 0
-
-    def counting_center(t):
-        nonlocal calls
-        calls += 1
-        return center(t)
-
-    monkeypatch.setattr("treesym.canon.center", counting_center)
+    calls = recorded(monkeypatch, (canon, "center"))
     searched = 0
     for g in differential_graphs():
-        calls = 0
+        calls.clear()
         got = treelike_distinguish(g)
         if len(brute_graph_aut(g.adj)) == 1:
-            assert calls == 0
+            assert calls == []
             continue
         components = len(extract_forest(g).components)
         if got is not None:
-            assert calls == components
+            assert len(calls) == components
             searched += got.mask != 0
         else:
-            assert 1 <= calls <= components
+            assert 1 <= len(calls) <= components
     monkeypatch.undo()
     assert searched > 300
 

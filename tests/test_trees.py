@@ -33,7 +33,17 @@ from treesym import (
 )
 from treesym import trees as trees_module
 
-from .conftest import path, random_trees, relabeled_families, sample_roots, star, traced, trees_up_to, trees_with_permutation
+from .conftest import (
+    path,
+    random_trees,
+    recorded,
+    relabeled_families,
+    sample_roots,
+    star,
+    traced,
+    trees_up_to,
+    trees_with_permutation,
+)
 from .reference import reference_bits, reference_center, reference_mask, reference_root_at
 
 
@@ -150,9 +160,7 @@ def center_corpus() -> list[Tree]:
 def test_center_is_found_once_per_tree(monkeypatch):
     # every public function that needs the center reads the one kept on the tree:
     # two BFS sweeps in all, whichever function is called first
-    sweeps = []
-    bfs = trees_module._bfs
-    monkeypatch.setattr(trees_module, "_bfs", lambda adj, start: sweeps.append(start) or bfs(adj, start))
+    sweeps = recorded(monkeypatch, (trees_module, "_bfs"))
     calls = [
         center,
         aut_order,
