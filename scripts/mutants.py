@@ -107,6 +107,10 @@ ROWS = [
     ("_automorphisms: forced images ignored", "src/treesym/autom.py",
      "out = [y for y in out if y == want[v]]", "out = [y for y in out if y == want[v] or not used[y]]",
      ["tests/test_oracle.py::test_backtracker_matches_reference_on_seeded_graphs_in_order"]),
+    ("AutomorphismLimitExceeded: the limit attribute off by one", "src/treesym/autom.py",
+     "self.limit = limit", "self.limit = limit + 1",
+     ["tests/test_treelike.py::test_distinguish_past_the_limit_raises",
+      "tests/test_treelike.py::test_distinguish_drains_the_search_past_a_lowered_limit"]),
     # oracle
     ("_refuse_past: refuses at exactly the limit", "src/treesym/oracle.py",
      "prod(map(factorial, leaves.values())) <= limit", "prod(map(factorial, leaves.values())) < limit",

@@ -5,12 +5,14 @@ import os
 import random
 import sys
 import tracemalloc
+from collections.abc import Iterator
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
 
-from treesym import Tree, all_trees, kary_tree, relabel, spider, tree_from_pruefer
+from treesym import Tree, all_trees, kary_tree, random_tree, relabel, spider, tree_from_pruefer
 from treesym import trees as trees_module
 from treesym.cli import main
 
@@ -83,6 +85,52 @@ def recorded(monkeypatch, *targets) -> list[tuple[str, tuple]]:
     return calls
 
 
+class Raised(NamedTuple):
+    """What a call raised: the type, the message, the attributes (``vars``), the cause's type, what it yielded first."""
+
+    type: type
+    message: str
+    attrs: tuple = ()
+    cause: type | None = None
+    yielded: tuple = ()
+
+
+def outcome(call, *args, catch=ValueError, **kwargs):
+    """What ``call(*args, **kwargs)`` returned, an iterator drained into a list, or ``Raised`` if it raised ``catch``.
+
+    Only the ``catch`` types are caught. ``AssertionError`` always propagates: it is an internal failure.
+    """
+    got = []
+    try:
+        result = call(*args, **kwargs)
+        if not isinstance(result, Iterator):
+            return result
+        for item in result:
+            got.append(item)
+        return got
+    except AssertionError:
+        raise
+    except catch as exc:
+        cause = None if exc.__cause__ is None else type(exc.__cause__)
+        return Raised(type(exc), str(exc), tuple(vars(exc).items()), cause, tuple(got))
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits: int | None = None):
+    """Python's int <-> str digit limit set to ``digits`` while the block runs, then restored; 0 lifts it, None keeps it.
+
+    It yields the limit it found: None on Python 3.10.0-3.10.6, which have no limit, and there it sets nothing.
+    """
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None and digits is not None:
+        sys.set_int_max_str_digits(digits)
+    try:
+        yield saved
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
 @pytest.fixture
 def table_builds(monkeypatch) -> list[tuple[str, tuple]]:
     """Every ``_rooting(t, w)`` call, a rooting whose tables are built, while the test runs."""
@@ -153,8 +201,7 @@ def relabeled_families(seed: int, sizes) -> list[Tree]:
     rng = random.Random(seed)
     out = []
     for n in sizes:
-        pruefer = tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
-        out += [relabeled(t, rng) for t in (path(n), star(n), spider(n, 3), kary_tree(n, 2), pruefer)]
+        out += [relabeled(t, rng) for t in (path(n), star(n), spider(n, 3), kary_tree(n, 2), random_tree(rng, n))]
     return out
 
 

@@ -16,9 +16,9 @@ from treesym import (
     kary_tree,
     lobed_extremal,
     motion,
+    random_tree,
     root_at,
     spider,
-    tree_from_pruefer,
 )
 
 from .conftest import random_trees, trees_up_to
@@ -96,7 +96,7 @@ def test_oracle_at_every_root_past_n_10():
     # the closed forms against the census beyond the exhaustive n <= 10 corpus: seeded trees of order 11-13,
     # a spider and the ternary tree of depth 2 (|Aut| = 1,296), unpinned and at every root
     rng = random.Random(3911)
-    trees = [tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]) for n in (11, 11, 11, 12, 12, 12, 13, 13, 13, 13)]
+    trees = [random_tree(rng, n) for n in (11, 11, 11, 12, 12, 12, 13, 13, 13, 13)]
     for t in [*trees, spider(12, 3), kary_tree(13, 3)]:
         rep = brute_asym(t)
         assert (rep.orbit_count, rep.aut_order) == (asym_unrooted(t), aut_order(t)), t.edges()

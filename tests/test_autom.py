@@ -14,9 +14,9 @@ from treesym import (
     enumerate_automorphisms,
     lobed_extremal,
     motion,
+    random_tree,
     relabel,
     root_at,
-    tree_from_pruefer,
 )
 from treesym.asym import asym_at_every_root, asym_rooted
 from treesym.autom import _aut_product, aut_by_class
@@ -124,7 +124,7 @@ def test_rooted_values_build_no_rooting(table_builds):
     # a(T,w) and |Aut(T,w)| at one root read the kept center table, never the rooting's own tables; the
     # all-roots pass gives the same values
     rng = random.Random(2000)
-    t = tree_from_pruefer(2000, [rng.randrange(2000) for _ in range(1998)])
+    t = random_tree(rng, 2000)
     an = TreeAnalysis.at_center(t)
     vals = aut_by_class(an)
     a_ref = asym_at_every_root(t)

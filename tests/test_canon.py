@@ -22,6 +22,7 @@ from treesym import (
     is_isomorphic,
     kary_tree,
     motion,
+    random_tree,
     relabel,
     root_at,
     spider,
@@ -417,7 +418,7 @@ def memo_corpus() -> list[Tree]:
     rng = random.Random(11)
     out = list(trees_up_to(9))
     for n in (10, 17, 64, 150, 300):
-        for t in (tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]), spider(n, 3), path(n)):
+        for t in (random_tree(rng, n), spider(n, 3), path(n)):
             out.append(relabeled(t, rng))
     return out
 
@@ -528,7 +529,7 @@ def center_ends_corpus() -> list[Tree]:
         out.append(t)
         out += [relabeled(t, rng) for _ in range(2)]
     for n in (50, 51, 128, 257, 400):
-        for t in (tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]), spider(n, 4), path(n)):
+        for t in (random_tree(rng, n), spider(n, 4), path(n)):
             out.append(relabeled(t, rng))
     return out
 

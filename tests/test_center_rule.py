@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from treesym import Tree, kary_tree, root_at, spider, tree_from_pruefer
+from treesym import Tree, kary_tree, random_tree, root_at, spider
 from treesym.asym import a_by_class, asym_of
 from treesym.autom import aut_by_class, aut_order_of, motion_of
 from treesym.canon import TreeAnalysis
@@ -77,7 +77,7 @@ def doubled(rng, half: int) -> Tree:
     if rng.random() < 0.5:
         h = bounded_degree_tree(rng, half)
     else:
-        h = tree_from_pruefer(half, [rng.randrange(half) for _ in range(half - 2)])
+        h = random_tree(rng, half)
     r = rng.randrange(half)
     edges = list(h.edges()) + [(u + half, v + half) for u, v in h.edges()] + [(r, r + half)]
     return relabeled(Tree.from_edges(2 * half, edges), rng)

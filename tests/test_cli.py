@@ -12,7 +12,7 @@ from treesym.autom import aut_order_of
 from treesym.cli import main
 from treesym.corpus import SuiteReport
 
-from .conftest import run_cli, subprocess_env, traced
+from .conftest import Raised, int_digit_limit, outcome, run_cli, subprocess_env, traced
 from .reference import reference_build_parser, reference_corpus_spec
 
 P3 = "3\n0 1\n0 2\n"
@@ -78,11 +78,6 @@ def test_parse_error_exit_2(tree_file):
     assert "line 3" in err
 
 
-def int_str_limit():
-    get = getattr(sys, "get_int_max_str_digits", None)
-    return get() if get else None
-
-
 @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
 def test_analyze_converts_each_big_number_to_decimal_once(tree_file, monkeypatch, mode):
     # |Aut| and a(T) can run to tens of thousands of digits, and each int -> str conversion of one is quadratic
@@ -113,19 +108,13 @@ def test_analyze_converts_each_big_number_to_decimal_once(tree_file, monkeypatch
 def test_analyze_star_with_huge_aut(tree_file):
     # |Aut| = 11999! has 43,741 digits, past Python's default int -> str limit
     n = 12000
-    limit = int_str_limit()
     text = f"{n}\n" + "".join(f"0 {v}\n" for v in range(1, n))
-    code, out, err = run_cli("analyze", tree_file(text), "--json")
-    assert (code, err) == (0, "")
-    assert int_str_limit() == limit
-    aut_order = json.loads(out)["aut_order"]
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        assert aut_order == str(math.factorial(n - 1))
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    with int_digit_limit() as limit:
+        code, out, err = run_cli("analyze", tree_file(text), "--json")
+        assert (code, err) == (0, "")
+        with int_digit_limit(0) as after:  # main lifts the limit for its output and puts it back
+            assert after == limit
+            assert json.loads(out)["aut_order"] == str(math.factorial(n - 1))
 
 
 @pytest.mark.parametrize(
@@ -500,14 +489,6 @@ def test_in_process_calls_share_one_parser(tree_file, monkeypatch):
     assert shared[2][1].startswith("usage: treesym")
 
 
-def corpus_outcome(spec_of, args):
-    """The trees a spec generates, or the type and message of what was raised."""
-    try:
-        return list(generate(spec_of(args)))
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
 def test_corpus_spec_matches_reference_on_every_family_subset():
     from treesym import cli
 
@@ -525,10 +506,11 @@ def test_corpus_spec_matches_reference_on_every_family_subset():
                     flags += [f"--{family}", *values[family]]
             for extra in ([], ["--count", "3"], ["--seed", "9"], ["--count", "2", "--seed", "4"]):
                 argv = ["corpus", *flags, *extra]
-                want = corpus_outcome(reference_corpus_spec, reference_build_parser().parse_args(argv))
-                assert corpus_outcome(cli._corpus_spec, cli.build_parser().parse_args(argv)) == want, argv
-                if isinstance(want, tuple):
-                    errors.add(want[1])
+                ref_args, args = reference_build_parser().parse_args(argv), cli.build_parser().parse_args(argv)
+                want = outcome(lambda: generate(reference_corpus_spec(ref_args)))
+                assert outcome(lambda: generate(cli._corpus_spec(args))) == want, argv
+                if isinstance(want, Raised):
+                    errors.add(want.message)
     assert len(errors) == 6  # no family, and each bad value (the two random families share one message)
 
 
@@ -612,12 +594,8 @@ def test_numbers_are_plain_decimals(text, argv, message):
 @pytest.fixture(params=["limit", "no-limit"])
 def digit_limit(request):
     """Python's int <-> str digit limit as it is, and lifted (3.10.0-3.10.6 have none)."""
-    limit = int_str_limit()
-    if request.param == "no-limit" and limit is not None:
-        sys.set_int_max_str_digits(0)
-    yield request.param
-    if limit is not None:
-        sys.set_int_max_str_digits(limit)
+    with int_digit_limit(0 if request.param == "no-limit" else None):
+        yield request.param
 
 
 OPTION_TOKENS = ["0", "2", "-0", "-1", "007", "1" * 4300, "-" + "1" * 4299, "-" + "1" * 4300, "1" * 4301, "0" * 4301,
@@ -628,11 +606,8 @@ def test_an_option_takes_exactly_the_numbers_an_edge_list_takes(tree_file, digit
     # one token rule (trees._ints) for both, whether or not Python's digit limit is lifted
     path = tree_file(P3)
     for token in OPTION_TOKENS:
-        try:
-            parse_edge_list(f"2\n0 {token}\n")
-            as_id = True
-        except EdgeListParseError as exc:
-            as_id = "non-integer vertex id" not in str(exc)
+        parsed = outcome(parse_edge_list, f"2\n0 {token}\n", catch=EdgeListParseError)
+        as_id = not isinstance(parsed, Raised) or "non-integer vertex id" not in parsed.message
         code, out, err = run_cli("color", path, f"--index={token}")
         assert (code != 2) == as_id, (digit_limit, token[:50], code, err[-200:])
         if not as_id:

@@ -30,7 +30,6 @@ from treesym import (
     root_at,
     spider,
     to_dot,
-    tree_from_pruefer,
     treelike_distinguish,
     unrank_distinguishing,
     unrank_unrooted,
@@ -42,6 +41,8 @@ from treesym.canon import TreeAnalysis, colored_subtree_codes, colored_unrooted_
 from treesym.coloring import _colored_key, _to_coloring, _unrank_into, distinguishes, unrank_of
 
 from .conftest import (
+    Raised,
+    outcome,
     path,
     random_trees,
     recorded,
@@ -281,11 +282,9 @@ def test_verify_pinned_errors_match_rooting_at_the_pin(p3):
     for t in (path(1), p3, relabeled_families(39, (40,))[2]):
         c = Coloring(t.n, 0)
         for w in (-1, -t.n, t.n, t.n + 5):
-            with pytest.raises(ValueError) as want:
-                reference_verify_pinned(t, c, w)
-            with pytest.raises(ValueError, match=f"^root {w} out of range 0..{t.n - 1}$") as got:
-                verify_distinguishing(t, c, pinned=w)
-            assert str(got.value) == str(want.value)
+            want = outcome(reference_verify_pinned, t, c, w)
+            assert outcome(verify_distinguishing, t, c, pinned=w) == want == Raised(
+                ValueError, f"root {w} out of range 0..{t.n - 1}")
             # the length check comes first, even for a pin out of range
             with pytest.raises(ValueError, match="^coloring length does not match tree$"):
                 verify_distinguishing(t, Coloring(t.n + 1, 0), pinned=w)
@@ -439,11 +438,9 @@ def test_extend_failure_read_from_a_suffix_class_past_s_d_minus_1():
     edges = [(18, 19), (19, 20), (20, 21), (21, 22), (22, 0), (22, 1), (22, 2), (19, 3), (3, 4), (4, 5), (5, 6),
              (5, 7), (5, 8), (19, 9), (9, 10), (9, 11), (19, 12), (12, 13), (12, 14), (19, 15), (15, 16), (15, 17)]
     tr = one_ended_truncation(Tree.from_edges(23, edges), [18, 19, 20, 21, 22])
-    for extend in (extend_ray_coloring, reference_extend_ray_coloring):
-        with pytest.raises(LobeAssignmentError) as exc:
-            extend(tr, (1, 0, 1, 0, 1))
-        err = exc.value
-        assert (err.ray_vertex, err.branch_rep, err.needed, err.available) == (19, 3, 1, 0)
+    want = outcome(reference_extend_ray_coloring, tr, (1, 0, 1, 0, 1), catch=LobeAssignmentError)
+    assert outcome(extend_ray_coloring, tr, (1, 0, 1, 0, 1), catch=LobeAssignmentError) == want
+    assert want.attrs == (("ray_vertex", 19), ("branch_rep", 3), ("needed", 1), ("available", 0))
 
 
 # Twin-class digit order depends on the rooting: class ids are numbered by
@@ -483,11 +480,8 @@ def twin_lobe_truncation(rng: random.Random):
 def test_extend_outputs_digest_on_twin_lobes():
     lines = []
     for seed in range(200):
-        tr, colors = twin_lobe_truncation(random.Random(seed))
-        try:
-            lines.append(extend_ray_coloring(tr, colors).bits())
-        except LobeAssignmentError as exc:
-            lines.append(f"LobeAssignmentError: {exc}")
+        got = outcome(extend_ray_coloring, *twin_lobe_truncation(random.Random(seed)), catch=LobeAssignmentError)
+        lines.append(f"{got.type.__name__}: {got.message}" if isinstance(got, Raised) else got.bits())
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "b36596f0d37c9f086cd8634a9f62fd80473310dcb59d59f374d72f3cd03db3aa"
 
@@ -637,7 +631,7 @@ def edge_centered_pair(rng: random.Random, m: int, iso: bool) -> Tree:
     With ``iso`` the second half is a copy of the first; without, it is the first with one
     more leaf hung below a vertex above the lowest level, so it keeps the height and is larger.
     """
-    half = tree_from_pruefer(m, [rng.randrange(m) for _ in range(m - 2)]) if m > 2 else path(m)
+    half = random_tree(rng, m)
     rt = root_at(half, rng.randrange(m))
     depth = [0] * m
     for v in rt.bfs_order[1:]:
@@ -750,17 +744,10 @@ def test_colored_ids_match_previous_kernel_on_every_pinned_coloring():
     assert len(set(shared.values())) == len(shared) > 1000
 
 
-def extension_outcome(extend, tr, colors):
-    try:
-        return extend(tr, colors).bits()
-    except LobeAssignmentError as exc:
-        return f"LobeAssignmentError: {exc}"
-
-
 def assert_matches_reference(cases):
     for tr, colors in cases:
-        expected = extension_outcome(reference_extend_ray_coloring, tr, colors)
-        assert extension_outcome(extend_ray_coloring, tr, colors) == expected, (tr.tree.adj, tr.ray, colors)
+        expected = outcome(reference_extend_ray_coloring, tr, colors, catch=LobeAssignmentError)
+        assert outcome(extend_ray_coloring, tr, colors, catch=LobeAssignmentError) == expected, (tr.tree.adj, tr.ray, colors)
 
 
 def hanging_path_ray(rng: random.Random, ray_len: int):
@@ -843,9 +830,9 @@ def test_extend_reads_bools_and_0_1_ints_alike():
     rng = random.Random(12)
     cases += [random_one_ended_truncation(rng) for _ in range(60)]
     for tr, colors in cases:
-        expected = extension_outcome(reference_extend_ray_coloring, tr, colors)
-        assert extension_outcome(extend_ray_coloring, tr, colors) == expected, (tr.tree.adj, tr.ray, colors)
-        assert extension_outcome(extend_ray_coloring, tr, [int(b) for b in colors]) == expected
+        expected = outcome(reference_extend_ray_coloring, tr, colors, catch=LobeAssignmentError)
+        assert outcome(extend_ray_coloring, tr, colors, catch=LobeAssignmentError) == expected, (tr.tree.adj, tr.ray, colors)
+        assert outcome(extend_ray_coloring, tr, [int(b) for b in colors], catch=LobeAssignmentError) == expected
     assert extend_ray_coloring(forked_path_truncation(), (0, 0, 0)).bits() == "00010"
 
 
@@ -918,9 +905,9 @@ def test_extend_error_order_at_equal_depth():
     edges = [(11, 8), (8, 10), (10, 9)] + [(10, p) for p in range(5)] + [(p, 12 + p) for p in range(5)]
     edges += [(10, c) for c in (5, 6, 7)] + [(c, 7 + 2 * c + j) for c in (5, 6, 7) for j in (0, 1)]
     tr = one_ended_truncation(Tree.from_edges(23, edges), (11, 8, 10, 9))
-    expected = extension_outcome(reference_extend_ray_coloring, tr, (False,) * 4)
-    assert expected.endswith("at ray vertex 10: need 6 inequivalent distinguishing colorings for the branch family at 0, only 4 exist")
-    assert extension_outcome(extend_ray_coloring, tr, (False,) * 4) == expected
+    expected = outcome(reference_extend_ray_coloring, tr, (False,) * 4, catch=LobeAssignmentError)
+    assert expected.message.endswith("at ray vertex 10: need 6 inequivalent distinguishing colorings for the branch family at 0, only 4 exist")
+    assert outcome(extend_ray_coloring, tr, (False,) * 4, catch=LobeAssignmentError) == expected
 
 
 def test_extend_roots_the_tree_a_constant_number_of_times(monkeypatch):
@@ -967,10 +954,10 @@ def test_colored_ids_read_only_bits_characters(monkeypatch):
             verify_distinguishing(t, c, pinned=rng.randrange(t.n))
     for seed in range(100):
         tr, colors = twin_lobe_truncation(random.Random(seed))
-        extension_outcome(extend_ray_coloring, tr, colors)
+        outcome(extend_ray_coloring, tr, colors, catch=LobeAssignmentError)
     for _ in range(20):
-        extension_outcome(extend_ray_coloring, *random_one_ended_truncation(rng))
-        extension_outcome(extend_ray_coloring, *hanging_path_ray(rng, rng.randint(4, 40)))
+        outcome(extend_ray_coloring, *random_one_ended_truncation(rng), catch=LobeAssignmentError)
+        outcome(extend_ray_coloring, *hanging_path_ray(rng, rng.randint(4, 40)), catch=LobeAssignmentError)
     for _ in range(40):
         treelike_distinguish(gadget_graph(rng))
     monkeypatch.undo()

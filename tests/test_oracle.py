@@ -16,15 +16,15 @@ from treesym import (
     enumerate_automorphisms,
     exists_automorphism,
     kary_tree,
+    random_tree,
     spider,
-    tree_from_pruefer,
 )
 from treesym import autom as autom_module
 from treesym import oracle as oracle_module
 from treesym.autom import _automorphisms
 from treesym.oracle import OrbitReport, _budgeted_automorphisms
 
-from .conftest import path, recorded, star, traced, trees_up_to
+from .conftest import Raised, outcome, path, recorded, star, traced, trees_up_to
 from .reference import (
     _apply_table,
     _mask_images,
@@ -86,9 +86,8 @@ def test_size_cap():
 @pytest.mark.parametrize("brute", [brute_asym, brute_motion], ids=["brute_asym", "brute_motion"])
 def test_automorphism_limit_is_an_oracle_size_error(k14, brute):
     # K_{1,4} has 24 automorphisms
-    with pytest.raises(OracleSizeError, match="^automorphism count exceeds limit 10$") as exc:
-        brute(k14, aut_limit=10)
-    assert isinstance(exc.value.__cause__, AutomorphismLimitExceeded)
+    past = Raised(OracleSizeError, "automorphism count exceeds limit 10", cause=AutomorphismLimitExceeded)
+    assert outcome(brute, k14, aut_limit=10) == past
     assert brute(k14, aut_limit=24) is not None
 
 
@@ -119,20 +118,12 @@ def test_graph_aut_size_cap():
 # -- the shared backtracker against the vertex-by-vertex search it replaced --
 
 
+SEARCH_ERRORS = (AutomorphismLimitExceeded, ValueError)  # what the searches raise, and the reference alike
+
+
 def listed(*args, **kwargs):
     """The reference's automorphisms as one list, as ``brute_graph_aut`` returns them."""
     return list(reference_automorphisms(*args, **kwargs))
-
-
-def outcome(search, *args, **kwargs):
-    """The ordered result of a search, or the type and message of what it raised and what it yielded before."""
-    got = []
-    try:
-        for sigma in search(*args, **kwargs):
-            got.append(sigma)
-    except (AutomorphismLimitExceeded, ValueError) as exc:
-        return (type(exc).__name__, str(exc), got)
-    return got
 
 
 def seeded_graphs(count: int, seed: int):
@@ -157,8 +148,8 @@ def test_backtracker_matches_reference_on_seeded_graphs_in_order():
     for rng, adj in seeded_graphs(400, seed=20261018):
         n = len(adj)
         # a limit keeps stars and other huge groups small; both sides must then raise alike
-        ref = outcome(listed, adj, limit=5000)
-        assert outcome(brute_graph_aut, adj, limit=5000) == ref
+        ref = outcome(listed, adj, limit=5000, catch=SEARCH_ERRORS)
+        assert outcome(brute_graph_aut, adj, limit=5000, catch=SEARCH_ERRORS) == ref
         for _ in range(3):
             pinned = rng.choice([None, rng.randrange(n)])
             if isinstance(ref, list) and len(ref) > 1 and rng.random() < 0.5:
@@ -168,8 +159,8 @@ def test_backtracker_matches_reference_on_seeded_graphs_in_order():
                 forced = {rng.randrange(n): rng.randrange(n) for _ in range(rng.randint(0, 2))}
             forced_maps += bool(forced)
             kwargs = dict(pinned=pinned, forced=forced, limit=5000)
-            want = outcome(listed, adj, **kwargs)
-            assert outcome(brute_graph_aut, adj, **kwargs) == want
+            want = outcome(listed, adj, **kwargs, catch=SEARCH_ERRORS)
+            assert outcome(brute_graph_aut, adj, **kwargs, catch=SEARCH_ERRORS) == want
             if isinstance(want, list):
                 assert exists_automorphism(adj, pinned=pinned, forced=forced) == bool(want)
     assert forced_maps >= 300
@@ -178,7 +169,7 @@ def test_backtracker_matches_reference_on_seeded_graphs_in_order():
 def test_backtracker_limit_rules():
     square = [[1, 3], [0, 2], [1, 3], [2, 0]]
     for rng, adj in [(None, square), *seeded_graphs(60, seed=7)]:
-        auts = outcome(listed, adj, limit=5000)
+        auts = outcome(listed, adj, limit=5000, catch=SEARCH_ERRORS)
         if not isinstance(auts, list):
             continue
         for limit in (0, len(auts) - 1):
@@ -286,8 +277,8 @@ def test_leaf_blocks_match_vertex_search_on_leafy_families():
         for g in (adj, shuffled(adj, rng)):
             for pinned in [None, *range(len(g))]:
                 kwargs = dict(pinned=pinned, limit=800)  # the 12-vertex star alone has 11! automorphisms
-                want = outcome(reference_automorphisms, g, **kwargs)
-                assert outcome(_automorphisms, g, **kwargs) == want, (g, pinned)
+                want = outcome(reference_automorphisms, g, **kwargs, catch=SEARCH_ERRORS)
+                assert outcome(_automorphisms, g, **kwargs, catch=SEARCH_ERRORS) == want, (g, pinned)
 
 
 def test_leaf_blocks_match_vertex_search_on_pendant_graphs():
@@ -298,10 +289,10 @@ def test_leaf_blocks_match_vertex_search_on_pendant_graphs():
         # past 9 vertices an impossible forced image can cost a search of 10! dead ends, on either side
         forced = {rng.randrange(n): rng.randrange(n)} if n <= 9 and rng.random() < 0.5 else None
         kwargs = dict(pinned=pinned, forced=forced, limit=rng.choice([0, 1, 5, 200]))
-        want = outcome(reference_automorphisms, adj, **kwargs)
-        assert outcome(_automorphisms, adj, **kwargs) == want, (adj, kwargs)
+        want = outcome(reference_automorphisms, adj, **kwargs, catch=SEARCH_ERRORS)
+        assert outcome(_automorphisms, adj, **kwargs, catch=SEARCH_ERRORS) == want, (adj, kwargs)
         kinds[type(want).__name__] += 1
-    assert kinds["list"] >= 500 and kinds["tuple"] >= 500
+    assert kinds["list"] >= 500 and kinds["Raised"] >= 500
 
 
 # a 5-leaf block in a star, after a 2-leaf swap in a double star, and at a triangle's corner, where the search also checks a back edge
@@ -317,8 +308,9 @@ def test_leaf_block_limits_match_vertex_search(adj):
     # 5! = 120 images of the block: the limit falls inside it, at its edge and past it
     for pinned in [None, *range(len(adj))]:
         for limit in (0, 1, 5, 23, 119, 120, 121, None):
-            want = outcome(reference_automorphisms, adj, pinned=pinned, limit=limit)
-            assert outcome(_automorphisms, adj, pinned=pinned, limit=limit) == want, (pinned, limit)
+            kwargs = dict(pinned=pinned, limit=limit, catch=SEARCH_ERRORS)
+            want = outcome(reference_automorphisms, adj, **kwargs)
+            assert outcome(_automorphisms, adj, **kwargs) == want, (pinned, limit)
 
 
 @pytest.mark.parametrize("adj", BLOCK_GRAPHS, ids=["star6", "double-star", "triangle"])
@@ -330,8 +322,9 @@ def test_forced_leaf_inside_a_block_matches_vertex_search(adj):
         for y in range(n):
             for forced in ({v: y}, {v: y, leaves[-1]: leaves[0]}):
                 for pinned in (None, leaves[0], v):
-                    want = outcome(reference_automorphisms, adj, pinned=pinned, forced=forced)
-                    assert outcome(_automorphisms, adj, pinned=pinned, forced=forced) == want, (forced, pinned)
+                    kwargs = dict(pinned=pinned, forced=forced, catch=SEARCH_ERRORS)
+                    want = outcome(reference_automorphisms, adj, **kwargs)
+                    assert outcome(_automorphisms, adj, **kwargs) == want, (forced, pinned)
                     assert exists_automorphism(adj, pinned=pinned, forced=forced) == bool(want)
                     hits[bool(want)] += 1
     assert hits[True] and hits[False]  # honoured and impossible forced images both occur
@@ -369,19 +362,19 @@ def forced_maps(n: int, rng: random.Random, sigma):
 
 def assert_forced_maps_match_vertex_search(adj, rng, kinds):
     n = len(adj)
-    sigmas = outcome(reference_automorphisms, adj, limit=200)
-    sigmas = sigmas if isinstance(sigmas, list) else sigmas[2]
+    sigmas = outcome(reference_automorphisms, adj, limit=200, catch=SEARCH_ERRORS)
+    sigmas = sigmas if isinstance(sigmas, list) else sigmas.yielded
     for forced in forced_maps(n, rng, rng.choice(sigmas)):
         w = rng.randrange(n)
         for pinned in (None, w, *forced.keys()):
             if pinned is not None and not 0 <= pinned < n:
                 continue
             kwargs = dict(pinned=pinned, forced=forced, limit=rng.choice([0, 1, 5, 200]))
-            want = outcome(reference_automorphisms, adj, **kwargs)
-            assert outcome(_automorphisms, adj, **kwargs) == want, (adj, kwargs)
+            want = outcome(reference_automorphisms, adj, **kwargs, catch=SEARCH_ERRORS)
+            assert outcome(_automorphisms, adj, **kwargs, catch=SEARCH_ERRORS) == want, (adj, kwargs)
             if isinstance(want, list):
                 assert exists_automorphism(adj, pinned=pinned, forced=forced) == bool(want)
-            kinds[type(want).__name__, bool(want[2] if isinstance(want, tuple) else want)] += 1
+            kinds[type(want).__name__, bool(want.yielded if isinstance(want, Raised) else want)] += 1
 
 
 def test_forced_maps_match_vertex_search_on_all_trees_in_order():
@@ -421,14 +414,6 @@ def test_clashing_forced_images_build_no_candidate_list(candidate_lists):
     assert candidate_lists == []
 
 
-def oracle_outcome(brute, *args, **kwargs):
-    """The result, or the type, message and cause type of what was raised."""
-    try:
-        return brute(*args, **kwargs)
-    except ValueError as exc:
-        return type(exc), str(exc), type(exc.__cause__)
-
-
 def test_oracle_matches_reference_on_all_small_trees_at_every_pin():
     for t in trees_up_to(8):
         assert brute_motion(t) == reference_brute_motion(t)
@@ -441,20 +426,20 @@ def test_oracle_budget_matches_reference_on_stars_and_paths():
     raised = set()
     for t in [*(star(n) for n in (1, 2, 3, 4, 5, 17)), *(path(n) for n in (1, 2, 3, 6, 17))]:
         for aut_limit in (1, 2, 5, 23):
-            want = oracle_outcome(reference_brute_motion, t, aut_limit=aut_limit)
-            assert oracle_outcome(brute_motion, t, aut_limit=aut_limit) == want
+            want = outcome(reference_brute_motion, t, aut_limit=aut_limit)
+            assert outcome(brute_motion, t, aut_limit=aut_limit) == want
             for pinned in (None, 0, t.n - 1, t.n):
-                want = oracle_outcome(reference_brute_asym, t, pinned=pinned, aut_limit=aut_limit)
-                assert oracle_outcome(brute_asym, t, pinned=pinned, aut_limit=aut_limit) == want
-                if isinstance(want, tuple):
+                want = outcome(reference_brute_asym, t, pinned=pinned, aut_limit=aut_limit)
+                assert outcome(brute_asym, t, pinned=pinned, aut_limit=aut_limit) == want
+                if isinstance(want, Raised):
                     raised.add(want)
     # the budget at each limit, the size cap (checked first, so also past the budget) and an out-of-range pin
-    assert {msg for _, msg, _ in raised} >= {
+    assert {r.message for r in raised} >= {
         "automorphism count exceeds limit 1", "automorphism count exceeds limit 2",
         "automorphism count exceeds limit 5", "automorphism count exceeds limit 23",
         "n = 17 exceeds oracle cap 16", "root 5 out of range 0..4",
     }
-    assert (OracleSizeError, "automorphism count exceeds limit 23", AutomorphismLimitExceeded) in raised
+    assert Raised(OracleSizeError, "automorphism count exceeds limit 23", cause=AutomorphismLimitExceeded) in raised
 
 
 @pytest.fixture
@@ -479,14 +464,14 @@ def test_sibling_leaves_past_the_budget_are_refused_at_once(images_listed, pinne
     # the 12-vertex star has 11! automorphisms, 10! with a leaf pinned: past both budgets, so
     # each call takes the identity and refuses, where it listed 2,000,001 or 500,001 images
     star12 = star(12)
-    budget = (OracleSizeError, "automorphism count exceeds limit 2000000", AutomorphismLimitExceeded)
+    budget = Raised(OracleSizeError, "automorphism count exceeds limit 2000000", cause=AutomorphismLimitExceeded)
     calls = [
-        (lambda: oracle_outcome(brute_asym, star12, pinned=pinned), budget),
-        (lambda: outcome(brute_graph_aut, star12.adj, pinned=pinned),
-         ("AutomorphismLimitExceeded", "automorphism count exceeds limit 500000", [])),
+        (lambda: outcome(brute_asym, star12, pinned=pinned), budget),
+        (lambda: outcome(brute_graph_aut, star12.adj, pinned=pinned, catch=SEARCH_ERRORS),
+         Raised(AutomorphismLimitExceeded, "automorphism count exceeds limit 500000", (("limit", 500000),))),
     ]
     if pinned is None:
-        calls.append((lambda: oracle_outcome(brute_motion, star12), budget))
+        calls.append((lambda: outcome(brute_motion, star12), budget))
     for call, want in calls:
         images_listed.clear()
         assert call() == want
@@ -496,15 +481,17 @@ def test_sibling_leaves_past_the_budget_are_refused_at_once(images_listed, pinne
 def test_refusal_keeps_the_order_of_errors():
     star12 = star(12)
     # a pin out of range and a disconnected graph still raise their own errors
-    assert oracle_outcome(brute_asym, star12, pinned=12) == (ValueError, "root 12 out of range 0..11", type(None))
-    assert outcome(brute_graph_aut, star12.adj, pinned=12) == ("ValueError", "root 12 out of range 0..11", [])
+    pin = Raised(ValueError, "root 12 out of range 0..11")
+    assert outcome(brute_asym, star12, pinned=12) == pin
+    assert outcome(brute_graph_aut, star12.adj, pinned=12, catch=SEARCH_ERRORS) == pin
     star11_and_a_vertex = (*star(11).adj, ())
-    assert outcome(brute_graph_aut, star11_and_a_vertex) == ("ValueError", "graph must be connected", [])
+    assert outcome(brute_graph_aut, star11_and_a_vertex, catch=SEARCH_ERRORS) == Raised(ValueError, "graph must be connected")
     # forced images form no group, so they are listed as before; the search itself still lists up to the limit
-    kwargs = dict(forced={1: 2}, limit=100)
+    kwargs = dict(forced={1: 2}, limit=100, catch=SEARCH_ERRORS)
     assert outcome(brute_graph_aut, star12.adj, **kwargs) == outcome(listed, star12.adj, **kwargs)
-    got = outcome(enumerate_automorphisms, star12, limit=10)
-    assert got[:2] == ("AutomorphismLimitExceeded", "automorphism count exceeds limit 10") and len(got[2]) == 10
+    got = outcome(enumerate_automorphisms, star12, limit=10, catch=SEARCH_ERRORS)
+    limit10 = Raised(AutomorphismLimitExceeded, "automorphism count exceeds limit 10", (("limit", 10),))
+    assert got[:4] == limit10[:4] and len(got.yielded) == 10
 
 
 def test_direct_permutation_reads_match_image_tables():
@@ -525,7 +512,7 @@ def test_direct_permutation_reads_match_image_tables():
 
 def pruefer_trees(sizes, seed: int) -> list[Tree]:
     rng = random.Random(seed)
-    return [tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]) for n in sizes]
+    return [random_tree(rng, n) for n in sizes]
 
 
 def test_census_matches_sorted_scan_on_seeded_trees_and_big_groups():
@@ -591,5 +578,5 @@ def test_a_census_that_stops_reading_still_refuses_past_the_budget(images_listed
     assert brute_asym(t, aut_limit=432) == want and want.aut_order == 432
     assert len(images_listed) == 432 and len(built) == 6
     images_listed.clear()
-    budget = (OracleSizeError, "automorphism count exceeds limit 431", AutomorphismLimitExceeded)
-    assert oracle_outcome(brute_asym, t, aut_limit=431) == budget and len(images_listed) == 431
+    budget = Raised(OracleSizeError, "automorphism count exceeds limit 431", cause=AutomorphismLimitExceeded)
+    assert outcome(brute_asym, t, aut_limit=431) == budget and len(images_listed) == 431

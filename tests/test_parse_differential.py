@@ -6,14 +6,13 @@ when every edge was checked twice: once by the reader, and once more while
 are kept here with those constructors inlined as they were and with their
 own copies of the helpers, so that a change to ``treesym.trees`` cannot move
 them too. Both sides must return equal trees and graphs, or raise the same
-exception type with the same text and ``.line``. A number is a plain decimal
+exception type with the same text, ``.line`` and cause. A number is a plain decimal
 on both sides: the reference checks every token, the readers only the tokens
 of a text that is not ASCII, holds ``_`` or ``+``, or has a line longer than
 4,300 characters.
 """
 
 import random
-import sys
 import time
 
 import pytest
@@ -27,21 +26,14 @@ from treesym import (
     parse_edge_list,
     parse_graph_edge_list,
     root_at,
+    random_tree,
     spider,
-    tree_from_pruefer,
     verify_distinguishing,
 )
 from treesym.trees import _cut, read_edge_lines
 
-from .conftest import recorded, traced
+from .conftest import Raised, int_digit_limit, outcome, recorded, traced
 from .reference import reference_center, reference_cut, reference_parse_edge_list, reference_parse_graph_edge_list
-
-
-def outcome(parse, *args):
-    try:
-        return parse(*args)
-    except ValueError as exc:
-        return (type(exc), str(exc), getattr(exc, "line", None))
 
 
 def assert_same(text, n):
@@ -71,7 +63,7 @@ def family_edges(rng, kind, n):
     elif kind == "binary":
         edges = list(kary_tree(n, 2).edges())
     else:
-        edges = list(tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]).edges()) if n >= 2 else []
+        edges = list(random_tree(rng, n).edges())
     perm = list(range(n))
     rng.shuffle(perm)
     edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u]) for u, v in edges]
@@ -274,7 +266,6 @@ KINDS = ("path", "spider", "binary", "pruefer")
 
 def test_valid_texts_parse_alike():
     rng = random.Random(20251)
-    limit = sys.get_int_max_str_digits()
     for n in SIZES:
         for kind in KINDS:
             edges = family_edges(rng, kind, n)
@@ -285,14 +276,11 @@ def test_valid_texts_parse_alike():
             for text in accepted:
                 assert_accepted(text, n)
             # cli.main lifts int's digit limit for its output: the input rules must not move with it
-            for digits in (limit, 0):
-                sys.set_int_max_str_digits(digits)
-                try:
+            for digits in (None, 0):
+                with int_digit_limit(digits):
                     for text in rejected:
-                        assert isinstance(outcome(parse_edge_list, text), tuple), text[:80]
+                        assert isinstance(outcome(parse_edge_list, text), Raised), text[:80]
                         assert_same(text, n)
-                finally:
-                    sys.set_int_max_str_digits(limit)
 
 
 def test_cut_counts_a_long_int_without_str():
@@ -303,26 +291,15 @@ def test_cut_counts_a_long_int_without_str():
     values = [10**5000, -(10**5000), 10**5000 - 1, 1 - 10**5000, 10**48, 10**49 - 1, -(10**48), 2**160, -(2**161)]
     values += [sign * rng.getrandbits(rng.randint(1, 20000)) for sign in (1, -1) for _ in range(100)]
     values += [0, -1, 10**39, 10**40, -(10**39), True, "x" * 40, "x" * 41, "-" * 4400]
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with int_digit_limit(0):
         want = [(reference_cut(x), reference_cut(x, repr)) for x in values]
         roots = [f"root {reference_cut(w)} out of range 0..1" for w in (10**5000, -(10**5000))]
-    finally:
-        sys.set_int_max_str_digits(limit)
     k2 = Tree.from_edges(2, [(0, 1)])
     for digits in (4300, 0):
-        sys.set_int_max_str_digits(digits)
-        try:
+        with int_digit_limit(digits):
             assert [(_cut(x), _cut(x, repr)) for x in values] == want
-            with pytest.raises(ValueError) as exc:
-                root_at(k2, 10**5000)
-            assert str(exc.value) == roots[0]
-            with pytest.raises(ValueError) as exc:
-                verify_distinguishing(k2, Coloring(2, 1), pinned=-(10**5000))
-            assert str(exc.value) == roots[1]
-        finally:
-            sys.set_int_max_str_digits(limit)
+            assert outcome(root_at, k2, 10**5000) == Raised(ValueError, roots[0])
+            assert outcome(verify_distinguishing, k2, Coloring(2, 1), pinned=-(10**5000)) == Raised(ValueError, roots[1])
 
 
 def test_long_lines_within_and_over_the_digit_limit():
@@ -359,9 +336,8 @@ def test_parse_edge_list_accepts_exactly_what_tree_from_edges_accepts(kind):
         lines = render(rng, str(n), edges)
         for mutated in [lines] + mutations(rng, n, edges, lines):
             text = join(rng, mutated)
-            try:
-                read = read_edge_lines(text)
-            except EdgeListParseError:
+            read = outcome(read_edge_lines, text, catch=EdgeListParseError)
+            if isinstance(read, Raised):
                 continue
             parsed, built = outcome(parse_edge_list, text), outcome(Tree.from_edges, *read)
             assert parsed == built if isinstance(parsed, Tree) else not isinstance(built, Tree)

@@ -38,7 +38,7 @@ from treesym.canon import TreeAnalysis, _at_root, _chain_pointers, _toward_cente
 from treesym.cli import main
 from treesym.corpus import all_trees, caterpillar, kary_tree, random_tree, spider
 
-from .conftest import path, recorded, relabeled, relabeled_families, run_cli, traced, trees_up_to
+from .conftest import Raised, outcome, path, recorded, relabeled, relabeled_families, run_cli, traced, trees_up_to
 from .reference import (
     reference_asym_rooted,
     reference_aut_order_rooted,
@@ -313,13 +313,10 @@ def test_branch_toward_the_center_has_no_twin():
 @pytest.mark.parametrize("w", [-1, 5])
 def test_rooted_numbers_reject_an_out_of_range_root(w):
     t = path(5)
-    with pytest.raises(ValueError) as want:
-        root_at(t, w)
+    want = outcome(root_at, t, w)
     an = TreeAnalysis.at_center(t)
     for at_root in (lambda: a_at_root(an, a_by_class(an), w), lambda: _at_root(an, aut_by_class(an), _aut_product, w)):
-        with pytest.raises(ValueError) as got:
-            at_root()
-        assert str(got.value) == str(want.value) == f"root {w} out of range 0..4"
+        assert outcome(at_root) == want == Raised(ValueError, f"root {w} out of range 0..4")
 
 
 def test_rooted_numbers_reuse_the_center_analysis(monkeypatch):

@@ -6,7 +6,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .conftest import kept, recorded, run_cli, traced
+import pytest
+
+from treesym import AutomorphismLimitExceeded, EdgeListParseError, OracleSizeError, brute_asym, enumerate_automorphisms
+from treesym import parse_edge_list
+from treesym.coloring import _to_coloring
+
+from .conftest import Raised, kept, outcome, recorded, run_cli, star, traced
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "treesym"
 
@@ -124,3 +130,34 @@ def test_call_recorder_records_each_call_and_restores_the_originals(monkeypatch,
     monkeypatch.undo()
     assert trees._bfs is bfs and vars(TreeAnalysis)["of"] is of
     assert [m.__name__ for m in (treesym, canon, cli, coloring, trees) if m.root_at is not root_at] == []
+
+
+def test_one_outcome_reader():
+    # every "what each side returned, or what it raised" goes through conftest's outcome, so two raises are the
+    # same only with the same type, message, attributes, cause and yields. One handler stays: the unranking check
+    # asks whether the reference failed its internal check, an AssertionError, which outcome never catches
+    tests = Path(__file__).resolve().parent
+    found = []
+    for path in sorted(tests.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            item = ast.unparse(node) if isinstance(node, ast.withitem) else ""
+            if isinstance(node, ast.ExceptHandler) or item.startswith("pytest.raises(") and item.endswith(" as want"):
+                found.append(f"{path.name}: {ast.unparse(node).splitlines()[0]}")
+    assert found == ["test_coloring.py: except AssertionError:"]
+
+
+def test_outcome_keeps_each_part_of_a_raise():
+    # an outcome that turned every raise into the same value would pass every differential test
+    assert outcome(divmod, 7, 2) == (3, 1) and not isinstance(outcome(divmod, 7, 2), Raised)
+    assert outcome(lambda: (c for c in "ab")) == ["a", "b"]
+    assert outcome(parse_edge_list, "3\n0 1\n0 1\n") == Raised(
+        EdgeListParseError, "line 3: duplicate edge (0, 1)", (("line", 3),))
+    assert outcome(brute_asym, star(3), aut_limit=1) == Raised(
+        OracleSizeError, "automorphism count exceeds limit 1", cause=AutomorphismLimitExceeded)
+    assert outcome(enumerate_automorphisms, star(4), limit=2, catch=AutomorphismLimitExceeded) == Raised(
+        AutomorphismLimitExceeded, "automorphism count exceeds limit 2", (("limit", 2),),
+        yielded=((0, 1, 2, 3), (0, 1, 3, 2)))
+    with pytest.raises(AutomorphismLimitExceeded):  # not a ValueError, so not caught by default
+        outcome(enumerate_automorphisms, star(4), limit=2)
+    with pytest.raises(AssertionError, match="^coloring left a vertex uncolored$"):  # an internal check
+        outcome(_to_coloring, [None], catch=Exception)

@@ -15,7 +15,7 @@ from treesym import (
 )
 from treesym import canon, treelike
 
-from .conftest import path, recorded, traced, trees_up_to
+from .conftest import Raised, outcome, path, recorded, traced, trees_up_to
 from .reference import reference_extract_forest, reference_treelike_distinguish
 
 
@@ -249,16 +249,12 @@ def differential_graphs():
         yield gadget_graph(rng)
 
 
-def summary(coloring):
-    return None if coloring is None else (coloring.n, coloring.mask)
-
-
 def test_distinguish_matches_reference():
     found = 0
     for g in differential_graphs():
-        got = summary(treelike_distinguish(g))
-        assert got == summary(reference_treelike_distinguish(g)), (g.n, g.adj, g.root)
-        found += got is not None and got[1] != 0
+        got = treelike_distinguish(g)
+        assert got == reference_treelike_distinguish(g), (g.n, g.adj, g.root)
+        found += got is not None and got.mask != 0
     assert found > 300  # the corpus exercises the search, not only the asymmetric shortcut
 
 
@@ -266,27 +262,21 @@ def complete_bipartite(a: int, b: int, root: int) -> RootedGraph:
     return RootedGraph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)], root)
 
 
-def distinguish_outcome(distinguish, g):
-    try:
-        return summary(distinguish(g))
-    except AutomorphismLimitExceeded as exc:
-        return type(exc).__name__, exc.limit, str(exc)
-
-
 @pytest.mark.parametrize("a, b", [(3, 3), (4, 4), (5, 6)])
 def test_distinguish_matches_reference_on_complete_bipartite_graphs(a, b):
     # 72, 1,152 and 86,400 automorphisms, none of them kept by the stream
     for root in (0, a + b - 1):
         g = complete_bipartite(a, b, root)
-        assert distinguish_outcome(treelike_distinguish, g) == distinguish_outcome(reference_treelike_distinguish, g)
+        want = outcome(reference_treelike_distinguish, g, catch=AutomorphismLimitExceeded)
+        assert outcome(treelike_distinguish, g, catch=AutomorphismLimitExceeded) == want
 
 
 def test_distinguish_past_the_limit_raises():
     # K_{6,6} has 2 * 6!^2 = 1,036,800 automorphisms and no sibling leaves, so the search reads 500,000 first;
     # its forest is a 7-vertex star and five singletons, so the coloring search gives up long before that
     g = complete_bipartite(6, 6, 0)
-    assert distinguish_outcome(treelike_distinguish, g) == (
-        "AutomorphismLimitExceeded", 500_000, "automorphism count exceeds limit 500000")
+    assert outcome(treelike_distinguish, g, catch=AutomorphismLimitExceeded) == Raised(
+        AutomorphismLimitExceeded, "automorphism count exceeds limit 500000", (("limit", 500_000),))
 
 
 def test_distinguish_keeps_no_automorphism(monkeypatch):
@@ -308,12 +298,13 @@ def test_distinguish_drains_the_search_past_a_lowered_limit(monkeypatch):
         order = len(brute_graph_aut(g.adj))
         if order == 1:
             continue
-        want = summary(reference_treelike_distinguish(g))
+        want = reference_treelike_distinguish(g)
         kinds["no mask" if treelike._forest_colors(g) is None else "kept" if want is None else "distinguished"] += 1
         monkeypatch.setattr(treelike, "_GRAPH_AUT_LIMIT", order - 1)
-        assert distinguish_outcome(treelike_distinguish, g)[:2] == ("AutomorphismLimitExceeded", order - 1)
+        past = Raised(AutomorphismLimitExceeded, f"automorphism count exceeds limit {order - 1}", (("limit", order - 1),))
+        assert outcome(treelike_distinguish, g, catch=AutomorphismLimitExceeded) == past
         monkeypatch.setattr(treelike, "_GRAPH_AUT_LIMIT", order)
-        assert distinguish_outcome(treelike_distinguish, g) == want
+        assert outcome(treelike_distinguish, g, catch=AutomorphismLimitExceeded) == want
     assert min(kinds["no mask"], kinds["kept"], kinds["distinguished"]) >= 10, kinds
 
 
@@ -339,6 +330,6 @@ def test_distinguish_analyses_each_component_once(monkeypatch):
 
 def test_from_edges_rejects_too_few_edges_before_allocating():
     # a huge vertex count with one edge must not size anything by n
-    exc, peak = traced(lambda: pytest.raises(ValueError, RootedGraph.from_edges, 10**9, [(0, 1)], 0))
-    assert (type(exc.value), str(exc.value)) == (ValueError, "graph is disconnected")
+    got, peak = traced(lambda: outcome(RootedGraph.from_edges, 10**9, [(0, 1)], 0))
+    assert got == Raised(ValueError, "graph is disconnected")
     assert peak < 1 << 16

@@ -22,11 +22,11 @@ from treesym import (
     motion,
     parse_edge_list,
     parse_graph_edge_list,
+    random_tree,
     relabel,
     root_at,
     serialize_edge_list,
     spider,
-    tree_from_pruefer,
     unrank_unrooted,
     unrooted_code,
     verify_distinguishing,
@@ -34,6 +34,8 @@ from treesym import (
 from treesym import trees as trees_module
 
 from .conftest import (
+    Raised,
+    outcome,
     path,
     random_trees,
     recorded,
@@ -141,7 +143,7 @@ def test_center_is_the_last_peeled_layer():
         trees.append(t)
         trees.extend(relabel(t, rng.sample(range(t.n), t.n)) for _ in range(3))
     trees += relabeled_families(17, (4, 5, 31, 100, 500, 1999, 2000))
-    trees += [tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)]) for n in range(3, 2001, 37)]
+    trees += [random_tree(rng, n) for n in range(3, 2001, 37)]
     trees += [path(10**5), path(10**5 + 1), star(10**5), spider(10**5, 6)]
     kinds = set()
     for t in trees:
@@ -233,7 +235,7 @@ def test_root_at_matches_reference():
     rng = random.Random(31)
     for n in (3, 10, 100, 500, 2000):
         for _ in range(3):
-            t = tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
+            t = random_tree(rng, n)
             for w in {0, n - 1, rng.randrange(n)}:
                 assert rooted_fields(t, w, next(orders)) == reference_root_at(t, w)
     for order in READ_ORDERS:
@@ -314,12 +316,11 @@ def test_coloring_mask_range_check_builds_no_power_of_two():
     # every int mask is accepted exactly when 0 <= mask < 2^n, on both sides of each bound
     for n in (1, 2, 3, 7, 64, 1000):
         for mask in (0, 1, -1, (1 << n) - 1, 1 << n, (1 << n) + 1, -(1 << n), 1 << (n + 64), -(1 << (n + 64))):
-            try:
-                accepted = Coloring(n, mask).mask == mask
-            except ValueError as exc:
-                assert str(exc) == "mask out of range for vertex count"
-                accepted = False
-            assert accepted == (0 <= mask < 1 << n), (n, mask)
+            got = outcome(Coloring, n, mask)
+            if 0 <= mask < 1 << n:
+                assert got.mask == mask, (n, mask)
+            else:
+                assert got == Raised(ValueError, "mask out of range for vertex count"), (n, mask)
     # at 30 bits per 4-byte digit, 2^(10^12) would take 124 GiB and 2^(10^8) 12.7 MiB
     _, peak = traced(lambda: (Coloring(10**12, 0), Coloring(10**8, 5)))
     assert peak < 1 << 20, peak
@@ -336,9 +337,7 @@ def test_coloring_mask_range_check_builds_no_power_of_two():
     ids=["short", "empty", "40-chars", "100001-chars"],
 )
 def test_coloring_from_bits_quotes_at_most_40_characters(bits, shown):
-    with pytest.raises(ValueError) as exc:
-        Coloring.from_bits(bits)
-    assert str(exc.value) == f"expected a nonempty 0/1 string, got {shown}"
+    assert outcome(Coloring.from_bits, bits) == Raised(ValueError, f"expected a nonempty 0/1 string, got {shown}")
 
 
 def test_coloring_conversions_match_per_vertex_code():
