@@ -21,6 +21,7 @@ from treesym import Tree, caterpillar, enumerate_automorphisms, kary_tree, relab
 from treesym import parse_edge_list, serialize_edge_list
 
 TREE9 = "9\n0 1\n0 5\n1 2\n1 3\n3 4\n5 6\n6 7\n5 8\n"
+CYCLE6 = "6\n0 1\n1 2\n2 3\n3 0\n0 4\n4 5\n"  # the 4-cycle with a pendant path
 
 
 class Run(NamedTuple):
@@ -86,7 +87,6 @@ def same_output_under_O() -> None:
     # nonzero digits; on the 4-cycle with a pendant path, treelike's forest has components [5, 1], rooted at 2 [3, 3].
     # The property suite (exit 5 on a failed check) runs on every free tree of order 1..9, the lobed extremal
     # trees and 525 seeded Pruefer trees of order 10..40
-    cycle = "6\n0 1\n1 2\n2 3\n3 0\n0 4\n4 5\n"
     corpora = [f"--all-trees {n}" for n in range(1, 10)] + [f"--lobed-extremal {m}" for m in (2, 4, 6, 8)]
     corpora += [f"--random-prufer {n} --count 75 --seed {n}" for n in range(10, 41, 5)]
     cases = [("", f"corpus {c} --check --json") for c in corpora] + [(TREE9, cmd) for cmd in (
@@ -94,7 +94,7 @@ def same_output_under_O() -> None:
         "color --root 2 --count 4 -", "analyze --all-roots --json -", "treelike -",
         "corpus --random-prufer 40 --count 30 --seed 5 --check --json", "verify --coloring 000000000 --pin 3 -",
         "verify --coloring 000000000 --pin 0 -", "color --index 200 -", "color --dot --count 2 -",
-    )] + [(cycle, "treelike -"), (cycle, "treelike --root 2 -")]
+    )] + [(CYCLE6, "treelike -"), (CYCLE6, "treelike --root 2 -")]
     for stdin, cmd in cases:
         plain, optimized = (cli(*cmd.split(), stdin=stdin, flags=flags) for flags in ((), ("-O",)))
         same = optimized[:2] == plain[:2]  # the last lines of a --check report name its counterexamples
@@ -112,6 +112,19 @@ def corpora_parse_back() -> None:
         for tree in trees:
             text = "".join(f"{line}\n" for line in [tree["n"], *(f"{u} {v}" for u, v in tree["edges"])])
             expect(serialize_edge_list(parse_edge_list(text)) == text, f"{text!r} does not round-trip")
+
+
+def json_reads_back() -> None:
+    # every JSON command prints the bytes of json.dumps(..., indent=2) on this interpreter, from one writer
+    # (cli._write_json): parsed and dumped again, stdout comes back unchanged. The path's a and |Aut| are long
+    # decimal strings; the corpus payload (2.0 MB) is written in batches
+    path = "10000\n" + "".join(f"{i} {i + 1}\n" for i in range(9999))
+    for stdin, cmd in (("", "corpus --random-prufer 2000 --count 20"), ("", "corpus --all-trees 10 --check --json"),
+                       (path, "analyze --json -"), (star(9), "oracle -"), (CYCLE6, "treelike -")):
+        r = cli(*cmd.split(), stdin=stdin)
+        back = json.dumps(json.loads(r.out), indent=2) + "\n" if r.code == 0 else None
+        expect(r.out == back and not r.err, f"treesym {cmd}: exit {r.code}, stderr {r.err!r}, "
+               f"{'stdout reads back' if r.out == back else 'stdout does not read back'}")
 
 
 def star_oracle_censuses() -> None:
@@ -260,8 +273,8 @@ def pinned_verification() -> None:
 
 
 # the checks the tier-1 suite runs too, each in a fresh interpreter (tests/test_cli_checks.py)
-FAST = (same_output_under_O, corpora_parse_back, star_oracle_censuses, star12_refused, k66_treelike_streamed,
-        closed_stdout, input_errors)
+FAST = (same_output_under_O, corpora_parse_back, json_reads_back, star_oracle_censuses, star12_refused,
+        k66_treelike_streamed, closed_stdout, input_errors)
 # the per-vertex sweeps start 285 children, the timed queries 14; the over-budget census lists 2,000,000 automorphisms
 CHECKS = FAST + (one_root_against_all_roots, one_root_costs_its_depth, pinned_verification, cherry16_past_budget)
 

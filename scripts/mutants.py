@@ -216,6 +216,10 @@ ROWS = [
      "Tree(n, _build_adjacency(n, [(child, (child - 1) // arity) for child in range(1, n)]))",
      "Tree.from_edges(n, [(child, (child - 1) // arity) for child in range(1, n)])",
      ["tests/test_corpus.py::test_generated_trees_build_no_checked_adjacency"]),
+    # cli
+    ("JSON writer: non-ASCII left unescaped", "src/treesym/cli.py",
+     "import encode_basestring_ascii", "import encode_basestring as encode_basestring_ascii",
+     ["tests/test_cli.py::test_json_writer_matches_json_dumps"]),
 ]
 
 

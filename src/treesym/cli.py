@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .asym import GroupOrderBound, a_at_root, a_by_class, asym_at_every_root, asym_of
 from .autom import AutomorphismLimitExceeded, aut_order_of, motion_of
@@ -27,6 +27,89 @@ from .trees import Coloring, EdgeListParseError, Tree, _cut, _ints, parse_edge_l
 
 SCHEMA = 1
 CORPUS_FLAGS = ("all-trees", "random-prufer", "caterpillar", "lobed-extremal", "kary", "spider")  # in precedence order
+# the JSON text of each leaf type, as json.dumps writes it
+_LEAF = {str: encode_basestring_ascii, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+         type(None): {None: "null"}.__getitem__}
+_LEAVES = frozenset(_LEAF)
+_BATCH = 4096  # pieces held before they are written: a corpus payload is never held as one string
+
+
+def _leaf(x) -> str:
+    return _LEAF[type(x)](x)
+
+
+def _put(obj, nl: str, out: list[str]) -> None:
+    """Append the JSON text of ``obj``, indented to the line start ``nl``, to ``out``.
+
+    A container whose values are all leaves is one string, with no call per leaf. Once ``out``
+    holds a batch of pieces, they are written to stdout and ``out`` is emptied.
+    """
+    if len(out) >= _BATCH:
+        sys.stdout.write("".join(out))
+        out.clear()
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        kinds = set(map(type, obj.values()))
+        if kinds <= _LEAVES:
+            enc = _LEAF[kinds.pop()] if len(kinds) == 1 else _leaf
+            body = f",{inner}".join([f"{encode_basestring_ascii(k)}: {enc(v)}" for k, v in obj.items()])
+            out.append(f"{{{inner}{body}{nl}}}")
+            return
+        sep, comma = "{" + inner, "," + inner
+        for k, v in obj.items():
+            enc = _LEAF.get(type(v))
+            if enc is None:
+                out.append(f"{sep}{encode_basestring_ascii(k)}: ")
+                _put(v, inner, out)
+            else:
+                out.append(f"{sep}{encode_basestring_ascii(k)}: {enc(v)}")
+            sep = comma
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        kinds = set(map(type, obj))
+        if kinds <= _LEAVES:
+            enc = _LEAF[kinds.pop()] if len(kinds) == 1 else _leaf
+            body = f",{inner}".join(map(enc, obj))
+            out.append(f"[{inner}{body}{nl}]")
+            return
+        sep, comma = "[" + inner, "," + inner
+        for v in obj:
+            enc = _LEAF.get(type(v))
+            if enc is None:
+                out.append(sep)
+                _put(v, inner, out)
+            else:
+                out.append(sep + enc(v))
+            sep = comma
+        out.append(nl + "]")
+    elif type(obj) in _LEAVES:
+        out.append(_leaf(obj))
+    elif isinstance(obj, int):  # a subclass, which json.dumps also writes by int.__repr__
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not written as JSON")
+
+
+def _write_json(obj) -> None:
+    """Write ``json.dumps(obj, indent=2)`` and a newline to stdout, a batch of pieces at a time.
+
+    It takes what the commands emit: dicts with str keys; lists and tuples; str, int, bool and None
+    leaves. Anything else raises ``TypeError``, after the batches before it were written: a set, and
+    a float or a bool, int or None key, which ``json.dumps`` would write.
+    """
+    out: list[str] = []
+    _put(obj, "\n", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _read_input(path: str) -> str:
@@ -78,7 +161,7 @@ def cmd_analyze(args) -> int:
     if roots:
         report["roots"] = {str(w): str(a_w) for w, a_w in roots.items()}
     if args.json:
-        print(json.dumps(report, indent=2))
+        _write_json(report)
         return 0
     c = report["center"]
     center_txt = f"vertex {c['vertex']}" if c["kind"] == "vertex" else f"edge ({c['u']}, {c['v']})"
@@ -147,7 +230,7 @@ def cmd_oracle(args) -> int:
     report = brute_asym(t)
     out = {"schema": SCHEMA}
     out.update(report.to_json())
-    print(json.dumps(out, indent=2))
+    _write_json(out)
     return 0
 
 
@@ -170,7 +253,7 @@ def cmd_corpus(args) -> int:
                         for t in trees if not conjecture_check(t).consistent]
         if args.json:
             conjecture = {"consistent": not inconsistent, "counterexamples": inconsistent}
-            print(json.dumps({"schema": SCHEMA, "suite": report.to_json(), "conjecture": conjecture}, indent=2))
+            _write_json({"schema": SCHEMA, "suite": report.to_json(), "conjecture": conjecture})
         else:
             print(report.summary())
             print(f"conjecture consistent: {not inconsistent}")
@@ -181,7 +264,7 @@ def cmd_corpus(args) -> int:
         "schema": SCHEMA,
         "trees": [{"n": t.n, "edges": [list(e) for e in sorted(t.edges())]} for t in trees],
     }
-    print(json.dumps(payload, indent=2))
+    _write_json(payload)
     return 0
 
 
@@ -206,7 +289,7 @@ def cmd_treelike(args) -> int:
         },
         "coloring": coloring.bits() if coloring is not None else None,
     }
-    print(json.dumps(payload, indent=2))
+    _write_json(payload)
     return 0
 
 

@@ -1,18 +1,24 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import runpy
 import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesym import ConjectureReport, CorpusSpec, EdgeListParseError, generate, parse_edge_list, serialize_edge_list
+from treesym import cli
 from treesym.asym import asym_of
 from treesym.autom import aut_order_of
 from treesym.cli import main
 from treesym.corpus import SuiteReport
 
-from .conftest import Raised, int_digit_limit, outcome, run_cli, subprocess_env, traced
+from .conftest import ROOT, Raised, int_digit_limit, outcome, recorded, run_cli, subprocess_env, traced
 from .reference import reference_build_parser, reference_corpus_spec
 
 P3 = "3\n0 1\n0 2\n"
@@ -655,3 +661,52 @@ def test_closed_stdout_exits_0_quietly():
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def written(obj) -> str:
+    """What the CLI's JSON writer prints for ``obj``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_json(obj)
+    return out.getvalue()
+
+
+# quotes, backslashes, control characters, non-ASCII text and lone surrogates, which encode_basestring_ascii escapes
+TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600')
+               | st.characters(exclude_categories=()))
+# ints past 4,300 digits too, which json.dumps writes only with Python's digit limit lifted, as main lifts it
+INTS = st.integers() | st.integers(4301, 4400).flatmap(lambda d: st.sampled_from([10**d - 1, 1 - 10**d]))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | INTS | TEXT,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(TEXT, kids),
+    max_leaves=40,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=100, deadline=None)
+def test_json_writer_matches_json_dumps(obj):
+    with int_digit_limit(0):
+        assert written(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [1.5, {"a": 1.5}, [1, 2.5], [[{"a": [0.0]}]], {1, 2}, ["a", {1}], {1: "a"},
+                                 {"a": {True: 1}}, [{"a": 1, None: [2]}], b"a", {"a": object()}])
+def test_json_writer_refuses_what_the_commands_never_emit(obj):
+    # json.dumps writes a float, turns a bool, int or None key into a str and refuses a set: the writer refuses all
+    with pytest.raises(TypeError):
+        written(obj)
+
+
+def test_json_writer_matches_json_dumps_on_every_golden_payload(monkeypatch):
+    table = runpy.run_path(str(ROOT / "scripts" / "golden_digests.py"))["cases"]()
+    commands = [(stdin, argv) for runs in table.values() for stdin, argv in runs
+                if "--json" in argv or argv[0] in ("oracle", "treelike", "corpus")]
+    payloads = recorded(monkeypatch, (cli, "_write_json"))
+    for stdin, argv in commands:
+        payloads.clear()
+        code, out, err = run_cli(*argv, stdin=stdin)
+        assert (code, err, len(payloads)) == (0, "", 1), argv
+        with int_digit_limit(0):
+            assert out == json.dumps(payloads[0][1][0], indent=2) + "\n", argv
+    assert len(commands) == 97

@@ -28,6 +28,20 @@ def test_no_claim_rests_on_assert():
     assert found == []
 
 
+def test_one_json_writer():
+    # every JSON command writes through cli._write_json: json.dumps with an indent runs the pure-Python encoder
+    path = SRC / "cli.py"
+    found, writes = [], 0
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        func = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+        if func.rpartition(".")[2] in ("dumps", "dump") or "json" in names or getattr(node, "module", "") == "json":
+            found.append(f"cli.py:{node.lineno}: {ast.unparse(node)}")
+        writes += func == "_write_json"
+    assert found == []
+    assert writes == 5  # analyze --json, oracle, corpus --check --json, corpus, treelike
+
+
 def test_one_reference_per_kernel():
     # each reference is written once, in tests/reference.py, and no earlier generation is kept beside it
     tests = Path(__file__).resolve().parent
