@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end checks of the treesym command line: exit codes, stderr, stdout, time and memory limits.
 
-Each check runs ``python -m treesym.cli`` in child processes on the treesym this interpreter imports (a wheel
-or the source tree); the first failure raises. Stdlib only, no pytest: ``PYTHONPATH=src python scripts/cli_checks.py``
+Each check runs in a fresh interpreter and starts ``python -m treesym.cli`` in child processes, all through the
+one child runner ``python``, on the treesym this interpreter imports (a wheel or the source tree); the first failure
+raises. Stdlib only, no pytest: ``PYTHONPATH=src python scripts/cli_checks.py``
 """
 
 import json
@@ -33,16 +34,17 @@ class Run(NamedTuple):
     peak_mb: float
 
 
-def cli(*args: str, stdin: str = "", flags: tuple = (), timeout: float = 120, lines: int | None = None) -> Run:
-    """Run ``python *flags -m treesym.cli *args`` on ``stdin`` in a new temporary directory, killed after
-    ``timeout`` seconds. With ``lines``, read that many lines of stdout and close the pipe, as ``| head`` does."""
+def python(*argv: str, stdin: str = "", timeout: float = 120, lines: int | None = None) -> Run:
+    """Run ``python *argv`` on ``stdin`` in a new temporary directory, killed after ``timeout`` seconds: the one
+    child runner of these checks and the tier-1 suite. With ``lines``, read that many lines of stdout and close the
+    pipe, as ``| head`` does. The child imports treesym as this interpreter does (a wheel, or PYTHONPATH)."""
     with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryFile() as inp, tempfile.TemporaryFile() as err:
         inp.write(stdin.encode())
         inp.seek(0)
         start = time.monotonic()
         # the child runs elsewhere, so relative PYTHONPATH entries such as src are made absolute
         path = os.pathsep.join(os.path.abspath(p) for p in os.getenv("PYTHONPATH", "").split(os.pathsep) if p)
-        argv, env = [sys.executable, *flags, "-m", "treesym.cli", *args], dict(os.environ, PYTHONPATH=path)
+        argv, env = [sys.executable, *argv], dict(os.environ, PYTHONPATH=path)
         proc = subprocess.Popen(argv, cwd=tmp, env=env, stdin=inp, stdout=subprocess.PIPE, stderr=err)
         timer = threading.Timer(timeout, proc.kill)
         timer.start()
@@ -53,9 +55,14 @@ def cli(*args: str, stdin: str = "", flags: tuple = (), timeout: float = 120, li
         finally:
             timer.cancel()
         proc.returncode = code = os.waitstatus_to_exitcode(status)
-        expect(time.monotonic() - start < timeout, f"treesym {' '.join(args)}: still running after {timeout} s")
+        expect(time.monotonic() - start < timeout, f"{' '.join(argv)[:200]}: still running after {timeout} s")
         err.seek(0)
         return Run(code, out.decode(), err.read().decode(), usage.ru_maxrss / 1024)
+
+
+def cli(*args: str, flags: tuple = (), **options) -> Run:
+    """``python *flags -m treesym.cli *args``, with ``python``'s keyword arguments."""
+    return python(*flags, "-m", "treesym.cli", *args, **options)
 
 
 def expect(ok: bool, message: str) -> None:
@@ -239,7 +246,9 @@ def one_root_costs_its_depth() -> None:
             "tree_from_pruefer(n, random.Random(5).choices(range(n), k=n - 2)); "
             "sys.stdout.write(serialize_edge_list(t))")
     for name in ("path", "Pruefer tree"):
-        text = subprocess.run([sys.executable, "-c", make, name], capture_output=True, text=True, check=True).stdout
+        r = python("-c", make, name)
+        expect(r.code == 0, f"writing the {name}: exit {r.code}, stderr {r.err!r}")
+        text = r.out
         best = {}
         for args in (("analyze", "--json", "-"), ("analyze", "--root", "0", "--json", "-")):
             times = []
@@ -272,17 +281,23 @@ def pinned_verification() -> None:
     expect(not bad and codes == {0, 4}, f"verify --pin against the brute check: {bad}; exits {sorted(codes)}")
 
 
-# the checks the tier-1 suite runs too, each in a fresh interpreter (tests/test_cli_checks.py)
+# the checks the tier-1 suite runs too (tests/test_cli_checks.py)
 FAST = (same_output_under_O, corpora_parse_back, json_reads_back, star_oracle_censuses, star12_refused,
         k66_treelike_streamed, closed_stdout, input_errors)
 # the per-vertex sweeps start 285 children, the timed queries 14; the over-budget census lists 2,000,000 automorphisms
 CHECKS = FAST + (one_root_against_all_roots, one_root_costs_its_depth, pinned_verification, cherry16_past_budget)
 
 
+def fresh(check: str) -> Run:
+    """Run the check named ``check`` in a fresh interpreter, since a child's peak RSS counts its caller's peak."""
+    return python("-c", f"import runpy; runpy.run_path({os.path.abspath(__file__)!r})[{check!r}]()", timeout=300)
+
+
 def main() -> None:
     for check in CHECKS:
         start = time.monotonic()
-        check()
+        r = fresh(check.__name__)
+        expect(r.code == 0, f"{check.__name__} failed:\n{r.err}")
         print(f"ok {check.__name__} ({time.monotonic() - start:.1f} s)", flush=True)
 
 

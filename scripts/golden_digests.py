@@ -12,7 +12,7 @@ which order, with which labels); they were recorded from networkx's
 
 Stdlib only, no pytest: ``PYTHONPATH=src python scripts/golden_digests.py`` runs every command in process,
 prints one ``label digest`` line per input and exits 1 if any digest differs from ``GOLDEN``.
-``tests/test_cli_golden.py`` checks the same table, one test per input.
+``tests/test_cli_golden.py`` checks the same table, one test per input, and tier-1 calls ``main`` through ``run``.
 """
 
 import contextlib
@@ -92,19 +92,26 @@ def cases() -> dict[str, list[tuple[str, list[str]]]]:
     return out
 
 
+def run(*argv: str, stdin: str = "") -> tuple[int, str, str]:
+    """``(code, stdout, stderr)`` of one ``main(argv)`` call on ``stdin``; argparse's ``SystemExit`` gives its code."""
+    out, err = io.StringIO(), io.StringIO()  # redirected, not read through capsys, so hypothesis tests can run it too
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin, newline="")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
 def digest(commands: list[tuple[str, list[str]]]) -> str:
     h = hashlib.sha256()
     for stdin, argv in commands:
-        saved = sys.stdin
-        sys.stdin = io.StringIO(stdin)
-        stdout = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                code = main(argv)
-        finally:
-            sys.stdin = saved
+        code, out, _ = run(*argv, stdin=stdin)
         h.update(f"{' '.join(argv)}\n{code}\n".encode())
-        h.update(hashlib.sha256(stdout.getvalue().encode()).digest())
+        h.update(hashlib.sha256(out.encode()).digest())
     return h.hexdigest()
 
 

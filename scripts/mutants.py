@@ -4,9 +4,9 @@
 A row is (name, file, old text, new text, pytest node ids). The old text must occur exactly
 once in the file. Every node id is first run once on an unmutated copy, and that run must
 pass. Then each row runs on its own copy of ``src/``, ``tests/`` and ``scripts/``, with that
-copy's ``src`` first on PYTHONPATH, so ``conftest.ROOT`` and every child interpreter import the
-mutant. Each node id of a row runs in its own pytest call, and every one of them must fail or
-time out. A row with a node id that still passes is a surviving mutant (DeMillo, Lipton and
+copy's ``src`` on PYTHONPATH, so its tests, the scripts they load and every child interpreter
+import the mutant. Each node id of a row runs in its own pytest call, and every one of them must
+fail or time out. A row with a node id that still passes is a surviving mutant (DeMillo, Lipton and
 Sayward, "Hints on test data selection", IEEE Computer 1978): that test does not see the fault.
 
 Standard library only (pytest runs in the child processes), no options: ``python scripts/mutants.py``
@@ -129,6 +129,10 @@ ROWS = [
      "for s, r in zip(combinadic_unrank(digit, a[c], mu), roots):",
      "for r, s in zip(roots, combinadic_unrank(digit, a[c], mu)):",
      ["tests/test_coloring.py::test_unrank_unrooted_meets_every_orbit_small"]),
+    ("unrank_of: the range message quotes whole ints", "src/treesym/coloring.py",
+     'raise IndexError(f"index {_cut(index)} out of range [0, {_cut(total)})")',
+     'raise IndexError(f"index {index} out of range [0, {total})")',
+     ["tests/test_parse_differential.py::test_cut_counts_a_long_int_without_str"]),
     ("combinadic_unrank: k = 2 top element one too high", "src/treesym/coloring.py",
      "c = (1 + isqrt(8 * rank + 1)) // 2", "c = (2 + isqrt(8 * rank + 1)) // 2",
      ["tests/test_coloring.py::test_combinadic_k2_every_rank_matches_reference"]),
@@ -196,6 +200,9 @@ ROWS = [
     ("_ints: a token of exactly 4,300 digits refused", "src/treesym/trees.py",
      "len(x) <= _MAX_INPUT_DIGITS and", "len(x) < _MAX_INPUT_DIGITS and",
      ["tests/test_parse_differential.py::test_long_lines_within_and_over_the_digit_limit"]),
+    ("trees: a module outside the standard library imported", "src/treesym/trees.py",
+     "from dataclasses import dataclass\n", "from dataclasses import dataclass\n\nimport pytest\n",
+     ["tests/test_corpus.py::test_import_loads_only_the_standard_library"]),
     ("center: found again on every call", "src/treesym/trees.py",
      'if "_center" not in t.__dict__:', "if True:",
      ["tests/test_trees.py::test_center_is_found_once_per_tree"]),
@@ -220,6 +227,10 @@ ROWS = [
     ("JSON writer: non-ASCII left unescaped", "src/treesym/cli.py",
      "import encode_basestring_ascii", "import encode_basestring as encode_basestring_ascii",
      ["tests/test_cli.py::test_json_writer_matches_json_dumps"]),
+    # the in-process runner shared by the tier-1 suite and scripts/golden_digests.py
+    ("run: stdin not swapped in", "scripts/golden_digests.py",
+     'saved, sys.stdin = sys.stdin, io.StringIO(stdin, newline="")', "saved = sys.stdin",
+     ["tests/test_source.py::test_cli_runner_reads_stdin_stdout_and_stderr"]),
 ]
 
 

@@ -91,10 +91,6 @@ def _put(obj, nl: str, out: list[str]) -> None:
         out.append(nl + "]")
     elif type(obj) in _LEAVES:
         out.append(_leaf(obj))
-    elif isinstance(obj, int):  # a subclass, which json.dumps also writes by int.__repr__
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not written as JSON")
 
@@ -104,7 +100,7 @@ def _write_json(obj) -> None:
 
     It takes what the commands emit: dicts with str keys; lists and tuples; str, int, bool and None
     leaves. Anything else raises ``TypeError``, after the batches before it were written: a set, and
-    a float or a bool, int or None key, which ``json.dumps`` would write.
+    a float, an int or str subclass or a bool, int or None key, which ``json.dumps`` would write.
     """
     out: list[str] = []
     _put(obj, "\n", out)

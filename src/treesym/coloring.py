@@ -38,7 +38,7 @@ def combinadic_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
     At i = 1 that window is the one candidate rank, so k = 1 gives (rank,).
     """
     if k < 0 or universe < 0 or rank < 0 or rank >= comb(universe, k):
-        raise ValueError(f"rank {rank} out of range for C({universe}, {k})")
+        raise ValueError(f"rank {_cut(rank)} out of range for C({_cut(universe)}, {_cut(k)})")
     if k == 2:
         c = (1 + isqrt(8 * rank + 1)) // 2
         return (rank - c * (c - 1) // 2, c)
@@ -140,7 +140,7 @@ def unrank_of(an: TreeAnalysis, a: list[int], index: int) -> Coloring:
     """The index-th of the asym_of(an, a) coloring classes of the analysed tree."""
     total = asym_of(an, a)
     if not (0 <= index < total):
-        raise IndexError(f"index {index} out of range [0, {total})")
+        raise IndexError(f"index {_cut(index)} out of range [0, {_cut(total)})")
     colors: list[str | None] = [None] * an.rt.tree.n
     sub = [0] * len(colors)
     roots = iter(an.roots)

@@ -1,8 +1,7 @@
 import contextlib
 import gc
-import io
-import os
 import random
+import runpy
 import sys
 import tracemalloc
 from collections.abc import Iterator
@@ -14,14 +13,12 @@ from hypothesis import strategies as st
 
 from treesym import Tree, all_trees, kary_tree, random_tree, relabel, spider, tree_from_pruefer
 from treesym import trees as trees_module
-from treesym.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def subprocess_env() -> dict[str, str]:
-    """The environment with this checkout's ``src`` first on PYTHONPATH, for child interpreters that import treesym."""
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+# the stdlib scripts, each loaded once: the suite starts treesym through their runners, in process and in a child
+golden_digests = runpy.run_path(str(ROOT / "scripts" / "golden_digests.py"))
+cli_checks = runpy.run_path(str(ROOT / "scripts" / "cli_checks.py"))
+run_cli, run_python = golden_digests["run"], cli_checks["python"]
 
 
 def traced(run):
@@ -44,20 +41,6 @@ def kept(run):
         return out, tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-
-
-def run_cli(*argv: str, stdin: str = "") -> tuple[int, str, str]:
-    """``(code, stdout, stderr)`` of one ``main(argv)`` call on ``stdin``; argparse's ``SystemExit`` gives its code."""
-    out, err = io.StringIO(), io.StringIO()  # redirected, not read through capsys, so hypothesis tests can run it too
-    saved, sys.stdin = sys.stdin, io.StringIO(stdin, newline="")
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
 
 
 def recorded(monkeypatch, *targets) -> list[tuple[str, tuple]]:

@@ -361,7 +361,7 @@ def reference_motion_of(an):
 def reference_unrank_of(an, a, index):
     total = reference_asym_of(an, a)
     if not (0 <= index < total):
-        raise IndexError(f"index {index} out of range [0, {total})")
+        raise IndexError(f"index {reference_cut(index)} out of range [0, {reference_cut(total)})")
     colors = [None] * an.rt.tree.n
     if len(an.roots) == 1:
         _unrank_into(an, a, an.roots[0], index, colors)
@@ -431,7 +431,7 @@ def reference_exact_conjecture_check(t: Tree) -> ConjectureReport:
 def reference_combinadic_unrank(rank, universe, k):
     """The binary-search decoder for every k, kept as the reference."""
     if k < 0 or universe < 0 or rank < 0 or rank >= comb(universe, k):
-        raise ValueError(f"rank {rank} out of range for C({universe}, {k})")
+        raise ValueError(f"rank {reference_cut(rank)} out of range for C({reference_cut(universe)}, {reference_cut(k)})")
     out = []
     hi = universe - 1
     for i in range(k, 0, -1):

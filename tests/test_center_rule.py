@@ -7,20 +7,19 @@ isomorphic halves; the library reads one run table instead.
 
 import random
 
-import pytest
-
 from treesym import Tree, kary_tree, random_tree, root_at, spider
 from treesym.asym import a_by_class, asym_of
 from treesym.autom import aut_by_class, aut_order_of, motion_of
 from treesym.canon import TreeAnalysis
 from treesym.coloring import unrank_of
 
-from .conftest import path, relabeled, relabeled_families, trees_up_to
+from .conftest import Raised, outcome, path, relabeled, relabeled_families, trees_up_to
 from .reference import (
     reference_asym_of,
     reference_aut_order_of,
     reference_aut_product,
     reference_by_class,
+    reference_cut,
     reference_motion_of,
     reference_unrank_of,
 )
@@ -46,8 +45,8 @@ def assert_matches_reference(an, rng) -> int:
     for index in indices:
         assert unrank_of(an, a, index) == reference_unrank_of(an, a, index), (an.rt.tree.adj, an.roots, index)
     for index in (-1, total):
-        with pytest.raises(IndexError, match=f"index {index} out of range"):
-            unrank_of(an, a, index)
+        message = f"index {reference_cut(index)} out of range [0, {reference_cut(total)})"
+        assert outcome(unrank_of, an, a, index, catch=IndexError) == Raised(IndexError, message)
     return len(indices)
 
 

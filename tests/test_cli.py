@@ -3,8 +3,6 @@ import hashlib
 import io
 import json
 import math
-import runpy
-import sys
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +16,7 @@ from treesym.autom import aut_order_of
 from treesym.cli import main
 from treesym.corpus import SuiteReport
 
-from .conftest import ROOT, Raised, int_digit_limit, outcome, recorded, run_cli, subprocess_env, traced
+from .conftest import Raised, golden_digests, int_digit_limit, outcome, recorded, run_cli, run_python, traced
 from .reference import reference_build_parser, reference_corpus_spec
 
 P3 = "3\n0 1\n0 2\n"
@@ -198,14 +196,9 @@ def test_color_range_is_checked_at_both_ends(tree_file, argv, code, lines):
 def test_color_count_past_the_end_fails_without_a_scan():
     # a(P60) = 576460751766552576 = 2**59 - 2**29: a count one past it is refused from its last index
     # alone; a check of every index would not finish
-    import subprocess
-
     path60 = "60\n" + "".join(f"{i} {i + 1}\n" for i in range(59))
-    proc = subprocess.run(
-        [sys.executable, "-m", "treesym.cli", "color", "--count", "576460751766552577", "-"],
-        input=path60, capture_output=True, text=True, env=subprocess_env(), timeout=30,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "index out of range [0, 576460751766552576)\n")
+    r = run_python("-m", "treesym.cli", "color", "--count", "576460751766552577", "-", stdin=path60, timeout=30)
+    assert r[:3] == (3, "", "index out of range [0, 576460751766552576)\n")
 
 
 def test_color_rooted(tree_file):
@@ -651,16 +644,8 @@ def test_long_option_values_are_quoted_cut(tree_file, monkeypatch, argv, message
 def test_closed_stdout_exits_0_quietly():
     # a reader that stops early, as `treesym corpus --all-trees 12 | head -1` does; this output
     # outgrows a pipe buffer, so the writer is still writing when the pipe closes
-    import subprocess
-
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "treesym.cli", "corpus", "--all-trees", "12"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
-    )
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (0, b"")
+    r = run_python("-m", "treesym.cli", "corpus", "--all-trees", "12", timeout=60, lines=1)
+    assert r[:3] == (0, "{\n", "")
 
 
 def written(obj) -> str:
@@ -691,15 +676,16 @@ def test_json_writer_matches_json_dumps(obj):
 
 
 @pytest.mark.parametrize("obj", [1.5, {"a": 1.5}, [1, 2.5], [[{"a": [0.0]}]], {1, 2}, ["a", {1}], {1: "a"},
-                                 {"a": {True: 1}}, [{"a": 1, None: [2]}], b"a", {"a": object()}])
+                                 {"a": {True: 1}}, [{"a": 1, None: [2]}], b"a", {"a": object()},
+                                 type("Int", (int,), {})(1), [type("Str", (str,), {})("a")]])
 def test_json_writer_refuses_what_the_commands_never_emit(obj):
-    # json.dumps writes a float, turns a bool, int or None key into a str and refuses a set: the writer refuses all
+    # json.dumps writes a float or an int or str subclass, makes a bool, int or None key a str, refuses a set
     with pytest.raises(TypeError):
         written(obj)
 
 
 def test_json_writer_matches_json_dumps_on_every_golden_payload(monkeypatch):
-    table = runpy.run_path(str(ROOT / "scripts" / "golden_digests.py"))["cases"]()
+    table = golden_digests["cases"]()
     commands = [(stdin, argv) for runs in table.values() for stdin, argv in runs
                 if "--json" in argv or argv[0] in ("oracle", "treelike", "corpus")]
     payloads = recorded(monkeypatch, (cli, "_write_json"))

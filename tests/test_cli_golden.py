@@ -1,13 +1,10 @@
 """The golden CLI digests of scripts/golden_digests.py, one test per input: the table is defined there."""
 
-import runpy
-
 import pytest
 
-from .conftest import ROOT
+from .conftest import golden_digests
 
-golden = runpy.run_path(str(ROOT / "scripts" / "golden_digests.py"))
-GOLDEN, cases, digest = golden["GOLDEN"], golden["cases"], golden["digest"]
+GOLDEN, cases, digest = golden_digests["GOLDEN"], golden_digests["cases"], golden_digests["digest"]
 
 
 def test_golden_covers_every_case():

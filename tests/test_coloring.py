@@ -2,7 +2,6 @@ import hashlib
 import inspect
 import random
 import re
-import subprocess
 import sys
 import time
 from math import comb
@@ -48,8 +47,8 @@ from .conftest import (
     recorded,
     relabeled,
     relabeled_families,
+    run_python,
     star,
-    subprocess_env,
     traced,
     trees_up_to,
 )
@@ -355,8 +354,8 @@ def test_construct_raises_under_optimize():
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=subprocess_env(), capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
+    r = run_python("-O", "-c", script, timeout=120)
+    assert r.code == 0, r.err
 
 
 def test_truncation_validation(p4):

@@ -1,8 +1,6 @@
 import functools
 import random
 import re
-import subprocess
-import sys
 from types import SimpleNamespace
 
 import pytest
@@ -33,7 +31,7 @@ from treesym.corpus import FAMILIES, LOBED_EXTREMAL_MAX, SuiteReport, all_trees,
 from treesym.oracle import brute_graph_aut
 from treesym.treelike import RootedGraph, _component_tree, extract_forest, treelike_distinguish
 
-from .conftest import Raised, outcome, recorded, run_cli, subprocess_env, traced, trees_up_to
+from .conftest import Raised, outcome, recorded, run_cli, run_python, traced, trees_up_to
 from .reference import reference_generate, reference_pruefer_edges, reference_run_theorem_suite, reference_spider
 from .test_treelike import cycle, differential_graphs, grid
 
@@ -84,10 +82,8 @@ def test_import_loads_only_the_standard_library():
         "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
         "print('networkx' in sys.modules, sorted(new - set(sys.stdlib_module_names) - {'treesym'}))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True, timeout=60
-    )
-    assert (proc.returncode, proc.stdout) == (0, "False []\n"), proc.stderr
+    r = run_python("-c", probe, timeout=60)
+    assert (r.code, r.out) == (0, "False []\n"), r.err
 
 
 def test_all_trees_cap():

@@ -30,9 +30,11 @@ from treesym import (
     spider,
     verify_distinguishing,
 )
+from treesym.asym import asym_unrooted
+from treesym.coloring import combinadic_unrank, unrank_unrooted
 from treesym.trees import _cut, read_edge_lines
 
-from .conftest import Raised, int_digit_limit, outcome, recorded, traced
+from .conftest import Raised, int_digit_limit, outcome, path, recorded, traced
 from .reference import reference_center, reference_cut, reference_parse_edge_list, reference_parse_graph_edge_list
 
 
@@ -285,21 +287,27 @@ def test_valid_texts_parse_alike():
 
 def test_cut_counts_a_long_int_without_str():
     # a long int is quoted from its leading digits and its digit count, never converted whole: outside main, where
-    # the digit limit holds, a root or pin past 4,300 digits gets the root message. Every quote equals the whole
-    # string's cut, with the limit held and lifted (inside main)
+    # the digit limit holds, a root or pin past 4,300 digits gets the root message, and an unranking index, total or
+    # rank its range message. Every quote equals the whole string's cut, with the limit held and lifted (inside main)
     rng = random.Random(47)
     values = [10**5000, -(10**5000), 10**5000 - 1, 1 - 10**5000, 10**48, 10**49 - 1, -(10**48), 2**160, -(2**161)]
     values += [sign * rng.getrandbits(rng.randint(1, 20000)) for sign in (1, -1) for _ in range(100)]
     values += [0, -1, 10**39, 10**40, -(10**39), True, "x" * 40, "x" * 41, "-" * 4400]
+    k2, p = Tree.from_edges(2, [(0, 1)]), path(15000)  # a(P_15000) has 4,516 digits
     with int_digit_limit(0):
         want = [(reference_cut(x), reference_cut(x, repr)) for x in values]
         roots = [f"root {reference_cut(w)} out of range 0..1" for w in (10**5000, -(10**5000))]
-    k2 = Tree.from_edges(2, [(0, 1)])
+        unranks = [Raised(IndexError, f"index -1 out of range [0, {reference_cut(asym_unrooted(p))})"),
+                   Raised(IndexError, f"index {reference_cut(10**5000)} out of range [0, 1)"),
+                   Raised(ValueError, f"rank {reference_cut(10**5000)} out of range for C(3, 2)")]
     for digits in (4300, 0):
         with int_digit_limit(digits):
             assert [(_cut(x), _cut(x, repr)) for x in values] == want
             assert outcome(root_at, k2, 10**5000) == Raised(ValueError, roots[0])
             assert outcome(verify_distinguishing, k2, Coloring(2, 1), pinned=-(10**5000)) == Raised(ValueError, roots[1])
+            assert [outcome(unrank_unrooted, p, -1, catch=IndexError),
+                    outcome(unrank_unrooted, k2, 10**5000, catch=IndexError),
+                    outcome(combinadic_unrank, 10**5000, 3, 2)] == unranks
 
 
 def test_long_lines_within_and_over_the_digit_limit():

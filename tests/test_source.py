@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -14,25 +15,31 @@ from treesym.coloring import _to_coloring
 
 from .conftest import Raised, kept, outcome, recorded, run_cli, star, traced
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "treesym"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "treesym"
+
+
+def nodes(folder: Path, pattern: str):
+    """``(file name, node)`` for every AST node of each file in ``folder`` matching ``pattern``, files in name order."""
+    for path in sorted(folder.glob(pattern)):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            yield path.name, node
 
 
 def test_no_claim_rests_on_assert():
     # python -O strips assert statements and sets __debug__ to False, so no check may use either
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__"):
-                found.append(f"{path.name}:{node.lineno}")
+    for name, node in nodes(SRC, "*.py"):
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__"):
+            found.append(f"{name}:{node.lineno}")
     assert len(list(SRC.glob("*.py"))) >= 10
     assert found == []
 
 
 def test_one_json_writer():
     # every JSON command writes through cli._write_json: json.dumps with an indent runs the pure-Python encoder
-    path = SRC / "cli.py"
     found, writes = [], 0
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for _, node in nodes(SRC, "cli.py"):
         func = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
         names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
         if func.rpartition(".")[2] in ("dumps", "dump") or "json" in names or getattr(node, "module", "") == "json":
@@ -44,17 +51,15 @@ def test_one_json_writer():
 
 def test_one_reference_per_kernel():
     # each reference is written once, in tests/reference.py, and no earlier generation is kept beside it
-    tests = Path(__file__).resolve().parent
     previous, outside, defined = [], [], Counter()
-    for path in sorted(tests.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name.startswith("previous_"):
-                    previous.append(f"{path.name}:{node.lineno}")
-                if node.name.startswith("reference_"):
-                    defined[node.name] += 1
-                    if path.name != "reference.py":
-                        outside.append(f"{path.name}:{node.lineno}")
+    for name, node in nodes(TESTS, "*.py"):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("previous_"):
+                previous.append(f"{name}:{node.lineno}")
+            if node.name.startswith("reference_"):
+                defined[node.name] += 1
+                if name != "reference.py":
+                    outside.append(f"{name}:{node.lineno}")
     assert len(defined) >= 40
     assert previous == [] and outside == []
     assert [name for name, count in defined.items() if count > 1] == []
@@ -62,12 +67,8 @@ def test_one_reference_per_kernel():
 
 def test_one_memory_probe():
     # every memory gate reads tracemalloc through conftest's traced or kept, so each gate measures the same way
-    tests = Path(__file__).resolve().parent
-    starts = []
-    for path in sorted(tests.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Attribute) and ast.unparse(node) == "tracemalloc.start":
-                starts.append(path.name)
+    starts = [name for name, node in nodes(TESTS, "*.py")
+              if isinstance(node, ast.Attribute) and ast.unparse(node) == "tracemalloc.start"]
     assert starts == ["conftest.py"] * 2  # traced and kept
 
 
@@ -83,20 +84,27 @@ def test_memory_probes_read_what_a_call_allocates():
 
 
 def test_one_cli_runner():
-    # every in-process CLI call goes through conftest's run_cli, so each checks exit code, stdout and stderr
-    # the same way; two memory gates call main inside the probe, which must not count the runner's buffers
-    tests = Path(__file__).resolve().parent
-    calls, stdin_patches = [], []
-    for path in sorted(tests.glob("test_*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            func = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
-            targets = map(ast.unparse, node.targets) if isinstance(node, ast.Assign) else ()
-            if func in ("main", "cli.main"):
-                calls.append(path.name)
-            if func.endswith("setattr") and "stdin" in ast.unparse(node) or "sys.stdin" in targets:
-                stdin_patches.append(path.name)
+    # the suite starts treesym through the scripts' two runners, which conftest loads: run_cli in this process and
+    # run_python in a child, so each checks exit code, stdout and stderr the same way. Two memory gates call main
+    # inside the probe, which must not count the runner's buffers; test_cli's written captures the JSON writer alone
+    calls, stdin_patches, redirects, children = [], [], [], []
+    starts = re.compile(r"\b(subprocess|multiprocessing|os\.(system|popen|fork|exec|spawn|posix_spawn))")
+    for name, node in nodes(TESTS, "*.py"):
+        func = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+        targets = map(ast.unparse, node.targets) if isinstance(node, ast.Assign) else ()
+        if func in ("main", "cli.main"):
+            calls.append(name)
+        if func.endswith("setattr") and "stdin" in ast.unparse(node) or "sys.stdin" in targets:
+            stdin_patches.append(name)
+        if func.endswith(("redirect_stdout", "redirect_stderr")):
+            redirects.append(name)
+        code = ast.unparse(node) if isinstance(node, (ast.Name, ast.Attribute, ast.Import, ast.ImportFrom)) else ""
+        if starts.search(code):
+            children.append(f"{name}:{node.lineno}")
     assert calls == ["test_cli.py", "test_rerooting.py"]
     assert stdin_patches == ["test_rerooting.py"]
+    assert redirects == ["test_cli.py"]
+    assert children == []
 
 
 def test_cli_runner_reads_stdin_stdout_and_stderr():
@@ -113,16 +121,14 @@ def test_one_call_recorder():
     # every call-count gate patches its targets through conftest's recorded. Three recorders stay their own:
     # test_canon's count_sorts shadows the builtin sorted, which no module binds, and test_coloring's
     # _colored_ids and test_oracle's images_listed read what an iterator or a generator hands on
-    tests = Path(__file__).resolve().parent
     found = []
-    for path in sorted(tests.glob("test_*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            func = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
-            lambdas = [arg for arg in node.args if isinstance(arg, ast.Lambda)] if func.endswith("setattr") else []
-            appends = [n for arg in lambdas for n in ast.walk(arg) if getattr(n, "attr", None) == "append"]
-            modules = isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.modules"
-            if modules or func == "staticmethod" or appends or isinstance(node, ast.Nonlocal):
-                found.append(f"{path.name}:{node.lineno}")
+    for name, node in nodes(TESTS, "test_*.py"):
+        func = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+        lambdas = [arg for arg in node.args if isinstance(arg, ast.Lambda)] if func.endswith("setattr") else []
+        appends = [n for arg in lambdas for n in ast.walk(arg) if getattr(n, "attr", None) == "append"]
+        modules = isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.modules"
+        if modules or func == "staticmethod" or appends or isinstance(node, ast.Nonlocal):
+            found.append(f"{name}:{node.lineno}")
     assert found == []
 
 
@@ -150,13 +156,11 @@ def test_one_outcome_reader():
     # every "what each side returned, or what it raised" goes through conftest's outcome, so two raises are the
     # same only with the same type, message, attributes, cause and yields. One handler stays: the unranking check
     # asks whether the reference failed its internal check, an AssertionError, which outcome never catches
-    tests = Path(__file__).resolve().parent
     found = []
-    for path in sorted(tests.glob("test_*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            item = ast.unparse(node) if isinstance(node, ast.withitem) else ""
-            if isinstance(node, ast.ExceptHandler) or item.startswith("pytest.raises(") and item.endswith(" as want"):
-                found.append(f"{path.name}: {ast.unparse(node).splitlines()[0]}")
+    for name, node in nodes(TESTS, "test_*.py"):
+        item = ast.unparse(node) if isinstance(node, ast.withitem) else ""
+        if isinstance(node, ast.ExceptHandler) or item.startswith("pytest.raises(") and item.endswith(" as want"):
+            found.append(f"{name}: {ast.unparse(node).splitlines()[0]}")
     assert found == ["test_coloring.py: except AssertionError:"]
 
 
